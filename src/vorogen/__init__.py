@@ -14,6 +14,7 @@ from .errors import (
     InconsistentSystemError,
     NoEligibleAnchorError,
     NoIntersectionError,
+    OutOfRangeIdError,
     ParseError,
     SingularSystemError,
     UnderdeterminedError,
@@ -38,7 +39,6 @@ from .forward import SiteSample, build_voronoi, jitter_degenerate, sample_and_bu
 from .anchor import AnchorPolicy, AnchorScore, eligible_cells, score_cell, select_anchor
 from .solver import PatchSolution, PatchSystem, assemble_patch, solve_patch
 from .propagate import (
-    FrontierPolicy,
     MergePolicy,
     PropagationTrace,
     reconstruct_all,
@@ -59,12 +59,12 @@ __all__ = [
     "ConstructionError",
     "CPrimeEstimate",
     "DegenerateRidgeError",
-    "FrontierPolicy",
     "GroundTruth",
     "InconsistentSystemError",
     "MergePolicy",
     "NoEligibleAnchorError",
     "NoIntersectionError",
+    "OutOfRangeIdError",
     "ParseError",
     "PatchSolution",
     "PatchSystem",

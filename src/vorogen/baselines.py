@@ -21,11 +21,11 @@ from .errors import (
     NoEligibleAnchorError,
     NoIntersectionError,
     UnderdeterminedError,
-    UnreachableCellsError,
 )
 from .geom import Point2, RidgeLine, UnitVec2
+from .propagate import sweep
 from .solver import assemble_patch, solve_patch
-from .tessellation import CellId, Tessellation, neighbors
+from .tessellation import CellId, Tessellation
 
 DEFAULT_PERTURB_EPS = 1e-7
 # a zero-displacement (insensitive) pair gets at most this multiple of the
@@ -48,46 +48,12 @@ class CPrimeEstimate:
     estimate: Point2
 
 
-def _fill_by_reflection(
-    t: Tessellation, known: dict[CellId, Point2]
-) -> list[tuple[CellId, CellId]]:
-    """Resolve every remaining cell by reflecting its nearest solved neighbor.
-
-    Layered sweep from the solved set; each new cell takes one reflection
-    through the first available ridge (lowest source cell id). Returns the
-    (cell, source) fill order; mutates ``known``.
-    """
-    filled: list[tuple[CellId, CellId]] = []
-    current = sorted(known)
-    while current:
-        incoming: dict[CellId, tuple[CellId, int]] = {}
-        for c in current:
-            for nc, rid in neighbors(t, c):
-                if nc in known or nc in incoming:
-                    continue
-                incoming[nc] = (c, rid)
-        if not incoming:
-            break
-        nxt = sorted(incoming)
-        for nc in nxt:
-            src, rid = incoming[nc]
-            known[nc] = geom.reflect_point(known[src], t.ridge_line(rid))
-            filled.append((nc, src))
-        current = nxt
-    missing = tuple(c for c in range(len(t.cells)) if c not in known)
-    if missing:
-        raise UnreachableCellsError(
-            f"{len(missing)} cells cannot be reached from any solved cell", cells=missing
-        )
-    return filled
-
-
 def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
     """Per-cell independent reconstruction: one full patch solve per cell.
 
     Every eligible cell anchors its own solve and contributes only its own
-    generator. Ineligible (hull) cells are then filled by reflection from
-    the nearest solved cell so the result covers all cells; filled cells
+    generator. Ineligible (hull) cells are then filled by the reflection
+    sweep from the solved cells so the result covers all cells; filled cells
     inherit the residual of their source. Returns (cell, point, residual)
     triples for every cell, in cell order.
     """
@@ -101,7 +67,8 @@ def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
         raise NoEligibleAnchorError(
             "no anchor-eligible cell; the per-cell brute force cannot start"
         )
-    for nc, src in _fill_by_reflection(t, known):
+    known, trace = sweep(t, known, origin="any solved cell")
+    for nc, src, _ in trace.order:
         resid[nc] = resid[src]
     return [(c, known[c], resid[c]) for c in range(len(t.cells))]
 
@@ -261,8 +228,8 @@ def c_prime_all(
     """Angle-rotation estimates for every cell.
 
     Bounded cells get their own construction; unbounded ones (and any cell
-    where the construction is underdetermined) are filled by reflection
-    from the nearest estimated cell, mirroring the brute-force fill.
+    where the construction is underdetermined) are filled by the reflection
+    sweep from the estimated cells, as in the brute force.
     """
     known: dict[CellId, Point2] = {}
     for c in range(len(t.cells)):
@@ -274,5 +241,5 @@ def c_prime_all(
             continue
     if not known:
         raise UnderdeterminedError("no cell admits the angle construction")
-    _fill_by_reflection(t, known)
+    known, _ = sweep(t, known, origin="any estimated cell")
     return [(c, known[c]) for c in range(len(t.cells))]

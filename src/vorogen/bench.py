@@ -28,7 +28,11 @@ CSV_HEADER = "n,nsim,method,log10_mean_rmse,log10_max_rse,mean_depth,mean_propag
 
 @dataclass(frozen=True)
 class SimResult:
-    """One simulation's scores. Only the *_time fields vary between runs."""
+    """One simulation's scores. Only the times vary between runs.
+
+    ``timings`` holds the reconstruction's per-stage seconds
+    (``ReconstructionReport.timings``); ``build_time`` the forward build's.
+    """
 
     n: int
     seed: int
@@ -37,14 +41,19 @@ class SimResult:
     max_rse: float
     depth: int
     residual_norm: float
+    refine_iterations: int
     build_time: float
-    assemble_solve_time: float
-    propagate_time: float
+    timings: dict[str, float]
+
+    @property
+    def propagate_time(self) -> float:
+        """Seconds in the reflection sweep: the CSV's propagate column."""
+        return self.timings["sweep"]
 
     def key(self) -> tuple:
         """The deterministic fields, for reproducibility comparisons."""
         return (self.n, self.seed, self.method, self.rmse, self.max_rse,
-                self.depth, self.residual_norm)
+                self.depth, self.residual_norm, self.refine_iterations)
 
 
 @dataclass(frozen=True)
@@ -97,9 +106,9 @@ def run_simulation(
         max_rse=rep.max_rse,
         depth=rep.depth,
         residual_norm=rep.residual if rep.residual is not None else math.nan,
+        refine_iterations=rep.refine_iterations,
         build_time=build_time,
-        assemble_solve_time=rep.assemble_solve_time,
-        propagate_time=rep.propagate_time,
+        timings=rep.timings,
     )
 
 

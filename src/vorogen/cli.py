@@ -23,7 +23,7 @@ from .errors import (
 )
 from .forward import sample_and_build
 from .pipeline import METHODS, Policies, reconstruct
-from .propagate import FrontierPolicy, MergePolicy
+from .propagate import MergePolicy
 from .tessellation import GroundTruth, load, save, validate
 
 EXIT_OK = 0
@@ -56,12 +56,7 @@ def _policies(args) -> Policies:
         if args.anchor_policy == "random"
         else AnchorPolicy.best_score()
     )
-    frontier = (
-        FrontierPolicy.random(args.seed)
-        if args.frontier == "random"
-        else FrontierPolicy(args.frontier)
-    )
-    return Policies(anchor=anchor, frontier=frontier, merge=MergePolicy(args.merge))
+    return Policies(anchor=anchor, merge=MergePolicy(args.merge))
 
 
 def _cmd_reconstruct(args) -> int:
@@ -72,6 +67,7 @@ def _cmd_reconstruct(args) -> int:
     summary: dict = {"method": rep.method, "cells": len(t.cells), "depth": rep.depth}
     if rep.anchor is not None:
         summary["anchor"] = rep.anchor
+        summary["refine_iterations"] = rep.refine_iterations
     if rep.residual is not None:
         summary["residual"] = rep.residual
     if rep.rmse is not None:
@@ -143,9 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
     r.add_argument("--anchor-policy", choices=("best", "random"), default="best")
-    r.add_argument("--frontier", choices=("first", "random", "longest"), default="first")
     r.add_argument("--merge", choices=("first", "weighted"), default="first")
-    r.add_argument("--seed", type=int, default=0, help="seed for the random policies")
+    r.add_argument("--seed", type=int, default=0, help="seed for the random anchor policy")
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")
     r.set_defaults(func=_cmd_reconstruct)

@@ -53,6 +53,10 @@ class InconsistentSystemError(VorogenError):
         self.threshold = threshold
 
 
+class OutOfRangeIdError(InconsistentSystemError):
+    """A ridge or cell refers to a cell, ridge or vertex id that does not exist."""
+
+
 class NoEligibleAnchorError(VorogenError):
     """No cell satisfies the hard anchor eligibility criteria."""
 

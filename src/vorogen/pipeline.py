@@ -11,7 +11,7 @@ from typing import Optional
 from .anchor import AnchorPolicy, select_anchor
 from .baselines import DEFAULT_PERTURB_EPS, brute_force_all, c_prime_all
 from .geom import Point2
-from .propagate import FrontierPolicy, MergePolicy, reconstruct_all, refine_all
+from .propagate import MergePolicy, reconstruct_all, refine_all
 from .solver import assemble_patch, solve_patch
 from .tessellation import CellId, GroundTruth, Tessellation
 
@@ -23,8 +23,10 @@ class Policies:
     """All tunable choices of the anchor method, bundled for plumbing."""
 
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy.best_score)
-    frontier: FrontierPolicy = field(default_factory=FrontierPolicy.first)
     merge: MergePolicy = field(default_factory=MergePolicy.first)
+
+
+STAGES = ("select", "solve", "sweep", "refine")
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,12 @@ class ReconstructionReport:
     """Recovered generators (indexed by cell id) plus solve diagnostics.
 
     ``rmse``/``max_rse`` are present only when ground truth was supplied.
-    Times are wall-clock seconds and are the only non-deterministic fields.
-    For the anchor method ``propagate_time`` covers the reflection sweep
-    alone; anchor selection, the patch solve and the global refinement are
-    in ``assemble_solve_time``.
+    ``timings`` holds wall-clock seconds per stage of ``STAGES`` and is the
+    only non-deterministic field. The anchor method fills every stage:
+    anchor selection (which builds the tessellation's ridge arrays), the
+    patch solve, the reflection sweep and the global refinement, which took
+    ``refine_iterations`` CGLS steps. The two baselines run as one stage,
+    ``solve``.
     """
 
     method: str
@@ -46,8 +50,8 @@ class ReconstructionReport:
     condition: Optional[float] = None
     rmse: Optional[float] = None
     max_rse: Optional[float] = None
-    assemble_solve_time: float = 0.0
-    propagate_time: float = 0.0
+    refine_iterations: int = 0
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def _errors(
@@ -75,38 +79,43 @@ def reconstruct(
     all generators together over every ridge (``refine_all``); ``brute``
     solves every eligible cell independently; ``cprime`` is the
     angle-rotation construction. Error statistics are filled in when ``gt``
-    is given.
+    is given. Raises OutOfRangeIdError, before any work, when a ridge or
+    cell refers to an id that does not exist.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    timings = dict.fromkeys(STAGES, 0.0)
     anchor_cell: Optional[CellId] = None
     depth = 0
     residual: Optional[float] = None
     condition: Optional[float] = None
-    propagate_time = 0.0
+    iterations = 0
     t0 = time.perf_counter()
+    t.arrays  # range-checks every id
     if method == "anchor":
         anchor_cell = select_anchor(t, policies.anchor)
-        patch = solve_patch(assemble_patch(t, anchor_cell))
         t1 = time.perf_counter()
-        known, trace = reconstruct_all(t, patch, policies.frontier, policies.merge)
+        patch = solve_patch(assemble_patch(t, anchor_cell))
         t2 = time.perf_counter()
-        known, _ = refine_all(t, known)
+        known, trace = reconstruct_all(t, patch, policies.merge)
+        t3 = time.perf_counter()
+        known, iterations = refine_all(t, known)
         generators = tuple(known[c] for c in range(len(t.cells)))
+        timings.update(
+            select=t1 - t0, solve=t2 - t1, sweep=t3 - t2, refine=time.perf_counter() - t3
+        )
         depth = trace.max_depth
         residual = patch.residual
         condition = patch.condition
-        propagate_time = t2 - t1
-        solve_time = (t1 - t0) + (time.perf_counter() - t2)
     elif method == "brute":
         triples = brute_force_all(t)
         generators = tuple(p for _, p, _ in triples)
         residual = max(r for _, _, r in triples)
-        solve_time = time.perf_counter() - t0
+        timings["solve"] = time.perf_counter() - t0
     else:
         pairs = c_prime_all(t, perturb_eps)
         generators = tuple(p for _, p in pairs)
-        solve_time = time.perf_counter() - t0
+        timings["solve"] = time.perf_counter() - t0
     rmse = max_rse = None
     if gt is not None:
         if len(gt.generators) != len(generators):
@@ -121,6 +130,6 @@ def reconstruct(
         condition=condition,
         rmse=rmse,
         max_rse=max_rse,
-        assemble_solve_time=solve_time,
-        propagate_time=propagate_time,
+        refine_iterations=iterations,
+        timings=timings,
     )

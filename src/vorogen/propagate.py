@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -24,45 +24,15 @@ from . import geom
 from .errors import UnreachableCellsError
 from .geom import Point2
 from .solver import PatchSolution
-from .tessellation import CellId, RidgeId, Tessellation, neighbors
-
-
-@dataclass(frozen=True)
-class FrontierPolicy:
-    """Which incoming ridge to reflect through when a cell has several.
-
-    ``first`` keeps the discovery order (lowest source cell id, then that
-    cell's boundary order), ``random`` draws one with a seeded generator,
-    ``longest`` prefers the longest shared ridge.
-    """
-
-    kind: str
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("first", "random", "longest"):
-            raise ValueError(f"unknown frontier policy {self.kind!r}")
-        if self.kind == "random" and self.seed is None:
-            raise ValueError("random frontier policy requires a seed")
-
-    @classmethod
-    def first(cls) -> "FrontierPolicy":
-        return cls("first")
-
-    @classmethod
-    def random(cls, seed: int) -> "FrontierPolicy":
-        return cls("random", seed)
-
-    @classmethod
-    def longest(cls) -> "FrontierPolicy":
-        return cls("longest")
+from .tessellation import CellId, RidgeId, Tessellation
 
 
 @dataclass(frozen=True)
 class MergePolicy:
     """Whether to use one incoming reflection or average them all.
 
-    ``first`` takes the single ridge chosen by the frontier policy.
+    ``first`` reflects through the first incoming ridge in discovery order:
+    from the lowest source cell id, then in that cell's boundary order.
     ``weighted`` averages the reflections through every incoming ridge,
     weighted by ridge length (rays count with their length clipped to the
     vertex bounding box). On exact input all candidates agree, so the two
@@ -111,45 +81,130 @@ def reflect_into(t: Tessellation, rid: RidgeId, p) -> Point2:
     return geom.reflect_point(p, t.ridge_line(rid))
 
 
-def _ridge_weight(t: Tessellation, rid: RidgeId) -> float:
-    ln = t.ridge_length(rid)
-    if math.isfinite(ln):
-        return ln
-    r = t.ridges[rid]
-    v = t.vertices[r.v0]
+def _ridge_weights(t: Tessellation) -> np.ndarray:
+    """Merge weight of every ridge: its length, rays clipped to the vertex bbox."""
+    a = t.arrays
+    weights = a.lengths.copy()
+    rays = np.flatnonzero(~a.finite)
     x0, y0, x1, y1 = t.bbox()
-    exit_param = math.inf
-    for p, d, lo, hi in ((v.x, r.ray_dir[0], x0, x1), (v.y, r.ray_dir[1], y0, y1)):
-        if d != 0.0:
-            exit_param = min(exit_param, max((lo - p) / d, (hi - p) / d))
-    if not math.isfinite(exit_param):
-        return 0.0
-    return max(0.0, exit_param)
+    exit_param = np.full(len(rays), math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis, lo, hi in ((0, x0, x1), (1, y0, y1)):
+            p = a.vertices[a.ends[rays, 0], axis]
+            d = a.dirs[rays, axis]
+            leave = np.maximum((lo - p) / d, (hi - p) / d)
+            exit_param = np.where(d != 0.0, np.minimum(exit_param, leave), exit_param)
+    weights[rays] = np.where(np.isfinite(exit_param), np.maximum(0.0, exit_param), 0.0)
+    return weights
 
 
-def _choose(
-    cands: list[tuple[CellId, RidgeId]],
-    policy: FrontierPolicy,
-    rng,
+def sweep(
     t: Tessellation,
-) -> tuple[CellId, RidgeId]:
-    if policy.kind == "first" or len(cands) == 1:
-        return cands[0]
-    if policy.kind == "random":
-        return cands[int(rng.integers(len(cands)))]
-    best = cands[0]
-    best_w = _ridge_weight(t, cands[0][1])
-    for cand in cands[1:]:
-        w = _ridge_weight(t, cand[1])
-        if w > best_w:
-            best, best_w = cand, w
-    return best
+    known: Mapping[CellId, Point2],
+    merge: MergePolicy = MergePolicy.first(),
+    origin: str = "the known cells",
+) -> tuple[dict[CellId, Point2], PropagationTrace]:
+    """Recover every generator by layered reflection from the ``known`` ones.
+
+    Layer d + 1 holds the unknown cells across a ridge from layer d, layer 0
+    being ``known``. A layer is found by one gather over the CSR boundary
+    index of the previous one, in discovery order (source cells ascending,
+    each in its boundary order), and reflected as one array operation, so
+    every generator is the one a per-cell loop in that order would give.
+    Raises UnreachableCellsError, naming ``origin``, when the ridge graph
+    does not connect every cell to a known one.
+    """
+    a = t.arrays
+    n = len(t.cells)
+    start = a.cell_start
+    xy = np.zeros((n, 2))
+    depth = np.full(n, -1)
+    seeds = np.fromiter(known, np.intp, len(known))
+    xy[seeds] = np.array(list(known.values()), float).reshape(-1, 2)
+    depth[seeds] = 0
+    weights = _ridge_weights(t) if merge.kind == "weighted" else None
+    layers = []
+    current = np.unique(seeds)
+    d = 0
+    while len(current):
+        # the boundary entries of the current layer, in discovery order
+        lo, hi = start[current], start[current + 1]
+        count = hi - lo
+        entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        src = np.repeat(current, count)
+        dst = a.cell_nbrs[entry]
+        new = depth[dst] < 0
+        src, dst, rid = src[new], dst[new], a.cell_ridges[entry[new]]
+        if not len(dst):
+            break
+        cells, first, fan_in = np.unique(dst, return_index=True, return_counts=True)
+        used = first if weights is None else np.arange(len(dst))
+        bad = a.degenerate[rid[used]]
+        if bad.any():
+            t.ridge_line(int(rid[used][np.argmax(bad)]))  # raises DegenerateRidgeError
+        line = rid[used]
+        img = _reflect(xy[src[used]], a.vertices[a.ends[line, 0]], a.dirs[line])
+        if weights is None:
+            xy[cells] = img
+        else:
+            xy[cells] = _weighted_mean(img, weights[rid], np.searchsorted(cells, dst), first, fan_in)
+        depth[cells] = d + 1
+        layers.append((cells, src[first], rid[first], fan_in, len(used)))
+        current = cells
+        d += 1
+
+    missing = np.flatnonzero(depth < 0)
+    if len(missing):
+        raise UnreachableCellsError(
+            f"{len(missing)} of {n} cells cannot be reached from {origin}",
+            cells=tuple(missing.tolist()),
+        )
+    order: list[tuple[CellId, CellId, RidgeId]] = []
+    candidates: dict[CellId, int] = {}
+    for cells, srcs, rids, fan_in, _ in layers:
+        order += zip(cells.tolist(), srcs.tolist(), rids.tolist())
+        candidates.update(zip(cells.tolist(), fan_in.tolist()))
+    finished = [*known, *(c for c, _, _ in order)]
+    points = map(Point2._make, xy[finished].tolist())
+    trace = PropagationTrace(
+        order=tuple(order),
+        depth=dict(zip(finished, depth[finished].tolist())),
+        candidates=candidates,
+        reflect_calls=sum(layer[4] for layer in layers),
+    )
+    return dict(zip(finished, points)), trace
+
+
+def _reflect(p: np.ndarray, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise ``geom.reflect_point``, with the same operations in the same order."""
+    t = (p[:, 0] - anchor[:, 0]) * u[:, 0] + (p[:, 1] - anchor[:, 1]) * u[:, 1]
+    foot = anchor + t[:, None] * u
+    return 2.0 * foot - p
+
+
+def _weighted_mean(img, w, slot, first, fan_in) -> np.ndarray:
+    """Per-cell weighted mean of candidate images, summed in candidate order.
+
+    ``slot`` maps each candidate to its cell's row; a cell with a single
+    candidate keeps that image, and a cell whose weights sum to zero takes
+    the plain mean.
+    """
+    m = len(first)
+    wsum = np.bincount(slot, w, m)
+    flat = wsum[slot] <= 0.0
+    w = np.where(flat, 1.0, w)
+    wsum = np.where(wsum <= 0.0, fan_in.astype(float), wsum)
+    out = np.stack(
+        [np.bincount(slot, w * img[:, 0], m), np.bincount(slot, w * img[:, 1], m)], axis=1
+    ) / wsum[:, None]
+    single = fan_in == 1
+    out[single] = img[first[single]]
+    return out
 
 
 def reconstruct_all(
     t: Tessellation,
     patch: PatchSolution,
-    frontier: FrontierPolicy = FrontierPolicy.first(),
     merge: MergePolicy = MergePolicy.first(),
 ) -> tuple[dict[CellId, Point2], PropagationTrace]:
     """Recover every generator from the solved patch.
@@ -158,66 +213,7 @@ def reconstruct_all(
     Raises UnreachableCellsError if the ridge adjacency graph does not
     connect every cell to the patch.
     """
-    known: dict[CellId, Point2] = dict(patch.generators)
-    depth: dict[CellId, int] = {c: 0 for c in known}
-    order: list[tuple[CellId, CellId, RidgeId]] = []
-    candidates: dict[CellId, int] = {}
-    reflect_calls = 0
-    rng = np.random.default_rng(frontier.seed) if frontier.kind == "random" else None
-
-    current = sorted(known)
-    d = 0
-    while current:
-        incoming: dict[CellId, list[tuple[CellId, RidgeId]]] = {}
-        for c in current:
-            for nc, rid in neighbors(t, c):
-                if nc in depth:
-                    continue
-                incoming.setdefault(nc, []).append((c, rid))
-        if not incoming:
-            break
-        nxt = sorted(incoming)
-        for nc in nxt:
-            cands = incoming[nc]
-            candidates[nc] = len(cands)
-            if merge.kind == "weighted" and len(cands) > 1:
-                pts = []
-                wts = []
-                for src, rid in cands:
-                    pts.append(reflect_into(t, rid, known[src]))
-                    wts.append(_ridge_weight(t, rid))
-                    reflect_calls += 1
-                wsum = sum(wts)
-                if wsum <= 0.0:
-                    wts = [1.0] * len(pts)
-                    wsum = float(len(pts))
-                px = sum(w * p.x for w, p in zip(wts, pts)) / wsum
-                py = sum(w * p.y for w, p in zip(wts, pts)) / wsum
-                known[nc] = Point2(px, py)
-                src, rid = cands[0]
-            else:
-                src, rid = _choose(cands, frontier, rng, t)
-                known[nc] = reflect_into(t, rid, known[src])
-                reflect_calls += 1
-            depth[nc] = d + 1
-            order.append((nc, src, rid))
-        current = nxt
-        d += 1
-
-    missing = tuple(c for c in range(len(t.cells)) if c not in known)
-    if missing:
-        raise UnreachableCellsError(
-            f"{len(missing)} of {len(t.cells)} cells cannot be reached from the"
-            f" patch around cell {patch.members[0]}",
-            cells=missing,
-        )
-    trace = PropagationTrace(
-        order=tuple(order),
-        depth=depth,
-        candidates=candidates,
-        reflect_calls=reflect_calls,
-    )
-    return known, trace
+    return sweep(t, patch.generators, merge, f"the patch around cell {patch.members[0]}")
 
 
 # CGLS stops once the normal-equation residual ||A^T W (b - A g)|| has fallen
@@ -249,25 +245,21 @@ def refine_all(
     # Points are complex numbers x + iy: the reflection across a line through
     # the origin with unit direction u is z -> u^2 conj(z).
     n = len(t.cells)
-    ridges = t.ridges
-    verts = np.fromiter(chain.from_iterable(t.vertices), float, 2 * len(t.vertices))
-    verts = verts.view(complex)
-    cols = np.fromiter(
-        chain.from_iterable((*r.cells, r.v0, -1 if r.v1 is None else r.v1) for r in ridges),
-        np.intp,
-        4 * len(ridges),
-    ).reshape(-1, 4)
-    ia, ib, v0, v1 = cols.T
-    finite = v1 >= 0
-    p0 = verts[v0]
-    p1 = verts[np.where(finite, v1, v0)]
+    a = t.arrays
+    ia, ib = a.cells.T
+    finite = a.finite
+    verts = a.vertices.view(complex).ravel()
+    p0 = verts[a.ends[:, 0]]
+    p1 = verts[np.where(finite, a.ends[:, 1], a.ends[:, 0])]
     seg = p1 - p0
+    # directions from the complex modulus, as this solve was tuned with,
+    # rather than the arrays' math.hypot ones: the two round differently on
+    # about a third of the ridges
     length = np.abs(seg)
     usable = finite & (length > t.degeneracy_threshold())
-    u = np.ones(len(ridges), complex)
+    u = np.ones(len(seg), complex)
     u[usable] = seg[usable] / length[usable]
-    rays = np.flatnonzero(~finite)
-    u[rays] = [complex(*ridges[k].ray_dir) for k in rays]
+    u[~finite] = a.dirs[~finite].view(complex).ravel()
     c = np.where(finite, 0.5 * (p0 + p1), p0)
 
     g = np.fromiter(chain.from_iterable(known[k] for k in range(n)), float, 2 * n)

@@ -5,6 +5,10 @@ segments or rays), and cells holding counter-clockwise ridge lists. The
 cell adjacency graph is implied by the ridges. Instances are immutable
 after construction and safe to share across worker processes.
 
+The ridge geometry the algorithms read (unit directions, lengths, a CSR
+cell -> ridge index) is computed once per instance, as numpy arrays, on
+first use: ``Tessellation.arrays``.
+
 The file format is JSON with numbers written to 17 significant digits, so
 save/load round-trips are bit exact.
 """
@@ -14,10 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import geom
-from .errors import ParseError, UnsupportedVersionError
+from .errors import DegenerateRidgeError, OutOfRangeIdError, ParseError, UnsupportedVersionError
 from .geom import Point2, RidgeLine, UnitVec2
 
 CellId = int
@@ -64,21 +72,12 @@ class GroundTruth:
 
 
 class Tessellation:
-    """Immutable vertices/ridges/cells bundle with derived lookup tables."""
+    """Immutable vertices/ridges/cells bundle; lookups go through ``arrays``."""
 
     def __init__(self, vertices: Sequence, ridges: Sequence[Ridge], cells: Sequence[Cell]):
         self.vertices: tuple[Point2, ...] = tuple(Point2(float(p[0]), float(p[1])) for p in vertices)
         self.ridges: tuple[Ridge, ...] = tuple(ridges)
         self.cells: tuple[Cell, ...] = tuple(cells)
-        pair: dict[tuple[int, int], int] = {}
-        incident: dict[int, list[int]] = {}
-        for rid, r in enumerate(self.ridges):
-            a, b = r.cells
-            pair.setdefault((a, b) if a <= b else (b, a), rid)
-            for v in r.vertex_ids():
-                incident.setdefault(v, []).append(rid)
-        self._pair_to_ridge = pair
-        self._vertex_ridges = incident
         if self.vertices:
             xs = [p.x for p in self.vertices]
             ys = [p.y for p in self.vertices]
@@ -99,21 +98,26 @@ class Tessellation:
         """Ridges shorter than this fraction of the diagram diameter are degenerate."""
         return geom.DEGENERACY_REL * self.diameter()
 
+    @cached_property
+    def arrays(self) -> "RidgeArrays":
+        """The ridge geometry as arrays, built on first use and then kept.
+
+        Raises OutOfRangeIdError when a ridge or cell refers to an id that
+        does not exist.
+        """
+        return _ridge_arrays(self)
+
     def ridge_line(self, rid: RidgeId) -> RidgeLine:
-        r = self.ridges[rid]
-        if r.is_finite:
-            return geom.line_from_two_points(
-                self.vertices[r.v0], self.vertices[r.v1], min_length=self.degeneracy_threshold()
+        a = self.arrays
+        if a.degenerate[rid]:
+            raise DegenerateRidgeError(
+                f"ridge {rid} is {a.lengths[rid]:.3e} long"
+                f" (minimum {self.degeneracy_threshold():.3e})"
             )
-        return RidgeLine(self.vertices[r.v0], r.ray_dir)
+        return RidgeLine(self.vertices[self.ridges[rid].v0], UnitVec2._make(a.dirs[rid].tolist()))
 
     def ridge_length(self, rid: RidgeId) -> float:
-        r = self.ridges[rid]
-        if not r.is_finite:
-            return math.inf
-        a = self.vertices[r.v0]
-        b = self.vertices[r.v1]
-        return math.hypot(b.x - a.x, b.y - a.y)
+        return float(self.arrays.lengths[rid])
 
     def ridge_point(self, rid: RidgeId) -> Point2:
         """A point on the ridge line: segment midpoint or ray origin."""
@@ -125,10 +129,138 @@ class Tessellation:
         return self.vertices[r.v0]
 
     def ridge_between(self, a: CellId, b: CellId) -> Optional[RidgeId]:
-        return self._pair_to_ridge.get((a, b) if a <= b else (b, a))
+        """The lowest-id ridge joining cells ``a`` and ``b``, or None."""
+        nc = len(self.cells)
+        if not (0 <= a < nc and 0 <= b < nc):
+            return None
+        keys = self.arrays.pair_keys
+        key = min(a, b) * nc + max(a, b)
+        i = int(keys.searchsorted(key))
+        if i < len(keys) and keys[i] == key:
+            return int(self.arrays.pair_ridges[i])
+        return None
 
     def vertex_ridges(self, v: VertexId) -> tuple[RidgeId, ...]:
-        return tuple(self._vertex_ridges.get(v, ()))
+        """Ridges ending at vertex ``v``, ascending."""
+        a = self.arrays
+        if not 0 <= v < len(self.vertices):
+            return ()
+        return tuple(a.vertex_ridges[a.vertex_start[v] : a.vertex_start[v + 1]].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class RidgeArrays:
+    """Struct-of-arrays view of a tessellation's ridges and cell boundaries.
+
+    Row ``k`` of a per-ridge array describes ridge ``k``, whose line is
+    anchored at its first vertex, ``vertices[ends[k, 0]]``. Directions are
+    computed as ``geom.line_from_two_points`` computes them (one
+    ``math.hypot`` per ridge), so they are bit-identical to
+    ``Tessellation.ridge_line``; rays keep their stored direction, and
+    degenerate ridges (no longer than the degeneracy threshold) have NaN
+    directions. The CSR index lists cell ``c``'s boundary at entries
+    ``cell_start[c]:cell_start[c + 1]`` in CCW order, each entry with its
+    ridge id and the cell across that ridge; a second one lists the ridges
+    ending at each vertex, ascending. Ridges are also indexed by their cell
+    pair, as the sorted key ``min * C + max``.
+
+    Ids are int32, which halves the index arrays every tessellation keeps;
+    arithmetic on ids that can pass 2**31 must widen them first.
+    """
+
+    vertices: np.ndarray  # (V, 2)
+    cells: np.ndarray  # (R, 2) the two cells of each ridge
+    ends: np.ndarray  # (R, 2) end vertex ids; -1 in column 1 for rays
+    dirs: np.ndarray  # (R, 2) unit directions
+    lengths: np.ndarray  # (R,) segment length, inf for rays
+    degenerate: np.ndarray  # (R,) bool
+    bounded: np.ndarray  # (C,) bool
+    cell_start: np.ndarray  # (C + 1,) CSR offsets
+    cell_ridges: np.ndarray  # (E,) ridge id of each boundary entry
+    cell_nbrs: np.ndarray  # (E,) cell across each entry's ridge
+    pair_keys: np.ndarray  # (R,) sorted cell-pair keys, int64
+    pair_ridges: np.ndarray  # (R,) ridge of each key; the lowest id among equal keys first
+    vertex_start: np.ndarray  # (V + 1,) offsets into vertex_ridges
+    vertex_ridges: np.ndarray  # ridges ending at each vertex, ascending
+
+    @property
+    def finite(self) -> np.ndarray:
+        return self.ends[:, 1] >= 0
+
+
+def _ridge_arrays(t: Tessellation) -> RidgeArrays:
+    nv, nr, nc = len(t.vertices), len(t.ridges), len(t.cells)
+    counts = np.fromiter((len(c.ridges) for c in t.cells), np.intp, nc)
+    cell_start = np.zeros(nc + 1, np.intp)
+    np.cumsum(counts, out=cell_start[1:])
+    finite = np.fromiter((r.v1 is not None for r in t.ridges), bool, nr)
+    try:
+        ids = np.fromiter(
+            chain.from_iterable((*r.cells, r.v0, -1 if r.v1 is None else r.v1) for r in t.ridges),
+            np.int32,
+            4 * nr,
+        ).reshape(nr, 4)
+        cell_ridges = np.fromiter(
+            chain.from_iterable(c.ridges for c in t.cells), np.int32, int(cell_start[-1])
+        )
+    except OverflowError as exc:
+        raise OutOfRangeIdError(f"an id does not fit in a machine integer: {exc}") from exc
+    cells, ends = ids[:, :2], ids[:, 2:]
+    rids = np.arange(nr)
+    owner = np.repeat(np.arange(nc), counts)
+    for kind, who, refs, what, limit in (
+        ("ridge", np.repeat(rids, 2), cells.ravel(), ("cell", "cells"), nc),
+        ("ridge", rids, ends[:, 0], ("vertex", "vertices"), nv),
+        ("ridge", rids[finite], ends[finite, 1], ("vertex", "vertices"), nv),
+        ("cell", owner, cell_ridges, ("ridge", "ridges"), nr),
+    ):
+        bad = np.flatnonzero((refs < 0) | (refs >= limit))
+        if len(bad):
+            k = bad[0]
+            raise OutOfRangeIdError(
+                f"{kind} {who[k]} references {what[0]} {refs[k]}; there are {limit} {what[1]}"
+            )
+
+    vertices = np.fromiter(chain.from_iterable(t.vertices), float, 2 * nv).reshape(nv, 2)
+    p0 = vertices[ends[:, 0]]
+    p1 = vertices[np.where(finite, ends[:, 1], ends[:, 0])]
+    seg = p1 - p0
+    # math.hypot, not np.hypot: the two round differently on about a third of
+    # the ridges, and these must equal geom.line_from_two_points' lengths
+    lengths = np.fromiter(map(math.hypot, *seg.T), float, nr)
+    lengths[~finite] = math.inf
+    thresh = t.degeneracy_threshold()
+    degenerate = finite & ((lengths <= thresh) | (lengths == 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dirs = seg / lengths[:, None]
+    dirs[degenerate] = math.nan
+    for k in np.flatnonzero(~finite).tolist():
+        d = t.ridges[k].ray_dir
+        dirs[k] = (math.nan, math.nan) if d is None else d
+    pair = cells[cell_ridges]
+    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
+    by_pair = np.argsort(keys, kind="stable")
+    # (vertex, ridge) incidences in ridge order, grouped stably by vertex
+    incident = ends.ravel() >= 0
+    by_vertex = np.argsort(ends.ravel()[incident], kind="stable")
+    return RidgeArrays(
+        vertices=vertices,
+        cells=cells,
+        ends=ends,
+        dirs=dirs,
+        lengths=lengths,
+        degenerate=degenerate,
+        bounded=np.fromiter((c.bounded for c in t.cells), bool, nc),
+        cell_start=cell_start,
+        cell_ridges=cell_ridges,
+        cell_nbrs=np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0]),
+        pair_keys=keys[by_pair],
+        pair_ridges=by_pair.astype(np.int32),
+        vertex_start=np.concatenate(
+            ([0], np.cumsum(np.bincount(ends.ravel()[incident], minlength=nv)))
+        ),
+        vertex_ridges=np.repeat(rids, 2)[incident][by_vertex].astype(np.int32),
+    )
 
 
 def neighbors(t: Tessellation, c: CellId) -> list[tuple[CellId, RidgeId]]:
@@ -172,6 +304,10 @@ def validate(t: Tessellation) -> list[str]:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             out.append(f"vertex {i} has non-finite coordinates")
     thresh = t.degeneracy_threshold()
+    incident: dict[int, list[int]] = {}
+    for rid, r in enumerate(t.ridges):
+        for v in r.vertex_ids():
+            incident.setdefault(v, []).append(rid)
     referenced: set[int] = set()
     for rid, r in enumerate(t.ridges):
         a, b = r.cells
@@ -185,7 +321,8 @@ def validate(t: Tessellation) -> list[str]:
             continue
         referenced.update(r.vertex_ids())
         if r.is_finite:
-            if r.v0 == r.v1 or t.ridge_length(rid) <= thresh:
+            p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
+            if r.v0 == r.v1 or math.hypot(p1.x - p0.x, p1.y - p0.y) <= thresh:
                 out.append(f"degenerate ridge {rid} (length below {thresh:.3e})")
         else:
             if r.ray_dir is None or not geom.is_unit(r.ray_dir, tol=1e-9):
@@ -196,22 +333,21 @@ def validate(t: Tessellation) -> list[str]:
     for v in range(nv):
         if v not in referenced:
             out.append(f"orphan vertex {v}")
-        elif len(t._vertex_ridges.get(v, ())) != 3 and not _is_split_bisector(t, v):
-            out.append(
-                f"vertex {v} is shared by {len(t._vertex_ridges.get(v, ()))} ridges (expected 3)"
-            )
+        elif len(incident.get(v, ())) != 3 and not _is_split_bisector(t, incident, v):
+            out.append(f"vertex {v} is shared by {len(incident.get(v, ()))} ridges (expected 3)")
     for cid, cell in enumerate(t.cells):
-        out.extend(_validate_cell(t, cid, cell))
+        out.extend(_validate_cell(t, incident, cid, cell))
     return out
 
 
-def _is_split_bisector(t: Tessellation, v: VertexId) -> bool:
+def _is_split_bisector(t: Tessellation, incident: dict[int, list[int]], v: VertexId) -> bool:
     """Two opposite rays from one vertex between the same two cells.
 
     This is how a bisector with no Voronoi vertex on it (the 2-site diagram)
-    is represented, so it is tolerated at valence 2.
+    is represented, so it is tolerated at valence 2. ``incident`` maps each
+    vertex to the ridges ending at it.
     """
-    rids = t._vertex_ridges.get(v, ())
+    rids = incident.get(v, ())
     if len(rids) != 2:
         return False
     r1, r2 = (t.ridges[r] for r in rids)
@@ -226,7 +362,9 @@ def _ridge_vertex_set(r: Ridge) -> set[int]:
     return set(r.vertex_ids())
 
 
-def _validate_cell(t: Tessellation, cid: int, cell: Cell) -> list[str]:
+def _validate_cell(
+    t: Tessellation, incident: dict[int, list[int]], cid: int, cell: Cell
+) -> list[str]:
     msgs: list[str] = []
     if not cell.ridges:
         return [f"cell {cid} has no ridges"]
@@ -244,7 +382,7 @@ def _validate_cell(t: Tessellation, cid: int, cell: Cell) -> list[str]:
         else:
             msgs.extend(_validate_polygon(t, cid, cell))
     else:
-        if _is_parallel_strip(t, cell):
+        if _is_parallel_strip(t, incident, cell):
             return msgs  # fully split-bisector boundary has no chain to walk
         if len(rays) != 2:
             msgs.append(f"unbounded cell {cid} has {len(rays)} ray ridges (expected 2)")
@@ -261,7 +399,7 @@ def _validate_cell(t: Tessellation, cid: int, cell: Cell) -> list[str]:
     return msgs
 
 
-def _is_parallel_strip(t: Tessellation, cell: Cell) -> bool:
+def _is_parallel_strip(t: Tessellation, incident: dict[int, list[int]], cell: Cell) -> bool:
     """Cell bounded only by whole bisector lines (collinear-site diagrams).
 
     Such a cell is a half plane or a strip: every ridge is a ray, and the
@@ -272,7 +410,7 @@ def _is_parallel_strip(t: Tessellation, cell: Cell) -> bool:
     verts = {t.ridges[rid].v0 for rid in cell.ridges}
     if len(verts) * 2 != len(cell.ridges) or len(verts) > 2:
         return False
-    return all(_is_split_bisector(t, v) for v in verts)
+    return all(_is_split_bisector(t, incident, v) for v in verts)
 
 
 def _polygon_vertices(t: Tessellation, cell: Cell) -> Optional[list[int]]:

@@ -11,7 +11,17 @@ import math
 
 import numpy as np
 
-from vorogen.geom import Point2, Reflector2, UnitVec2, reflector_from_dir, unit_vec
+from vorogen.anchor import composite_score
+from vorogen.errors import DegenerateRidgeError
+from vorogen.geom import (
+    PARALLEL_TOL,
+    Point2,
+    Reflector2,
+    UnitVec2,
+    reflect_point,
+    reflector_from_dir,
+    unit_vec,
+)
 from vorogen.solver import PatchSystem
 from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
 
@@ -170,3 +180,116 @@ def rmse(generators: dict, gt: GroundTruth) -> float:
         for c, p in generators.items()
     )
     return math.sqrt(total / len(generators))
+
+
+# -- loop references for the vectorized anchor scoring and sweep -------------
+#
+# Per-cell Python loops with the floating-point operations of the scalar
+# geometry API, in the order the vectorized code must reproduce; tests
+# require bit-equal results. Sums run left to right (``_sum``), as the
+# builtin ``sum`` of floats did before Python 3.12 made it compensated.
+
+
+def _sum(xs) -> float:
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def score_cell_reference(t: Tessellation, c: int) -> tuple:
+    """(eligible, degree, min_edge_ratio, max_pairwise_parallelism,
+    centrality, composite) of one cell, one ridge at a time."""
+    cell = t.cells[c]
+    dirs, lengths, degenerate = [], [], False
+    for rid in cell.ridges:
+        try:
+            dirs.append(t.ridge_line(rid).dir)
+        except DegenerateRidgeError:
+            degenerate = True
+            continue
+        if t.ridges[rid].is_finite:
+            lengths.append(t.ridge_length(rid))
+    min_sin, max_sin = 1.0, 0.0
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            s = abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0])
+            min_sin = min(min_sin, s)
+            max_sin = max(max_sin, s)
+    if len(dirs) < 2:
+        min_sin = 0.0
+    min_edge_ratio = (min(lengths) / max(lengths)) if lengths else 0.0
+    vids = sorted({v for rid in cell.ridges for v in t.ridges[rid].vertex_ids()})
+    centrality = 1.0
+    if vids:
+        cx = _sum(t.vertices[v].x for v in vids) / len(vids)
+        cy = _sum(t.vertices[v].y for v in vids) / len(vids)
+        x0, y0, x1, y1 = t.bbox()
+        d = math.hypot(cx - 0.5 * (x0 + x1), cy - 0.5 * (y0 + y1))
+        centrality = min(1.0, d / (0.5 * t.diameter()))
+    nb = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
+    has_ring = cell.bounded and any(
+        t.ridge_between(nb[i], nb[(i + 1) % len(nb)]) is not None for i in range(len(nb))
+    )
+    spread = max(0.0, min(1.0, min_sin))
+    eligible = cell.bounded and not degenerate and max_sin > PARALLEL_TOL and has_ring
+    return (
+        eligible,
+        len(cell.ridges),
+        min_edge_ratio,
+        1.0 - spread,
+        centrality,
+        composite_score(min_edge_ratio, centrality, len(cell.ridges), spread),
+    )
+
+
+def _ridge_weight(t: Tessellation, rid: int) -> float:
+    r = t.ridges[rid]
+    if r.is_finite:
+        return t.ridge_length(rid)
+    v = t.vertices[r.v0]
+    x0, y0, x1, y1 = t.bbox()
+    exit_param = math.inf
+    for p, d, lo, hi in ((v.x, r.ray_dir[0], x0, x1), (v.y, r.ray_dir[1], y0, y1)):
+        if d != 0.0:
+            exit_param = min(exit_param, max((lo - p) / d, (hi - p) / d))
+    return max(0.0, exit_param) if math.isfinite(exit_param) else 0.0
+
+
+def sweep_reference(t: Tessellation, known: dict, weighted: bool = False):
+    """Layered reflection sweep, one cell at a time: (generators, order,
+    depth, candidates, reflect_calls)."""
+    known = dict(known)
+    depth = {c: 0 for c in known}
+    order, candidates, calls = [], {}, 0
+    current = sorted(known)
+    while current:
+        incoming: dict = {}
+        for c in current:
+            for rid in t.cells[c].ridges:
+                nc = t.ridges[rid].other_cell(c)
+                if nc not in depth:
+                    incoming.setdefault(nc, []).append((c, rid))
+        nxt = sorted(incoming)
+        for nc in nxt:
+            cands = incoming[nc]
+            candidates[nc] = len(cands)
+            if not (weighted and len(cands) > 1):
+                cands = cands[:1]
+            pts = [reflect_point(known[s], t.ridge_line(r)) for s, r in cands]
+            calls += len(pts)
+            if len(pts) == 1:
+                known[nc] = pts[0]
+            else:
+                wts = [_ridge_weight(t, r) for _, r in cands]
+                wsum = _sum(wts)
+                if wsum <= 0.0:
+                    wts, wsum = [1.0] * len(pts), float(len(pts))
+                known[nc] = Point2(
+                    _sum(w * p.x for w, p in zip(wts, pts)) / wsum,
+                    _sum(w * p.y for w, p in zip(wts, pts)) / wsum,
+                )
+            depth[nc] = depth[cands[0][0]] + 1
+            order.append((nc, *cands[0]))
+        current = nxt
+    return known, order, depth, candidates, calls

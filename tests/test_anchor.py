@@ -16,8 +16,8 @@ from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2
 from vorogen.tessellation import Cell, Ridge, Tessellation
 
-from conftest import DIAMOND_CENTER
-from helpers import relabel_cells
+from conftest import DIAMOND_CENTER, make_diamond
+from helpers import relabel_cells, score_cell_reference
 
 
 def test_diamond_center_is_eligible(diamond):
@@ -145,3 +145,25 @@ def test_anchor_policy_validation():
         AnchorPolicy("nonsense")
     with pytest.raises(ValueError):
         AnchorPolicy("random_eligible")  # seed required
+
+
+def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring, built):
+    """Every field of every cell's score equals the per-cell loop's, bit for bit."""
+    vertices, ridges, cells, _ = make_diamond()
+    ridges[0] = Ridge(cells=(0, 4), v0=0, v1=0)  # zero-length ridge
+    collapsed = Tessellation(vertices, ridges, cells)
+    parallel = Tessellation(
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)],
+        [Ridge(cells=(0, 1), v0=0, v1=1), Ridge(cells=(0, 2), v0=2, v1=3)],
+        [Cell(ridges=(0, 1), bounded=True), Cell(ridges=(0,), bounded=False),
+         Cell(ridges=(1,), bounded=False)],
+    )
+    two_sites, _ = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
+    cases = [diamond[0], two_diamonds[0], diamond_missing_ring[0], collapsed, parallel,
+             two_sites, built(300, 5)[1]]
+    for t in cases:
+        for c in range(len(t.cells)):
+            s = score_cell(t, c)
+            got = (s.eligible, s.degree, s.min_edge_ratio, s.max_pairwise_parallelism,
+                   s.centrality, s.composite)
+            assert got == score_cell_reference(t, c), c

@@ -95,7 +95,7 @@ def test_reconstruct_baseline_methods(tess_file, tmp_path):
 def test_reconstruct_alternative_policies(tess_file):
     code = main([
         "reconstruct", "--in", str(tess_file),
-        "--anchor-policy", "random", "--frontier", "random",
+        "--anchor-policy", "random",
         "--merge", "weighted", "--seed", "3",
     ])
     assert code == 0
@@ -134,6 +134,34 @@ def test_wrong_version_exits_5(tess_file, capsys):
     tess_file.write_text(json.dumps(doc))
     assert main(["reconstruct", "--in", str(tess_file)]) == 5
     assert "version" in capsys.readouterr().err
+
+
+def _edit_first_finite_ridge(doc, ends):
+    ridge = next(r for r in doc["ridges"] if "finite" in r)
+    ridge["finite"] = ends
+
+
+@pytest.mark.parametrize("method", ["anchor", "brute", "cprime"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["ridges"][0].update(cells=[0, 999]),
+        lambda doc: _edit_first_finite_ridge(doc, [0, 999]),
+        lambda doc: doc["cells"][0]["ridges"].__setitem__(0, 999),
+    ],
+    ids=["cell", "vertex", "ridge"],
+)
+def test_reconstruct_out_of_range_ids_exit_4(tmp_path, capsys, method, edit):
+    path = tmp_path / "t60.json"
+    assert main(["generate", "--n", "60", "--seed", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["reconstruct", "--in", str(path), "--method", method]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "there are" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- validate

@@ -12,18 +12,18 @@ import statistics
 
 import pytest
 
-from helpers import max_cell_error, rmse
+from helpers import max_cell_error, rmse, sweep_reference
 from vorogen import geom
 from vorogen.anchor import AnchorPolicy, select_anchor
 from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
 from vorogen.geom import Point2
 from vorogen.propagate import (
     REFINE_MAX_ITER,
-    FrontierPolicy,
     MergePolicy,
     reconstruct_all,
     refine_all,
     reflect_into,
+    sweep,
 )
 from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import Cell, Ridge, Tessellation
@@ -117,10 +117,8 @@ def test_policies_agree_on_exact_input(built):
     _, t, gt = built(200, 7)
     sol = _solve(t)
     runs = [
-        reconstruct_all(t, sol, FrontierPolicy.first(), MergePolicy.first())[0],
-        reconstruct_all(t, sol, FrontierPolicy.longest(), MergePolicy.first())[0],
-        reconstruct_all(t, sol, FrontierPolicy.random(5), MergePolicy.first())[0],
-        reconstruct_all(t, sol, FrontierPolicy.first(), MergePolicy.weighted())[0],
+        reconstruct_all(t, sol, MergePolicy.first())[0],
+        reconstruct_all(t, sol, MergePolicy.weighted())[0],
     ]
     for known in runs:
         assert max_cell_error(known, gt) < 1e-9
@@ -132,13 +130,23 @@ def test_policies_agree_on_exact_input(built):
             assert diff < 1e-8
 
 
-def test_random_frontier_is_seed_deterministic(built):
-    _, t, _ = built(150, 9)
-    sol = _solve(t)
-    k1, tr1 = reconstruct_all(t, sol, FrontierPolicy.random(42))
-    k2, tr2 = reconstruct_all(t, sol, FrontierPolicy.random(42))
-    assert tr1.order == tr2.order
-    assert all(k1[c] == k2[c] for c in k1)
+@pytest.mark.parametrize("merge", [MergePolicy.first(), MergePolicy.weighted()])
+def test_sweep_matches_loop_reference(built, merge):
+    """Generators and trace equal the one-cell-at-a-time loop's, bit for bit,
+    from a solved patch and from scattered known cells."""
+    _, t, gt = built(300, 6)
+    anchor = select_anchor(t)
+    for seeds in (assemble_patch(t, anchor).members, (0, 7, 150, 299)):
+        known = {c: gt.generators[c] for c in seeds}
+        got, trace = sweep(t, known, merge)
+        ref, order, depth, candidates, calls = sweep_reference(
+            t, known, weighted=merge.kind == "weighted"
+        )
+        assert got == ref
+        assert list(trace.order) == order
+        assert trace.depth == depth
+        assert trace.candidates == candidates
+        assert trace.reflect_calls == calls
 
 
 def test_disconnected_component_is_reported(two_diamonds):
@@ -201,12 +209,6 @@ def test_refinement_keeps_exact_input_and_lowers_mirror_residual(diamond, built)
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="unknown frontier policy"):
-        FrontierPolicy("sideways")
-    with pytest.raises(ValueError, match="requires a seed"):
-        FrontierPolicy("random")
     with pytest.raises(ValueError, match="unknown merge policy"):
         MergePolicy("average")
-    assert FrontierPolicy.random(3).seed == 3
-    assert FrontierPolicy.longest().kind == "longest"
     assert MergePolicy.weighted().kind == "weighted"

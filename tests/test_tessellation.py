@@ -7,8 +7,8 @@ import math
 import pytest
 
 from vorogen import forward
-from vorogen.errors import ParseError, UnsupportedVersionError
-from vorogen.geom import UnitVec2, same_line
+from vorogen.errors import OutOfRangeIdError, ParseError, UnsupportedVersionError
+from vorogen.geom import UnitVec2, line_from_two_points, same_line
 from vorogen.tessellation import (
     Cell,
     GroundTruth,
@@ -197,6 +197,54 @@ def test_ridge_line_and_point(diamond):
     assert t.ridge_point(5) == Point2(2.0, 1.0)
     assert t.ridge_length(5) == math.inf
     assert t.ridge_length(3) == pytest.approx(math.sqrt(2.0))
+
+
+def test_ridge_arrays_match_scalar_geometry(built):
+    _, t, _ = built(2000, 0)
+    a = t.arrays
+    assert t.arrays is a  # built once
+    thresh = t.degeneracy_threshold()
+    for rid, r in enumerate(t.ridges):
+        if not r.is_finite:
+            assert tuple(a.dirs[rid]) == r.ray_dir
+            continue
+        line = line_from_two_points(t.vertices[r.v0], t.vertices[r.v1], min_length=thresh)
+        assert tuple(a.dirs[rid]) == line.dir
+        assert tuple(a.vertices[a.ends[rid, 0]]) == line.anchor
+        assert t.ridge_line(rid) == line
+    # the scalar accessors hand out Python floats, not numpy scalars
+    line = t.ridge_line(0)
+    assert all(type(v) is float for v in (*line.anchor, *line.dir))
+    assert all(type(v) is float for v in t.ridge_point(0))
+    assert type(t.ridge_length(0)) is float
+
+
+def test_ridge_arrays_csr_follows_cell_order(diamond):
+    t, _ = diamond
+    a = t.arrays
+    for c, cell in enumerate(t.cells):
+        lo, hi = a.cell_start[c], a.cell_start[c + 1]
+        assert a.cell_ridges[lo:hi].tolist() == list(cell.ridges)
+        assert a.cell_nbrs[lo:hi].tolist() == [nc for nc, _ in neighbors(t, c)]
+
+
+@pytest.mark.parametrize(
+    "cells,v0,cell_ridges,words",
+    [
+        ((0, 99), 0, (1, 3, 2, 0), "references cell"),
+        ((-1, 4), 0, (1, 3, 2, 0), "references cell"),
+        ((0, 4), 99, (1, 3, 2, 0), "references vertex"),
+        ((0, 4), 0, (1, 3, 2, 99), "references ridge"),
+    ],
+)
+def test_ridge_arrays_reject_out_of_range_ids(cells, v0, cell_ridges, words):
+    vertices, ridges, cell_list, _ = make_diamond()
+    ridges[0] = Ridge(cells=cells, v0=v0, v1=3)
+    cell_list[4] = Cell(ridges=cell_ridges, bounded=True)
+    t = Tessellation(vertices, ridges, cell_list)
+    with pytest.raises(OutOfRangeIdError, match=words):
+        t.arrays
+    assert validate(t)  # validation still reports instead of raising
 
 
 def test_ridge_between_is_symmetric(diamond):
