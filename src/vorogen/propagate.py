@@ -177,9 +177,8 @@ def sweep(
 
 def _reflect(p: np.ndarray, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise ``geom.reflect_point``, with the same operations in the same order."""
-    t = (p[:, 0] - anchor[:, 0]) * u[:, 0] + (p[:, 1] - anchor[:, 1]) * u[:, 1]
-    foot = anchor + t[:, None] * u
-    return 2.0 * foot - p
+    x, y = geom.reflect_xy(p[:, 0], p[:, 1], anchor[:, 0], anchor[:, 1], u[:, 0], u[:, 1])
+    return np.stack([x, y], axis=1)
 
 
 def _weighted_mean(img, w, slot, first, fan_in) -> np.ndarray:
