@@ -10,7 +10,6 @@ central, well-conditioned cells.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,7 +76,7 @@ def _composite(min_edge_ratio, centrality, band, angle_spread):
 
 
 @dataclass(frozen=True, eq=False)
-class _ScoreTable:
+class ScoreTable:
     """Every field of ``AnchorScore``, one array entry per cell."""
 
     eligible: np.ndarray
@@ -88,19 +87,7 @@ class _ScoreTable:
     composite: np.ndarray
 
 
-# One table per live tessellation: a Tessellation is immutable, so its table
-# never goes stale, and the entry goes when the tessellation does.
-_TABLES: "weakref.WeakKeyDictionary[Tessellation, _ScoreTable]" = weakref.WeakKeyDictionary()
-
-
-def _score_table(t: Tessellation) -> _ScoreTable:
-    table = _TABLES.get(t)
-    if table is None:
-        table = _TABLES[t] = _build_score_table(t)
-    return table
-
-
-def _build_score_table(t: Tessellation) -> _ScoreTable:
+def build_score_table(t: Tessellation) -> ScoreTable:
     """Score every cell at once from the tessellation's ridge arrays.
 
     Each figure is computed with the same floating-point operations, in the
@@ -119,7 +106,7 @@ def _build_score_table(t: Tessellation) -> _ScoreTable:
     min_edge_ratio = _edge_ratio(a, owner, bad, n)
     centrality = _centrality(t, degree)
     band = np.where((DEGREE_BAND[0] <= degree) & (degree <= DEGREE_BAND[1]), 1.0, 0.5)
-    return _ScoreTable(
+    return ScoreTable(
         eligible=(
             a.bounded
             & (np.bincount(owner[bad], minlength=n) == 0)
@@ -219,7 +206,7 @@ def _centrality(t: Tessellation, degree: np.ndarray) -> np.ndarray:
 
 def score_cell(t: Tessellation, c: CellId) -> AnchorScore:
     """Score one cell; never raises on degenerate geometry, just marks ineligible."""
-    s = _score_table(t)
+    s = t.anchor_scores
     return AnchorScore(
         cell=c,
         eligible=bool(s.eligible[c]),
@@ -233,12 +220,12 @@ def score_cell(t: Tessellation, c: CellId) -> AnchorScore:
 
 def eligible_cells(t: Tessellation) -> list[CellId]:
     """Cell ids passing the hard criteria, ascending."""
-    return np.flatnonzero(_score_table(t).eligible).tolist()
+    return np.flatnonzero(t.anchor_scores.eligible).tolist()
 
 
 def select_anchor(t: Tessellation, policy: AnchorPolicy = AnchorPolicy.best_score()) -> CellId:
     """Pick the anchor cell; raises NoEligibleAnchorError when nothing qualifies."""
-    s = _score_table(t)
+    s = t.anchor_scores
     elig = np.flatnonzero(s.eligible)
     if not len(elig):
         raise NoEligibleAnchorError(

@@ -77,67 +77,15 @@ def reflector_from_dir(d) -> Reflector2:
     return Reflector2(2.0 * d[0] * d[0] - 1.0, off, off, 2.0 * d[1] * d[1] - 1.0)
 
 
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for float64
-
-
-def _two_sum(a, b):
-    """``a + b`` as ``s + e`` with no rounding lost (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    """``a * b`` as ``p + e`` with no rounding lost (Dekker)."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    c = _SPLIT * b
-    bh = c - (c - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def reflect_xy(px, py, ax, ay, dx, dy):
-    """Mirror ``(px, py)`` across the line through ``(ax, ay)`` along ``(dx, dy)``.
-
-    Takes floats or equal-shape float64 arrays and uses only ``+ - * /``,
-    so both give the same bits. The image is ``p - 2 (n.(p - a) / |d|^2) n``
-    with normal ``n = (-dy, dx)``, carried in double-double and rounded
-    once per coordinate: a direction a few ulps off unit length still
-    reflects across its own line, and reflecting twice returns ``p`` to
-    within an ulp of the image's size.
-    """
-    wxh, wxl = _two_sum(px, -ax)
-    wyh, wyl = _two_sum(py, -ay)
-    # c = n.(p - a) = dx wy - dy wx
-    p1, e1 = _two_prod(dx, wyh)
-    p2, e2 = _two_prod(dy, wxh)
-    ch, cl = _two_sum(p1, -p2)
-    cl = cl + ((e1 - e2) + (dx * wyl - dy * wxl))
-    # q = |d|^2
-    q1, f1 = _two_prod(dx, dx)
-    q2, f2 = _two_prod(dy, dy)
-    qh, ql = _two_sum(q1, q2)
-    ql = ql + (f1 + f2)
-    # k = c / q
-    kh = ch / qh
-    t1, t2 = _two_prod(kh, qh)
-    kl = (((ch - t1) - t2) + cl - kh * ql) / qh
-    # p + 2 k (dy, -dx)
-    ux, uxl = _two_prod(kh, dy)
-    uy, uyl = _two_prod(kh, dx)
-    sx, sxl = _two_sum(px, 2.0 * ux)
-    sy, syl = _two_sum(py, -2.0 * uy)
-    return (
-        sx + (sxl + 2.0 * (uxl + kl * dy)),
-        sy + (syl - 2.0 * (uyl + kl * dx)),
-    )
-
-
 def reflect_point(p, line: RidgeLine) -> Point2:
     """Mirror image of ``p`` across ``line``; points on the line are fixed."""
-    return Point2(*reflect_xy(p[0], p[1], line.anchor[0], line.anchor[1], *line.dir))
+    ax, ay = line.anchor
+    dx, dy = line.dir
+    t = (p[0] - ax) * dx + (p[1] - ay) * dy
+    # foot of the perpendicular, then continue the same distance beyond it
+    fx = ax + t * dx
+    fy = ay + t * dy
+    return Point2(2.0 * fx - p[0], 2.0 * fy - p[1])
 
 
 def line_from_two_points(a, b, min_length: float = 0.0) -> RidgeLine:

@@ -177,8 +177,9 @@ def sweep(
 
 def _reflect(p: np.ndarray, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise ``geom.reflect_point``, with the same operations in the same order."""
-    x, y = geom.reflect_xy(p[:, 0], p[:, 1], anchor[:, 0], anchor[:, 1], u[:, 0], u[:, 1])
-    return np.stack([x, y], axis=1)
+    t = (p[:, 0] - anchor[:, 0]) * u[:, 0] + (p[:, 1] - anchor[:, 1]) * u[:, 1]
+    foot = anchor + t[:, None] * u
+    return 2.0 * foot - p
 
 
 def _weighted_mean(img, w, slot, first, fan_in) -> np.ndarray:
@@ -251,9 +252,9 @@ def refine_all(
     p0 = verts[a.ends[:, 0]]
     p1 = verts[np.where(finite, a.ends[:, 1], a.ends[:, 0])]
     seg = p1 - p0
-    # directions from the complex modulus, as this solve was tuned with,
-    # rather than the arrays' math.hypot ones: the two round differently on
-    # about a third of the ridges
+    # directions from the complex modulus, not the arrays' math.hypot ones:
+    # the two differ in the last bit on about a third of the ridges, so
+    # reading a.dirs here would change the anchor method's output bits
     length = np.abs(seg)
     usable = finite & (length > t.degeneracy_threshold())
     u = np.ones(len(seg), complex)

@@ -7,7 +7,8 @@ after construction and safe to share across worker processes.
 
 The ridge geometry the algorithms read (unit directions, lengths, a CSR
 cell -> ridge index) is computed once per instance, as numpy arrays, on
-first use: ``Tessellation.arrays``.
+first use: ``Tessellation.arrays``. The anchor score table built from it
+is kept the same way, as ``Tessellation.anchor_scores``.
 
 The file format is JSON with numbers written to 17 significant digits, so
 save/load round-trips are bit exact.
@@ -106,6 +107,13 @@ class Tessellation:
         does not exist.
         """
         return _ridge_arrays(self)
+
+    @cached_property
+    def anchor_scores(self):
+        """Every cell's ``anchor.ScoreTable``, built on first use and then kept."""
+        from .anchor import build_score_table  # anchor imports this module
+
+        return build_score_table(self)
 
     def ridge_line(self, rid: RidgeId) -> RidgeLine:
         a = self.arrays

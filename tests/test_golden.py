@@ -71,16 +71,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {'anchor': 69, 'scores': 'e8ab2286c4cb6b9e', 'sweep_first': '8e0248a49cce9746', 'sweep_weighted': '532ea14ac88d525e', 'brute': '757e4cf217a490c5', 'cprime': 'e78e873fdaa2425b'},
-    (200, 1): {'anchor': 31, 'scores': '4e37b5e1912298a9', 'sweep_first': 'a6ee0d0572755a52', 'sweep_weighted': '03659c646ce00c94', 'brute': 'fb7486e874483a1f', 'cprime': '2f261e35a0ad14aa'},
-    (200, 2): {'anchor': 35, 'scores': '964e7d06da127a05', 'sweep_first': '3d87864275782f11', 'sweep_weighted': 'f66f45765b9e3456', 'brute': 'b52e6422a25cb0e1', 'cprime': '24520672d064e54b'},
-    (200, 3): {'anchor': 49, 'scores': '6fdabd2f5d93433e', 'sweep_first': '5e8644ac7bf1e8ed', 'sweep_weighted': 'bfd320e87c60c114', 'brute': '49f2246218b35d8a', 'cprime': 'c277d5b0b4574093'},
-    (200, 4): {'anchor': 137, 'scores': '733e80df66ee51cc', 'sweep_first': '837a1914c610acff', 'sweep_weighted': '3caea78469517faa', 'brute': '8f174a838e2f362f', 'cprime': '6c41e985f4f6b8fb'},
-    (2000, 0): {'anchor': 190, 'scores': 'bac65ee4d23ebd7c', 'sweep_first': 'b20ffbac4c2dccaf', 'sweep_weighted': 'cc98c9fbd9cf6459', 'brute': 'e0d34e74579f24eb', 'cprime': '224a7e165f457eea'},
-    (2000, 1): {'anchor': 138, 'scores': 'ad56c5f01bc43848', 'sweep_first': 'c472778190898eb7', 'sweep_weighted': '9194888c46d7e387', 'brute': '1c3ad9a7ac706d6e', 'cprime': '4b4190cc745984d3'},
-    (2000, 2): {'anchor': 1940, 'scores': '8d711ea77c1a9845', 'sweep_first': '0d0b245250d8b2c3', 'sweep_weighted': 'c18aba8abbe99a1f', 'brute': '0c5257c28216160a', 'cprime': 'a14535cf518ae541'},
-    (2000, 3): {'anchor': 518, 'scores': '8abb8e529fb0fdff', 'sweep_first': '1426366af6974888', 'sweep_weighted': 'f8c0003eee5b37a2', 'brute': 'ff00a624483545ef', 'cprime': 'a83093dae487cc62'},
-    (2000, 4): {'anchor': 1729, 'scores': 'e900fceea5b66abf', 'sweep_first': 'bdf12478c815918a', 'sweep_weighted': 'f10a4f931d290f6f', 'brute': '0c85effe5ffbcca5', 'cprime': 'cdf111e3f1052b49'},
+    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "92b39f3571e8bd63", "sweep_weighted": "07e2f1b0e792258b", "brute": "59b3e6ba02f678ea", "cprime": "614fe166838a028d"},
+    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "4c0d2d3603ed1414", "sweep_weighted": "a6e2b945a66dca74", "brute": "53d4f8d601282062", "cprime": "e59ad023e6fa1237"},
+    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "9bad9cbe7db2f034", "sweep_weighted": "5fda97ff3b2bf1f3", "brute": "c900116803f62c0a", "cprime": "9bcb071e498ab67b"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "a8310147253f3a95", "sweep_weighted": "d655062553ffc1eb", "brute": "783ffe6a13cb5cdf", "cprime": "7f6a8f18954ba7b8"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "604f5407fb269745", "sweep_weighted": "d0c649f0b0f2406d", "brute": "cf51fd9edf33e170", "cprime": "c6cc81f71fd72de1"},
+    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "ecc9b3659cafde12", "sweep_weighted": "93dd60daff7f85cf", "brute": "09914d820095003f", "cprime": "a6f6111c7bdbb647"},
+    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "bd37d51db3003c9f", "sweep_weighted": "ab6526ac7feaddc0", "brute": "8967b02801188803", "cprime": "afc13a97385a4b77"},
+    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "8e120cc1cf8991a7", "sweep_weighted": "32b58d20bef46b56", "brute": "1633373f0bece497", "cprime": "19bd79db95b70505"},
+    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "20d99cee00508904", "sweep_weighted": "ba12329af444a13c", "brute": "82c062dc2dc5beaa", "cprime": "1b59711072d29e2b"},
+    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "8aae8b4cacf04ff4", "sweep_weighted": "173ba93d740a38b3", "brute": "f29dd91c02721c25", "cprime": "29c3481cc1584aed"},
 }
 
 
