@@ -36,23 +36,17 @@ from .tessellation import (
     validate,
 )
 from .forward import SiteSample, build_voronoi, jitter_degenerate, sample_and_build, sample_sites
-from .anchor import AnchorPolicy, AnchorScore, eligible_cells, score_cell, select_anchor
+from .anchor import AnchorScore, eligible_cells, score_cell, select_anchor
 from .solver import PatchSolution, PatchSystem, assemble_patch, solve_patch
-from .propagate import (
-    MergePolicy,
-    PropagationTrace,
-    reconstruct_all,
-    reflect_into,
-)
+from .propagate import PropagationTrace, reconstruct_all, reflect_into
 from .baselines import CPrimeEstimate, brute_force_all, c_prime_all, c_prime_cell
-from .pipeline import Policies, ReconstructionReport, reconstruct
+from .pipeline import ReconstructionReport, reconstruct
 from .bench import CampaignRow, SimResult, derive_seed, export_csv, run_campaign, run_simulation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnchorIneligibleError",
-    "AnchorPolicy",
     "AnchorScore",
     "CampaignRow",
     "Cell",
@@ -61,7 +55,6 @@ __all__ = [
     "DegenerateRidgeError",
     "GroundTruth",
     "InconsistentSystemError",
-    "MergePolicy",
     "NoEligibleAnchorError",
     "NoIntersectionError",
     "OutOfRangeIdError",
@@ -69,7 +62,6 @@ __all__ = [
     "PatchSolution",
     "PatchSystem",
     "Point2",
-    "Policies",
     "PropagationTrace",
     "ReconstructionReport",
     "Reflector2",

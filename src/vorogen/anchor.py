@@ -23,28 +23,6 @@ DEGREE_BAND = (4, 7)
 
 
 @dataclass(frozen=True)
-class AnchorPolicy:
-    """How to pick among eligible cells: the top composite score or a seeded draw."""
-
-    kind: str
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("best_score", "random_eligible"):
-            raise ValueError(f"unknown anchor policy {self.kind!r}")
-        if self.kind == "random_eligible" and self.seed is None:
-            raise ValueError("random_eligible policy requires a seed")
-
-    @classmethod
-    def best_score(cls) -> "AnchorPolicy":
-        return cls("best_score")
-
-    @classmethod
-    def random_eligible(cls, seed: int) -> "AnchorPolicy":
-        return cls("random_eligible", seed)
-
-
-@dataclass(frozen=True)
 class AnchorScore:
     """Eligibility plus the soft criteria entering the composite score.
 
@@ -223,16 +201,18 @@ def eligible_cells(t: Tessellation) -> list[CellId]:
     return np.flatnonzero(t.anchor_scores.eligible).tolist()
 
 
-def select_anchor(t: Tessellation, policy: AnchorPolicy = AnchorPolicy.best_score()) -> CellId:
-    """Pick the anchor cell; raises NoEligibleAnchorError when nothing qualifies."""
+def select_anchor(t: Tessellation, seed: Optional[int] = None) -> CellId:
+    """Pick the anchor cell: the top composite score, or with ``seed`` an
+    eligible cell drawn by that seed. Raises NoEligibleAnchorError when
+    nothing qualifies."""
     s = t.anchor_scores
     elig = np.flatnonzero(s.eligible)
     if not len(elig):
         raise NoEligibleAnchorError(
             f"none of the {len(t.cells)} cells is a usable anchor"
         )
-    if policy.kind == "best_score":
+    if seed is None:
         # argmax keeps the first maximum: ties break toward the lowest cell id
         return int(elig[np.argmax(s.composite[elig])])
-    rng = np.random.default_rng(policy.seed)
+    rng = np.random.default_rng(seed)
     return int(elig[int(rng.integers(len(elig)))])

@@ -222,9 +222,7 @@ def _delta_weights(deltas: list[float]) -> list[float]:
     return [w / total for w in raw]
 
 
-def c_prime_all(
-    t: Tessellation, perturb_eps: float = DEFAULT_PERTURB_EPS
-) -> list[tuple[CellId, Point2]]:
+def c_prime_all(t: Tessellation) -> list[tuple[CellId, Point2]]:
     """Angle-rotation estimates for every cell.
 
     Bounded cells get their own construction; unbounded ones (and any cell
@@ -236,7 +234,7 @@ def c_prime_all(
         if not t.cells[c].bounded:
             continue
         try:
-            known[c] = c_prime_cell(t, c, perturb_eps).estimate
+            known[c] = c_prime_cell(t, c).estimate
         except (UnderdeterminedError, DegenerateRidgeError):
             continue
     if not known:

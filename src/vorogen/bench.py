@@ -18,10 +18,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .baselines import DEFAULT_PERTURB_EPS
 from .errors import VorogenError
 from .forward import sample_and_build
-from .pipeline import Policies, reconstruct
+from .pipeline import reconstruct
 
 CSV_HEADER = "n,nsim,method,log10_mean_rmse,log10_max_rse,mean_depth,mean_propagate_ms"
 
@@ -84,20 +83,14 @@ def derive_seed(master: int, n: int, index: int) -> int:
     return int(np.random.SeedSequence([master, n, index]).generate_state(1)[0])
 
 
-def run_simulation(
-    n: int,
-    seed: int,
-    method: str = "anchor",
-    policies: Policies = Policies(),
-    perturb_eps: float = DEFAULT_PERTURB_EPS,
-) -> SimResult:
+def run_simulation(n: int, seed: int, method: str = "anchor") -> SimResult:
     """Draw one tessellation of size ``n`` and score its reconstruction."""
     if n < 10:
         raise ValueError(f"benchmark simulations need n >= 10, got {n}")
     t0 = time.perf_counter()
     _, tess, gt = sample_and_build(n, seed)
     build_time = time.perf_counter() - t0
-    rep = reconstruct(tess, method, policies, gt, perturb_eps)
+    rep = reconstruct(tess, method, gt)
     return SimResult(
         n=n,
         seed=seed,
@@ -116,9 +109,9 @@ _Outcome = Union[SimResult, tuple]
 
 
 def _run_job(job) -> _Outcome:
-    n, seed, method, policies, eps = job
+    n, seed, method = job
     try:
-        return run_simulation(n, seed, method, policies, eps)
+        return run_simulation(n, seed, method)
     except VorogenError as exc:
         return (n, seed, f"{type(exc).__name__}: {exc}")
 
@@ -133,10 +126,8 @@ def run_campaign(
     ns: Sequence[int],
     nsim: int,
     method: str = "anchor",
-    policies: Policies = Policies(),
     workers: int = 1,
     master_seed: int = 0,
-    perturb_eps: float = DEFAULT_PERTURB_EPS,
 ) -> list[CampaignRow]:
     """Run ``nsim`` seeded simulations per entry of ``ns`` and aggregate.
 
@@ -147,7 +138,7 @@ def run_campaign(
     if nsim < 1:
         raise ValueError(f"nsim must be >= 1, got {nsim}")
     jobs = [
-        (n, derive_seed(master_seed, n, i), method, policies, perturb_eps)
+        (n, derive_seed(master_seed, n, i), method)
         for n in ns
         for i in range(nsim)
     ]

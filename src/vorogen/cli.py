@@ -13,7 +13,6 @@ import json
 import sys
 from typing import Optional
 
-from .anchor import AnchorPolicy
 from .bench import CSV_HEADER, export_csv, format_row, run_campaign
 from .errors import (
     InconsistentSystemError,
@@ -22,8 +21,7 @@ from .errors import (
     VorogenError,
 )
 from .forward import sample_and_build
-from .pipeline import METHODS, Policies, reconstruct
-from .propagate import MergePolicy
+from .pipeline import METHODS, reconstruct
 from .tessellation import GroundTruth, load, save, validate
 
 EXIT_OK = 0
@@ -50,18 +48,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _policies(args) -> Policies:
-    anchor = (
-        AnchorPolicy.random_eligible(args.seed)
-        if args.anchor_policy == "random"
-        else AnchorPolicy.best_score()
-    )
-    return Policies(anchor=anchor, merge=MergePolicy(args.merge))
-
-
 def _cmd_reconstruct(args) -> int:
     t, gt = load(args.infile)
-    rep = reconstruct(t, args.method, _policies(args), gt)
+    anchor_seed = args.seed if args.anchor_policy == "random" else None
+    rep = reconstruct(t, args.method, gt, anchor_seed)
     if args.out:
         save(t, args.out, GroundTruth(rep.generators))
     summary: dict = {"method": rep.method, "cells": len(t.cells), "depth": rep.depth}
@@ -139,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
     r.add_argument("--anchor-policy", choices=("best", "random"), default="best")
-    r.add_argument("--merge", choices=("first", "weighted"), default="first")
     r.add_argument("--seed", type=int, default=0, help="seed for the random anchor policy")
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")

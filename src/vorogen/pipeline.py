@@ -8,22 +8,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .anchor import AnchorPolicy, select_anchor
-from .baselines import DEFAULT_PERTURB_EPS, brute_force_all, c_prime_all
+from .anchor import select_anchor
+from .baselines import brute_force_all, c_prime_all
 from .geom import Point2
-from .propagate import MergePolicy, reconstruct_all, refine_all
+from .propagate import reconstruct_all, refine_all
 from .solver import assemble_patch, solve_patch
 from .tessellation import CellId, GroundTruth, Tessellation
 
 METHODS = ("anchor", "brute", "cprime")
-
-
-@dataclass(frozen=True)
-class Policies:
-    """All tunable choices of the anchor method, bundled for plumbing."""
-
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy.best_score)
-    merge: MergePolicy = field(default_factory=MergePolicy.first)
 
 
 STAGES = ("select", "solve", "sweep", "refine")
@@ -69,14 +61,15 @@ def _errors(
 def reconstruct(
     t: Tessellation,
     method: str = "anchor",
-    policies: Policies = Policies(),
     gt: Optional[GroundTruth] = None,
-    perturb_eps: float = DEFAULT_PERTURB_EPS,
+    anchor_seed: Optional[int] = None,
 ) -> ReconstructionReport:
     """Recover every generator of ``t`` with the chosen method.
 
     ``anchor`` solves one patch, propagates by reflection and then refines
-    all generators together over every ridge (``refine_all``); ``brute``
+    all generators together over every ridge (``refine_all``); its anchor
+    is the best-scoring cell, or with ``anchor_seed`` an eligible cell drawn
+    by that seed (``select_anchor``). ``brute``
     solves every eligible cell independently; ``cprime`` is the
     angle-rotation construction. Error statistics are filled in when ``gt``
     is given. Raises OutOfRangeIdError, before any work, when a ridge or
@@ -93,11 +86,11 @@ def reconstruct(
     t0 = time.perf_counter()
     t.arrays  # range-checks every id
     if method == "anchor":
-        anchor_cell = select_anchor(t, policies.anchor)
+        anchor_cell = select_anchor(t, anchor_seed)
         t1 = time.perf_counter()
         patch = solve_patch(assemble_patch(t, anchor_cell))
         t2 = time.perf_counter()
-        known, trace = reconstruct_all(t, patch, policies.merge)
+        known, trace = reconstruct_all(t, patch)
         t3 = time.perf_counter()
         known, iterations = refine_all(t, known)
         generators = tuple(known[c] for c in range(len(t.cells)))
@@ -113,7 +106,7 @@ def reconstruct(
         residual = max(r for _, _, r in triples)
         timings["solve"] = time.perf_counter() - t0
     else:
-        pairs = c_prime_all(t, perturb_eps)
+        pairs = c_prime_all(t)
         generators = tuple(p for _, p in pairs)
         timings["solve"] = time.perf_counter() - t0
     rmse = max_rse = None

@@ -4,7 +4,8 @@ A known generator g of cell A determines the generator of any neighbor B as
 the mirror image of g across the shared ridge line. Propagation runs as a
 layered breadth-first sweep: layer 0 is the patch, and a cell enters layer
 d + 1 only through ridges from layer-d cells, never sideways within a layer,
-so every cell's depth equals its ridge distance from the patch.
+so every cell's depth equals its ridge distance from the patch. A cell with
+several incoming ridges takes the reflection through the first one found.
 
 Each reflection takes its ridge direction from two stored vertices, so the
 sweep's rounding error grows with depth. ``refine_all`` then re-solves the
@@ -13,7 +14,6 @@ mirror equations of every ridge at once, warm-started from the sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
@@ -25,33 +25,6 @@ from .errors import UnreachableCellsError
 from .geom import Point2
 from .solver import PatchSolution
 from .tessellation import CellId, RidgeId, Tessellation
-
-
-@dataclass(frozen=True)
-class MergePolicy:
-    """Whether to use one incoming reflection or average them all.
-
-    ``first`` reflects through the first incoming ridge in discovery order:
-    from the lowest source cell id, then in that cell's boundary order.
-    ``weighted`` averages the reflections through every incoming ridge,
-    weighted by ridge length (rays count with their length clipped to the
-    vertex bounding box). On exact input all candidates agree, so the two
-    policies differ only through rounding.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("first", "weighted"):
-            raise ValueError(f"unknown merge policy {self.kind!r}")
-
-    @classmethod
-    def first(cls) -> "MergePolicy":
-        return cls("first")
-
-    @classmethod
-    def weighted(cls) -> "MergePolicy":
-        return cls("weighted")
 
 
 @dataclass(frozen=True)
@@ -81,27 +54,9 @@ def reflect_into(t: Tessellation, rid: RidgeId, p) -> Point2:
     return geom.reflect_point(p, t.ridge_line(rid))
 
 
-def _ridge_weights(t: Tessellation) -> np.ndarray:
-    """Merge weight of every ridge: its length, rays clipped to the vertex bbox."""
-    a = t.arrays
-    weights = a.lengths.copy()
-    rays = np.flatnonzero(~a.finite)
-    x0, y0, x1, y1 = t.bbox()
-    exit_param = np.full(len(rays), math.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis, lo, hi in ((0, x0, x1), (1, y0, y1)):
-            p = a.vertices[a.ends[rays, 0], axis]
-            d = a.dirs[rays, axis]
-            leave = np.maximum((lo - p) / d, (hi - p) / d)
-            exit_param = np.where(d != 0.0, np.minimum(exit_param, leave), exit_param)
-    weights[rays] = np.where(np.isfinite(exit_param), np.maximum(0.0, exit_param), 0.0)
-    return weights
-
-
 def sweep(
     t: Tessellation,
     known: Mapping[CellId, Point2],
-    merge: MergePolicy = MergePolicy.first(),
     origin: str = "the known cells",
 ) -> tuple[dict[CellId, Point2], PropagationTrace]:
     """Recover every generator by layered reflection from the ``known`` ones.
@@ -109,10 +64,11 @@ def sweep(
     Layer d + 1 holds the unknown cells across a ridge from layer d, layer 0
     being ``known``. A layer is found by one gather over the CSR boundary
     index of the previous one, in discovery order (source cells ascending,
-    each in its boundary order), and reflected as one array operation, so
-    every generator is the one a per-cell loop in that order would give.
-    Raises UnreachableCellsError, naming ``origin``, when the ridge graph
-    does not connect every cell to a known one.
+    each in its boundary order). Each new cell is the mirror image of its
+    first incoming source across their shared ridge, reflected as one array
+    operation per layer, so every generator is the one a per-cell loop in
+    that order would give. Raises UnreachableCellsError, naming ``origin``,
+    when the ridge graph does not connect every cell to a known one.
     """
     a = t.arrays
     n = len(t.cells)
@@ -122,7 +78,6 @@ def sweep(
     seeds = np.fromiter(known, np.intp, len(known))
     xy[seeds] = np.array(list(known.values()), float).reshape(-1, 2)
     depth[seeds] = 0
-    weights = _ridge_weights(t) if merge.kind == "weighted" else None
     layers = []
     current = np.unique(seeds)
     d = 0
@@ -138,18 +93,13 @@ def sweep(
         if not len(dst):
             break
         cells, first, fan_in = np.unique(dst, return_index=True, return_counts=True)
-        used = first if weights is None else np.arange(len(dst))
-        bad = a.degenerate[rid[used]]
+        src, rid = src[first], rid[first]
+        bad = a.degenerate[rid]
         if bad.any():
-            t.ridge_line(int(rid[used][np.argmax(bad)]))  # raises DegenerateRidgeError
-        line = rid[used]
-        img = _reflect(xy[src[used]], a.vertices[a.ends[line, 0]], a.dirs[line])
-        if weights is None:
-            xy[cells] = img
-        else:
-            xy[cells] = _weighted_mean(img, weights[rid], np.searchsorted(cells, dst), first, fan_in)
+            t.ridge_line(int(rid[np.argmax(bad)]))  # raises DegenerateRidgeError
+        xy[cells] = _reflect(xy[src], a.vertices[a.ends[rid, 0]], a.dirs[rid])
         depth[cells] = d + 1
-        layers.append((cells, src[first], rid[first], fan_in, len(used)))
+        layers.append((cells, src, rid, fan_in))
         current = cells
         d += 1
 
@@ -161,7 +111,7 @@ def sweep(
         )
     order: list[tuple[CellId, CellId, RidgeId]] = []
     candidates: dict[CellId, int] = {}
-    for cells, srcs, rids, fan_in, _ in layers:
+    for cells, srcs, rids, fan_in in layers:
         order += zip(cells.tolist(), srcs.tolist(), rids.tolist())
         candidates.update(zip(cells.tolist(), fan_in.tolist()))
     finished = [*known, *(c for c, _, _ in order)]
@@ -170,7 +120,7 @@ def sweep(
         order=tuple(order),
         depth=dict(zip(finished, depth[finished].tolist())),
         candidates=candidates,
-        reflect_calls=sum(layer[4] for layer in layers),
+        reflect_calls=len(order),
     )
     return dict(zip(finished, points)), trace
 
@@ -182,30 +132,8 @@ def _reflect(p: np.ndarray, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 2.0 * foot - p
 
 
-def _weighted_mean(img, w, slot, first, fan_in) -> np.ndarray:
-    """Per-cell weighted mean of candidate images, summed in candidate order.
-
-    ``slot`` maps each candidate to its cell's row; a cell with a single
-    candidate keeps that image, and a cell whose weights sum to zero takes
-    the plain mean.
-    """
-    m = len(first)
-    wsum = np.bincount(slot, w, m)
-    flat = wsum[slot] <= 0.0
-    w = np.where(flat, 1.0, w)
-    wsum = np.where(wsum <= 0.0, fan_in.astype(float), wsum)
-    out = np.stack(
-        [np.bincount(slot, w * img[:, 0], m), np.bincount(slot, w * img[:, 1], m)], axis=1
-    ) / wsum[:, None]
-    single = fan_in == 1
-    out[single] = img[first[single]]
-    return out
-
-
 def reconstruct_all(
-    t: Tessellation,
-    patch: PatchSolution,
-    merge: MergePolicy = MergePolicy.first(),
+    t: Tessellation, patch: PatchSolution
 ) -> tuple[dict[CellId, Point2], PropagationTrace]:
     """Recover every generator from the solved patch.
 
@@ -213,7 +141,7 @@ def reconstruct_all(
     Raises UnreachableCellsError if the ridge adjacency graph does not
     connect every cell to the patch.
     """
-    return sweep(t, patch.generators, merge, f"the patch around cell {patch.members[0]}")
+    return sweep(t, patch.generators, f"the patch around cell {patch.members[0]}")
 
 
 # CGLS stops once the normal-equation residual ||A^T W (b - A g)|| has fallen

@@ -243,22 +243,10 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
     )
 
 
-def _ridge_weight(t: Tessellation, rid: int) -> float:
-    r = t.ridges[rid]
-    if r.is_finite:
-        return t.ridge_length(rid)
-    v = t.vertices[r.v0]
-    x0, y0, x1, y1 = t.bbox()
-    exit_param = math.inf
-    for p, d, lo, hi in ((v.x, r.ray_dir[0], x0, x1), (v.y, r.ray_dir[1], y0, y1)):
-        if d != 0.0:
-            exit_param = min(exit_param, max((lo - p) / d, (hi - p) / d))
-    return max(0.0, exit_param) if math.isfinite(exit_param) else 0.0
-
-
-def sweep_reference(t: Tessellation, known: dict, weighted: bool = False):
-    """Layered reflection sweep, one cell at a time: (generators, order,
-    depth, candidates, reflect_calls)."""
+def sweep_reference(t: Tessellation, known: dict):
+    """Layered reflection sweep, one cell at a time, each new cell reflected
+    through its first incoming ridge: (generators, order, depth, candidates,
+    reflect_calls)."""
     known = dict(known)
     depth = {c: 0 for c in known}
     order, candidates, calls = [], {}, 0
@@ -274,22 +262,10 @@ def sweep_reference(t: Tessellation, known: dict, weighted: bool = False):
         for nc in nxt:
             cands = incoming[nc]
             candidates[nc] = len(cands)
-            if not (weighted and len(cands) > 1):
-                cands = cands[:1]
-            pts = [reflect_point(known[s], t.ridge_line(r)) for s, r in cands]
-            calls += len(pts)
-            if len(pts) == 1:
-                known[nc] = pts[0]
-            else:
-                wts = [_ridge_weight(t, r) for _, r in cands]
-                wsum = _sum(wts)
-                if wsum <= 0.0:
-                    wts, wsum = [1.0] * len(pts), float(len(pts))
-                known[nc] = Point2(
-                    _sum(w * p.x for w, p in zip(wts, pts)) / wsum,
-                    _sum(w * p.y for w, p in zip(wts, pts)) / wsum,
-                )
-            depth[nc] = depth[cands[0][0]] + 1
-            order.append((nc, *cands[0]))
+            src, rid = cands[0]
+            known[nc] = reflect_point(known[src], t.ridge_line(rid))
+            calls += 1
+            depth[nc] = depth[src] + 1
+            order.append((nc, src, rid))
         current = nxt
     return known, order, depth, candidates, calls

@@ -1,16 +1,10 @@
-"""Anchor eligibility, scoring and selection policies."""
+"""Anchor eligibility, scoring and selection."""
 
 from __future__ import annotations
 
 import pytest
 
-from vorogen.anchor import (
-    AnchorPolicy,
-    composite_score,
-    eligible_cells,
-    score_cell,
-    select_anchor,
-)
+from vorogen.anchor import composite_score, eligible_cells, score_cell, select_anchor
 from vorogen.errors import NoEligibleAnchorError
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2
@@ -38,7 +32,7 @@ def test_diamond_selects_center(diamond):
     t, _ = diamond
     assert eligible_cells(t) == [DIAMOND_CENTER]
     assert select_anchor(t) == DIAMOND_CENTER
-    assert select_anchor(t, AnchorPolicy.random_eligible(0)) == DIAMOND_CENTER
+    assert select_anchor(t, seed=0) == DIAMOND_CENTER
 
 
 def test_all_parallel_bounded_cell_is_ineligible():
@@ -95,7 +89,7 @@ def test_eligible_cells_sorted_and_bounded(built):
 def test_selected_anchor_is_eligible(built):
     _, t, _ = built(100, 1)
     assert score_cell(t, select_anchor(t)).eligible
-    assert score_cell(t, select_anchor(t, AnchorPolicy.random_eligible(5))).eligible
+    assert score_cell(t, select_anchor(t, seed=5)).eligible
 
 
 def test_best_score_maximizes_composite(built):
@@ -107,15 +101,15 @@ def test_best_score_maximizes_composite(built):
 
 def test_random_policy_is_deterministic(built):
     _, t, _ = built(100, 1)
-    a = select_anchor(t, AnchorPolicy.random_eligible(123))
-    b = select_anchor(t, AnchorPolicy.random_eligible(123))
+    a = select_anchor(t, seed=123)
+    b = select_anchor(t, seed=123)
     assert a == b
 
 
 def test_random_policy_spreads_over_eligible_cells(built):
     _, t, _ = built(100, 1)
     elig = set(eligible_cells(t))
-    picks = {select_anchor(t, AnchorPolicy.random_eligible(s)) for s in range(25)}
+    picks = {select_anchor(t, seed=s) for s in range(25)}
     assert picks <= elig
     assert len(picks) > 1
 
@@ -138,13 +132,6 @@ def test_best_score_is_permutation_stable(built):
     assert sorted(perm) == list(range(n))
     t2, _ = relabel_cells(t, perm, gt)
     assert select_anchor(t2) == perm[best]
-
-
-def test_anchor_policy_validation():
-    with pytest.raises(ValueError):
-        AnchorPolicy("nonsense")
-    with pytest.raises(ValueError):
-        AnchorPolicy("random_eligible")  # seed required
 
 
 def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring, built):

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from helpers import max_cell_error
-from vorogen.anchor import AnchorPolicy, select_anchor
+from vorogen.anchor import select_anchor
 from vorogen.baselines import brute_force_all, c_prime_all, c_prime_cell
 from vorogen.errors import NoEligibleAnchorError, UnderdeterminedError
 from vorogen.forward import SiteSample, build_voronoi
@@ -48,7 +48,7 @@ def test_brute_force_matches_ground_truth(built):
 
 def test_brute_force_matches_single_anchor_sweep(built):
     _, t, _ = built(200, 1)
-    sol = solve_patch(assemble_patch(t, select_anchor(t, AnchorPolicy.best_score())))
+    sol = solve_patch(assemble_patch(t, select_anchor(t)))
     swept, _ = reconstruct_all(t, sol)
     diff = max(
         math.hypot(p.x - swept[c].x, p.y - swept[c].y)

@@ -22,7 +22,7 @@ from vorogen.bench import (
 )
 from vorogen.errors import NoEligibleAnchorError
 from vorogen.forward import sample_and_build
-from vorogen.pipeline import Policies, reconstruct
+from vorogen.pipeline import reconstruct
 
 
 # -------------------------------------------------------------------- seeds
@@ -192,7 +192,7 @@ def test_export_csv_round_trips_values(tmp_path):
 
 def test_reconstruct_report_fields():
     _, t, gt = sample_and_build(50, 4)
-    rep = reconstruct(t, "anchor", Policies(), gt)
+    rep = reconstruct(t, "anchor", gt)
     assert rep.method == "anchor"
     assert rep.anchor is not None
     assert len(rep.generators) == 50
@@ -221,4 +221,4 @@ def test_reconstruct_rejects_mismatched_truth():
     _, t, _ = sample_and_build(30, 6)
     _, _, other = sample_and_build(40, 6)
     with pytest.raises(ValueError, match="does not match"):
-        reconstruct(t, "anchor", Policies(), other)
+        reconstruct(t, "anchor", other)

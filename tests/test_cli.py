@@ -95,8 +95,7 @@ def test_reconstruct_baseline_methods(tess_file, tmp_path):
 def test_reconstruct_alternative_policies(tess_file):
     code = main([
         "reconstruct", "--in", str(tess_file),
-        "--anchor-policy", "random",
-        "--merge", "weighted", "--seed", "3",
+        "--anchor-policy", "random", "--seed", "3",
     ])
     assert code == 0
 

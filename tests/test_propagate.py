@@ -1,8 +1,8 @@
 """Layered reflection sweep from the solved patch to every cell.
 
 Exactness of single reflections is pinned on the diamond; the sweep
-invariants (layer ordering, counts, policy agreement) run on forward
-builds where the ground truth is known.
+invariants (layer ordering, counts, independence of the patch) run on
+forward builds where the ground truth is known.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import pytest
 
 from helpers import max_cell_error, rmse, sweep_reference
 from vorogen import geom
-from vorogen.anchor import AnchorPolicy, select_anchor
+from vorogen.anchor import select_anchor
 from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
 from vorogen.geom import Point2
 from vorogen.propagate import (
     REFINE_MAX_ITER,
-    MergePolicy,
     reconstruct_all,
     refine_all,
     reflect_into,
@@ -31,7 +30,7 @@ from vorogen.tessellation import Cell, Ridge, Tessellation
 
 def _solve(t, anchor=None):
     if anchor is None:
-        anchor = select_anchor(t, AnchorPolicy.best_score())
+        anchor = select_anchor(t)
     return solve_patch(assemble_patch(t, anchor))
 
 
@@ -106,19 +105,17 @@ def test_trace_layer_invariants(built):
 def test_reflect_call_counts(built):
     _, t, _ = built(150, 2)
     sol = _solve(t)
-    _, tr_first = reconstruct_all(t, sol, merge=MergePolicy.first())
-    assert tr_first.reflect_calls == len(tr_first.order)
-    _, tr_w = reconstruct_all(t, sol, merge=MergePolicy.weighted())
-    assert tr_w.reflect_calls == sum(tr_w.candidates.values())
-    assert tr_w.reflect_calls <= len(t.ridges)
+    _, trace = reconstruct_all(t, sol)
+    assert trace.reflect_calls == len(trace.order) == len(t.cells) - len(sol.generators)
+    assert sum(trace.candidates.values()) <= len(t.ridges)
 
 
 def test_policies_agree_on_exact_input(built):
+    """Sweeps from the best-scoring and from a seeded anchor's patch agree."""
     _, t, gt = built(200, 7)
-    sol = _solve(t)
     runs = [
-        reconstruct_all(t, sol, MergePolicy.first())[0],
-        reconstruct_all(t, sol, MergePolicy.weighted())[0],
+        reconstruct_all(t, _solve(t))[0],
+        reconstruct_all(t, _solve(t, select_anchor(t, seed=7)))[0],
     ]
     for known in runs:
         assert max_cell_error(known, gt) < 1e-9
@@ -130,18 +127,15 @@ def test_policies_agree_on_exact_input(built):
             assert diff < 1e-8
 
 
-@pytest.mark.parametrize("merge", [MergePolicy.first(), MergePolicy.weighted()])
-def test_sweep_matches_loop_reference(built, merge):
+def test_sweep_matches_loop_reference(built):
     """Generators and trace equal the one-cell-at-a-time loop's, bit for bit,
     from a solved patch and from scattered known cells."""
     _, t, gt = built(300, 6)
     anchor = select_anchor(t)
     for seeds in (assemble_patch(t, anchor).members, (0, 7, 150, 299)):
         known = {c: gt.generators[c] for c in seeds}
-        got, trace = sweep(t, known, merge)
-        ref, order, depth, candidates, calls = sweep_reference(
-            t, known, weighted=merge.kind == "weighted"
-        )
+        got, trace = sweep(t, known)
+        ref, order, depth, candidates, calls = sweep_reference(t, known)
         assert got == ref
         assert list(trace.order) == order
         assert trace.depth == depth
@@ -204,11 +198,3 @@ def test_refinement_keeps_exact_input_and_lowers_mirror_residual(diamond, built)
     )
     assert rmse(refined, gt) <= rmse(swept, gt)
 
-
-# ------------------------------------------------------------------ policy
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError, match="unknown merge policy"):
-        MergePolicy("average")
-    assert MergePolicy.weighted().kind == "weighted"

@@ -23,7 +23,7 @@ from vorogen.errors import (
     InconsistentSystemError,
     SingularSystemError,
 )
-from vorogen.anchor import eligible_cells, select_anchor, AnchorPolicy
+from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.geom import reflect_point
 from vorogen.solver import PatchSystem, assemble_patch, solve_patch
 from vorogen.tessellation import neighbors
@@ -76,7 +76,7 @@ def test_generic_patch_has_full_ring(built):
     # so the system is exactly 4k x 2(k+1)
     for n, seed in ((50, 3), (100, 7)):
         _, t, _ = built(n, seed)
-        anchor = select_anchor(t, AnchorPolicy.best_score())
+        anchor = select_anchor(t)
         sys_ = assemble_patch(t, anchor)
         k = len(neighbors(t, anchor))
         assert sys_.shape == (4 * k, 2 * (k + 1))
@@ -95,7 +95,7 @@ def test_true_generators_satisfy_system(diamond, built):
         _, t, gt = built(n, seed)
         cases.append((t, gt))
     for t, gt in cases:
-        anchor = select_anchor(t, AnchorPolicy.best_score())
+        anchor = select_anchor(t)
         sys_ = assemble_patch(t, anchor)
         z = np.empty(2 * len(sys_.members))
         for j, cell in enumerate(sys_.members):
@@ -122,7 +122,7 @@ def test_solve_matches_normal_equations(built):
     """QR path vs the direct M^T M oracle."""
     for n, seed in ((50, 1), (100, 2), (200, 9)):
         _, t, _ = built(n, seed)
-        anchor = select_anchor(t, AnchorPolicy.best_score())
+        anchor = select_anchor(t)
         sys_ = assemble_patch(t, anchor)
         sol = solve_patch(sys_)
         z_ne = normal_equations_solve(sys_)
@@ -135,7 +135,7 @@ def test_solve_matches_normal_equations(built):
 def test_neighbors_are_reflections_of_anchor(built):
     # the solve must reproduce the defining mirror relation ridge by ridge
     _, t, _ = built(100, 4)
-    anchor = select_anchor(t, AnchorPolicy.best_score())
+    anchor = select_anchor(t)
     sol = solve_patch(assemble_patch(t, anchor))
     ga = sol.generators[anchor]
     for cid, rid in neighbors(t, anchor):
@@ -154,7 +154,7 @@ def test_eligible_anchors_are_well_conditioned(built):
 def test_solution_accuracy_on_built_patches(built):
     for n, seed in ((50, 6), (200, 13)):
         _, t, gt = built(n, seed)
-        anchor = select_anchor(t, AnchorPolicy.best_score())
+        anchor = select_anchor(t)
         sol = solve_patch(assemble_patch(t, anchor))
         assert max_cell_error(sol.generators, gt) < 1e-10
 
@@ -228,7 +228,7 @@ def test_solution_is_translation_equivariant(built):
     _, t, gt = built(100, 8)
     dx, dy = 3.25, -1.5
     t2 = transform_tessellation(t, lambda p: (p[0] + dx, p[1] + dy), lambda d: d)
-    anchor = select_anchor(t2, AnchorPolicy.best_score())
+    anchor = select_anchor(t2)
     sol = solve_patch(assemble_patch(t2, anchor))
     for c, g in sol.generators.items():
         tx, ty = gt.generators[c]
@@ -244,7 +244,7 @@ def test_solution_is_rotation_equivariant(built):
         return (co * p[0] - si * p[1], si * p[0] + co * p[1])
 
     t2 = transform_tessellation(t, rot, rot)
-    anchor = select_anchor(t2, AnchorPolicy.best_score())
+    anchor = select_anchor(t2)
     sol = solve_patch(assemble_patch(t2, anchor))
     for c, g in sol.generators.items():
         rx, ry = rot(gt.generators[c])
