@@ -148,9 +148,10 @@ def c_prime_cell(
     intersection displacement under +-perturb_eps rotations of either ray.
     Insensitive pairs (zero displacement) are capped at 10x the mean weight;
     with perturb_eps = 0 all pairs are insensitive and the weights collapse
-    to uniform.
+    to uniform. A cell with a ray side is unbounded whatever its flag says.
     """
-    if not t.cells[c].bounded:
+    cell = t.cells[c]
+    if not cell.bounded or not all(t.ridges[rid].is_finite for rid in cell.ridges):
         raise UnderdeterminedError(
             f"cell {c} is unbounded; the angle construction needs a closed polygon"
         )
@@ -174,8 +175,8 @@ def c_prime_cell(
             f"cell {c} has no two non-parallel generator rays"
         )
     weights = _delta_weights(deltas)
-    ex = sum(w * p.x for w, p in zip(weights, points))
-    ey = sum(w * p.y for w, p in zip(weights, points))
+    ex = _sum(w * p.x for w, p in zip(weights, points))
+    ey = _sum(w * p.y for w, p in zip(weights, points))
     return CPrimeEstimate(
         cell=c,
         ray_pairs_used=len(points),
@@ -183,6 +184,15 @@ def c_prime_cell(
         weights=weights,
         estimate=Point2(ex, ey),
     )
+
+
+def _sum(xs) -> float:
+    """Left-to-right float sum. The builtin ``sum`` is compensated from
+    Python 3.12 on, so it would give different bits on different versions."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _pair_delta(r1: RidgeLine, r2: RidgeLine, p: Point2, eps: float) -> float:
@@ -197,7 +207,7 @@ def _pair_delta(r1: RidgeLine, r2: RidgeLine, p: Point2, eps: float) -> float:
                 disp.append(math.hypot(q.x - p.x, q.y - p.y))
             except NoIntersectionError:
                 disp.append(math.inf)
-    return sum(disp) / len(disp)
+    return _sum(disp) / len(disp)
 
 
 def _delta_weights(deltas: list[float]) -> list[float]:
@@ -213,10 +223,10 @@ def _delta_weights(deltas: list[float]) -> list[float]:
             raw.append(1.0 / d)
     if capped:
         others = [raw[i] for i in range(len(raw)) if i not in capped]
-        cap = ZERO_DELTA_WEIGHT_CAP * (sum(others) / len(others)) if others else 0.0
+        cap = ZERO_DELTA_WEIGHT_CAP * (_sum(others) / len(others)) if others else 0.0
         for i in capped:
             raw[i] = cap
-    total = sum(raw)
+    total = _sum(raw)
     if total <= 0.0:
         return [1.0 / len(raw)] * len(raw)
     return [w / total for w in raw]

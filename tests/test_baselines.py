@@ -19,7 +19,7 @@ from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2, unit_vec
 from vorogen.propagate import reconstruct_all
 from vorogen.solver import assemble_patch, solve_patch
-from vorogen.tessellation import Ridge, Tessellation
+from vorogen.tessellation import Cell, Ridge, Tessellation
 
 
 # ------------------------------------------------------------- brute force
@@ -106,6 +106,20 @@ def test_c_prime_rejects_unbounded_cell(diamond):
     t, _ = diamond
     with pytest.raises(UnderdeterminedError, match="unbounded"):
         c_prime_cell(t, 0)
+
+
+def test_c_prime_rejects_ray_cell_marked_bounded(built):
+    """A hull cell flagged bounded by mistake is still refused, and the
+    sweep fills it from the estimated cells."""
+    _, t, gt = built(60, 3)
+    c = next(i for i, cell in enumerate(t.cells) if not cell.bounded)
+    cells = list(t.cells)
+    cells[c] = Cell(ridges=cells[c].ridges, bounded=True)
+    mislabelled = Tessellation(list(t.vertices), list(t.ridges), cells)
+    with pytest.raises(UnderdeterminedError, match="unbounded"):
+        c_prime_cell(mislabelled, c)
+    out = c_prime_all(mislabelled)
+    assert max_cell_error({k: p for k, p in out}, gt) < 1e-6
 
 
 def test_c_prime_all_parallel_rays_underdetermined(diamond):
