@@ -235,36 +235,44 @@ def jitter_degenerate(sites: SiteSample, epsilon: float) -> SiteSample:
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
     pts = [(p[0], p[1]) for p in sites.points]
-    bad = _degenerate_points(pts)
+    bad, _ = _degenerate_points(pts)
     if not bad or epsilon == 0.0:
         return sites
+    return _displace(sites, pts, bad, epsilon)
+
+
+def _displace(sites: SiteSample, pts: list, bad: set[int], epsilon: float) -> SiteSample:
+    """Move the ``bad`` points of ``pts`` by at most ``epsilon`` until none is
+    degenerate, at most eight rounds."""
     rng = np.random.default_rng(0 if sites.seed is None else sites.seed)
     for _ in range(8):
         for i in sorted(bad):
             ang = rng.uniform(0.0, 2.0 * math.pi)
             rad = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
             pts[i] = (pts[i][0] + rad * math.cos(ang), pts[i][1] + rad * math.sin(ang))
-        bad = _degenerate_points(pts)
+        bad, _ = _degenerate_points(pts)
         if not bad:
             break
     return SiteSample(tuple(Point2(*p) for p in pts), sites.window, sites.seed)
 
 
-def _degenerate_points(pts) -> set[int]:
+def _degenerate_points(pts) -> tuple[set[int], float]:
+    """The degenerate points, and the ridge-length threshold they were
+    judged by (0 when duplicates were found before any triangulation)."""
     scale = _site_scale(pts)
     bad = _too_close(pts, geom.DEGENERACY_REL * scale)
     if bad:
-        return bad
+        return bad, 0.0
     if len(pts) < 4 or delaunay.all_collinear(pts):
-        return set()
+        return set(), 0.0
     try:
         tri = delaunay.Triangulation(pts)
     except (ValueError, ZeroDivisionError):
-        return set()
+        return set(), 0.0
     real = tri.real_items()
     centers = {tid: delaunay.circumcenter(pts[a], pts[b], pts[c]) for tid, (a, b, c) in real}
     if not centers:
-        return set()
+        return set(), 0.0
     xs = [v[0] for v in centers.values()]
     ys = [v[1] for v in centers.values()]
     diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
@@ -280,15 +288,24 @@ def _degenerate_points(pts) -> set[int]:
             if math.hypot(c1[0] - c0[0], c1[1] - c0[1]) <= thresh:
                 out.update(tri.tris[own[0]])
                 out.update(tri.tris[own[1]])
-    return out
+    return out, thresh
 
 
 def sample_and_build(n: int, seed: Optional[int]) -> tuple[SiteSample, Tessellation, GroundTruth]:
-    """Sample, build, and jitter-retry once if the draw happened to be degenerate."""
+    """Sample, build, and jitter-retry once if the draw happened to be degenerate.
+
+    The retry moves the degenerate points by up to the larger of
+    ``DEFAULT_JITTER_REL`` times the window and the ridge-length threshold
+    that rejected the build. That threshold is relative to the spread of all
+    Voronoi vertices, and far-out hull circumcenters can make it exceed the
+    window-relative jitter many times over.
+    """
     sites = sample_sites(n, seed)
     try:
         t, gt = build_voronoi(sites)
     except ConstructionError:
-        sites = jitter_degenerate(sites, DEFAULT_JITTER_REL * sites.window)
+        pts = [(p[0], p[1]) for p in sites.points]
+        bad, thresh = _degenerate_points(pts)
+        sites = _displace(sites, pts, bad, max(DEFAULT_JITTER_REL * sites.window, thresh))
         t, gt = build_voronoi(sites)
     return sites, t, gt

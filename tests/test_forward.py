@@ -20,6 +20,7 @@ from vorogen.forward import (
     sample_sites,
 )
 from vorogen.geom import Point2, distance_to_line
+from vorogen.pipeline import reconstruct
 from vorogen.tessellation import dumps, validate
 
 from conftest import DIAMOND_SITES, DIAMOND_VERTICES
@@ -168,6 +169,25 @@ def test_build_is_deterministic():
     _, t1, gt1 = sample_and_build(60, 9)
     _, t2, gt2 = sample_and_build(60, 9)
     assert dumps(t1, gt1) == dumps(t2, gt2)
+
+
+@pytest.mark.parametrize("seed", [1619958167, 2032142921])
+def test_retry_clears_the_rejecting_threshold(seed):
+    """Samples whose far-out hull circumcenters put the degeneracy threshold
+    above the window-relative jitter still build, with only the cocircular
+    group moved and the generators recovered."""
+    sample = sample_sites(10_000, seed)
+    with pytest.raises(ConstructionError):
+        build_voronoi(sample)
+    jittered, t, gt = sample_and_build(10_000, seed)
+    moved = [i for i, (p, q) in enumerate(zip(sample.points, jittered.points)) if p != q]
+    assert 0 < len(moved) <= 4
+    assert max(
+        math.hypot(sample.points[i].x - jittered.points[i].x,
+                   sample.points[i].y - jittered.points[i].y) for i in moved
+    ) < 1e-3
+    rep = reconstruct(t, "anchor", gt)
+    assert rep.max_rse < 1e-8
 
 
 def test_sample_and_build_shapes(built):
