@@ -176,24 +176,19 @@ def refine_all(
     a = t.arrays
     ia, ib = a.cells.T
     finite = a.finite
+    usable = finite & ~a.degenerate
     verts = a.vertices.view(complex).ravel()
     p0 = verts[a.ends[:, 0]]
     p1 = verts[np.where(finite, a.ends[:, 1], a.ends[:, 0])]
-    seg = p1 - p0
-    # directions from the complex modulus, not the arrays' math.hypot ones:
-    # the two differ in the last bit on about a third of the ridges, so
-    # reading a.dirs here would change the anchor method's output bits
-    length = np.abs(seg)
-    usable = finite & (length > t.degeneracy_threshold())
-    u = np.ones(len(seg), complex)
-    u[usable] = seg[usable] / length[usable]
-    u[~finite] = a.dirs[~finite].view(complex).ravel()
     c = np.where(finite, 0.5 * (p0 + p1), p0)
+    # degenerate ridges have NaN directions; they weigh 0 and any unit will do
+    u = np.where(usable | ~finite, a.dirs.view(complex).ravel(), 1.0)
 
     g = np.fromiter(chain.from_iterable(known[k] for k in range(n)), float, 2 * n)
     g = g.view(complex)
     w = np.where(finite, 0.0, 1.0)
-    w[usable] = length[usable] / (length[usable] + np.abs(g[ia] - c)[usable])
+    length = a.lengths[usable]
+    w[usable] = length / (length + np.abs(g[ia] - c)[usable])
     e = u * u
     # (I - R) c = 2 m (m . c) with m = iu the unit normal: kept in this form
     # the rounding of the right-hand side shifts the line but cannot tilt it
