@@ -21,8 +21,8 @@ from .errors import ConstructionError
 from .geom import Point2, UnitVec2
 from .tessellation import Cell, GroundTruth, Ridge, Tessellation
 
-# Default relative jitter applied (times the window side) when a sampled or
-# synthetic configuration turns out degenerate.
+# Smallest jitter of sample_and_build's retry, relative to the window side;
+# the retry uses the threshold that rejected the build when that is larger.
 DEFAULT_JITTER_REL = 1e-9
 
 

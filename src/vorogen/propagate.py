@@ -38,7 +38,11 @@ class PropagationTrace:
     order: tuple[tuple[CellId, CellId, RidgeId], ...]
     depth: dict[CellId, int]
     candidates: dict[CellId, int]
-    reflect_calls: int
+
+    @property
+    def reflect_calls(self) -> int:
+        """One reflection per finalized cell."""
+        return len(self.order)
 
     @property
     def max_depth(self) -> int:
@@ -120,7 +124,6 @@ def sweep(
         order=tuple(order),
         depth=dict(zip(finished, depth[finished].tolist())),
         candidates=candidates,
-        reflect_calls=len(order),
     )
     return dict(zip(finished, points)), trace
 
