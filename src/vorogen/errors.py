@@ -31,12 +31,16 @@ class ConstructionError(VorogenError):
     """Voronoi construction failed (duplicate or degenerate site configuration).
 
     ``site_groups`` lists the site-index clusters that participate in the
-    degeneracy, when known.
+    degeneracy, when known; ``threshold`` is the tolerance that rejected the
+    build (0 when none was applied).
     """
 
-    def __init__(self, message: str, site_groups: tuple[tuple[int, ...], ...] = ()):
+    def __init__(
+        self, message: str, site_groups: tuple[tuple[int, ...], ...] = (), threshold: float = 0.0
+    ):
         super().__init__(message)
         self.site_groups = site_groups
+        self.threshold = threshold
 
 
 class InconsistentSystemError(VorogenError):

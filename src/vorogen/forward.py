@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -84,17 +84,23 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
 
     Raises ConstructionError when sites are duplicated or a 4+-cocircular
     degeneracy would produce a zero-length ridge; see ``jitter_degenerate``.
+    The error's ``threshold`` is the tolerance that rejected the build: the
+    site separation for duplicates, ``Tessellation.degeneracy_threshold()``
+    of the built diagram for a degenerate ridge.
     """
     pts = [(p[0], p[1]) for p in sites.points]
     n = len(pts)
     if n < 2:
         raise ConstructionError(f"need at least 2 sites, got {n}")
-    scale = _site_scale(pts)
-    dup = _too_close(pts, geom.DEGENERACY_REL * scale)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    sep = geom.DEGENERACY_REL * (math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0)
+    dup = _too_close(pts, sep)
     if dup:
         raise ConstructionError(
             f"duplicate sites within degeneracy tolerance: {sorted(dup)}",
             site_groups=(tuple(sorted(dup)),),
+            threshold=sep,
         )
     gt = GroundTruth(tuple(Point2(*p) for p in pts))
     if n == 2 or delaunay.all_collinear(pts):
@@ -103,62 +109,37 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     return _dualize(pts, tri), gt
 
 
-def _site_scale(pts) -> float:
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-
-
 def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     real = tri.real_items()
-    vertices: list[tuple[float, float]] = []
-    tv: dict[int, int] = {}
-    for tid, (a, b, c) in real:
-        tv[tid] = len(vertices)
-        vertices.append(delaunay.circumcenter(pts[a], pts[b], pts[c]))
-    xs = [v[0] for v in vertices]
-    ys = [v[1] for v in vertices]
-    diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    thresh = geom.DEGENERACY_REL * diam
-
-    owners: dict[tuple[int, int], list[int]] = {}
-    third: dict[tuple[int, int], int] = {}
-    for tid, (a, b, c) in real:
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            key = (u, v) if u < v else (v, u)
-            owners.setdefault(key, []).append(tid)
-            third.setdefault(key, w)
-
+    tv = {tid: v for v, (tid, _) in enumerate(real)}
+    vertices = [delaunay.circumcenter(pts[a], pts[b], pts[c]) for _, (a, b, c) in real]
     ridges: list[Ridge] = []
-    bad_groups: list[tuple[int, ...]] = []
-    for key in sorted(owners):
-        i, j = key
-        own = owners[key]
-        if len(own) == 2:
-            v0, v1 = tv[own[0]], tv[own[1]]
-            p0, p1 = vertices[v0], vertices[v1]
-            if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= thresh:
-                group = set(tri.tris.get(own[0], ())) | set(tri.tris.get(own[1], ()))
-                bad_groups.append(tuple(sorted(group)))
-            ridges.append(Ridge(cells=(i, j), v0=v0, v1=v1))
-        else:
-            # hull edge: ray from the circumcenter of its only triangle,
-            # perpendicular to the site pair and away from the third site
-            v0 = tv[own[0]]
-            gi, gj = pts[i], pts[j]
-            mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
-            dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
-            k = pts[third[key]]
-            if dx * (k[0] - mx) + dy * (k[1] - my) > 0.0:
-                dx, dy = -dx, -dy
-            ridges.append(Ridge(cells=(i, j), v0=v0, ray_dir=geom.unit_vec(dx, dy)))
-    if bad_groups:
+    for i, j in sorted(key for key in tri.edge if 0 <= key[0] < key[1]):
+        t0, t1 = sorted((tri.edge[(i, j)], tri.edge[(j, i)]))
+        # an infinite triangle's id can be lower than a real one's: test both
+        if t0 in tv and t1 in tv:
+            ridges.append(Ridge(cells=(i, j), v0=tv[t0], v1=tv[t1]))
+            continue
+        # hull edge: ray from the circumcenter of its only real triangle,
+        # perpendicular to the site pair and away from the third site
+        own = t0 if t0 in tv else t1
+        gi, gj = pts[i], pts[j]
+        mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
+        dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
+        k = pts[next(w for w in tri.tris[own] if w != i and w != j)]
+        if dx * (k[0] - mx) + dy * (k[1] - my) > 0.0:
+            dx, dy = -dx, -dy
+        ridges.append(Ridge(cells=(i, j), v0=tv[own], ray_dir=geom.unit_vec(dx, dy)))
+    t = Tessellation(vertices, ridges, _assemble_cells(pts, ridges))
+    bad = [ridges[rid] for rid in np.flatnonzero(t.arrays.degenerate).tolist()]
+    if bad:
+        groups = [tuple(sorted(set(real[r.v0][1]) | set(real[r.v1][1]))) for r in bad]
         raise ConstructionError(
-            f"cocircular degeneracy: coincident circumcenters for site groups {bad_groups}",
-            site_groups=tuple(bad_groups),
+            f"cocircular degeneracy: coincident circumcenters for site groups {groups}",
+            site_groups=tuple(groups),
+            threshold=t.degeneracy_threshold(),
         )
-    cells = _assemble_cells(pts, ridges)
-    return Tessellation(vertices, ridges, cells)
+    return t
 
 
 def _assemble_cells(pts, ridges: list[Ridge]) -> list[Cell]:
@@ -230,65 +211,43 @@ def jitter_degenerate(sites: SiteSample, epsilon: float) -> SiteSample:
 
     Degenerate means duplicated within tolerance or part of a 4+-cocircular
     group whose dual ridge would have zero length. Returns the input object
-    unchanged when nothing is degenerate or ``epsilon`` is 0.
+    unchanged when it builds or ``epsilon`` is 0, and otherwise the moved
+    sites, even when eight rounds of moving did not make them build.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
-    pts = [(p[0], p[1]) for p in sites.points]
-    bad, _ = _degenerate_points(pts)
-    if not bad or epsilon == 0.0:
+    if epsilon == 0.0:
         return sites
-    return _displace(sites, pts, bad, epsilon)
+    try:
+        build_voronoi(sites)
+    except ConstructionError as exc:
+        if exc.site_groups:
+            return _repair(sites, exc, epsilon)[0]
+    return sites
 
 
-def _displace(sites: SiteSample, pts: list, bad: set[int], epsilon: float) -> SiteSample:
-    """Move the ``bad`` points of ``pts`` by at most ``epsilon`` until none is
-    degenerate, at most eight rounds."""
+def _repair(
+    sites: SiteSample, exc: ConstructionError, epsilon: float
+) -> tuple[SiteSample, tuple[Tessellation, GroundTruth] | ConstructionError]:
+    """Move the points named in ``exc.site_groups`` by at most ``epsilon`` and
+    build again, at most eight rounds.
+
+    Returns the last moved sample with its diagram, or with the error of its
+    build when the eighth round still fails.
+    """
     rng = np.random.default_rng(0 if sites.seed is None else sites.seed)
+    pts = [(p[0], p[1]) for p in sites.points]
     for _ in range(8):
-        for i in sorted(bad):
+        for i in sorted(set().union(*exc.site_groups)):
             ang = rng.uniform(0.0, 2.0 * math.pi)
             rad = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
             pts[i] = (pts[i][0] + rad * math.cos(ang), pts[i][1] + rad * math.sin(ang))
-        bad, _ = _degenerate_points(pts)
-        if not bad:
-            break
-    return SiteSample(tuple(Point2(*p) for p in pts), sites.window, sites.seed)
-
-
-def _degenerate_points(pts) -> tuple[set[int], float]:
-    """The degenerate points, and the ridge-length threshold they were
-    judged by (0 when duplicates were found before any triangulation)."""
-    scale = _site_scale(pts)
-    bad = _too_close(pts, geom.DEGENERACY_REL * scale)
-    if bad:
-        return bad, 0.0
-    if len(pts) < 4 or delaunay.all_collinear(pts):
-        return set(), 0.0
-    try:
-        tri = delaunay.Triangulation(pts)
-    except (ValueError, ZeroDivisionError):
-        return set(), 0.0
-    real = tri.real_items()
-    centers = {tid: delaunay.circumcenter(pts[a], pts[b], pts[c]) for tid, (a, b, c) in real}
-    if not centers:
-        return set(), 0.0
-    xs = [v[0] for v in centers.values()]
-    ys = [v[1] for v in centers.values()]
-    diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    thresh = geom.DEGENERACY_REL * diam
-    owners: dict[tuple[int, int], list[int]] = {}
-    for tid, (a, b, c) in real:
-        for u, v in ((a, b), (b, c), (c, a)):
-            owners.setdefault((u, v) if u < v else (v, u), []).append(tid)
-    out: set[int] = set()
-    for key, own in owners.items():
-        if len(own) == 2:
-            c0, c1 = centers[own[0]], centers[own[1]]
-            if math.hypot(c1[0] - c0[0], c1[1] - c0[1]) <= thresh:
-                out.update(tri.tris[own[0]])
-                out.update(tri.tris[own[1]])
-    return out, thresh
+        moved = SiteSample(tuple(Point2(*p) for p in pts), sites.window, sites.seed)
+        try:
+            return moved, build_voronoi(moved)
+        except ConstructionError as err:
+            exc = err
+    return moved, exc
 
 
 def sample_and_build(n: int, seed: Optional[int]) -> tuple[SiteSample, Tessellation, GroundTruth]:
@@ -303,9 +262,11 @@ def sample_and_build(n: int, seed: Optional[int]) -> tuple[SiteSample, Tessellat
     sites = sample_sites(n, seed)
     try:
         t, gt = build_voronoi(sites)
-    except ConstructionError:
-        pts = [(p[0], p[1]) for p in sites.points]
-        bad, thresh = _degenerate_points(pts)
-        sites = _displace(sites, pts, bad, max(DEFAULT_JITTER_REL * sites.window, thresh))
-        t, gt = build_voronoi(sites)
+    except ConstructionError as exc:
+        if not exc.site_groups:
+            raise
+        sites, built = _repair(sites, exc, max(DEFAULT_JITTER_REL * sites.window, exc.threshold))
+        if isinstance(built, ConstructionError):
+            raise built
+        t, gt = built
     return sites, t, gt

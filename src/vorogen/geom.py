@@ -14,7 +14,10 @@ from .errors import DegenerateRidgeError, NoIntersectionError
 
 # Two directions count as parallel when the |sin| of their angle falls below
 # PARALLEL_TOL. Length degeneracy cutoffs are taken relative to the diagram
-# diameter (DEGENERACY_REL) by the callers that know that diameter.
+# diameter (DEGENERACY_REL) by the callers that know that diameter. A
+# direction is unit when |x^2 + y^2 - 1| <= UNIT_TOL; loading and validating a
+# ray use the same bound as reflector_from_dir, so no loaded ray is refused
+# later by the solver.
 PARALLEL_TOL = 1e-10
 DEGENERACY_REL = 1e-12
 UNIT_TOL = 1e-12

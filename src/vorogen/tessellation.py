@@ -317,15 +317,18 @@ def validate(t: Tessellation) -> list[str]:
         for v in r.vertex_ids():
             incident.setdefault(v, []).append(rid)
     referenced: set[int] = set()
+    out_of_range: set[int] = set()
     for rid, r in enumerate(t.ridges):
         a, b = r.cells
         if a == b:
             out.append(f"ridge {rid} joins cell {a} to itself")
         if not (0 <= a < nc and 0 <= b < nc):
             out.append(f"ridge {rid} references an out-of-range cell")
+            out_of_range.add(rid)
             continue
         if not (0 <= r.v0 < nv) or (r.v1 is not None and not (0 <= r.v1 < nv)):
             out.append(f"ridge {rid} references an out-of-range vertex")
+            out_of_range.add(rid)
             continue
         referenced.update(r.vertex_ids())
         if r.is_finite:
@@ -333,7 +336,7 @@ def validate(t: Tessellation) -> list[str]:
             if r.v0 == r.v1 or math.hypot(p1.x - p0.x, p1.y - p0.y) <= thresh:
                 out.append(f"degenerate ridge {rid} (length below {thresh:.3e})")
         else:
-            if r.ray_dir is None or not geom.is_unit(r.ray_dir, tol=1e-9):
+            if r.ray_dir is None or not geom.is_unit(r.ray_dir):
                 out.append(f"ridge {rid} ray direction is not unit length")
         for c in r.cells:
             if t.cells[c].ridges.count(rid) != 1:
@@ -344,7 +347,7 @@ def validate(t: Tessellation) -> list[str]:
         elif len(incident.get(v, ())) != 3 and not _is_split_bisector(t, incident, v):
             out.append(f"vertex {v} is shared by {len(incident.get(v, ()))} ridges (expected 3)")
     for cid, cell in enumerate(t.cells):
-        out.extend(_validate_cell(t, incident, cid, cell))
+        out.extend(_validate_cell(t, incident, out_of_range, cid, cell))
     return out
 
 
@@ -371,8 +374,10 @@ def _ridge_vertex_set(r: Ridge) -> set[int]:
 
 
 def _validate_cell(
-    t: Tessellation, incident: dict[int, list[int]], cid: int, cell: Cell
+    t: Tessellation, incident: dict[int, list[int]], out_of_range: set[int], cid: int, cell: Cell
 ) -> list[str]:
+    """Violations of one cell; ``out_of_range`` holds the ridges already
+    reported for an out-of-range id, whose polygon cannot be walked."""
     msgs: list[str] = []
     if not cell.ridges:
         return [f"cell {cid} has no ridges"]
@@ -387,7 +392,7 @@ def _validate_cell(
     if cell.bounded:
         if rays:
             msgs.append(f"bounded cell {cid} contains ray ridge {rays[0]}")
-        else:
+        elif not out_of_range.intersection(cell.ridges):
             msgs.extend(_validate_polygon(t, cid, cell))
     else:
         if _is_parallel_strip(t, incident, cell):
@@ -578,7 +583,7 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
                 raise ParseError(f"{where}.ray.v: expected an integer vertex id")
             dx, dy = _parse_point(ray["dir"], f"{where}.ray.dir")
             d = UnitVec2(dx, dy)
-            if not geom.is_unit(d, tol=1e-9):
+            if not geom.is_unit(d):
                 raise ParseError(f"{where}.ray.dir: direction must be unit length")
             ridges.append(Ridge(cells=cells, v0=ray["v"], ray_dir=d))
     cells = []

@@ -181,6 +181,27 @@ def test_validate_flags_tampered_file(tess_file, tmp_path, capsys):
     assert "violations" in capsys.readouterr().out
 
 
+def test_validate_reports_shared_out_of_range_vertex(tmp_path, capsys):
+    """Two consecutive ridges of a bounded cell end at the same missing
+    vertex: validate reports it rather than walking the cell's polygon."""
+    path = tmp_path / "t60.json"
+    assert main(["generate", "--n", "60", "--seed", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    first, second = next(c for c in doc["cells"] if c["bounded"])["ridges"][:2]
+    (v,) = set(doc["ridges"][first]["finite"]) & set(doc["ridges"][second]["finite"])
+    for ridge in doc["ridges"]:
+        if "finite" in ridge:
+            ridge["finite"] = [99999 if w == v else w for w in ridge["finite"]]
+        elif ridge["ray"]["v"] == v:
+            ridge["ray"]["v"] = 99999
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert f"ridge {first} references an out-of-range vertex" in out
+    assert f"ridge {second} references an out-of-range vertex" in out
+
+
 # ------------------------------------------------------------------- bench
 
 

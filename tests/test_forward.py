@@ -1,12 +1,13 @@
 """Forward construction: sampling, Voronoi building, degeneracy handling.
 
 The load-bearing checks are the bisector property (every ridge equidistant
-from its two sites) and agreement with an independent half-plane clipping
-oracle.
+from its two sites) and agreement with two independent oracles: half-plane
+clipping and, where scipy is installed, ``scipy.spatial.Voronoi`` (Qhull).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from vorogen.forward import (
     sample_and_build,
     sample_sites,
 )
-from vorogen.geom import Point2, distance_to_line
+from vorogen.geom import DEGENERACY_REL, Point2, distance_to_line
 from vorogen.pipeline import reconstruct
 from vorogen.tessellation import dumps, validate
 
@@ -78,15 +79,20 @@ def test_duplicate_sites_raise_construction_error():
     pts = (Point2(0.0, 0.0), Point2(0.0, 0.0), Point2(1.0, 1.0))
     with pytest.raises(ConstructionError) as exc:
         build_voronoi(SiteSample(pts, 1.0, None))
-    assert exc.value.site_groups
+    assert exc.value.site_groups == ((1,),)  # each point that repeats an earlier one
+    # the separation tolerance, relative to the sites' bounding-box diagonal
+    assert exc.value.threshold == DEGENERACY_REL * math.sqrt(2.0)
 
 
 def test_cocircular_square_raises_and_jitter_repairs():
     pts = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0),
            Point2(0.5, 2.0))
     sample = SiteSample(pts, 2.0, seed=5)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as exc:
         build_voronoi(sample)
+    assert exc.value.site_groups == ((0, 1, 2, 3),)
+    # the Voronoi vertices are (0.5, 0.5) twice and (0.5, 1.375): diameter 0.875
+    assert exc.value.threshold == pytest.approx(DEGENERACY_REL * 0.875, rel=1e-12)
     jittered = jitter_degenerate(sample, 1e-9)
     assert jittered.points != sample.points
     t, _ = build_voronoi(jittered)
@@ -146,6 +152,31 @@ def test_cells_match_halfplane_oracle(built):
         assert cyclic_match(poly, oracle, tol=1e-9), f"cell {c}"
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("seed", range(5))
+def test_matches_qhull_voronoi(built, n, seed):
+    """Same cell pairs as Qhull's ridges, rays where Qhull has rays, and
+    finite ridge ends at Qhull's vertices to 1e-9 relative."""
+    spatial = pytest.importorskip("scipy.spatial")
+    sample, t, gt = built(n, seed)
+    vor = spatial.Voronoi([(g.x, g.y) for g in gt.generators])
+    theirs = {}
+    for (i, j), ends in zip(vor.ridge_points.tolist(), vor.ridge_vertices):
+        theirs[(min(i, j), max(i, j))] = ends
+    assert sorted(theirs) == sorted(r.cells for r in t.ridges)
+    for rid, r in enumerate(t.ridges):
+        ends = theirs[r.cells]
+        assert r.is_finite == (-1 not in ends), f"ridge {rid}"
+        if not r.is_finite:
+            continue
+        ours = [t.vertices[v] for v in r.vertex_ids()]
+        q0, q1 = (vor.vertices[v] for v in ends)
+        if math.dist(ours[0], q0) > math.dist(ours[0], q1):
+            q0, q1 = q1, q0
+        for p, q in zip(ours, (q0, q1)):
+            assert math.dist(p, q) <= 1e-9 * max(math.hypot(*q), sample.window), f"ridge {rid}"
+
+
 def test_sites_lie_inside_their_bounded_cells(built):
     _, t, gt = built(100, 1)
     for c, cell in enumerate(t.cells):
@@ -171,7 +202,15 @@ def test_build_is_deterministic():
     assert dumps(t1, gt1) == dumps(t2, gt2)
 
 
-@pytest.mark.parametrize("seed", [1619958167, 2032142921])
+# SHA-256 of dumps(t, gt) for the retried samples: a change to the retry
+# must keep these bits, jittered sites included
+RETRY_DIGESTS = {
+    1619958167: "33fccbbea6e19e00b01192d0b0d1758d38ec4c680bb730fd98877a71911eea5c",
+    2032142921: "ec63007cfaa1f0fbf6db2cae25292c8f7f1a2d85508c48e0fc95a0571c5e0083",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RETRY_DIGESTS))
 def test_retry_clears_the_rejecting_threshold(seed):
     """Samples whose far-out hull circumcenters put the degeneracy threshold
     above the window-relative jitter still build, with only the cocircular
@@ -180,6 +219,7 @@ def test_retry_clears_the_rejecting_threshold(seed):
     with pytest.raises(ConstructionError):
         build_voronoi(sample)
     jittered, t, gt = sample_and_build(10_000, seed)
+    assert hashlib.sha256(dumps(t, gt).encode()).hexdigest() == RETRY_DIGESTS[seed]
     moved = [i for i, (p, q) in enumerate(zip(sample.points, jittered.points)) if p != q]
     assert 0 < len(moved) <= 4
     assert max(

@@ -1,11 +1,13 @@
 """Hostile-input contract: a mutated tessellation file ends in a typed error.
 
 A small generated file is mutated (bounded flags flipped, a cell's ridge ids
-dropped, repeated or reversed, the cells of two ridges swapped, vertices
-scaled) and run through ``loads`` and every reconstruction method, and
-through the command line. The only failures allowed are a ``VorogenError``
-in the library and the documented exit codes 0, 3, 4 and 5 on the command
-line; a raw ``IndexError``, ``TypeError`` or traceback is a bug.
+dropped, repeated, reversed or all removed, the cells of two ridges swapped,
+a ridge's vertex id changed, a vertex id renamed in every ridge, a ray's
+direction scaled, vertices scaled) and run through ``loads`` and every
+reconstruction method, and through the command line. The only failures
+allowed are a ``VorogenError`` in the library and the documented exit codes
+0, 3, 4 and 5 on the command line; a raw ``IndexError``, ``TypeError`` or
+traceback is a bug.
 """
 
 from __future__ import annotations
@@ -27,15 +29,29 @@ N_CELLS = len(BASE["cells"])
 N_RIDGES = len(BASE["ridges"])
 N_VERTICES = len(BASE["vertices"])
 HULL_CELL = next(i for i, c in enumerate(BASE["cells"]) if not c["bounded"])
+RAY_RIDGES = [i for i, r in enumerate(BASE["ridges"]) if "ray" in r]
+# the vertex shared by the first two ridges of the first bounded cell
+_FIRST, _SECOND = next(c for c in BASE["cells"] if c["bounded"])["ridges"][:2]
+(SHARED_VERTEX,) = set(BASE["ridges"][_FIRST]["finite"]) & set(BASE["ridges"][_SECOND]["finite"])
 
 cell_ids = st.integers(0, N_CELLS - 1)
 ridge_ids = st.integers(0, N_RIDGES - 1)
+# in range, just out of range at either end, or far out
+any_vertex_ids = st.one_of(st.integers(-1, N_VERTICES), st.just(99999))
 mutations = st.one_of(
     st.tuples(st.just("flip_bounded"), cell_ids),
     st.tuples(st.just("drop_ridge"), cell_ids, st.integers(0, 7)),
     st.tuples(st.just("repeat_ridge"), cell_ids, st.integers(0, 7)),
     st.tuples(st.just("reverse_ridges"), cell_ids),
     st.tuples(st.just("swap_ridge_cells"), ridge_ids, ridge_ids),
+    st.tuples(st.just("empty_cell"), cell_ids),
+    st.tuples(st.just("ridge_vertex"), ridge_ids, st.integers(0, 1), any_vertex_ids),
+    st.tuples(st.just("rename_vertex"), st.integers(0, N_VERTICES - 1), any_vertex_ids),
+    st.tuples(
+        st.just("scale_ray"),
+        st.sampled_from(RAY_RIDGES),
+        st.sampled_from([0.0, -1.0, 0.5, 1.0 + 1e-10, 1.0 + 1e-8, 2.0]),
+    ),
     st.tuples(
         st.just("scale_vertex"),
         st.integers(-1, N_VERTICES - 1),  # -1 scales every vertex
@@ -63,6 +79,24 @@ def mutate(doc: dict, ops) -> dict:
         elif kind == "swap_ridge_cells":
             a, b = ridges[op[1]], ridges[op[2]]
             a["cells"], b["cells"] = b["cells"], a["cells"]
+        elif kind == "empty_cell":
+            cells[op[1]]["ridges"] = []
+        elif kind == "ridge_vertex":
+            _, r, end, v = op
+            if "finite" in ridges[r]:
+                ridges[r]["finite"][end] = v
+            else:
+                ridges[r]["ray"]["v"] = v
+        elif kind == "rename_vertex":
+            _, old, new = op
+            for r in ridges:
+                if "finite" in r:
+                    r["finite"] = [new if w == old else w for w in r["finite"]]
+                elif r["ray"]["v"] == old:
+                    r["ray"]["v"] = new
+        elif kind == "scale_ray":
+            ray = ridges[op[1]]["ray"]
+            ray["dir"] = [op[2] * ray["dir"][0], op[2] * ray["dir"][1]]
         else:
             _, v, f = op
             for i in range(len(vertices)) if v < 0 else (v,):
@@ -73,6 +107,8 @@ def mutate(doc: dict, ops) -> dict:
 @given(ops=st.lists(mutations, min_size=1, max_size=3), cli_method=st.sampled_from(METHODS))
 @example(ops=[("flip_bounded", HULL_CELL)], cli_method="cprime")
 @example(ops=[("flip_bounded", HULL_CELL)], cli_method="anchor")
+@example(ops=[("rename_vertex", SHARED_VERTEX, 99999)], cli_method="anchor")
+@example(ops=[("scale_ray", RAY_RIDGES[0], 1.0 + 1e-10)], cli_method="brute")
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_file_ends_in_typed_error(tmp_path, ops, cli_method):
     text = json.dumps(mutate(BASE, ops))
