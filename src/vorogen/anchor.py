@@ -144,11 +144,8 @@ def _has_ring_pair(a, owner: np.ndarray, degree: np.ndarray, n: int) -> np.ndarr
     nxt = np.arange(1, len(owner) + 1)
     wrap = np.flatnonzero(degree)
     nxt[start[wrap + 1] - 1] = start[wrap]
-    b1, b2 = a.cell_nbrs, a.cell_nbrs[nxt]
-    query = np.minimum(b1, b2).astype(np.int64) * n + np.maximum(b1, b2)
-    keys = a.pair_keys
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return a.bounded & (np.bincount(owner, keys[pos] == query, n) > 0)
+    ring = a.pair_ridge(a.cell_nbrs, a.cell_nbrs[nxt])
+    return a.bounded & (np.bincount(owner, ring >= 0, n) > 0)
 
 
 def _centrality(t: Tessellation, degree: np.ndarray) -> np.ndarray:

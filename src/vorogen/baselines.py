@@ -138,17 +138,15 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     return rays
 
 
-def c_prime_cell(
-    t: Tessellation, c: CellId, perturb_eps: float = DEFAULT_PERTURB_EPS
-) -> CPrimeEstimate:
+def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     """Angle-rotation estimate of one bounded cell's generator.
 
     Generator rays from every usable vertex are intersected pairwise; each
     pair is weighted by the inverse of its sensitivity, measured as the mean
-    intersection displacement under +-perturb_eps rotations of either ray.
-    Insensitive pairs (zero displacement) are capped at 10x the mean weight;
-    with perturb_eps = 0 all pairs are insensitive and the weights collapse
-    to uniform. A cell with a ray side is unbounded whatever its flag says.
+    intersection displacement under +-DEFAULT_PERTURB_EPS rotations of either
+    ray. Insensitive pairs (zero displacement) are capped at 10x the mean
+    weight; when every pair is insensitive the weights are uniform. A cell
+    with a ray side is unbounded whatever its flag says.
     """
     cell = t.cells[c]
     if not cell.bounded or not all(t.ridges[rid].is_finite for rid in cell.ridges):
@@ -169,7 +167,7 @@ def c_prime_cell(
             except NoIntersectionError:
                 continue
             points.append(p)
-            deltas.append(_pair_delta(rays[i], rays[j], p, perturb_eps))
+            deltas.append(_pair_delta(rays[i], rays[j], p))
     if not points:
         raise UnderdeterminedError(
             f"cell {c} has no two non-parallel generator rays"
@@ -195,11 +193,9 @@ def _sum(xs) -> float:
     return total
 
 
-def _pair_delta(r1: RidgeLine, r2: RidgeLine, p: Point2, eps: float) -> float:
-    if eps == 0.0:
-        return 0.0
+def _pair_delta(r1: RidgeLine, r2: RidgeLine, p: Point2) -> float:
     disp = []
-    for sign in (eps, -eps):
+    for sign in (DEFAULT_PERTURB_EPS, -DEFAULT_PERTURB_EPS):
         for a, b in ((RidgeLine(r1.anchor, _rotate(r1.dir, sign)), r2),
                      (r1, RidgeLine(r2.anchor, _rotate(r2.dir, sign)))):
             try:

@@ -10,7 +10,6 @@ pools safe.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -182,17 +181,10 @@ def format_row(row: CampaignRow) -> str:
     return f"{row.n},{row.nsim},{row.method},{nums}"
 
 
-def export_csv(rows: Sequence[CampaignRow], path, append: bool = False) -> None:
-    """Write one CSV line per campaign row (6 significant digits).
-
-    With ``append=True`` the header is only written when the file is new
-    or empty.
-    """
-    has_header = (
-        append and os.path.exists(path) and os.path.getsize(path) > 0
-    )
-    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
-        if not has_header:
-            fh.write(CSV_HEADER + "\n")
+def export_csv(rows: Sequence[CampaignRow], path) -> None:
+    """Write the header and one CSV line per campaign row (6 significant
+    digits), replacing any existing file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(format_row(row) + "\n")

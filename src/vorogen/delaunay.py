@@ -177,16 +177,23 @@ class Triangulation:
             pc = pts[c]
             return incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], px, py) > 0.0
         # infinite triangle: its single real directed edge (x, y) faces outward,
-        # so the point conflicts iff it is on or beyond the hull line
+        # so the point conflicts iff it is beyond the hull line, or on it
+        # strictly between the edge's ends (a point on the line outside the
+        # edge would make a flat triangle with it)
         if a == INF:
             x, y = b, c
         elif b == INF:
             x, y = c, a
         else:
             x, y = a, b
-        p1 = pts[x]
-        p2 = pts[y]
-        return orient(p1[0], p1[1], p2[0], p2[1], px, py) >= 0.0
+        x1, y1 = pts[x]
+        x2, y2 = pts[y]
+        o = orient(x1, y1, x2, y2, px, py)
+        if o != 0.0:
+            return o > 0.0
+        return (px - x1) * (x2 - x1) + (py - y1) * (y2 - y1) > 0.0 and (
+            (px - x2) * (x1 - x2) + (py - y2) * (y1 - y2) > 0.0
+        )
 
     def _locate(self, px: float, py: float) -> int:
         """Some triangle whose cavity test accepts (px, py), found by walking."""

@@ -39,7 +39,9 @@ def sample_sites(n: int, seed: Optional[int]) -> SiteSample:
     """``n`` points uniform on the open square (0, sqrt(n))^2, unit intensity.
 
     The window side sqrt(n) keeps the expected point density at one per unit
-    area for every n, so error statistics are comparable across sizes.
+    area for every n, so error statistics are comparable across sizes. Sites
+    closer than the degeneracy tolerance are left to ``build_voronoi``, which
+    rejects them, and to ``sample_and_build``'s retry, which moves them.
     """
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
@@ -51,13 +53,6 @@ def sample_sites(n: int, seed: Optional[int]) -> SiteSample:
         if not on_edge.any():
             break
         pts[on_edge] = rng.uniform(0.0, window, size=(int(on_edge.sum()), 2))
-    sep = geom.DEGENERACY_REL * window * math.sqrt(2.0)
-    for _ in range(100):
-        clash = _too_close(pts.tolist(), sep)
-        if not clash:
-            break
-        for i in sorted(clash):
-            pts[i] = rng.uniform(0.0, window, size=2)
     return SiteSample(tuple(Point2(float(x), float(y)) for x, y in pts), window, seed)
 
 

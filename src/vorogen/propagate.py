@@ -20,10 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
-from . import geom
 from .errors import UnreachableCellsError
 from .geom import Point2
-from .solver import PatchSolution
+from .solver import PatchSolution, mirror_terms
 from .tessellation import CellId, RidgeId, Tessellation
 
 
@@ -51,11 +50,6 @@ class PropagationTrace:
     @property
     def mean_depth(self) -> float:
         return sum(self.depth.values()) / len(self.depth) if self.depth else 0.0
-
-
-def reflect_into(t: Tessellation, rid: RidgeId, p) -> Point2:
-    """Mirror a known generator across ridge ``rid`` to get the neighbor's."""
-    return geom.reflect_point(p, t.ridge_line(rid))
 
 
 def sweep(
@@ -159,10 +153,10 @@ def refine_all(
     """Weighted least-squares polish of a complete generator map.
 
     Every ridge between cells a and b contributes the patch system's mirror
-    equation ``g_b - R g_a = (I - R) c`` (two rows; c is the segment midpoint
-    or the ray origin), giving 2n unknowns in all. A finite ridge of length L
-    stores its direction to about eps / L, which moves a reflected point at
-    distance d from the ridge by about eps * d / L, so its rows are weighted
+    equation ``g_b - R g_a = (I - R) c`` (two rows, ``solver.mirror_terms``),
+    giving 2n unknowns in all. A finite ridge of length L stores its
+    direction to about eps / L, which moves a reflected point at distance d
+    from the ridge by about eps * d / L, so its rows are weighted
     ``L / (L + d)``, with d measured from the warm-start generator of cell a
     (both generators are equidistant from the ridge midpoint). Rays weigh 1;
     ridges shorter than the degeneracy threshold define no direction and
@@ -173,30 +167,20 @@ def refine_all(
     ``bincount`` scatter back, so O(n). Returns the refined map and the
     number of iterations taken.
     """
-    # Points are complex numbers x + iy: the reflection across a line through
-    # the origin with unit direction u is z -> u^2 conj(z).
+    # points are complex numbers, reflections z -> e conj(z) (``mirror_terms``)
     n = len(t.cells)
     a = t.arrays
     ia, ib = a.cells.T
     finite = a.finite
     usable = finite & ~a.degenerate
-    verts = a.vertices.view(complex).ravel()
-    p0 = verts[a.ends[:, 0]]
-    p1 = verts[np.where(finite, a.ends[:, 1], a.ends[:, 0])]
-    c = np.where(finite, 0.5 * (p0 + p1), p0)
-    # degenerate ridges have NaN directions; they weigh 0 and any unit will do
-    u = np.where(usable | ~finite, a.dirs.view(complex).ravel(), 1.0)
+    c, e, b = mirror_terms(a, slice(None))
 
     g = np.fromiter(chain.from_iterable(known[k] for k in range(n)), float, 2 * n)
     g = g.view(complex)
     w = np.where(finite, 0.0, 1.0)
     length = a.lengths[usable]
     w[usable] = length / (length + np.abs(g[ia] - c)[usable])
-    e = u * u
-    # (I - R) c = 2 m (m . c) with m = iu the unit normal: kept in this form
-    # the rounding of the right-hand side shifts the line but cannot tilt it
-    m = 1j * u
-    b = w * 2.0 * m * (m.real * c.real + m.imag * c.imag)
+    b = w * b
     scatter = np.concatenate((ib, ia))
 
     def forward(z):

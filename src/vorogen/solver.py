@@ -3,11 +3,13 @@
 Each ridge of the anchor cell, and each ridge between consecutive anchor
 neighbors, contributes one mirror equation
 
-    g_target - R g_source = (I - R) c
+    g_target - R g_source = (I - R) c = 2 m (m . c)
 
-where R reflects across the ridge line and c is any point on it (the right
-hand side does not depend on which point, since I - R annihilates the line
-direction). Stacking the equations over the anchor's ridges and the ring
+where R reflects across the ridge line, m is the line's unit normal and c
+is any point on it (the right hand side does not depend on which point,
+since I - R annihilates the line direction). These are the rows that
+``propagate.refine_all`` solves over every ridge, both taken from
+``mirror_terms``. Stacking them over the anchor's ridges and the ring
 ridges gives an overdetermined linear system in the anchor generator and
 its neighbor generators, solved once by Householder QR.
 """
@@ -22,7 +24,7 @@ from . import geom
 from .anchor import score_cell
 from .errors import AnchorIneligibleError, InconsistentSystemError, SingularSystemError
 from .geom import Point2
-from .tessellation import CellId, Tessellation, neighbors, ring_pairs
+from .tessellation import CellId, RidgeArrays, Tessellation
 
 # smallest singular value below this fraction of the largest means rank deficient
 RANK_REL_TOL = 1e-8
@@ -74,22 +76,36 @@ class PatchSolution:
         return self.smax / self.smin if self.smin > 0.0 else float("inf")
 
 
-def _mirror_equation(
-    mat: np.ndarray, rhs: np.ndarray, row: int, src: int, dst: int, r: geom.Reflector2, c
-) -> None:
-    # g_dst - R g_src = (I - R) c, written into rows `row` and `row + 1`
-    mat[row, 2 * dst] = 1.0
-    mat[row + 1, 2 * dst + 1] = 1.0
-    mat[row, 2 * src] -= r.m00
-    mat[row, 2 * src + 1] -= r.m01
-    mat[row + 1, 2 * src] -= r.m10
-    mat[row + 1, 2 * src + 1] -= r.m11
-    rhs[row] = c[0] - (r.m00 * c[0] + r.m01 * c[1])
-    rhs[row + 1] = c[1] - (r.m10 * c[0] + r.m11 * c[1])
+def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mirror equation ``g_b - R g_a = (I - R) c`` of ridges ``rids``.
+
+    Points are complex numbers x + iy: the reflection across a line through
+    the origin with unit direction u is z -> u^2 conj(z). Returns, one entry
+    per ridge, c (the segment midpoint or the ray origin), e = u^2 and the
+    right-hand side b = 2 m (m . c), m = iu being the unit normal. Kept in
+    that form, the rounding of the right-hand side shifts the line but
+    cannot tilt it. A degenerate ridge has no direction; u = 1 stands in.
+    """
+    ends = a.ends[rids]
+    finite = ends[:, 1] >= 0
+    verts = a.vertices.view(complex).ravel()
+    p0 = verts[ends[:, 0]]
+    p1 = verts[np.where(finite, ends[:, 1], ends[:, 0])]
+    c = np.where(finite, 0.5 * (p0 + p1), p0)
+    u = np.where(a.degenerate[rids], 1.0, a.dirs[rids].view(complex).ravel())
+    m = 1j * u
+    return c, u * u, 2.0 * m * (m.real * c.real + m.imag * c.imag)
 
 
 def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
-    """Build the patch system for ``anchor``; the anchor must be eligible."""
+    """Build the patch system for ``anchor``; the anchor must be eligible.
+
+    Its rows are the global mirror rows (``mirror_terms``) of the anchor's
+    ridges, in its CCW boundary order, then of its ring ridges: the ridge
+    joining each two consecutive neighbours, where one does. Raises
+    DegenerateRidgeError for a degenerate ring ridge and ValueError for a
+    ray whose direction is not unit length.
+    """
     score = score_cell(t, anchor)
     if not score.eligible:
         raise AnchorIneligibleError(
@@ -97,45 +113,47 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
             f" degree={score.degree},"
             f" max parallelism={score.max_pairwise_parallelism:.3g})"
         )
-    nb = neighbors(t, anchor)
-    members: list[CellId] = [anchor]
-    block: dict[CellId, int] = {anchor: 0}
-    for cid, _ in nb:
-        if cid not in block:
-            block[cid] = len(members)
-            members.append(cid)
-    ring = ring_pairs(t, anchor)
-    n_eq = len(nb) + len(ring)
-    mat = np.zeros((2 * n_eq, 2 * len(members)))
-    rhs = np.zeros(2 * n_eq)
-    row_pairs: list[tuple[CellId, CellId]] = []
-    row = 0
-    for cid, rid in nb:
-        line = t.ridge_line(rid)
-        _mirror_equation(
-            mat, rhs, row, block[anchor], block[cid],
-            geom.reflector_from_dir(line.dir), t.ridge_point(rid),
-        )
-        row_pairs.append((anchor, cid))
-        row += 2
-    for bx, by, line in ring:
-        rid = t.ridge_between(bx, by)
-        _mirror_equation(
-            mat, rhs, row, block[bx], block[by],
-            geom.reflector_from_dir(line.dir), t.ridge_point(rid),
-        )
-        row_pairs.append((bx, by))
-        row += 2
+    a = t.arrays
+    lo, hi = a.cell_start[anchor], a.cell_start[anchor + 1]
+    nb = a.cell_nbrs[lo:hi]
+    nxt = np.concatenate((nb[1:], nb[:1]))
+    ring = a.pair_ridge(nb, nxt)
+    has = ring >= 0
+    src = np.concatenate((np.full(len(nb), anchor), nb[has]))
+    dst = np.concatenate((nb, nxt[has]))
+    rids = np.concatenate((a.cell_ridges[lo:hi], ring[has]))
+    bad = a.degenerate[rids]
+    if bad.any():
+        t.ridge_line(int(rids[np.argmax(bad)]))  # raises DegenerateRidgeError
+    u = a.dirs[rids]  # geom.is_unit, row by row
+    off = ~(np.abs(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] - 1.0) <= geom.UNIT_TOL)
+    if off.any():
+        x, y = u[np.argmax(off)].tolist()
+        raise ValueError(f"direction ({x}, {y}) is not unit length")
+    members = tuple(dict.fromkeys([anchor, *nb.tolist()]))
+    block = {cell: j for j, cell in enumerate(members)}
+    s = 2 * np.array([block[cell] for cell in src.tolist()], np.intp)
+    d = 2 * np.array([block[cell] for cell in dst.tolist()], np.intp)
+    _, e, b = mirror_terms(a, rids)
+    # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
+    row = 2 * np.arange(len(rids))
+    mat = np.zeros((2 * len(rids), 2 * len(members)))
+    mat[row, d] = 1.0
+    mat[row + 1, d + 1] = 1.0
+    mat[row, s] -= e.real
+    mat[row, s + 1] -= e.imag
+    mat[row + 1, s] -= e.imag
+    mat[row + 1, s + 1] += e.real
     return PatchSystem(
         anchor=anchor,
-        members=tuple(members),
+        members=members,
         matrix=mat,
-        rhs=rhs,
-        row_pairs=tuple(row_pairs),
+        rhs=b.view(float),
+        row_pairs=tuple(zip(src.tolist(), dst.tolist())),
     )
 
 
-def solve_patch(system: PatchSystem, check_consistency: bool = True) -> PatchSolution:
+def solve_patch(system: PatchSystem) -> PatchSolution:
     """Least-squares solve of the patch system via QR.
 
     Raises SingularSystemError when the system is rank deficient (for example
@@ -166,7 +184,7 @@ def solve_patch(system: PatchSystem, check_consistency: bool = True) -> PatchSol
     z = np.linalg.solve(r, q.T @ rhs)
     residual = float(np.linalg.norm(mat @ z - rhs))
     bnorm = float(np.linalg.norm(rhs))
-    if check_consistency and residual > CONSISTENCY_REL_TOL * bnorm:
+    if residual > CONSISTENCY_REL_TOL * bnorm:
         raise InconsistentSystemError(
             f"patch around cell {system.anchor} has least-squares residual"
             f" {residual:.3e} > {CONSISTENCY_REL_TOL:g} * ||b|| = "

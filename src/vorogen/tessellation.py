@@ -124,30 +124,6 @@ class Tessellation:
             )
         return RidgeLine(self.vertices[self.ridges[rid].v0], UnitVec2._make(a.dirs[rid].tolist()))
 
-    def ridge_length(self, rid: RidgeId) -> float:
-        return float(self.arrays.lengths[rid])
-
-    def ridge_point(self, rid: RidgeId) -> Point2:
-        """A point on the ridge line: segment midpoint or ray origin."""
-        r = self.ridges[rid]
-        if r.is_finite:
-            a = self.vertices[r.v0]
-            b = self.vertices[r.v1]
-            return Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-        return self.vertices[r.v0]
-
-    def ridge_between(self, a: CellId, b: CellId) -> Optional[RidgeId]:
-        """The lowest-id ridge joining cells ``a`` and ``b``, or None."""
-        nc = len(self.cells)
-        if not (0 <= a < nc and 0 <= b < nc):
-            return None
-        keys = self.arrays.pair_keys
-        key = min(a, b) * nc + max(a, b)
-        i = int(keys.searchsorted(key))
-        if i < len(keys) and keys[i] == key:
-            return int(self.arrays.pair_ridges[i])
-        return None
-
     def vertex_ridges(self, v: VertexId) -> tuple[RidgeId, ...]:
         """Ridges ending at vertex ``v``, ascending."""
         a = self.arrays
@@ -170,7 +146,7 @@ class RidgeArrays:
     ``cell_start[c]:cell_start[c + 1]`` in CCW order, each entry with its
     ridge id and the cell across that ridge; a second one lists the ridges
     ending at each vertex, ascending. Ridges are also indexed by their cell
-    pair, as the sorted key ``min * C + max``.
+    pair, as the sorted key ``min * C + max``, which ``pair_ridge`` searches.
 
     Ids are int32, which halves the index arrays every tessellation keeps;
     arithmetic on ids that can pass 2**31 must widen them first.
@@ -194,6 +170,14 @@ class RidgeArrays:
     @property
     def finite(self) -> np.ndarray:
         return self.ends[:, 1] >= 0
+
+    def pair_ridge(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """The lowest-id ridge joining cells ``c1[i]`` and ``c2[i]``, or -1
+        where no ridge joins them."""
+        keys = self.pair_keys
+        query = np.minimum(c1, c2).astype(np.int64) * len(self.bounded) + np.maximum(c1, c2)
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return np.where(keys[pos] == query, self.pair_ridges[pos], -1)
 
 
 def _ridge_arrays(t: Tessellation) -> RidgeArrays:
@@ -269,32 +253,6 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         ),
         vertex_ridges=np.repeat(rids, 2)[incident][by_vertex].astype(np.int32),
     )
-
-
-def neighbors(t: Tessellation, c: CellId) -> list[tuple[CellId, RidgeId]]:
-    """Adjacent cells of ``c`` with the shared ridge, in the cell's CCW ridge order."""
-    return [(t.ridges[rid].other_cell(c), rid) for rid in t.cells[c].ridges]
-
-
-def ring_pairs(t: Tessellation, anchor: CellId) -> list[tuple[CellId, CellId, RidgeLine]]:
-    """Consecutive-neighbor pairs around a bounded anchor that share a ridge.
-
-    Pairs whose two cells only touch at a vertex (valence > 3) are omitted,
-    so the result can be shorter than the anchor's degree.
-    """
-    cell = t.cells[anchor]
-    if not cell.bounded:
-        raise ValueError(f"anchor cell {anchor} is not bounded")
-    nb = neighbors(t, anchor)
-    k = len(nb)
-    out = []
-    for i in range(k):
-        bx = nb[i][0]
-        by = nb[(i + 1) % k][0]
-        rid = t.ridge_between(bx, by)
-        if rid is not None:
-            out.append((bx, by, t.ridge_line(rid)))
-    return out
 
 
 # -- validation ---------------------------------------------------------------

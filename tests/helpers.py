@@ -208,8 +208,10 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
         except DegenerateRidgeError:
             degenerate = True
             continue
-        if t.ridges[rid].is_finite:
-            lengths.append(t.ridge_length(rid))
+        r = t.ridges[rid]
+        if r.is_finite:
+            p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
+            lengths.append(math.hypot(p1.x - p0.x, p1.y - p0.y))
     min_sin, max_sin = 1.0, 0.0
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
@@ -228,8 +230,9 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
         d = math.hypot(cx - 0.5 * (x0 + x1), cy - 0.5 * (y0 + y1))
         centrality = min(1.0, d / (0.5 * t.diameter()))
     nb = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
+    pairs = {frozenset(r.cells) for r in t.ridges}
     has_ring = cell.bounded and any(
-        t.ridge_between(nb[i], nb[(i + 1) % len(nb)]) is not None for i in range(len(nb))
+        frozenset((nb[i], nb[(i + 1) % len(nb)])) in pairs for i in range(len(nb))
     )
     spread = max(0.0, min(1.0, min_sin))
     eligible = cell.bounded and not degenerate and max_sin > PARALLEL_TOL and has_ring

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import max_cell_error
 from vorogen.anchor import select_anchor
-from vorogen.baselines import brute_force_all, c_prime_all, c_prime_cell
+from vorogen.baselines import _delta_weights, brute_force_all, c_prime_all, c_prime_cell
 from vorogen.errors import NoEligibleAnchorError, UnderdeterminedError
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2, unit_vec
@@ -95,11 +95,8 @@ def test_c_prime_weights_are_a_convex_combination(diamond):
     assert est.estimate.y == pytest.approx(ey, abs=1e-12)
 
 
-def test_c_prime_zero_eps_gives_uniform_weights(diamond):
-    t, _ = diamond
-    est = c_prime_cell(t, 4, perturb_eps=0.0)
-    assert est.weights == [0.25, 0.25, 0.25, 0.25]
-    assert (est.estimate.x, est.estimate.y) == pytest.approx((1.0, 1.0), abs=1e-8)
+def test_insensitive_pairs_give_uniform_weights():
+    assert _delta_weights([0.0] * 4) == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_c_prime_rejects_unbounded_cell(diamond):

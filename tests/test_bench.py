@@ -167,13 +167,14 @@ def test_export_csv_writes_header_and_rows(tmp_path):
     assert lines[2].startswith("200,5,anchor,")
 
 
-def test_export_csv_append_writes_header_once(tmp_path):
+def test_export_csv_replaces_an_existing_file(tmp_path):
     path = tmp_path / "out.csv"
-    export_csv([_stub_row()], path, append=True)
-    export_csv([_stub_row(n=500)], path, append=True)
+    export_csv([_stub_row(), _stub_row(n=200)], path)
+    export_csv([_stub_row(n=500)], path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines.count(CSV_HEADER) == 1
-    assert len(lines) == 3
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2
+    assert lines[1].startswith("500,5,anchor,")
 
 
 def test_export_csv_round_trips_values(tmp_path):

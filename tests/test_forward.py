@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from vorogen.errors import ConstructionError
@@ -101,9 +102,67 @@ def test_cocircular_square_raises_and_jitter_repairs():
     assert all(len(t.vertex_ridges(v)) == 3 for v in range(len(t.vertices)))
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_lattice_raises_construction_error(k):
+    """Each unit square of a k x k lattice is a cocircular group; the build
+    names all of them instead of making flat hull triangles."""
+    pts = tuple(Point2(float(i), float(j)) for i in range(k) for j in range(k))
+    with pytest.raises(ConstructionError) as exc:
+        build_voronoi(SiteSample(pts, float(k), None))
+    squares = {(k * i + j, k * i + j + 1, k * (i + 1) + j, k * (i + 1) + j + 1)
+               for i in range(k - 1) for j in range(k - 1)}
+    assert set(exc.value.site_groups) == squares
+
+
+@pytest.mark.parametrize("extra", [(0.5, 1.0), (5.0, 1e-9), (2.0, -3.0), (-1.0, 0.5)])
+def test_collinear_sites_plus_one_match_qhull(extra):
+    """Five sites on a line and one off it: points inserted on a hull edge's
+    line but outside the edge leave that edge alone, so the diagram builds."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = tuple(Point2(float(i), 0.0) for i in range(5)) + (Point2(*extra),)
+    t, _ = build_voronoi(SiteSample(pts, 5.0, None))
+    assert validate(t) == []
+    theirs = sorted(tuple(sorted(p)) for p in spatial.Voronoi(pts).ridge_points.tolist())
+    assert sorted(r.cells for r in t.ridges) == theirs
+
+
+# SHA-256 of sample_sites' points as little-endian float64, recorded when
+# sample_sites still resampled clashing points itself; it found none here
+SAMPLE_DIGESTS = {
+    (10_000, 0): "6b3c32213d41fe3b",
+    (10_000, 1): "e98303054d55fa2b",
+    (10_000, 2): "a02a3a88b7076baf",
+    (10_000, 3): "2e44c4290334532a",
+    (10_000, 4): "93637b6fa3c97db7",
+    (10_000, 5): "c9dd4901c17911f0",
+    (100_000, 0): "3ef7aa3efe3c89a4",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(SAMPLE_DIGESTS))
+def test_sample_sites_keeps_its_bits(n, seed):
+    points = sample_sites(n, seed).points
+    digest = hashlib.sha256(np.asarray(points, "<f8").tobytes()).hexdigest()[:16]
+    assert digest == SAMPLE_DIGESTS[(n, seed)]
+
+
 def test_jitter_is_identity_on_generic_input():
     sample = sample_sites(40, seed=11)
     assert jitter_degenerate(sample, 1e-9) is sample
+
+
+def test_jitter_repairs_duplicate_sites():
+    """``sample_sites`` leaves a near-duplicate pair to the build's retry."""
+    pts = list(sample_sites(40, seed=11).points)
+    pts[5] = Point2(pts[3].x + 1e-13, pts[3].y)
+    sample = SiteSample(tuple(pts), math.sqrt(40), seed=11)
+    with pytest.raises(ConstructionError) as exc:
+        build_voronoi(sample)
+    assert exc.value.site_groups == ((5,),)
+    jittered = jitter_degenerate(sample, 1e-9)
+    assert [i for i, (p, q) in enumerate(zip(pts, jittered.points)) if p != q] == [5]
+    t, _ = build_voronoi(jittered)
+    assert validate(t) == []
 
 
 def test_jitter_eps_zero_keeps_degenerate_input():

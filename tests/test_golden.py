@@ -69,16 +69,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "92b39f3571e8bd63", "brute": "59b3e6ba02f678ea", "cprime": "614fe166838a028d"},
-    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "4c0d2d3603ed1414", "brute": "53d4f8d601282062", "cprime": "e59ad023e6fa1237"},
-    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "9bad9cbe7db2f034", "brute": "c900116803f62c0a", "cprime": "9bcb071e498ab67b"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "a8310147253f3a95", "brute": "783ffe6a13cb5cdf", "cprime": "7f6a8f18954ba7b8"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "604f5407fb269745", "brute": "cf51fd9edf33e170", "cprime": "c6cc81f71fd72de1"},
-    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "ecc9b3659cafde12", "brute": "09914d820095003f", "cprime": "a6f6111c7bdbb647"},
-    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "bd37d51db3003c9f", "brute": "8967b02801188803", "cprime": "afc13a97385a4b77"},
-    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "8e120cc1cf8991a7", "brute": "1633373f0bece497", "cprime": "19bd79db95b70505"},
-    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "20d99cee00508904", "brute": "82c062dc2dc5beaa", "cprime": "1b59711072d29e2b"},
-    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "8aae8b4cacf04ff4", "brute": "f29dd91c02721c25", "cprime": "29c3481cc1584aed"},
+    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "92b39f3571e8bd63", "brute": "62c0fa71afa84951", "cprime": "614fe166838a028d"},
+    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "4c0d2d3603ed1414", "brute": "7913e4d1b99b44b6", "cprime": "e59ad023e6fa1237"},
+    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "9bad9cbe7db2f034", "brute": "4a616a6fba754331", "cprime": "9bcb071e498ab67b"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "a8310147253f3a95", "brute": "74bbedf0d2ec8763", "cprime": "7f6a8f18954ba7b8"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "604f5407fb269745", "brute": "b040a34bc71fceed", "cprime": "c6cc81f71fd72de1"},
+    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "ecc9b3659cafde12", "brute": "a64c8159bc1ead89", "cprime": "a6f6111c7bdbb647"},
+    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "bd37d51db3003c9f", "brute": "b2f57b1c080a16cc", "cprime": "afc13a97385a4b77"},
+    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "8e120cc1cf8991a7", "brute": "94b285ea78cd1f82", "cprime": "19bd79db95b70505"},
+    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "20d99cee00508904", "brute": "f611b30ac8a975b3", "cprime": "1b59711072d29e2b"},
+    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "8aae8b4cacf04ff4", "brute": "a76e597709a14b52", "cprime": "29c3481cc1584aed"},
 }
 
 

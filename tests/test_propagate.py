@@ -17,13 +17,7 @@ from vorogen import geom
 from vorogen.anchor import select_anchor
 from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
 from vorogen.geom import Point2
-from vorogen.propagate import (
-    REFINE_MAX_ITER,
-    reconstruct_all,
-    refine_all,
-    reflect_into,
-    sweep,
-)
+from vorogen.propagate import REFINE_MAX_ITER, reconstruct_all, refine_all, sweep
 from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import Cell, Ridge, Tessellation
 
@@ -34,30 +28,28 @@ def _solve(t, anchor=None):
     return solve_patch(assemble_patch(t, anchor))
 
 
-# ------------------------------------------------------------- reflect_into
+# ------------------------------------------------------- single reflections
 
 
-def test_reflect_into_diamond_examples(diamond):
+def test_sweep_reflects_across_diamond_ridges(diamond):
     t, _ = diamond
-    center = Point2(1.0, 1.0)
-    # ridge 3 lies on x+y=3, ridge 0 on x+y=1
-    far = reflect_into(t, 3, center)
-    assert (far.x, far.y) == pytest.approx((2.0, 2.0), abs=1e-14)
-    near = reflect_into(t, 0, center)
-    assert (near.x, near.y) == pytest.approx((0.0, 0.0), abs=1e-14)
-    # a point on the ridge line x-y=1 stays put
-    fixed = reflect_into(t, 1, Point2(1.5, 0.5))
-    assert (fixed.x, fixed.y) == pytest.approx((1.5, 0.5), abs=1e-14)
+    # from the center cell: ridge 3 lies on x+y=3, ridge 0 on x+y=1
+    known, _ = sweep(t, {4: Point2(1.0, 1.0)})
+    assert known[3] == pytest.approx((2.0, 2.0), abs=1e-14)
+    assert known[0] == pytest.approx((0.0, 0.0), abs=1e-14)
+    # a point on ridge 1's line x-y=1 stays put in cell 1
+    known, _ = sweep(t, {4: Point2(1.5, 0.5)})
+    assert known[1] == pytest.approx((1.5, 0.5), abs=1e-14)
 
 
-def test_reflect_into_degenerate_ridge_raises():
+def test_sweep_across_degenerate_ridge_raises():
     t = Tessellation(
         [(0.0, 0.0), (0.0, 0.0)],
         [Ridge(cells=(0, 1), v0=0, v1=1)],
         [Cell(ridges=(0,), bounded=False), Cell(ridges=(0,), bounded=False)],
     )
     with pytest.raises(DegenerateRidgeError):
-        reflect_into(t, 0, Point2(1.0, 1.0))
+        sweep(t, {0: Point2(1.0, 1.0)})
 
 
 # -------------------------------------------------------------- full sweep
@@ -176,9 +168,10 @@ def _weighted_mirror_residual(t, known, warm):
         img = geom.reflect_point(known[a], t.ridge_line(rid))
         w = 1.0
         if r.is_finite:
-            length = t.ridge_length(rid)
-            mid = t.ridge_point(rid)
-            w = length / (length + math.hypot(warm[a].x - mid.x, warm[a].y - mid.y))
+            p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
+            length = math.hypot(p1.x - p0.x, p1.y - p0.y)
+            mid = (0.5 * (p0.x + p1.x), 0.5 * (p0.y + p1.y))
+            w = length / (length + math.hypot(warm[a].x - mid[0], warm[a].y - mid[1]))
         total += (w * math.hypot(known[b].x - img.x, known[b].y - img.y)) ** 2
     return math.sqrt(total)
 

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from vorogen import forward
-from vorogen.errors import OutOfRangeIdError, ParseError, UnsupportedVersionError
+from vorogen.errors import (
+    AnchorIneligibleError,
+    OutOfRangeIdError,
+    ParseError,
+    UnsupportedVersionError,
+)
 from vorogen.geom import UnitVec2, line_from_two_points, same_line
+from vorogen.solver import assemble_patch, mirror_terms
 from vorogen.tessellation import (
     Cell,
     GroundTruth,
@@ -18,8 +25,6 @@ from vorogen.tessellation import (
     dumps,
     load,
     loads,
-    neighbors,
-    ring_pairs,
     save,
     validate,
 )
@@ -134,45 +139,64 @@ def test_validate_accepts_two_site_split_bisector():
     assert dirs == [(0.0, -1.0), (0.0, 1.0)]
 
 
+def _nbrs(t, c):
+    a = t.arrays
+    return a.cell_nbrs[a.cell_start[c]:a.cell_start[c + 1]].tolist()
+
+
+def _ring(t, c):
+    """(neighbour, next neighbour, joining ridge or -1) around cell ``c``."""
+    nb = np.array(_nbrs(t, c))
+    nxt = np.roll(nb, -1)
+    return list(zip(nb.tolist(), nxt.tolist(), t.arrays.pair_ridge(nb, nxt).tolist()))
+
+
 def test_neighbors_diamond_center_ccw(diamond):
     t, _ = diamond
-    nb = neighbors(t, DIAMOND_CENTER)
-    assert [c for c, _ in nb] == [1, 3, 2, 0]
+    nb = _nbrs(t, DIAMOND_CENTER)
+    assert nb == [1, 3, 2, 0]
     assert len(nb) == len(t.cells[DIAMOND_CENTER].ridges)
 
 
 def test_neighbors_corner_includes_center(diamond):
     t, _ = diamond
-    assert DIAMOND_CENTER in [c for c, _ in neighbors(t, 0)]
+    assert DIAMOND_CENTER in _nbrs(t, 0)
 
 
 def test_ring_pairs_diamond(diamond):
     t, _ = diamond
-    pairs = ring_pairs(t, DIAMOND_CENTER)
-    assert [(a, b) for a, b, _ in pairs] == [(1, 3), (3, 2), (2, 0), (0, 1)]
+    ring = _ring(t, DIAMOND_CENTER)
+    assert [(a, b) for a, b, _ in ring] == [(1, 3), (3, 2), (2, 0), (0, 1)]
     # ring ridges lie on x=1 and y=1, each twice
-    vertical = sum(1 for _, _, line in pairs if abs(line.dir.x) < 1e-15 and line.anchor.x == 1.0)
-    horizontal = sum(1 for _, _, line in pairs if abs(line.dir.y) < 1e-15 and line.anchor.y == 1.0)
+    lines = [t.ridge_line(rid) for _, _, rid in ring]
+    vertical = sum(1 for line in lines if abs(line.dir.x) < 1e-15 and line.anchor.x == 1.0)
+    horizontal = sum(1 for line in lines if abs(line.dir.y) < 1e-15 and line.anchor.y == 1.0)
     assert vertical == 2 and horizontal == 2
 
 
 def test_ring_pairs_missing_pair_is_omitted(diamond_missing_ring):
     t, _ = diamond_missing_ring
-    pairs = ring_pairs(t, DIAMOND_CENTER)
-    assert [(a, b) for a, b, _ in pairs] == [(3, 2), (2, 0), (0, 1)]
+    ring = _ring(t, DIAMOND_CENTER)
+    assert [(a, b) for a, b, rid in ring if rid >= 0] == [(3, 2), (2, 0), (0, 1)]
+    assert ring[0] == (1, 3, -1)
 
 
 def test_ring_pairs_generic_count_equals_degree(built):
     _, t, _ = built(100, 1)
     for c, cell in enumerate(t.cells):
         if cell.bounded:
-            assert len(ring_pairs(t, c)) == len(cell.ridges)
+            ring = _ring(t, c)
+            assert len(ring) == len(cell.ridges)
+            assert all(rid >= 0 for _, _, rid in ring)
 
 
 def test_ring_pairs_rejects_unbounded_anchor(diamond):
+    """Corner cell 0 has a ring ridge (between cells 1 and 4), yet an
+    unbounded cell anchors no patch."""
     t, _ = diamond
-    with pytest.raises(ValueError):
-        ring_pairs(t, 0)
+    assert any(rid >= 0 for _, _, rid in _ring(t, 0))
+    with pytest.raises(AnchorIneligibleError):
+        assemble_patch(t, 0)
 
 
 def test_neighbor_order_invariant_under_ridge_list_rotation(diamond):
@@ -181,8 +205,8 @@ def test_neighbor_order_invariant_under_ridge_list_rotation(diamond):
     rot = cells[4].ridges[1:] + cells[4].ridges[:1]
     cells[4] = Cell(ridges=rot, bounded=True)
     t2 = Tessellation(vertices, ridges, cells)
-    nb1 = [c for c, _ in neighbors(t, 4)]
-    nb2 = [c for c, _ in neighbors(t2, 4)]
+    nb1 = _nbrs(t, 4)
+    nb2 = _nbrs(t2, 4)
     assert nb2 == nb1[1:] + nb1[:1]  # same cycle, rotated start
 
 
@@ -191,12 +215,11 @@ def test_ridge_line_and_point(diamond):
     # ridge 3 lies on x+y=3
     line = t.ridge_line(3)
     assert abs(line.dir.x + line.dir.y) < 1e-15
-    mid = t.ridge_point(3)
-    assert mid == Point2(1.5, 1.5)
-    # ray ridges anchor at their vertex
-    assert t.ridge_point(5) == Point2(2.0, 1.0)
-    assert t.ridge_length(5) == math.inf
-    assert t.ridge_length(3) == pytest.approx(math.sqrt(2.0))
+    # the mirror equation's point on the line: segment midpoint, ray origin
+    c, _, _ = mirror_terms(t.arrays, np.array([3, 5]))
+    assert c.tolist() == [1.5 + 1.5j, 2.0 + 1.0j]
+    assert t.arrays.lengths[5] == math.inf
+    assert t.arrays.lengths[3] == pytest.approx(math.sqrt(2.0))
 
 
 def test_ridge_arrays_match_scalar_geometry(built):
@@ -212,11 +235,9 @@ def test_ridge_arrays_match_scalar_geometry(built):
         assert tuple(a.dirs[rid]) == line.dir
         assert tuple(a.vertices[a.ends[rid, 0]]) == line.anchor
         assert t.ridge_line(rid) == line
-    # the scalar accessors hand out Python floats, not numpy scalars
+    # the scalar accessor hands out Python floats, not numpy scalars
     line = t.ridge_line(0)
     assert all(type(v) is float for v in (*line.anchor, *line.dir))
-    assert all(type(v) is float for v in t.ridge_point(0))
-    assert type(t.ridge_length(0)) is float
 
 
 def test_ridge_arrays_csr_follows_cell_order(diamond):
@@ -225,7 +246,8 @@ def test_ridge_arrays_csr_follows_cell_order(diamond):
     for c, cell in enumerate(t.cells):
         lo, hi = a.cell_start[c], a.cell_start[c + 1]
         assert a.cell_ridges[lo:hi].tolist() == list(cell.ridges)
-        assert a.cell_nbrs[lo:hi].tolist() == [nc for nc, _ in neighbors(t, c)]
+        nbrs = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
+        assert a.cell_nbrs[lo:hi].tolist() == nbrs
 
 
 @pytest.mark.parametrize(
@@ -249,8 +271,15 @@ def test_ridge_arrays_reject_out_of_range_ids(cells, v0, cell_ridges, words):
 
 def test_ridge_between_is_symmetric(diamond):
     t, _ = diamond
-    assert t.ridge_between(0, 4) == t.ridge_between(4, 0) == 0
-    assert t.ridge_between(0, 3) is None
+    assert t.arrays.pair_ridge(np.array([0, 4, 0]), np.array([4, 0, 3])).tolist() == [0, 0, -1]
+
+
+def test_ridge_between_takes_the_lowest_id():
+    """Two ridges join cells 0 and 1 (a bisector split into opposite rays)."""
+    sample = forward.SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None)
+    t, _ = forward.build_voronoi(sample)
+    assert [r.cells for r in t.ridges] == [(0, 1), (0, 1)]
+    assert t.arrays.pair_ridge(np.array([1, 0]), np.array([0, 1])).tolist() == [0, 0]
 
 
 def test_vertex_ridges(diamond):
