@@ -7,9 +7,11 @@ d + 1 only through ridges from layer-d cells, never sideways within a layer,
 so every cell's depth equals its ridge distance from the patch. A cell with
 several incoming ridges takes the reflection through the first one found.
 
-Each reflection takes its ridge direction from two stored vertices, so the
-sweep's rounding error grows with depth. ``refine_all`` then re-solves the
-mirror equations of every ridge at once, warm-started from the sweep.
+Each reflection is the ridge's mirror map g -> R g + b, with the terms of
+``solver.mirror_terms`` that the patch and ``refine_all`` use too. Its
+direction comes from two stored vertices, so the sweep's rounding error
+grows with depth. ``refine_all`` then re-solves the mirror equations of
+every ridge at once, warm-started from the sweep.
 """
 
 from __future__ import annotations
@@ -63,14 +65,16 @@ def sweep(
     being ``known``. A layer is found by one gather over the CSR boundary
     index of the previous one, in discovery order (source cells ascending,
     each in its boundary order). Each new cell is the mirror image of its
-    first incoming source across their shared ridge, reflected as one array
-    operation per layer, so every generator is the one a per-cell loop in
-    that order would give. Raises UnreachableCellsError, naming ``origin``,
+    first incoming source across their shared ridge, R g + b from
+    ``mirror_terms``, reflected as one array operation per layer, so every
+    generator is the one a per-cell loop in that order would give. Raises UnreachableCellsError, naming ``origin``,
     when the ridge graph does not connect every cell to a known one.
     """
     a = t.arrays
     n = len(t.cells)
     start = a.cell_start
+    _, e, b = mirror_terms(a, slice(None))
+    er, ei, br, bi = e.real, e.imag, b.real, b.imag
     xy = np.zeros((n, 2))
     depth = np.full(n, -1)
     seeds = np.fromiter(known, np.intp, len(known))
@@ -95,7 +99,11 @@ def sweep(
         bad = a.degenerate[rid]
         if bad.any():
             t.ridge_line(int(rid[np.argmax(bad)]))  # raises DegenerateRidgeError
-        xy[cells] = _reflect(xy[src], a.vertices[a.ends[rid, 0]], a.dirs[rid])
+        # g -> e conj(g) + b in real arithmetic: a complex product could be
+        # rounded differently on another CPU
+        x, y = xy[src, 0], xy[src, 1]
+        xy[cells, 0] = er[rid] * x + ei[rid] * y + br[rid]
+        xy[cells, 1] = ei[rid] * x - er[rid] * y + bi[rid]
         depth[cells] = d + 1
         layers.append((cells, src, rid, fan_in))
         current = cells
@@ -120,13 +128,6 @@ def sweep(
         candidates=candidates,
     )
     return dict(zip(finished, points)), trace
-
-
-def _reflect(p: np.ndarray, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise ``geom.reflect_point``, with the same operations in the same order."""
-    t = (p[:, 0] - anchor[:, 0]) * u[:, 0] + (p[:, 1] - anchor[:, 1]) * u[:, 1]
-    foot = anchor + t[:, None] * u
-    return 2.0 * foot - p
 
 
 def reconstruct_all(

@@ -85,6 +85,11 @@ def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarr
     right-hand side b = 2 m (m . c), m = iu being the unit normal. Kept in
     that form, the rounding of the right-hand side shifts the line but
     cannot tilt it. A degenerate ridge has no direction; u = 1 stands in.
+
+    e is formed from separately rounded real products: numpy's complex
+    product rounds differently on some SIMD paths, which would make the
+    reflections depend on the CPU. The products that form c and b have a
+    factor with a zero part, so they round the same on every path.
     """
     ends = a.ends[rids]
     finite = ends[:, 1] >= 0
@@ -93,8 +98,11 @@ def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarr
     p1 = verts[np.where(finite, ends[:, 1], ends[:, 0])]
     c = np.where(finite, 0.5 * (p0 + p1), p0)
     u = np.where(a.degenerate[rids], 1.0, a.dirs[rids].view(complex).ravel())
+    e = np.empty_like(u)
+    e.real = u.real * u.real - u.imag * u.imag
+    e.imag = u.real * u.imag + u.imag * u.real
     m = 1j * u
-    return c, u * u, 2.0 * m * (m.real * c.real + m.imag * c.imag)
+    return c, e, 2.0 * m * (m.real * c.real + m.imag * c.imag)
 
 
 def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:

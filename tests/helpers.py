@@ -13,15 +13,7 @@ import numpy as np
 
 from vorogen.anchor import composite_score
 from vorogen.errors import DegenerateRidgeError
-from vorogen.geom import (
-    PARALLEL_TOL,
-    Point2,
-    Reflector2,
-    UnitVec2,
-    reflect_point,
-    reflector_from_dir,
-    unit_vec,
-)
+from vorogen.geom import PARALLEL_TOL, Point2, reflect_point, unit_vec
 from vorogen.solver import PatchSystem
 from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
 
@@ -120,16 +112,12 @@ def mirror_system(members, equations) -> PatchSystem:
     rhs = np.zeros(2 * len(equations))
     pairs = []
     for row, (src, dst, direction, c) in enumerate(equations):
-        r: Reflector2 = reflector_from_dir(unit_vec(*direction))
-        s, d = index[src], index[dst]
-        mat[2 * row, 2 * d] = 1.0
-        mat[2 * row + 1, 2 * d + 1] = 1.0
-        mat[2 * row, 2 * s] -= r.m00
-        mat[2 * row, 2 * s + 1] -= r.m01
-        mat[2 * row + 1, 2 * s] -= r.m10
-        mat[2 * row + 1, 2 * s + 1] -= r.m11
-        rhs[2 * row] = c[0] - (r.m00 * c[0] + r.m01 * c[1])
-        rhs[2 * row + 1] = c[1] - (r.m10 * c[0] + r.m11 * c[1])
+        d = np.array(unit_vec(*direction))
+        r = 2.0 * np.outer(d, d) - np.eye(2)
+        i, j = 2 * index[src], 2 * index[dst]
+        mat[2 * row:2 * row + 2, j:j + 2] = np.eye(2)
+        mat[2 * row:2 * row + 2, i:i + 2] -= r
+        rhs[2 * row:2 * row + 2] = c - r @ c
         pairs.append((src, dst))
     return PatchSystem(
         anchor=members[0], members=tuple(members), matrix=mat, rhs=rhs, row_pairs=tuple(pairs)
@@ -246,10 +234,32 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
     )
 
 
-def sweep_reference(t: Tessellation, known: dict):
+def mirror_step(t: Tessellation, rid: int, g) -> Point2:
+    """``g`` reflected across ridge ``rid`` as R g + b, R = 2 u u^T - I and
+    b = 2 m (m . c), from the ridge's own vertices and ``ridge_line``
+    direction u, with the float operations of ``propagate.sweep``."""
+    ux, uy = t.ridge_line(rid).dir
+    r = t.ridges[rid]
+    p0 = t.vertices[r.v0]
+    cx, cy = p0
+    if r.is_finite:
+        p1 = t.vertices[r.v1]
+        cx, cy = 0.5 * (p0.x + p1.x), 0.5 * (p0.y + p1.y)
+    ex, ey = ux * ux - uy * uy, ux * uy + uy * ux
+    mx, my = -uy, ux
+    k = mx * cx + my * cy
+    return Point2(ex * g[0] + ey * g[1] + 2.0 * mx * k, ey * g[0] - ex * g[1] + 2.0 * my * k)
+
+
+def reflect_step(t: Tessellation, rid: int, g) -> Point2:
+    """``g`` reflected across ridge ``rid`` by ``geom.reflect_point``."""
+    return reflect_point(g, t.ridge_line(rid))
+
+
+def sweep_reference(t: Tessellation, known: dict, step=mirror_step):
     """Layered reflection sweep, one cell at a time, each new cell reflected
-    through its first incoming ridge: (generators, order, depth, candidates,
-    reflect_calls)."""
+    through its first incoming ridge by ``step``: (generators, order, depth,
+    candidates, reflect_calls)."""
     known = dict(known)
     depth = {c: 0 for c in known}
     order, candidates, calls = [], {}, 0
@@ -266,7 +276,7 @@ def sweep_reference(t: Tessellation, known: dict):
             cands = incoming[nc]
             candidates[nc] = len(cands)
             src, rid = cands[0]
-            known[nc] = reflect_point(known[src], t.ridge_line(rid))
+            known[nc] = step(t, rid, known[src])
             calls += 1
             depth[nc] = depth[src] + 1
             order.append((nc, src, rid))

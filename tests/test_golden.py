@@ -3,8 +3,10 @@
 Each digest is the SHA-256 of float64 values packed little-endian, taken
 from forward builds at n = 200 and 2000, seeds 0-4. They pin, bit for bit:
 the anchor score table and the selected anchor; the sweep's generators and
-trace from a patch holding the true generators (no LAPACK call, so the
-digests hold across BLAS builds); and the brute and cprime generators. A refactor that changes any of them changes results.
+trace from a patch holding the true generators (no LAPACK call and no
+complex product, so the digests hold across BLAS builds and CPUs); and the
+brute and cprime generators. A refactor that changes any of them changes
+results.
 
 Re-record with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 change of bits is intended, and say why in CHANGES.md.
@@ -69,16 +71,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "92b39f3571e8bd63", "brute": "62c0fa71afa84951", "cprime": "614fe166838a028d"},
-    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "4c0d2d3603ed1414", "brute": "7913e4d1b99b44b6", "cprime": "e59ad023e6fa1237"},
-    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "9bad9cbe7db2f034", "brute": "4a616a6fba754331", "cprime": "9bcb071e498ab67b"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "a8310147253f3a95", "brute": "74bbedf0d2ec8763", "cprime": "7f6a8f18954ba7b8"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "604f5407fb269745", "brute": "b040a34bc71fceed", "cprime": "c6cc81f71fd72de1"},
-    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "ecc9b3659cafde12", "brute": "a64c8159bc1ead89", "cprime": "a6f6111c7bdbb647"},
-    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "bd37d51db3003c9f", "brute": "b2f57b1c080a16cc", "cprime": "afc13a97385a4b77"},
-    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "8e120cc1cf8991a7", "brute": "94b285ea78cd1f82", "cprime": "19bd79db95b70505"},
-    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "20d99cee00508904", "brute": "f611b30ac8a975b3", "cprime": "1b59711072d29e2b"},
-    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "8aae8b4cacf04ff4", "brute": "a76e597709a14b52", "cprime": "29c3481cc1584aed"},
+    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "brute": "7b2aefc6abae453b", "cprime": "4b8a3592f69b6d01"},
+    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "brute": "54f9f82915eb0786", "cprime": "723cd16eff6d0786"},
+    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "brute": "666e8070abf289ee", "cprime": "1a3843e88fda4452"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "brute": "e9a4b8b3bceacdd0", "cprime": "e451199914067479"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "brute": "05e815c3401f013d", "cprime": "72fbe062082891bc"},
+    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "brute": "26394a0911c9cd37", "cprime": "283e4b1e1dc42d60"},
+    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "brute": "66fbc7fc2ed7af1b", "cprime": "7b86e4feb0bc6a7e"},
+    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "brute": "05c2ef37f297fc42", "cprime": "7bead27e3b747908"},
+    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "brute": "2e2148ff6b495c67", "cprime": "57ec9491310faa7a"},
+    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "brute": "c37e91d91616cdec", "cprime": "7925653108aee7de"},
 }
 
 

@@ -12,7 +12,7 @@ import statistics
 
 import pytest
 
-from helpers import max_cell_error, rmse, sweep_reference
+from helpers import max_cell_error, reflect_step, rmse, sweep_reference
 from vorogen import geom
 from vorogen.anchor import select_anchor
 from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
@@ -133,6 +133,18 @@ def test_sweep_matches_loop_reference(built):
         assert trace.depth == depth
         assert trace.candidates == candidates
         assert trace.reflect_calls == calls
+
+
+def test_sweep_beats_the_reflect_point_loop(built):
+    """From the true patch generators, the mirror map R g + b loses less than
+    reflecting through the foot point on the ridge's first vertex."""
+    for seed in range(5):
+        _, t, gt = built(1000, seed)
+        members = assemble_patch(t, select_anchor(t)).members
+        known = {c: gt.generators[c] for c in members}
+        got, _ = sweep(t, known)
+        ref = sweep_reference(t, known, reflect_step)[0]
+        assert rmse(got, gt) < rmse(ref, gt)
 
 
 def test_disconnected_component_is_reported(two_diamonds):

@@ -110,6 +110,19 @@ def test_patch_rows_are_the_global_mirror_rows(diamond, built):
             assert sys_.rhs[2 * j:2 * j + 2].tolist() == [b[j].real, b[j].imag]
 
 
+def test_mirror_terms_rounds_each_real_product(built):
+    """e = u^2 is (ux ux - uy uy, ux uy + uy ux), each product rounded on its
+    own, bit for bit, whatever path numpy's complex product takes."""
+    a = built(2000, 0)[1].arrays
+    _, e, _ = mirror_terms(a, slice(None))
+    expect = []
+    for (ux, uy), bad in zip(a.dirs.tolist(), a.degenerate.tolist()):
+        if bad:
+            ux, uy = 1.0, 0.0
+        expect.append([ux * ux - uy * uy, ux * uy + uy * ux])
+    assert e.view(float).reshape(-1, 2).tolist() == expect
+
+
 def test_scaled_ring_ray_is_refused():
     """A ring ray whose direction is not unit length has no reflection."""
     vertices, ridges, cells, _ = make_diamond()
