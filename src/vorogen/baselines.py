@@ -27,7 +27,6 @@ from .propagate import sweep
 from .solver import assemble_patch, solve_patch
 from .tessellation import CellId, Tessellation
 
-DEFAULT_PERTURB_EPS = 1e-7
 # a zero-displacement (insensitive) pair gets at most this multiple of the
 # mean inverse-displacement weight
 ZERO_DELTA_WEIGHT_CAP = 10.0
@@ -73,12 +72,6 @@ def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
     return [(c, known[c], resid[c]) for c in range(len(t.cells))]
 
 
-def _rotate(d, angle: float) -> UnitVec2:
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return geom.unit_vec(d[0] * c - d[1] * s, d[0] * s + d[1] * c)
-
-
 def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     """One generator-passing ray per usable cell vertex.
 
@@ -86,7 +79,9 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     containing the extension of the outer ridge into the cell. As seen from
     A the sides bisect the angles (generator, neighbor generator) and the
     outer ridge bisects the two neighbors', so the generator direction is
-    the outer extension reflected across the wedge bisector.
+    the outer extension reflected across the wedge bisector. With points as
+    complex numbers and side directions s_a and s_b, the bisector's direction
+    squared is s_a s_b, so that reflection is z -> s_a s_b conj(z).
     """
     cell = t.cells[c]
     cell_rids = set(cell.ridges)
@@ -112,15 +107,14 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
         if not ok:
             continue
         sa, sb = side_dirs
-        if sa.x * sb.y - sa.y * sb.x < 0.0:
+        cross = sa.x * sb.y - sa.y * sb.x
+        if abs(cross) <= geom.PARALLEL_TOL:
+            continue
+        if cross < 0.0:
             sa, sb = sb, sa
-        if abs(sa.x * sb.y - sa.y * sb.x) <= geom.PARALLEL_TOL:
-            continue
-        try:
-            bis = geom.unit_vec(sa.x + sb.x, sa.y + sb.y)
-        except DegenerateRidgeError:
-            continue
-        refl = geom.reflector_from_dir(bis)
+        # e = s_a s_b, each real product rounded on its own
+        ex = sa.x * sb.x - sa.y * sb.y
+        ey = sa.x * sb.y + sa.y * sb.x
         for rid in outers:
             try:
                 d0 = t.ridge_line(rid).dir
@@ -133,8 +127,8 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
                     break
             if into is None:
                 continue
-            g = refl.apply(into)
-            rays.append(RidgeLine(a, geom.unit_vec(g.x, g.y)))
+            g = geom.unit_vec(ex * into.x + ey * into.y, ey * into.x - ex * into.y)
+            rays.append(RidgeLine(a, g))
     return rays
 
 
@@ -142,9 +136,8 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     """Angle-rotation estimate of one bounded cell's generator.
 
     Generator rays from every usable vertex are intersected pairwise; each
-    pair is weighted by the inverse of its sensitivity, measured as the mean
-    intersection displacement under +-DEFAULT_PERTURB_EPS rotations of either
-    ray. Insensitive pairs (zero displacement) are capped at 10x the mean
+    pair is weighted by the inverse of its sensitivity to the ray directions,
+    |sin theta| / (l1 + l2) (``_pair_delta``). Insensitive pairs (zero displacement) are capped at 10x the mean
     weight; when every pair is insensitive the weights are uniform. A cell
     with a ray side is unbounded whatever its flag says.
     """
@@ -194,16 +187,13 @@ def _sum(xs) -> float:
 
 
 def _pair_delta(r1: RidgeLine, r2: RidgeLine, p: Point2) -> float:
-    disp = []
-    for sign in (DEFAULT_PERTURB_EPS, -DEFAULT_PERTURB_EPS):
-        for a, b in ((RidgeLine(r1.anchor, _rotate(r1.dir, sign)), r2),
-                     (r1, RidgeLine(r2.anchor, _rotate(r2.dir, sign)))):
-            try:
-                q = geom.intersect_lines(a, b)
-                disp.append(math.hypot(q.x - p.x, q.y - p.y))
-            except NoIntersectionError:
-                disp.append(math.inf)
-    return _sum(disp) / len(disp)
+    """(l1 + l2) / |sin theta| for rays meeting at ``p`` at angle theta, l_i
+    being p's distance from ray i's anchor: turning ray i by a small angle
+    eps moves p by eps * l_i / |sin theta|."""
+    sine = r1.dir.x * r2.dir.y - r1.dir.y * r2.dir.x
+    l1 = math.hypot(p.x - r1.anchor.x, p.y - r1.anchor.y)
+    l2 = math.hypot(p.x - r2.anchor.x, p.y - r2.anchor.y)
+    return (l1 + l2) / abs(sine)
 
 
 def _delta_weights(deltas: list[float]) -> list[float]:
@@ -213,8 +203,6 @@ def _delta_weights(deltas: list[float]) -> list[float]:
         if d == 0.0:
             raw.append(0.0)
             capped.append(i)
-        elif math.isinf(d):
-            raw.append(0.0)
         else:
             raw.append(1.0 / d)
     if capped:

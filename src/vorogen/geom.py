@@ -1,8 +1,8 @@
-"""Flat 2D primitives: points, directed lines and reflection matrices.
+"""Flat 2D primitives: points, directions and lines.
 
 Everything here is an immutable value type plus pure functions, all in
-double precision. The reflection matrix across a line with unit direction
-``d`` is ``2 d d^T - I``: symmetric, involutive, determinant -1.
+double precision. The program reflects with ``solver.mirror_terms``' map
+z -> e conj(z) + b; ``reflect_point`` serves the tests as its reference.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from .errors import DegenerateRidgeError, NoIntersectionError
 # Two directions count as parallel when the |sin| of their angle falls below
 # PARALLEL_TOL. Length degeneracy cutoffs are taken relative to the diagram
 # diameter (DEGENERACY_REL) by the callers that know that diameter. A
-# direction is unit when |x^2 + y^2 - 1| <= UNIT_TOL; loading and validating a
-# ray use the same bound as reflector_from_dir, so no loaded ray is refused
-# later by the solver.
+# direction is unit when |x^2 + y^2 - 1| <= UNIT_TOL; loading, validating and
+# the ridge arrays use this one bound for a ray, so a file that loads is
+# never refused later for its ray directions.
 PARALLEL_TOL = 1e-10
 DEGENERACY_REL = 1e-12
 UNIT_TOL = 1e-12
@@ -44,18 +44,6 @@ class RidgeLine(NamedTuple):
     dir: UnitVec2
 
 
-class Reflector2(NamedTuple):
-    """Symmetric orthogonal 2x2 matrix with determinant -1."""
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-
-    def apply(self, v) -> Point2:
-        return Point2(self.m00 * v[0] + self.m01 * v[1], self.m10 * v[0] + self.m11 * v[1])
-
-
 def unit_vec(x: float, y: float) -> UnitVec2:
     """Normalize ``(x, y)``; raises DegenerateRidgeError on a zero vector."""
     # rescale by an exact power of two first: hypot of two subnormals rounds
@@ -70,14 +58,6 @@ def unit_vec(x: float, y: float) -> UnitVec2:
 
 def is_unit(v, tol: float = UNIT_TOL) -> bool:
     return abs(v[0] * v[0] + v[1] * v[1] - 1.0) <= tol
-
-
-def reflector_from_dir(d) -> Reflector2:
-    """Reflection matrix across any line whose direction is the unit vector ``d``."""
-    if not is_unit(d):
-        raise ValueError(f"direction ({d[0]}, {d[1]}) is not unit length")
-    off = 2.0 * d[0] * d[1]
-    return Reflector2(2.0 * d[0] * d[0] - 1.0, off, off, 2.0 * d[1] * d[1] - 1.0)
 
 
 def reflect_point(p, line: RidgeLine) -> Point2:

@@ -13,7 +13,7 @@ import numpy as np
 
 from vorogen.anchor import composite_score
 from vorogen.errors import DegenerateRidgeError
-from vorogen.geom import PARALLEL_TOL, Point2, reflect_point, unit_vec
+from vorogen.geom import PARALLEL_TOL, Point2, RidgeLine, intersect_lines, reflect_point, unit_vec
 from vorogen.solver import PatchSystem
 from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
 
@@ -122,6 +122,22 @@ def mirror_system(members, equations) -> PatchSystem:
     return PatchSystem(
         anchor=members[0], members=tuple(members), matrix=mat, rhs=rhs, row_pairs=tuple(pairs)
     )
+
+
+def pair_delta_reference(r1: RidgeLine, r2: RidgeLine, p, eps: float = 1e-7) -> float:
+    """Finite-difference sensitivity of the intersection ``p`` of two rays:
+    the mean displacement of p when either ray turns by +-eps, divided by
+    eps / 2, which to first order is ``baselines._pair_delta``'s closed form."""
+    disp = []
+    for angle in (eps, -eps):
+        c, s = math.cos(angle), math.sin(angle)
+        for k in (0, 1):
+            rays = [r1, r2]
+            dx, dy = rays[k].dir
+            rays[k] = RidgeLine(rays[k].anchor, unit_vec(dx * c - dy * s, dx * s + dy * c))
+            q = intersect_lines(*rays)
+            disp.append(math.hypot(q.x - p[0], q.y - p[1]))
+    return _sum(disp) / len(disp) / (eps / 2)
 
 
 def transform_tessellation(t: Tessellation, point_map, dir_map) -> Tessellation:

@@ -11,12 +11,19 @@ import math
 
 import pytest
 
-from helpers import max_cell_error
+from helpers import max_cell_error, pair_delta_reference
 from vorogen.anchor import select_anchor
-from vorogen.baselines import _delta_weights, brute_force_all, c_prime_all, c_prime_cell
-from vorogen.errors import NoEligibleAnchorError, UnderdeterminedError
+from vorogen.baselines import (
+    _delta_weights,
+    _generator_rays,
+    _pair_delta,
+    brute_force_all,
+    c_prime_all,
+    c_prime_cell,
+)
+from vorogen.errors import NoEligibleAnchorError, NoIntersectionError, UnderdeterminedError
 from vorogen.forward import SiteSample, build_voronoi
-from vorogen.geom import Point2, unit_vec
+from vorogen.geom import Point2, intersect_lines, unit_vec
 from vorogen.propagate import reconstruct_all
 from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import Cell, Ridge, Tessellation
@@ -93,6 +100,26 @@ def test_c_prime_weights_are_a_convex_combination(diamond):
     ey = sum(w * p.y for w, p in zip(est.weights, est.raw_intersections))
     assert est.estimate.x == pytest.approx(ex, abs=1e-12)
     assert est.estimate.y == pytest.approx(ey, abs=1e-12)
+
+
+def test_pair_delta_matches_finite_differences(built):
+    """The closed form equals the mean displacement of the intersection
+    under +-1e-7 ray rotations, scaled by 2 / 1e-7, on every ray pair."""
+    _, t, _ = built(200, 0)
+    cells = [c for c in range(len(t.cells)) if t.cells[c].bounded][:8]
+    pairs = 0
+    for c in cells:
+        rays = _generator_rays(t, c)
+        for i in range(len(rays)):
+            for j in range(i + 1, len(rays)):
+                try:
+                    p = intersect_lines(rays[i], rays[j])
+                except NoIntersectionError:
+                    continue
+                got = _pair_delta(rays[i], rays[j], p)
+                assert got == pytest.approx(pair_delta_reference(rays[i], rays[j], p), rel=1e-5)
+                pairs += 1
+    assert pairs >= 100
 
 
 def test_insensitive_pairs_give_uniform_weights():

@@ -19,7 +19,6 @@ from vorogen.geom import (
     is_unit,
     line_from_two_points,
     reflect_point,
-    reflector_from_dir,
     same_line,
     unit_vec,
 )
@@ -61,30 +60,6 @@ def test_reflection_involution(px, py, ax, ay, theta):
 
 @given(px=coords, py=coords, ax=coords, ay=coords, theta=angles)
 @settings(max_examples=200)
-def test_reflector_matches_reflect_point(px, py, ax, ay, theta):
-    d = direction(theta)
-    line = RidgeLine(Point2(ax, ay), d)
-    r = reflector_from_dir(d)
-    via_matrix = r.apply((px - ax, py - ay))
-    direct = reflect_point(Point2(px, py), line)
-    assert abs(via_matrix.x + ax - direct.x) <= 1e-12
-    assert abs(via_matrix.y + ay - direct.y) <= 1e-12
-
-
-@given(theta=angles)
-@settings(max_examples=200)
-def test_reflector_is_symmetric_involutive_det_minus_one(theta):
-    r = reflector_from_dir(direction(theta))
-    assert r.m01 == r.m10
-    assert r.m00 * r.m11 - r.m01 * r.m10 == pytest.approx(-1.0, abs=1e-12)
-    # R * R = I
-    assert r.m00 * r.m00 + r.m01 * r.m10 == pytest.approx(1.0, abs=1e-12)
-    assert r.m00 * r.m01 + r.m01 * r.m11 == pytest.approx(0.0, abs=1e-12)
-    assert r.m10 * r.m10 + r.m11 * r.m11 == pytest.approx(1.0, abs=1e-12)
-
-
-@given(px=coords, py=coords, ax=coords, ay=coords, theta=angles)
-@settings(max_examples=200)
 def test_reflection_preserves_distance_to_line(px, py, ax, ay, theta):
     line = RidgeLine(Point2(ax, ay), direction(theta))
     p = Point2(px, py)
@@ -101,11 +76,6 @@ def test_midpoint_of_reflection_pair_lies_on_line(px, py, ax, ay, theta):
     q = reflect_point(p, line)
     mid = Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
     assert distance_to_line(mid, line) <= 1e-12
-
-
-def test_reflector_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        reflector_from_dir(UnitVec2(1.0, 1.0))
 
 
 @given(x=coords, y=coords)

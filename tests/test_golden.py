@@ -71,16 +71,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "brute": "7b2aefc6abae453b", "cprime": "4b8a3592f69b6d01"},
-    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "brute": "54f9f82915eb0786", "cprime": "723cd16eff6d0786"},
-    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "brute": "666e8070abf289ee", "cprime": "1a3843e88fda4452"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "brute": "e9a4b8b3bceacdd0", "cprime": "e451199914067479"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "brute": "05e815c3401f013d", "cprime": "72fbe062082891bc"},
-    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "brute": "26394a0911c9cd37", "cprime": "283e4b1e1dc42d60"},
-    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "brute": "66fbc7fc2ed7af1b", "cprime": "7b86e4feb0bc6a7e"},
-    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "brute": "05c2ef37f297fc42", "cprime": "7bead27e3b747908"},
-    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "brute": "2e2148ff6b495c67", "cprime": "57ec9491310faa7a"},
-    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "brute": "c37e91d91616cdec", "cprime": "7925653108aee7de"},
+    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "brute": "7b2aefc6abae453b", "cprime": "9b3883acafe16c1f"},
+    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "brute": "54f9f82915eb0786", "cprime": "e4203956e0f6e518"},
+    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "brute": "666e8070abf289ee", "cprime": "13467d0c4884396d"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "brute": "e9a4b8b3bceacdd0", "cprime": "246f4cf5b9c6f394"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "brute": "05e815c3401f013d", "cprime": "91e46387b17a0084"},
+    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "brute": "26394a0911c9cd37", "cprime": "e72768b1d76c36dc"},
+    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "brute": "66fbc7fc2ed7af1b", "cprime": "9632fb10cd57a37e"},
+    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "brute": "05c2ef37f297fc42", "cprime": "6c08914591f4a1f5"},
+    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "brute": "2e2148ff6b495c67", "cprime": "8c89c11e8faf365f"},
+    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "brute": "c37e91d91616cdec", "cprime": "67ba0141c7f8e7b6"},
 }
 
 

@@ -341,7 +341,7 @@ def test_loads_rejects_bad_ridge_geometry():
         loads(base % '{"cells": [0, 1]}')
     with pytest.raises(ParseError, match="unit length"):
         loads(base % '{"cells": [0, 1], "ray": {"v": 0, "dir": [3, 4]}}')
-    # off unit by more than the solver's reflector_from_dir accepts
+    # off unit by more than geom.UNIT_TOL allows
     with pytest.raises(ParseError, match="unit length"):
         loads(base % '{"cells": [0, 1], "ray": {"v": 0, "dir": [1.0000000001, 0]}}')
 
