@@ -50,8 +50,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     t, gt = load(args.infile)
-    anchor_seed = args.seed if args.anchor_policy == "random" else None
-    rep = reconstruct(t, args.method, gt, anchor_seed)
+    rep = reconstruct(t, args.method, gt, args.anchor_seed)
     if args.out:
         save(t, args.out, GroundTruth(rep.generators))
     summary: dict = {"method": rep.method, "cells": len(t.cells), "depth": rep.depth}
@@ -128,8 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reconstruct", help="recover generators from a tessellation")
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
-    r.add_argument("--anchor-policy", choices=("best", "random"), default="best")
-    r.add_argument("--seed", type=int, default=0, help="seed for the random anchor policy")
+    r.add_argument(
+        "--anchor-seed",
+        type=int,
+        help="draw the anchor among the eligible cells with this seed"
+        " (default: the best-scoring cell)",
+    )
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")
     r.set_defaults(func=_cmd_reconstruct)

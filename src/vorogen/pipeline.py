@@ -72,8 +72,9 @@ def reconstruct(
     by that seed (``select_anchor``). ``brute``
     solves every eligible cell independently; ``cprime`` is the
     angle-rotation construction. Error statistics are filled in when ``gt``
-    is given. Raises OutOfRangeIdError, before any work, when a ridge or
-    cell refers to an id that does not exist.
+    is given. Raises, before any work, OutOfRangeIdError when a ridge or
+    cell refers to an id that does not exist, and InconsistentSystemError
+    for a non-finite vertex or a ray without a unit direction.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -84,7 +85,7 @@ def reconstruct(
     condition: Optional[float] = None
     iterations = 0
     t0 = time.perf_counter()
-    t.arrays  # range-checks every id
+    t.arrays  # checks every id, vertex and ray direction
     if method == "anchor":
         anchor_cell = select_anchor(t, anchor_seed)
         t1 = time.perf_counter()

@@ -8,7 +8,8 @@ neighbors, contributes one mirror equation
 where R reflects across the ridge line, m is the line's unit normal and c
 is any point on it (the right hand side does not depend on which point,
 since I - R annihilates the line direction). These are the rows that
-``propagate.refine_all`` solves over every ridge, both taken from
+``propagate.refine_all`` solves over every ridge, and g -> R g + b is the
+reflection ``propagate.sweep`` applies; all three take the terms from
 ``mirror_terms``. Stacking them over the anchor's ridges and the ring
 ridges gives an overdetermined linear system in the anchor generator and
 its neighbor generators, solved once by Householder QR.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
 from .anchor import score_cell
 from .errors import AnchorIneligibleError, InconsistentSystemError, SingularSystemError
 from .geom import Point2
@@ -111,8 +111,7 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     Its rows are the global mirror rows (``mirror_terms``) of the anchor's
     ridges, in its CCW boundary order, then of its ring ridges: the ridge
     joining each two consecutive neighbours, where one does. Raises
-    DegenerateRidgeError for a degenerate ring ridge and ValueError for a
-    ray whose direction is not unit length.
+    DegenerateRidgeError for a degenerate ring ridge.
     """
     score = score_cell(t, anchor)
     if not score.eligible:
@@ -133,11 +132,6 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     bad = a.degenerate[rids]
     if bad.any():
         t.ridge_line(int(rids[np.argmax(bad)]))  # raises DegenerateRidgeError
-    u = a.dirs[rids]  # geom.is_unit, row by row
-    off = ~(np.abs(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] - 1.0) <= geom.UNIT_TOL)
-    if off.any():
-        x, y = u[np.argmax(off)].tolist()
-        raise ValueError(f"direction ({x}, {y}) is not unit length")
     members = tuple(dict.fromkeys([anchor, *nb.tolist()]))
     block = {cell: j for j, cell in enumerate(members)}
     s = 2 * np.array([block[cell] for cell in src.tolist()], np.intp)
@@ -188,6 +182,7 @@ def solve_patch(system: PatchSystem) -> PatchSolution:
         raise SingularSystemError(
             _describe_null(system, null, rank, n), null_direction=tuple(float(v) for v in null)
         )
+    # QR, not the SVD's solution: median error 1e-14 against 2.6e-14 on brute's n = 1000 patches
     q, r = np.linalg.qr(mat)
     z = np.linalg.solve(r, q.T @ rhs)
     residual = float(np.linalg.norm(mat @ z - rhs))

@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geom
-from .errors import DegenerateRidgeError, OutOfRangeIdError, ParseError, UnsupportedVersionError
+from .errors import (
+    DegenerateRidgeError,
+    InconsistentSystemError,
+    OutOfRangeIdError,
+    ParseError,
+    UnsupportedVersionError,
+)
 from .geom import Point2, RidgeLine, UnitVec2
 
 CellId = int
@@ -104,7 +110,8 @@ class Tessellation:
         """The ridge geometry as arrays, built on first use and then kept.
 
         Raises OutOfRangeIdError when a ridge or cell refers to an id that
-        does not exist.
+        does not exist, and InconsistentSystemError for a non-finite vertex
+        or a ray whose direction is missing or not unit length.
         """
         return _ridge_arrays(self)
 
@@ -214,6 +221,9 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
             )
 
     vertices = np.fromiter(chain.from_iterable(t.vertices), float, 2 * nv).reshape(nv, 2)
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        raise InconsistentSystemError(f"vertex {bad[0]} has non-finite coordinates")
     p0 = vertices[ends[:, 0]]
     p1 = vertices[np.where(finite, ends[:, 1], ends[:, 0])]
     seg = p1 - p0
@@ -228,7 +238,9 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     dirs[degenerate] = math.nan
     for k in np.flatnonzero(~finite).tolist():
         d = t.ridges[k].ray_dir
-        dirs[k] = (math.nan, math.nan) if d is None else d
+        if d is None or not geom.is_unit(d):
+            raise InconsistentSystemError(f"ray ridge {k} has direction {d}, not a unit vector")
+        dirs[k] = d
     pair = cells[cell_ridges]
     keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
     by_pair = np.argsort(keys, kind="stable")

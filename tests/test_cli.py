@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import max_cell_error
+from vorogen.anchor import select_anchor
 from vorogen.cli import main
 from vorogen.tessellation import Tessellation, load, save
 
@@ -92,12 +93,18 @@ def test_reconstruct_baseline_methods(tess_file, tmp_path):
         assert json.loads(report.read_text())["rmse"] < bound
 
 
-def test_reconstruct_alternative_policies(tess_file):
+def test_reconstruct_alternative_policies(tess_file, tmp_path):
+    """--anchor-seed draws the anchor as the library's anchor_seed does; the
+    retired --anchor-policy is a usage error."""
+    report = tmp_path / "seeded.json"
     code = main([
         "reconstruct", "--in", str(tess_file),
-        "--anchor-policy", "random", "--seed", "3",
+        "--anchor-seed", "3", "--report", str(report),
     ])
     assert code == 0
+    t, _ = load(tess_file)
+    assert json.loads(report.read_text())["anchor"] == select_anchor(t, seed=3)
+    assert main(["reconstruct", "--in", str(tess_file), "--anchor-policy", "random"]) == 2
 
 
 def test_reconstruct_inconsistent_input_exits_4(tess_file, tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_scaled_ring_ray_is_refused():
     """A ring ray whose direction is not unit length has no reflection."""
     vertices, ridges, cells, _ = make_diamond()
     ridges[5] = Ridge(cells=(1, 3), v0=1, ray_dir=(2.0, 0.0))  # the (1, 3) ring ray
-    with pytest.raises(ValueError, match="not unit length"):
+    with pytest.raises(InconsistentSystemError, match="ray ridge 5"):
         assemble_patch(Tessellation(vertices, ridges, cells), 4)
 
 

@@ -10,11 +10,13 @@ import pytest
 from vorogen import forward
 from vorogen.errors import (
     AnchorIneligibleError,
+    InconsistentSystemError,
     OutOfRangeIdError,
     ParseError,
     UnsupportedVersionError,
 )
 from vorogen.geom import UnitVec2, line_from_two_points, same_line
+from vorogen.pipeline import METHODS, reconstruct
 from vorogen.solver import assemble_patch, mirror_terms
 from vorogen.tessellation import (
     Cell,
@@ -267,6 +269,35 @@ def test_ridge_arrays_reject_out_of_range_ids(cells, v0, cell_ridges, words):
     with pytest.raises(OutOfRangeIdError, match=words):
         t.arrays
     assert validate(t)  # validation still reports instead of raising
+
+
+def _malformed(t, kind):
+    """``t`` with its first ray's direction doubled or removed, or with
+    vertex 0's x set to NaN; such a tessellation can only be built in code."""
+    ridges, vertices = list(t.ridges), list(t.vertices)
+    k = next(rid for rid, r in enumerate(ridges) if not r.is_finite)
+    r = ridges[k]
+    if kind == "scaled ray":
+        ridges[k] = Ridge(cells=r.cells, v0=r.v0, ray_dir=(2.0 * r.ray_dir[0], 2.0 * r.ray_dir[1]))
+    elif kind == "missing ray":
+        ridges[k] = Ridge(cells=r.cells, v0=r.v0)
+    else:
+        vertices[0] = (math.nan, vertices[0].y)
+    return Tessellation(vertices, ridges, t.cells)
+
+
+@pytest.mark.parametrize(
+    "kind,words",
+    [("scaled ray", "ray ridge"), ("missing ray", "ray ridge"), ("nan vertex", "vertex 0")],
+)
+def test_malformed_geometry_is_inconsistent(built, kind, words):
+    """Every method refuses a bad ray or vertex with a typed error (exit 4)."""
+    _, t, gt = built(200, 0)
+    bad = _malformed(t, kind)
+    for method in METHODS:
+        with pytest.raises(InconsistentSystemError, match=words):
+            reconstruct(bad, method, gt)
+    assert validate(bad)  # validation still reports instead of raising
 
 
 def test_ridge_between_is_symmetric(diamond):
