@@ -137,9 +137,10 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
 
     Generator rays from every usable vertex are intersected pairwise; each
     pair is weighted by the inverse of its sensitivity to the ray directions,
-    |sin theta| / (l1 + l2) (``_pair_delta``). Insensitive pairs (zero displacement) are capped at 10x the mean
-    weight; when every pair is insensitive the weights are uniform. A cell
-    with a ray side is unbounded whatever its flag says.
+    |sin theta| / (l1 + l2) (``_pair_delta``). Insensitive pairs (zero
+    displacement) are capped at 10x the mean weight; when every pair is
+    insensitive the weights are uniform. A cell with a ray side is unbounded
+    whatever its flag says.
     """
     cell = t.cells[c]
     if not cell.bounded or not all(t.ridges[rid].is_finite for rid in cell.ridges):

@@ -127,12 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reconstruct", help="recover generators from a tessellation")
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
-    r.add_argument(
-        "--anchor-seed",
-        type=int,
-        help="draw the anchor among the eligible cells with this seed"
-        " (default: the best-scoring cell)",
-    )
+    r.add_argument("--anchor-seed", type=int, help="draw the anchor among the eligible cells"
+                   " with this seed (default: the best-scoring cell)")
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")
     r.set_defaults(func=_cmd_reconstruct)

@@ -67,8 +67,9 @@ def sweep(
     each in its boundary order). Each new cell is the mirror image of its
     first incoming source across their shared ridge, R g + b from
     ``mirror_terms``, reflected as one array operation per layer, so every
-    generator is the one a per-cell loop in that order would give. Raises UnreachableCellsError, naming ``origin``,
-    when the ridge graph does not connect every cell to a known one.
+    generator is the one a per-cell loop in that order would give. Raises
+    UnreachableCellsError, naming ``origin``, when the ridge graph does not
+    connect every cell to a known one.
     """
     a = t.arrays
     n = len(t.cells)

@@ -332,7 +332,7 @@ def _is_split_bisector(t: Tessellation, incident: dict[int, list[int]], v: Verte
     if len(rids) != 2:
         return False
     r1, r2 = (t.ridges[r] for r in rids)
-    if r1.is_finite or r2.is_finite or r1.v0 != v or r2.v0 != v:
+    if r1.is_finite or r2.is_finite or r1.v0 != v or r2.v0 != v or None in (r1.ray_dir, r2.ray_dir):
         return False
     if tuple(sorted(r1.cells)) != tuple(sorted(r2.cells)):
         return False

@@ -300,6 +300,15 @@ def test_malformed_geometry_is_inconsistent(built, kind, words):
     assert validate(bad)  # validation still reports instead of raising
 
 
+def test_validate_reports_a_split_bisector_without_direction():
+    """The 2-site diagram's two opposite rays, one without a direction."""
+    sample = forward.SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None)
+    t, _ = forward.build_voronoi(sample)
+    r = t.ridges[0]
+    bad = Tessellation(t.vertices, [Ridge(cells=r.cells, v0=r.v0), t.ridges[1]], t.cells)
+    assert "ridge 0 ray direction is not unit length" in validate(bad)
+
+
 def test_ridge_between_is_symmetric(diamond):
     t, _ = diamond
     assert t.arrays.pair_ridge(np.array([0, 4, 0]), np.array([4, 0, 3])).tolist() == [0, 0, -1]
