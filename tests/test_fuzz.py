@@ -104,11 +104,23 @@ def mutate(doc: dict, ops) -> dict:
     return doc
 
 
+# (ops, cli_method) pairs that every run tries first
+EXAMPLES = [
+    ([("flip_bounded", HULL_CELL)], "cprime"),
+    ([("flip_bounded", HULL_CELL)], "anchor"),
+    ([("rename_vertex", SHARED_VERTEX, 99999)], "anchor"),
+    ([("scale_ray", RAY_RIDGES[0], 1.0 + 1e-10)], "brute"),
+]
+
+
+def with_examples(test):
+    for ops, cli_method in reversed(EXAMPLES):
+        test = example(ops=ops, cli_method=cli_method)(test)
+    return test
+
+
 @given(ops=st.lists(mutations, min_size=1, max_size=3), cli_method=st.sampled_from(METHODS))
-@example(ops=[("flip_bounded", HULL_CELL)], cli_method="cprime")
-@example(ops=[("flip_bounded", HULL_CELL)], cli_method="anchor")
-@example(ops=[("rename_vertex", SHARED_VERTEX, 99999)], cli_method="anchor")
-@example(ops=[("scale_ray", RAY_RIDGES[0], 1.0 + 1e-10)], cli_method="brute")
+@with_examples
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_file_ends_in_typed_error(tmp_path, ops, cli_method):
     text = json.dumps(mutate(BASE, ops))

@@ -8,6 +8,12 @@ complex product, so the digests hold across BLAS builds and CPUs); and the
 brute and cprime generators. A refactor that changes any of them changes
 results.
 
+``CORPUS`` pins the file contract the same way: the outcome of ``loads``
+and ``validate`` (the error's type and message, or the full list of
+violations) on about 200 documents mutated by ``test_fuzz.mutate`` with a
+fixed seed, on its examples, and on one malformed document per
+``ParseError`` branch of ``loads``.
+
 Re-record with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 change of bits is intended, and say why in CHANGES.md.
 """
@@ -15,15 +21,20 @@ change of bits is intended, and say why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import numpy as np
 import pytest
 
+import test_fuzz
 from vorogen.anchor import score_cell, select_anchor
 from vorogen.baselines import brute_force_all, c_prime_all
+from vorogen.errors import VorogenError
 from vorogen.forward import sample_and_build
 from vorogen.propagate import reconstruct_all
 from vorogen.solver import PatchSolution, assemble_patch
+from vorogen.tessellation import loads, validate
 
 CASES = [(n, seed) for n in (200, 2000) for seed in range(5)]
 
@@ -90,6 +101,92 @@ def test_golden_digests(built, n, seed):
     assert golden_row(n, seed, t, gt) == GOLDEN[(n, seed)]
 
 
+def _random_op(rng: random.Random) -> tuple:
+    """One mutation drawn as ``test_fuzz.mutations`` draws it."""
+    f = test_fuzz
+    cell, ridge = rng.randrange(f.N_CELLS), rng.randrange(f.N_RIDGES)
+    vertex = rng.choice([rng.randint(-1, f.N_VERTICES), 99999])
+    kind = rng.choice(
+        ["flip_bounded", "drop_ridge", "repeat_ridge", "reverse_ridges", "swap_ridge_cells",
+         "empty_cell", "ridge_vertex", "rename_vertex", "scale_ray", "scale_vertex"]
+    )
+    if kind in ("flip_bounded", "reverse_ridges", "empty_cell"):
+        return (kind, cell)
+    if kind in ("drop_ridge", "repeat_ridge"):
+        return (kind, cell, rng.randint(0, 7))
+    if kind == "swap_ridge_cells":
+        return (kind, ridge, rng.randrange(f.N_RIDGES))
+    if kind == "ridge_vertex":
+        return (kind, ridge, rng.randint(0, 1), vertex)
+    if kind == "rename_vertex":
+        return (kind, rng.randrange(f.N_VERTICES), vertex)
+    if kind == "scale_ray":
+        return (kind, rng.choice(f.RAY_RIDGES), rng.choice([0.0, -1.0, 0.5, 1.0 + 1e-10, 1.0 + 1e-8, 2.0]))
+    return (kind, rng.randint(-1, f.N_VERTICES - 1), rng.choice([0.0, -1.0, 1e-9, 0.5, 2.0, 1e9]))
+
+
+_DOC = '{"version": 1, "vertices": [[0, 0], [1, 0]], "ridges": [%s], "cells": [%s]%s}'
+_RIDGE = '{"cells": [0, 1], "finite": [0, 1]}'
+_CELL = '{"ridges": [0], "bounded": false}'
+# one document per ParseError branch of ``loads``, in the order they are tested
+MALFORMED = [
+    '{"version": 1, "vertices": [[0, 0',
+    "[1, 2]",
+    '{"version": 2, "vertices": [], "ridges": [], "cells": []}',
+    '{"version": 1, "vertices": [], "cells": []}',
+    '{"version": 1, "vertices": [], "ridges": {}, "cells": []}',
+    '{"version": 1, "vertices": [[0, 0], [1]], "ridges": [], "cells": []}',
+    '{"version": 1, "vertices": [[0, true]], "ridges": [], "cells": []}',
+    '{"version": 1, "vertices": [[0, Infinity]], "ridges": [], "cells": []}',
+    _DOC % ("[]", _CELL, ""),
+    _DOC % ('{"cells": [0, 1.0], "finite": [0, 1]}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1]}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "finite": [0, 1], "ray": {}}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "finite": [0, "1"]}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "ray": {"v": 0}}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "ray": {"v": false, "dir": [0, 1]}}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "ray": {"v": 0, "dir": [0]}}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "ray": {"v": 0, "dir": [NaN, 1]}}', _CELL, ""),
+    _DOC % ('{"cells": [0, 1], "ray": {"v": 0, "dir": [0.6, 0.6]}}', _CELL, ""),
+    _DOC % (_RIDGE, "7", ""),
+    _DOC % (_RIDGE, '{"ridges": [0, null], "bounded": false}', ""),
+    _DOC % (_RIDGE, '{"ridges": [0], "bounded": 1}', ""),
+    _DOC % (_RIDGE, _CELL, ', "generators": {}'),
+    _DOC % (_RIDGE, _CELL, ', "generators": [[0, 0], [1, 1]]'),
+    _DOC % (_RIDGE, _CELL, ', "generators": [[0, "1"]]'),
+    _DOC % (_RIDGE, _CELL, ', "generators": [[-Infinity, 1]]'),
+]
+
+
+def corpus_documents() -> list[str]:
+    rng = random.Random(8)
+    ops = [[_random_op(rng) for _ in range(rng.randint(1, 3))] for _ in range(200)]
+    ops += [example_ops for example_ops, _ in test_fuzz.EXAMPLES]
+    return [json.dumps(test_fuzz.mutate(test_fuzz.BASE, o)) for o in ops] + MALFORMED
+
+
+def outcome(text: str) -> list[str]:
+    """The error ``loads`` raises, as [type, message], or ``validate``'s list."""
+    try:
+        t, _ = loads(text)
+    except VorogenError as exc:
+        return [type(exc).__name__, str(exc)]
+    return validate(t)
+
+
+def corpus_digest() -> str:
+    records = [outcome(text) for text in corpus_documents()]
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+
+
+CORPUS = "272f238817e9820a"
+
+
+def test_file_contract_corpus():
+    assert corpus_digest() == CORPUS
+
+
 if __name__ == "__main__":
     for n, seed in CASES:
         print(f"    ({n}, {seed}): {golden_row(n, seed)!r},")
+    print(f"CORPUS = {corpus_digest()!r}")
