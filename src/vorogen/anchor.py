@@ -75,7 +75,7 @@ def build_score_table(t: Tessellation) -> ScoreTable:
     before the next part starts.
     """
     a = t.arrays
-    n = len(t.cells)
+    n = t.n_cells
     degree = np.diff(a.cell_start)
     owner = np.repeat(np.arange(n), degree)
     bad = a.degenerate[a.cell_ridges]
@@ -155,7 +155,7 @@ def _centrality(t: Tessellation, degree: np.ndarray) -> np.ndarray:
     one column at a time, cells grouped by degree.
     """
     a = t.arrays
-    n = len(t.cells)
+    n = t.n_cells
     x0, y0, x1, y1 = t.bbox()
     cx = np.zeros(n)
     cy = np.zeros(n)
@@ -206,7 +206,7 @@ def select_anchor(t: Tessellation, seed: Optional[int] = None) -> CellId:
     elig = np.flatnonzero(s.eligible)
     if not len(elig):
         raise NoEligibleAnchorError(
-            f"none of the {len(t.cells)} cells is a usable anchor"
+            f"none of the {t.n_cells} cells is a usable anchor"
         )
     if seed is None:
         # argmax keeps the first maximum: ties break toward the lowest cell id

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import geom
 from .anchor import eligible_cells
 from .errors import (
@@ -69,7 +71,7 @@ def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
     known, trace = sweep(t, known, origin="any solved cell")
     for nc, src, _ in trace.order:
         resid[nc] = resid[src]
-    return [(c, known[c], resid[c]) for c in range(len(t.cells))]
+    return [(c, known[c], resid[c]) for c in range(t.n_cells)]
 
 
 def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
@@ -83,22 +85,24 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     complex numbers and side directions s_a and s_b, the bisector's direction
     squared is s_a s_b, so that reflection is z -> s_a s_b conj(z).
     """
-    cell = t.cells[c]
-    cell_rids = set(cell.ridges)
-    vids = sorted({v for rid in cell.ridges for v in t.ridges[rid].vertex_ids()})
+    arr = t.arrays
+    cell_rids = arr.cell_ridges[arr.cell_start[c] : arr.cell_start[c + 1]]
+    ends = dict(zip(cell_rids.tolist(), arr.ends[cell_rids].tolist()))
+    vids = sorted({v for pair in ends.values() for v in pair if v >= 0})
+    xy = dict(zip(vids, map(Point2._make, arr.vertices[vids].tolist())))
     rays: list[RidgeLine] = []
     for v in vids:
         incident = t.vertex_ridges(v)
-        sides = [rid for rid in incident if rid in cell_rids]
-        outers = [rid for rid in incident if rid not in cell_rids]
+        sides = [rid for rid in incident if rid in ends]
+        outers = [rid for rid in incident if rid not in ends]
         if len(sides) != 2 or not outers:
             continue
-        a = t.vertices[v]
+        a = xy[v]
         side_dirs = []
         ok = True
         for rid in sides:
-            r = t.ridges[rid]
-            w = t.vertices[r.v1 if r.v0 == v else r.v0]
+            v0, v1 = ends[rid]
+            w = xy[v1 if v0 == v else v0]
             try:
                 side_dirs.append(geom.unit_vec(w.x - a.x, w.y - a.y))
             except DegenerateRidgeError:
@@ -142,8 +146,8 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     insensitive the weights are uniform. A cell with a ray side is unbounded
     whatever its flag says.
     """
-    cell = t.cells[c]
-    if not cell.bounded or not all(t.ridges[rid].is_finite for rid in cell.ridges):
+    a = t.arrays
+    if not a.bounded[c] or not a.finite[a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]].all():
         raise UnderdeterminedError(
             f"cell {c} is unbounded; the angle construction needs a closed polygon"
         )
@@ -225,9 +229,7 @@ def c_prime_all(t: Tessellation) -> list[tuple[CellId, Point2]]:
     sweep from the estimated cells, as in the brute force.
     """
     known: dict[CellId, Point2] = {}
-    for c in range(len(t.cells)):
-        if not t.cells[c].bounded:
-            continue
+    for c in np.flatnonzero(t.arrays.bounded).tolist():
         try:
             known[c] = c_prime_cell(t, c).estimate
         except (UnderdeterminedError, DegenerateRidgeError):
@@ -235,4 +237,4 @@ def c_prime_all(t: Tessellation) -> list[tuple[CellId, Point2]]:
     if not known:
         raise UnderdeterminedError("no cell admits the angle construction")
     known, _ = sweep(t, known, origin="any estimated cell")
-    return [(c, known[c]) for c in range(len(t.cells))]
+    return [(c, known[c]) for c in range(t.n_cells)]

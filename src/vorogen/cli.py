@@ -42,8 +42,8 @@ def _cmd_generate(args) -> int:
     _, t, gt = sample_and_build(args.n, args.seed)
     save(t, args.out, gt)
     print(
-        f"wrote {args.out}: {len(t.cells)} cells, {len(t.ridges)} ridges,"
-        f" {len(t.vertices)} vertices"
+        f"wrote {args.out}: {t.n_cells} cells, {t.n_ridges} ridges,"
+        f" {t.n_vertices} vertices"
     )
     return EXIT_OK
 
@@ -53,7 +53,7 @@ def _cmd_reconstruct(args) -> int:
     rep = reconstruct(t, args.method, gt, args.anchor_seed)
     if args.out:
         save(t, args.out, GroundTruth(rep.generators))
-    summary: dict = {"method": rep.method, "cells": len(t.cells), "depth": rep.depth}
+    summary: dict = {"method": rep.method, "cells": t.n_cells, "depth": rep.depth}
     if rep.anchor is not None:
         summary["anchor"] = rep.anchor
         summary["refine_iterations"] = rep.refine_iterations

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import delaunay, geom
 from .errors import ConstructionError
-from .geom import Point2, UnitVec2
-from .tessellation import Cell, GroundTruth, Ridge, Tessellation
+from .geom import Point2
+from .tessellation import GroundTruth, Tessellation, shared_corners
 
 # Smallest jitter of sample_and_build's retry, relative to the window side;
 # the retry uses the threshold that rejected the build when that is larger.
@@ -106,29 +106,52 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
 
 def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     real = tri.real_items()
-    tv = {tid: v for v, (tid, _) in enumerate(real)}
-    vertices = [delaunay.circumcenter(pts[a], pts[b], pts[c]) for _, (a, b, c) in real]
-    ridges: list[Ridge] = []
-    for i, j in sorted(key for key in tri.edge if 0 <= key[0] < key[1]):
-        t0, t1 = sorted((tri.edge[(i, j)], tri.edge[(j, i)]))
-        # an infinite triangle's id can be lower than a real one's: test both
-        if t0 in tv and t1 in tv:
-            ridges.append(Ridge(cells=(i, j), v0=tv[t0], v1=tv[t1]))
-            continue
+    p = np.array(pts, float)
+    corners = np.array([abc for _, abc in real]).reshape(-1, 3)
+    vertices = np.column_stack(delaunay.circumcenter(*(p[corners[:, k]].T for k in range(3))))
+    keys = sorted(key for key in tri.edge if 0 <= key[0] < key[1])
+    # each ridge's two triangles, ascending, and their vertex ids; an
+    # infinite triangle's id can be lower than a real one's
+    tids = np.sort([(tri.edge[(i, j)], tri.edge[(j, i)]) for i, j in keys], axis=1)
+    real_tids = np.array([tid for tid, _ in real])
+    ends = np.minimum(np.searchsorted(real_tids, tids), len(real_tids) - 1)
+    is_real = real_tids[ends] == tids
+    finite = is_real.all(axis=1)
+    ray_dirs = np.full((len(keys), 2), math.nan)
+    for k in np.flatnonzero(~finite).tolist():
         # hull edge: ray from the circumcenter of its only real triangle,
         # perpendicular to the site pair and away from the third site
-        own = t0 if t0 in tv else t1
+        own = int(is_real[k, 1])
+        ends[k] = (ends[k, own], -1)
+        i, j = keys[k]
         gi, gj = pts[i], pts[j]
         mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
         dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
-        k = pts[next(w for w in tri.tris[own] if w != i and w != j)]
-        if dx * (k[0] - mx) + dy * (k[1] - my) > 0.0:
+        w = pts[next(w for w in tri.tris[int(tids[k, own])] if w != i and w != j)]
+        if dx * (w[0] - mx) + dy * (w[1] - my) > 0.0:
             dx, dy = -dx, -dy
-        ridges.append(Ridge(cells=(i, j), v0=tv[own], ray_dir=geom.unit_vec(dx, dy)))
-    t = Tessellation(vertices, ridges, _assemble_cells(pts, ridges))
-    bad = [ridges[rid] for rid in np.flatnonzero(t.arrays.degenerate).tolist()]
+        ray_dirs[k] = geom.unit_vec(dx, dy)
+    # a cell's ridges go by the angle of the neighbour across them, as
+    # math.atan2 gives it (np.arctan2 rounds differently)
+    ridge_cells = np.array(keys).reshape(-1, 2)
+    d = p[ridge_cells[:, ::-1].ravel()] - p[ridge_cells.ravel()]
+    angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
+    cell_start, cell_ridges = _boundaries(ridge_cells, len(pts), angle)
+    bounded = np.bincount(ridge_cells[~finite].ravel(), minlength=len(pts)) == 0
+    # an unbounded cell's chain starts just after its gap, the first entry
+    # that shares no vertex with the next
+    _, closes = shared_corners(ends, finite, cell_start, cell_ridges)
+    for c in np.flatnonzero(~bounded & (np.diff(cell_start) > 2)).tolist():
+        lo, hi = cell_start[c], cell_start[c + 1]
+        gaps = np.flatnonzero(~closes[lo:hi])
+        if len(gaps):
+            cell_ridges[lo:hi] = np.roll(cell_ridges[lo:hi], -(gaps[0] + 1))
+    t = Tessellation.from_arrays(
+        vertices, ridge_cells, ends, finite, ray_dirs, cell_start, cell_ridges, bounded
+    )
+    bad = np.flatnonzero(t.arrays.degenerate).tolist()
     if bad:
-        groups = [tuple(sorted(set(real[r.v0][1]) | set(real[r.v1][1]))) for r in bad]
+        groups = [tuple(sorted(set(corners[ends[r]].ravel().tolist()))) for r in bad]
         raise ConstructionError(
             f"cocircular degeneracy: coincident circumcenters for site groups {groups}",
             site_groups=tuple(groups),
@@ -137,39 +160,13 @@ def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     return t
 
 
-def _assemble_cells(pts, ridges: list[Ridge]) -> list[Cell]:
-    n = len(pts)
-    per_cell: list[list[int]] = [[] for _ in range(n)]
-    for rid, r in enumerate(ridges):
-        per_cell[r.cells[0]].append(rid)
-        per_cell[r.cells[1]].append(rid)
-    cells = []
-    for i in range(n):
-        rids = per_cell[i]
-        gx, gy = pts[i]
-
-        def nb_angle(rid: int, _gx=gx, _gy=gy, _i=i) -> float:
-            j = ridges[rid].other_cell(_i)
-            return math.atan2(pts[j][1] - _gy, pts[j][0] - _gx)
-
-        rids.sort(key=nb_angle)
-        has_ray = any(ridges[rid].v1 is None for rid in rids)
-        if has_ray and len(rids) > 2:
-            rids = _rotate_to_chain_start(ridges, rids)
-        cells.append(Cell(tuple(rids), bounded=not has_ray))
-    return cells
-
-
-def _rotate_to_chain_start(ridges: list[Ridge], rids: list[int]) -> list[int]:
-    """Rotate an angularly sorted ridge list so its open boundary chain starts
-    just after the gap (the one cyclic pair that shares no vertex)."""
-    m = len(rids)
-    for t in range(m):
-        r1 = ridges[rids[t]]
-        r2 = ridges[rids[(t + 1) % m]]
-        if not set(r1.vertex_ids()) & set(r2.vertex_ids()):
-            return rids[t + 1 :] + rids[: t + 1]
-    return rids
+def _boundaries(ridge_cells: np.ndarray, n: int, angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's ridges, as CSR offsets and ridge ids, ordered by ``angle``
+    (one per ridge end, as ``ridge_cells.ravel()``), ties in ridge order."""
+    owner = ridge_cells.ravel()
+    rids = np.repeat(np.arange(len(ridge_cells)), 2)
+    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    return start, rids[np.lexsort((rids, angle, owner))]
 
 
 def _collinear_voronoi(pts) -> Tessellation:
@@ -180,22 +177,21 @@ def _collinear_voronoi(pts) -> Tessellation:
     u = geom.unit_vec(p1[0] - p0[0], p1[1] - p0[1])
     w = u.perp()
     order = sorted(range(len(pts)), key=lambda i: (pts[i][0] - p0[0]) * u.x + (pts[i][1] - p0[1]) * u.y)
-    vertices: list[tuple[float, float]] = []
-    ridges: list[Ridge] = []
-    for a, b in zip(order, order[1:]):
-        mx = 0.5 * (pts[a][0] + pts[b][0])
-        my = 0.5 * (pts[a][1] + pts[b][1])
-        vid = len(vertices)
-        vertices.append((mx, my))
-        pair = (a, b) if a < b else (b, a)
-        ridges.append(Ridge(cells=pair, v0=vid, ray_dir=w))
-        ridges.append(Ridge(cells=pair, v0=vid, ray_dir=UnitVec2(-w.x, -w.y)))
-    per_cell: list[list[int]] = [[] for _ in range(len(pts))]
-    for rid, r in enumerate(ridges):
-        per_cell[r.cells[0]].append(rid)
-        per_cell[r.cells[1]].append(rid)
-    cells = [Cell(tuple(rids), bounded=False) for rids in per_cell]
-    return Tessellation(vertices, ridges, cells)
+    steps = list(zip(order, order[1:]))
+    vertices = [(0.5 * (pts[a][0] + pts[b][0]), 0.5 * (pts[a][1] + pts[b][1])) for a, b in steps]
+    ridge_cells = np.repeat(np.sort(steps, axis=1), 2, axis=0)
+    nr = len(ridge_cells)
+    cell_start, cell_ridges = _boundaries(ridge_cells, len(pts), np.zeros(2 * nr))
+    return Tessellation.from_arrays(
+        vertices,
+        ridge_cells,
+        np.column_stack((np.arange(nr) // 2, np.full(nr, -1))),
+        np.zeros(nr, bool),
+        np.tile([[w.x, w.y], [-w.x, -w.y]], (len(steps), 1)),
+        cell_start,
+        cell_ridges,
+        np.zeros(len(pts), bool),
+    )
 
 
 # -- degeneracy handling --------------------------------------------------------

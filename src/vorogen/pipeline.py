@@ -94,7 +94,7 @@ def reconstruct(
         known, trace = reconstruct_all(t, patch)
         t3 = time.perf_counter()
         known, iterations = refine_all(t, known)
-        generators = tuple(known[c] for c in range(len(t.cells)))
+        generators = tuple(known[c] for c in range(t.n_cells))
         timings.update(
             select=t1 - t0, solve=t2 - t1, sweep=t3 - t2, refine=time.perf_counter() - t3
         )

@@ -72,7 +72,7 @@ def sweep(
     connect every cell to a known one.
     """
     a = t.arrays
-    n = len(t.cells)
+    n = t.n_cells
     start = a.cell_start
     _, e, b = mirror_terms(a, slice(None))
     er, ei, br, bi = e.real, e.imag, b.real, b.imag
@@ -170,7 +170,7 @@ def refine_all(
     number of iterations taken.
     """
     # points are complex numbers, reflections z -> e conj(z) (``mirror_terms``)
-    n = len(t.cells)
+    n = t.n_cells
     a = t.arrays
     ia, ib = a.cells.T
     finite = a.finite

@@ -116,7 +116,7 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     score = score_cell(t, anchor)
     if not score.eligible:
         raise AnchorIneligibleError(
-            f"cell {anchor} is not anchor-eligible (bounded={t.cells[anchor].bounded},"
+            f"cell {anchor} is not anchor-eligible (bounded={bool(t.arrays.bounded[anchor])},"
             f" degree={score.degree},"
             f" max parallelism={score.max_pairwise_parallelism:.3g})"
         )

@@ -1,14 +1,18 @@
-"""Tessellation data model, validation, traversal and (de)serialization.
+"""Tessellation data model, validation and (de)serialization.
 
 A tessellation is the reconstruction input: vertices, ridges (finite
 segments or rays), and cells holding counter-clockwise ridge lists. The
 cell adjacency graph is implied by the ridges. Instances are immutable
 after construction and safe to share across worker processes.
 
-The ridge geometry the algorithms read (unit directions, lengths, a CSR
-cell -> ridge index) is computed once per instance, as numpy arrays, on
-first use: ``Tessellation.arrays``. The anchor score table built from it
-is kept the same way, as ``Tessellation.anchor_scores``.
+The storage is numpy arrays: the vertex coordinates, each ridge's cells,
+end vertices and ray direction, and each cell's ridge list (a CSR index)
+and bounded flag. The forward build and ``loads`` fill them directly;
+``Ridge``/``Cell`` objects are converted once on the way in and built as
+views (``vertices``, ``ridges``, ``cells``) only when asked for. The ridge
+geometry the algorithms read is checked and derived from the storage on
+first use, ``Tessellation.arrays``, and so is the anchor score table,
+``Tessellation.anchor_scores``.
 
 The file format is JSON with numbers written to 17 significant digits, so
 save/load round-trips are bit exact.
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -78,21 +83,103 @@ class GroundTruth:
     generators: tuple[Point2, ...]
 
 
+def _ids(values) -> np.ndarray:
+    """Ids as int64; one beyond that range becomes the nearest int64 bound,
+    which is as far out of range for a tessellation."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.clip(np.array(values, object), -(2**63), 2**63 - 1).astype(np.int64)
+
+
 class Tessellation:
-    """Immutable vertices/ridges/cells bundle; lookups go through ``arrays``."""
+    """Immutable vertices/ridges/cells bundle; the algorithms read ``arrays``."""
 
     def __init__(self, vertices: Sequence, ridges: Sequence[Ridge], cells: Sequence[Cell]):
-        self.vertices: tuple[Point2, ...] = tuple(Point2(float(p[0]), float(p[1])) for p in vertices)
-        self.ridges: tuple[Ridge, ...] = tuple(ridges)
-        self.cells: tuple[Cell, ...] = tuple(cells)
-        if self.vertices:
-            xs = [p.x for p in self.vertices]
-            ys = [p.y for p in self.vertices]
-            self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        else:
-            self._bbox = (0.0, 0.0, 0.0, 0.0)
+        """Convert hand-built objects to the array storage (``from_arrays``)."""
+        ridges, cells = list(ridges), list(cells)
+        rays = [k for k, r in enumerate(ridges) if r.v1 is None and r.ray_dir is not None]
+        ray_dirs = np.full((len(ridges), 2), math.nan)
+        ray_dirs[rays] = np.reshape([ridges[k].ray_dir for k in rays], (-1, 2))
+        self._store(
+            np.reshape([(p[0], p[1]) for p in vertices], (-1, 2)),
+            _ids([r.cells for r in ridges]).reshape(-1, 2),
+            _ids([(r.v0, -1 if r.v1 is None else r.v1) for r in ridges]).reshape(-1, 2),
+            [r.v1 is not None for r in ridges],
+            ray_dirs,
+            np.cumsum([0] + [len(c.ridges) for c in cells]),
+            _ids([rid for c in cells for rid in c.ridges]),
+            [c.bounded for c in cells],
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, vertices, ridge_cells, ridge_ends, finite, ray_dirs, cell_start, cell_ridges, bounded
+    ) -> "Tessellation":
+        """A tessellation stored as the given arrays.
+
+        Per vertex its (x, y); per ridge its two cells and two end vertices
+        (-1 for a ray's missing end), whether it is finite, and a ray's unit
+        direction (NaN where it has none); per cell its ridge ids at
+        ``cell_ridges[cell_start[c]:cell_start[c + 1]]`` and whether it is
+        bounded. Ids are not checked here: ``validate`` reports bad ones and
+        ``arrays`` refuses them.
+        """
+        t = cls.__new__(cls)
+        t._store(vertices, ridge_cells, ridge_ends, finite, ray_dirs, cell_start, cell_ridges, bounded)
+        return t
+
+    def _store(self, *arrays) -> None:
+        names = ("_xy", "_cells", "_ends", "_finite", "_rays", "_cell_start", "_cell_ridges", "_bounded")
+        dtypes = (float, np.int64, np.int64, bool, float, np.int64, np.int64, bool)
+        for name, dtype, value in zip(names, dtypes, arrays):
+            value = np.ascontiguousarray(value, dtype)
+            value.flags.writeable = False
+            setattr(self, name, value)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self._xy)
+
+    @property
+    def n_ridges(self) -> int:
+        return len(self._cells)
+
+    @property
+    def n_cells(self) -> int:
+        return len(self._bounded)
+
+    # -- object views, built on first access --------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2._make, self._xy.tolist()))
+
+    @cached_property
+    def ridges(self) -> tuple[Ridge, ...]:
+        def ridge(cells, ends, finite, d):
+            if finite:
+                return Ridge(tuple(cells), *ends)
+            return Ridge(tuple(cells), ends[0], ray_dir=None if math.isnan(d[0]) else UnitVec2._make(d))
+
+        rows = (self._cells.tolist(), self._ends.tolist(), self._finite.tolist(), self._rays.tolist())
+        return tuple(map(ridge, *rows))
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        rids, start = self._cell_ridges.tolist(), self._cell_start.tolist()
+        return tuple(
+            Cell(tuple(rids[lo:hi]), b) for lo, hi, b in zip(start, start[1:], self._bounded.tolist())
+        )
 
     # -- derived geometry ---------------------------------------------------
+
+    @cached_property
+    def _bbox(self) -> tuple[float, float, float, float]:
+        if not self.n_vertices:
+            return (0.0, 0.0, 0.0, 0.0)
+        xs, ys = self._xy.T.tolist()
+        return (min(xs), min(ys), max(xs), max(ys))
 
     def bbox(self) -> tuple[float, float, float, float]:
         return self._bbox
@@ -129,12 +216,13 @@ class Tessellation:
                 f"ridge {rid} is {a.lengths[rid]:.3e} long"
                 f" (minimum {self.degeneracy_threshold():.3e})"
             )
-        return RidgeLine(self.vertices[self.ridges[rid].v0], UnitVec2._make(a.dirs[rid].tolist()))
+        anchor = Point2._make(a.vertices[a.ends[rid, 0]].tolist())
+        return RidgeLine(anchor, UnitVec2._make(a.dirs[rid].tolist()))
 
     def vertex_ridges(self, v: VertexId) -> tuple[RidgeId, ...]:
         """Ridges ending at vertex ``v``, ascending."""
         a = self.arrays
-        if not 0 <= v < len(self.vertices):
+        if not 0 <= v < self.n_vertices:
             return ()
         return tuple(a.vertex_ridges[a.vertex_start[v] : a.vertex_start[v + 1]].tolist())
 
@@ -155,8 +243,8 @@ class RidgeArrays:
     ending at each vertex, ascending. Ridges are also indexed by their cell
     pair, as the sorted key ``min * C + max``, which ``pair_ridge`` searches.
 
-    Ids are int32, which halves the index arrays every tessellation keeps;
-    arithmetic on ids that can pass 2**31 must widen them first.
+    Every id is checked to be in range. The id arrays are the tessellation's
+    own int64 storage, shared rather than copied.
     """
 
     vertices: np.ndarray  # (V, 2)
@@ -187,31 +275,61 @@ class RidgeArrays:
         return np.where(keys[pos] == query, self.pair_ridges[pos], -1)
 
 
+def _is_unit(dirs: np.ndarray) -> np.ndarray:
+    """``geom.is_unit`` of each row; False for NaN."""
+    x, y = dirs.T
+    return np.abs(x * x + y * y - 1.0) <= geom.UNIT_TOL
+
+
+def _segments(xy, ends, finite) -> tuple[np.ndarray, np.ndarray]:
+    """Each ridge's vector from its first end to its second (zero for a ray)
+    and its length. math.hypot, not np.hypot: the two round differently on
+    about a third of the ridges, and these are geom.line_from_two_points'."""
+    seg = xy[np.where(finite, ends[:, 1], ends[:, 0])] - xy[ends[:, 0]]
+    return seg, np.fromiter(map(math.hypot, *seg.T), float, len(seg))
+
+
+def _vertex_index(ends, finite, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets and ids of the ridges ending at each vertex, ascending.
+
+    Every ridge end naming a vertex in range counts, so a finite ridge from
+    ``v`` to ``v`` is listed twice.
+    """
+    vids = ends.ravel()
+    use = (vids >= 0) & (vids < nv)
+    use[1::2] &= finite
+    start = np.concatenate(([0], np.cumsum(np.bincount(vids[use], minlength=nv))))
+    return start, np.repeat(np.arange(len(ends)), 2)[use][np.argsort(vids[use], kind="stable")]
+
+
+def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, np.ndarray]:
+    """The corner each boundary entry shares with the next one of its cell
+    (a cell's last entry with its first).
+
+    Returns, per entry, the vertex id and whether the two ridges share
+    exactly one vertex; the id means nothing where they do not.
+    """
+    nxt = np.arange(1, len(cell_ridges) + 1)
+    last = np.flatnonzero(np.diff(cell_start)) + 1
+    nxt[cell_start[last] - 1] = cell_start[last - 1]
+    a0, a1 = ends[cell_ridges].T
+    fa = finite[cell_ridges]
+    b0, b1, fb = a0[nxt], a1[nxt], fa[nxt]
+    first_in = (a0 == b0) | (fb & (a0 == b1))
+    second_in = fa & (a1 != a0) & ((a1 == b0) | (fb & (a1 == b1)))
+    return np.where(first_in, a0, a1), first_in != second_in
+
+
 def _ridge_arrays(t: Tessellation) -> RidgeArrays:
-    nv, nr, nc = len(t.vertices), len(t.ridges), len(t.cells)
-    counts = np.fromiter((len(c.ridges) for c in t.cells), np.intp, nc)
-    cell_start = np.zeros(nc + 1, np.intp)
-    np.cumsum(counts, out=cell_start[1:])
-    finite = np.fromiter((r.v1 is not None for r in t.ridges), bool, nr)
-    try:
-        ids = np.fromiter(
-            chain.from_iterable((*r.cells, r.v0, -1 if r.v1 is None else r.v1) for r in t.ridges),
-            np.int32,
-            4 * nr,
-        ).reshape(nr, 4)
-        cell_ridges = np.fromiter(
-            chain.from_iterable(c.ridges for c in t.cells), np.int32, int(cell_start[-1])
-        )
-    except OverflowError as exc:
-        raise OutOfRangeIdError(f"an id does not fit in a machine integer: {exc}") from exc
-    cells, ends = ids[:, :2], ids[:, 2:]
+    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
+    cells, ends, finite = t._cells, t._ends, t._finite
     rids = np.arange(nr)
-    owner = np.repeat(np.arange(nc), counts)
+    owner = np.repeat(np.arange(nc), np.diff(t._cell_start))
     for kind, who, refs, what, limit in (
         ("ridge", np.repeat(rids, 2), cells.ravel(), ("cell", "cells"), nc),
         ("ridge", rids, ends[:, 0], ("vertex", "vertices"), nv),
         ("ridge", rids[finite], ends[finite, 1], ("vertex", "vertices"), nv),
-        ("cell", owner, cell_ridges, ("ridge", "ridges"), nr),
+        ("cell", owner, t._cell_ridges, ("ridge", "ridges"), nr),
     ):
         bad = np.flatnonzero((refs < 0) | (refs >= limit))
         if len(bad):
@@ -219,51 +337,40 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
             raise OutOfRangeIdError(
                 f"{kind} {who[k]} references {what[0]} {refs[k]}; there are {limit} {what[1]}"
             )
-
-    vertices = np.fromiter(chain.from_iterable(t.vertices), float, 2 * nv).reshape(nv, 2)
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(t._xy).all(axis=1))
     if len(bad):
         raise InconsistentSystemError(f"vertex {bad[0]} has non-finite coordinates")
-    p0 = vertices[ends[:, 0]]
-    p1 = vertices[np.where(finite, ends[:, 1], ends[:, 0])]
-    seg = p1 - p0
-    # math.hypot, not np.hypot: the two round differently on about a third of
-    # the ridges, and these must equal geom.line_from_two_points' lengths
-    lengths = np.fromiter(map(math.hypot, *seg.T), float, nr)
+    bad = np.flatnonzero(~finite & ~_is_unit(t._rays))
+    if len(bad):
+        x, y = t._rays[bad[0]].tolist()
+        d = None if math.isnan(x) else (x, y)
+        raise InconsistentSystemError(f"ray ridge {bad[0]} has direction {d}, not a unit vector")
+    seg, lengths = _segments(t._xy, ends, finite)
     lengths[~finite] = math.inf
-    thresh = t.degeneracy_threshold()
-    degenerate = finite & ((lengths <= thresh) | (lengths == 0.0))
+    degenerate = finite & ((lengths <= t.degeneracy_threshold()) | (lengths == 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         dirs = seg / lengths[:, None]
     dirs[degenerate] = math.nan
-    for k in np.flatnonzero(~finite).tolist():
-        d = t.ridges[k].ray_dir
-        if d is None or not geom.is_unit(d):
-            raise InconsistentSystemError(f"ray ridge {k} has direction {d}, not a unit vector")
-        dirs[k] = d
-    pair = cells[cell_ridges]
-    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
+    dirs[~finite] = t._rays[~finite]
+    pair = cells[t._cell_ridges]
+    keys = cells.min(axis=1) * nc + cells.max(axis=1)
     by_pair = np.argsort(keys, kind="stable")
-    # (vertex, ridge) incidences in ridge order, grouped stably by vertex
-    incident = ends.ravel() >= 0
-    by_vertex = np.argsort(ends.ravel()[incident], kind="stable")
+    vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
     return RidgeArrays(
-        vertices=vertices,
+        vertices=t._xy,
         cells=cells,
         ends=ends,
         dirs=dirs,
         lengths=lengths,
         degenerate=degenerate,
-        bounded=np.fromiter((c.bounded for c in t.cells), bool, nc),
-        cell_start=cell_start,
-        cell_ridges=cell_ridges,
+        bounded=t._bounded,
+        cell_start=t._cell_start,
+        cell_ridges=t._cell_ridges,
         cell_nbrs=np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0]),
         pair_keys=keys[by_pair],
-        pair_ridges=by_pair.astype(np.int32),
-        vertex_start=np.concatenate(
-            ([0], np.cumsum(np.bincount(ends.ravel()[incident], minlength=nv)))
-        ),
-        vertex_ridges=np.repeat(rids, 2)[incident][by_vertex].astype(np.int32),
+        pair_ridges=by_pair,
+        vertex_start=vertex_start,
+        vertex_ridges=vertex_ridges,
     )
 
 
@@ -274,205 +381,236 @@ def validate(t: Tessellation) -> list[str]:
     """Check structural invariants; returns one message per violation.
 
     An empty list means the tessellation is internally consistent and in
-    generic position (every vertex on exactly 3 ridges).
+    generic position (every vertex on exactly 3 ridges). Each check is an
+    array pass; messages are written for the vertices, ridges and cells it
+    flags, in that order.
     """
-    out: list[str] = []
-    nv, nr, nc = len(t.vertices), len(t.ridges), len(t.cells)
-    for i, p in enumerate(t.vertices):
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            out.append(f"vertex {i} has non-finite coordinates")
+    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
+    cells, ends, finite = t._cells, t._ends, t._finite
+    nonfinite = np.flatnonzero(~np.isfinite(t._xy).all(axis=1)).tolist()
+    out = [f"vertex {i} has non-finite coordinates" for i in nonfinite]
     thresh = t.degeneracy_threshold()
-    incident: dict[int, list[int]] = {}
-    for rid, r in enumerate(t.ridges):
-        for v in r.vertex_ids():
-            incident.setdefault(v, []).append(rid)
-    referenced: set[int] = set()
-    out_of_range: set[int] = set()
-    for rid, r in enumerate(t.ridges):
-        a, b = r.cells
+    bad_cell = ((cells < 0) | (cells >= nc)).any(axis=1)
+    outside = (ends < 0) | (ends >= nv)
+    bad_vertex = ~bad_cell & (outside[:, 0] | (finite & outside[:, 1]))
+    ok = ~bad_cell & ~bad_vertex
+    _, length = _segments(t._xy, ends[ok], finite[ok])
+    degenerate = np.zeros(nr, bool)
+    degenerate[ok] = finite[ok] & ((ends[ok, 0] == ends[ok, 1]) | (length <= thresh))
+    bad_ray = ok & ~finite & ~_is_unit(t._rays)
+    # how often each ridge is listed by each of its cells
+    owner = np.repeat(np.arange(nc), np.diff(t._cell_start))
+    listed = t._cell_ridges
+    keys = np.sort((owner * nr + listed)[(listed >= 0) & (listed < nr)])
+    key = np.where(ok[:, None], cells, 0) * nr + np.arange(nr)[:, None]
+    asym = ok[:, None] & (np.searchsorted(keys, key, "right") - np.searchsorted(keys, key) != 1)
+    flagged = (cells[:, 0] == cells[:, 1]) | ~ok | degenerate | bad_ray | asym.any(axis=1)
+    for k in np.flatnonzero(flagged).tolist():
+        a, b = cells[k].tolist()
         if a == b:
-            out.append(f"ridge {rid} joins cell {a} to itself")
-        if not (0 <= a < nc and 0 <= b < nc):
-            out.append(f"ridge {rid} references an out-of-range cell")
-            out_of_range.add(rid)
-            continue
-        if not (0 <= r.v0 < nv) or (r.v1 is not None and not (0 <= r.v1 < nv)):
-            out.append(f"ridge {rid} references an out-of-range vertex")
-            out_of_range.add(rid)
-            continue
-        referenced.update(r.vertex_ids())
-        if r.is_finite:
-            p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
-            if r.v0 == r.v1 or math.hypot(p1.x - p0.x, p1.y - p0.y) <= thresh:
-                out.append(f"degenerate ridge {rid} (length below {thresh:.3e})")
-        else:
-            if r.ray_dir is None or not geom.is_unit(r.ray_dir):
-                out.append(f"ridge {rid} ray direction is not unit length")
-        for c in r.cells:
-            if t.cells[c].ridges.count(rid) != 1:
-                out.append(f"asymmetric adjacency at ridge {rid} (cell {c})")
-    for v in range(nv):
-        if v not in referenced:
+            out.append(f"ridge {k} joins cell {a} to itself")
+        if not ok[k]:
+            out.append(f"ridge {k} references an out-of-range {'cell' if bad_cell[k] else 'vertex'}")
+        if degenerate[k]:
+            out.append(f"degenerate ridge {k} (length below {thresh:.3e})")
+        if bad_ray[k]:
+            out.append(f"ridge {k} ray direction is not unit length")
+        out += [f"asymmetric adjacency at ridge {k} (cell {c})" for c, bad in zip((a, b), asym[k]) if bad]
+
+    vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
+    valence = np.diff(vertex_start)
+    referenced = np.zeros(nv, bool)
+    referenced[ends[ok, 0]] = True
+    referenced[ends[ok & finite, 1]] = True
+    for v in np.flatnonzero(~referenced | (valence != 3)).tolist():
+        if not referenced[v]:
             out.append(f"orphan vertex {v}")
-        elif len(incident.get(v, ())) != 3 and not _is_split_bisector(t, incident, v):
-            out.append(f"vertex {v} is shared by {len(incident.get(v, ()))} ridges (expected 3)")
-    for cid, cell in enumerate(t.cells):
-        out.extend(_validate_cell(t, incident, out_of_range, cid, cell))
-    return out
+        elif not _is_split_bisector(t, vertex_start, vertex_ridges, v):
+            out.append(f"vertex {v} is shared by {valence[v]} ridges (expected 3)")
+    return out + _validate_cells(t, ~ok, owner, vertex_start, vertex_ridges)
 
 
-def _is_split_bisector(t: Tessellation, incident: dict[int, list[int]], v: VertexId) -> bool:
+def _is_split_bisector(t: Tessellation, vertex_start, vertex_ridges, v: VertexId) -> bool:
     """Two opposite rays from one vertex between the same two cells.
 
     This is how a bisector with no Voronoi vertex on it (the 2-site diagram)
-    is represented, so it is tolerated at valence 2. ``incident`` maps each
-    vertex to the ridges ending at it.
+    is represented, so it is tolerated at valence 2.
     """
-    rids = incident.get(v, ())
-    if len(rids) != 2:
+    if 0 <= v < t.n_vertices:
+        rids = vertex_ridges[vertex_start[v] : vertex_start[v + 1]]
+    else:  # an id out of range is in no index: look for its ridges
+        hit = t._ends == v
+        hit[:, 1] &= t._finite
+        rids = np.flatnonzero(hit) // 2
+    if len(rids) != 2 or t._finite[rids].any():
         return False
-    r1, r2 = (t.ridges[r] for r in rids)
-    if r1.is_finite or r2.is_finite or r1.v0 != v or r2.v0 != v or None in (r1.ray_dir, r2.ray_dir):
-        return False
-    if tuple(sorted(r1.cells)) != tuple(sorted(r2.cells)):
-        return False
-    return math.hypot(r1.ray_dir[0] + r2.ray_dir[0], r1.ray_dir[1] + r2.ray_dir[1]) <= 1e-9
+    (a1, b1), (a2, b2) = t._cells[rids].tolist()
+    (x1, y1), (x2, y2) = t._rays[rids].tolist()
+    return sorted((a1, b1)) == sorted((a2, b2)) and math.hypot(x1 + x2, y1 + y2) <= 1e-9
 
 
-def _ridge_vertex_set(r: Ridge) -> set[int]:
-    return set(r.vertex_ids())
+def _validate_cells(t: Tessellation, skip, owner, vertex_start, vertex_ridges) -> list[str]:
+    """Violations of each cell, in cell order. ``skip`` marks the ridges
+    reported for an out-of-range id, whose polygon cannot be walked.
+
+    A cell is clean when every ridge it lists is in range and borders it.
+    The boundary chains (``shared_corners``), rays and polygons of the clean
+    cells are checked as array passes over a CSR index of their own.
+    """
+    nr, nc = t.n_ridges, t.n_cells
+    start, listed, bounded = t._cell_start, t._cell_ridges, t._bounded
+    deg = np.diff(start)
+    in_range = (listed >= 0) & (listed < nr)
+    borders = in_range.copy()
+    borders[in_range] = (t._cells[listed[in_range]] == owner[in_range, None]).any(axis=1)
+    clean = (deg > 0) & (np.bincount(owner[~borders], minlength=nc) == 0)
+    rids, own = listed[clean[owner]], owner[clean[owner]]
+    sub_start = np.concatenate(([0], np.cumsum(deg[clean])))
+    first, last = sub_start[:-1], sub_start[1:] - 1
+    corner, closes = shared_corners(t._ends, t._finite, sub_start, rids)
+    ray = ~t._finite[rids]
+    rays = np.bincount(own[ray], minlength=nc)
+    touches_skip = np.bincount(own[skip[rids]], minlength=nc) > 0
+    closed = np.bincount(own[~closes], minlength=nc) == 0
+    open_ends = np.zeros(nc, bool)  # unbounded: the chain runs from a ray to a ray
+    open_ends[clean] = ray[first] & ray[last]
+    closes[last] = True  # from here on: an open chain's breaks
+    chain_ok = np.bincount(own[~closes], minlength=nc) == 0
+    polygon = clean & bounded & (rays == 0) & ~touches_skip & (deg >= 3) & closed
+    revisit, concave_at, area2 = _polygon_checks(t, polygon[own], own, corner, nc)
+    bad_polygon = (deg < 3) | ~closed | revisit | (concave_at >= 0) | (area2 <= 0.0)
+    bad_chain = (rays != 2) | ~open_ends | ~chain_ok
+    flagged = ~clean | np.where(bounded, (rays > 0) | (~touches_skip & bad_polygon), bad_chain)
+
+    row = np.cumsum(clean) - 1  # a clean cell's row in the index of its own
+    out = []
+    for c in np.flatnonzero(flagged).tolist():
+        lo, hi = start[c], start[c + 1]
+        cell = listed[lo:hi].tolist()
+        sub = slice(sub_start[row[c]], sub_start[row[c]] + len(cell))
+        if not cell:
+            out.append(f"cell {c} has no ridges")
+        elif not in_range[lo:hi].all():
+            out.append(f"cell {c} references out-of-range ridge {cell[np.argmin(in_range[lo:hi])]}")
+        elif not clean[c]:
+            out += [
+                f"cell {c} lists ridge {rid} that does not border it"
+                for rid, b in zip(cell, borders[lo:hi]) if not b
+            ]
+        elif bounded[c] and rays[c]:
+            out.append(f"bounded cell {c} contains ray ridge {cell[np.argmax(ray[sub])]}")
+        elif bounded[c] and touches_skip[c]:
+            pass
+        elif bounded[c] and deg[c] < 3:
+            out.append(f"bounded cell {c} has only {deg[c]} ridges")
+        elif bounded[c] and not closed[c]:
+            out.append(f"cell {c} ridges do not chain into a closed polygon")
+        elif bounded[c] and revisit[c]:
+            out.append(f"cell {c} polygon revisits a vertex")
+        elif bounded[c] and concave_at[c] >= 0:
+            out.append(f"cell {c} polygon is not convex at vertex {concave_at[c]}")
+        elif bounded[c]:
+            out.append(f"cell {c} polygon is not counter-clockwise")
+        elif not _is_parallel_strip(t, cell, vertex_start, vertex_ridges):
+            if rays[c] != 2:
+                out.append(f"unbounded cell {c} has {rays[c]} ray ridges (expected 2)")
+            elif not open_ends[c]:
+                out.append(f"unbounded cell {c} does not start and end with its rays")
+            out += [
+                f"cell {c} boundary chain breaks between ridges {cell[i]} and {cell[i + 1]}"
+                for i in np.flatnonzero(~closes[sub]).tolist()
+            ]
+    return out
 
 
-def _validate_cell(
-    t: Tessellation, incident: dict[int, list[int]], out_of_range: set[int], cid: int, cell: Cell
-) -> list[str]:
-    """Violations of one cell; ``out_of_range`` holds the ridges already
-    reported for an out-of-range id, whose polygon cannot be walked."""
-    msgs: list[str] = []
-    if not cell.ridges:
-        return [f"cell {cid} has no ridges"]
-    for rid in cell.ridges:
-        if not (0 <= rid < len(t.ridges)):
-            return [f"cell {cid} references out-of-range ridge {rid}"]
-        if cid not in t.ridges[rid].cells:
-            msgs.append(f"cell {cid} lists ridge {rid} that does not border it")
-    if msgs:
-        return msgs
-    rays = [rid for rid in cell.ridges if not t.ridges[rid].is_finite]
-    if cell.bounded:
-        if rays:
-            msgs.append(f"bounded cell {cid} contains ray ridge {rays[0]}")
-        elif not out_of_range.intersection(cell.ridges):
-            msgs.extend(_validate_polygon(t, cid, cell))
-    else:
-        if _is_parallel_strip(t, incident, cell):
-            return msgs  # fully split-bisector boundary has no chain to walk
-        if len(rays) != 2:
-            msgs.append(f"unbounded cell {cid} has {len(rays)} ray ridges (expected 2)")
-        elif not (cell.ridges[0] in rays and cell.ridges[-1] in rays):
-            msgs.append(f"unbounded cell {cid} does not start and end with its rays")
-        for i in range(len(cell.ridges) - 1):
-            r1 = t.ridges[cell.ridges[i]]
-            r2 = t.ridges[cell.ridges[i + 1]]
-            if len(_ridge_vertex_set(r1) & _ridge_vertex_set(r2)) != 1:
-                msgs.append(
-                    f"cell {cid} boundary chain breaks between ridges"
-                    f" {cell.ridges[i]} and {cell.ridges[i + 1]}"
-                )
-    return msgs
+def _polygon_checks(t: Tessellation, use, owner, corner, nc: int):
+    """Per cell: whether its polygon revisits a vertex, the vertex of its
+    first reflex corner (-1 if none) and twice its signed area.
+
+    ``use`` selects the boundary entries of the cells to check; their
+    ``corner`` (the vertex an entry shares with the next) is in range. The
+    area is summed corner by corner from the first, as a loop would.
+    """
+    revisit, concave_at, area2 = np.zeros(nc, bool), np.full(nc, -1), np.zeros(nc)
+    own, vid = owner[use], corner[use]
+    count = np.bincount(own, minlength=nc)
+    lo = np.cumsum(count) - count
+    at = np.arange(len(own))
+    nxt = np.where(at + 1 < lo[own] + count[own], at + 1, lo[own])
+    pair = np.sort(own * t.n_vertices + vid)
+    revisit[pair[1:][pair[1:] == pair[:-1]] // max(t.n_vertices, 1)] = True
+    p = t._xy[vid]
+    edge = p[nxt] - p  # from each corner to the next
+    length = np.fromiter(map(math.hypot, *edge.T), float, len(edge))
+    cross = edge[:, 0] * edge[nxt, 1] - edge[:, 1] * edge[nxt, 0]
+    norm = length * length[nxt]
+    bad = np.flatnonzero((norm > 0.0) & (cross < -1e-9 * norm))
+    cells_bad, first = np.unique(own[bad], return_index=True)
+    concave_at[cells_bad] = vid[nxt[bad[first]]]
+    term = p[:, 0] * p[nxt, 1] - p[nxt, 0] * p[:, 1]
+    for k in np.unique(count[count > 0]).tolist():
+        cs = np.flatnonzero(count == k)
+        rows = term[lo[cs, None] + np.arange(k)]
+        for col in range(k):
+            area2[cs] += rows[:, col]
+    return revisit, concave_at, area2
 
 
-def _is_parallel_strip(t: Tessellation, incident: dict[int, list[int]], cell: Cell) -> bool:
+def _is_parallel_strip(t: Tessellation, cell: list[int], vertex_start, vertex_ridges) -> bool:
     """Cell bounded only by whole bisector lines (collinear-site diagrams).
 
     Such a cell is a half plane or a strip: every ridge is a ray, and the
     rays pair up into split bisectors through at most two vertices.
     """
-    if any(t.ridges[rid].is_finite for rid in cell.ridges):
+    if t._finite[cell].any():
         return False
-    verts = {t.ridges[rid].v0 for rid in cell.ridges}
-    if len(verts) * 2 != len(cell.ridges) or len(verts) > 2:
+    verts = set(t._ends[cell, 0].tolist())
+    if len(verts) * 2 != len(cell) or len(verts) > 2:
         return False
-    return all(_is_split_bisector(t, incident, v) for v in verts)
-
-
-def _polygon_vertices(t: Tessellation, cell: Cell) -> Optional[list[int]]:
-    """Vertex ids of a bounded cell's polygon; None when the chain is broken.
-
-    Entry ``i`` is the vertex shared by ridge ``i`` and ridge ``i+1`` (cyclic).
-    """
-    rids = cell.ridges
-    m = len(rids)
-    shared = []
-    for i in range(m):
-        s = _ridge_vertex_set(t.ridges[rids[i]]) & _ridge_vertex_set(t.ridges[rids[(i + 1) % m]])
-        if len(s) != 1:
-            return None
-        shared.append(s.pop())
-    return shared
-
-
-def _validate_polygon(t: Tessellation, cid: int, cell: Cell) -> list[str]:
-    if len(cell.ridges) < 3:
-        return [f"bounded cell {cid} has only {len(cell.ridges)} ridges"]
-    verts = _polygon_vertices(t, cell)
-    if verts is None:
-        return [f"cell {cid} ridges do not chain into a closed polygon"]
-    if len(set(verts)) != len(verts):
-        return [f"cell {cid} polygon revisits a vertex"]
-    pts = [t.vertices[v] for v in verts]
-    m = len(pts)
-    area2 = 0.0
-    for i in range(m):
-        a = pts[i]
-        b = pts[(i + 1) % m]
-        c = pts[(i + 2) % m]
-        e1x, e1y = b.x - a.x, b.y - a.y
-        e2x, e2y = c.x - b.x, c.y - b.y
-        cross = e1x * e2y - e1y * e2x
-        norm = math.hypot(e1x, e1y) * math.hypot(e2x, e2y)
-        if norm > 0.0 and cross < -1e-9 * norm:
-            return [f"cell {cid} polygon is not convex at vertex {verts[(i + 1) % m]}"]
-        area2 += a.x * b.y - b.x * a.y
-    if area2 <= 0.0:
-        return [f"cell {cid} polygon is not counter-clockwise"]
-    return []
+    return all(_is_split_bisector(t, vertex_start, vertex_ridges, v) for v in verts)
 
 
 # -- serialization ------------------------------------------------------------
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
+_FINITE = '{"cells": [%d, %d], "finite": [%d, %d]}'
+_RAY = '{"cells": [%d, %d], "ray": {"v": %d, "dir": [%.17g, %.17g]}}'
+
+
+@lru_cache(maxsize=None)
+def _cell_template(degree: int, bounded: bool) -> str:
+    ids = ", ".join(["%d"] * degree)
+    return f'{{"ridges": [{ids}], "bounded": {"true" if bounded else "false"}}}'
+
+
+def _points_text(xy: np.ndarray) -> str:
+    return ", ".join(["[%.17g, %.17g]"] * len(xy)) % tuple(xy.ravel().tolist())
 
 
 def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
-    """Deterministic textual form of a tessellation (17 significant digits)."""
+    """Deterministic textual form of a tessellation (17 significant digits).
 
-    def pt(p) -> str:
-        return f"[{_num(p[0])}, {_num(p[1])}]"
-
-    rparts = []
-    for r in t.ridges:
-        if r.is_finite:
-            rparts.append(f'{{"cells": [{r.cells[0]}, {r.cells[1]}], "finite": [{r.v0}, {r.v1}]}}')
-        else:
-            rparts.append(
-                f'{{"cells": [{r.cells[0]}, {r.cells[1]}],'
-                f' "ray": {{"v": {r.v0}, "dir": {pt(r.ray_dir)}}}}}'
-            )
-    cparts = []
-    for c in t.cells:
-        rid_list = ", ".join(str(rid) for rid in c.ridges)
-        cparts.append(f'{{"ridges": [{rid_list}], "bounded": {"true" if c.bounded else "false"}}}')
+    Each array is written by one %-format of all its items: a finite ridge
+    fills ``_FINITE`` with its cells and ends, a ray ``_RAY`` with its
+    cells, vertex and direction.
+    """
+    fields = np.empty((t.n_ridges, 5), object)
+    fields[:, :2], fields[:, 2:4] = t._cells, t._ends
+    rays = ~t._finite
+    fields[rays, 3:] = t._rays[rays]
+    used = np.ones(fields.shape, bool)
+    used[t._finite, 4] = False
+    ridges = ", ".join(np.where(t._finite, _FINITE, _RAY).tolist()) % tuple(fields[used])
+    templates = map(_cell_template, np.diff(t._cell_start).tolist(), t._bounded.tolist())
+    cells = ", ".join(templates) % tuple(t._cell_ridges.tolist())
     lines = ["{"]
     lines.append(f'  "version": {FORMAT_VERSION},')
-    lines.append('  "vertices": [' + ", ".join(pt(p) for p in t.vertices) + "],")
-    lines.append('  "ridges": [' + ", ".join(rparts) + "],")
-    tail = '  "cells": [' + ", ".join(cparts) + "]"
+    lines.append(f'  "vertices": [{_points_text(t._xy)}],')
+    lines.append(f'  "ridges": [{ridges}],')
+    tail = f'  "cells": [{cells}]'
     if gt is not None:
         lines.append(tail + ",")
-        lines.append('  "generators": [' + ", ".join(pt(g) for g in gt.generators) + "]")
+        lines.append(f'  "generators": [{_points_text(np.array(gt.generators, float))}]')
     else:
         lines.append(tail)
     lines.append("}")
@@ -497,14 +635,22 @@ def _parse_point(obj, where: str) -> tuple[float, float]:
     return x, y
 
 
-def _parse_cell_pair(obj, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
+def _parse_points(objs: list, where: str) -> np.ndarray:
+    """The [x, y] number pairs ``objs`` as an (N, 2) array, converted at once
+    when all of them are valid; otherwise one by one, so that the ParseError
+    names the first bad one."""
+    if all(type(p) is list and len(p) == 2 for p in objs) and (
+        set(map(type, chain.from_iterable(objs))) <= {int, float}
     ):
-        raise ParseError(f"{where}: expected a [cell, cell] integer pair, got {obj!r}")
-    return obj[0], obj[1]
+        with suppress(OverflowError):  # an integer beyond the float range
+            xy = np.array(objs, float).reshape(-1, 2)
+            if np.isfinite(xy).all():
+                return xy
+    return np.reshape([_parse_point(p, f"{where}[{i}]") for i, p in enumerate(objs)], (-1, 2))
+
+
+def _is_int_pair(obj) -> bool:
+    return type(obj) is list and len(obj) == 2 and type(obj[0]) is int and type(obj[1]) is int
 
 
 def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
@@ -525,63 +671,68 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
             raise ParseError(f"missing required field '{field}'")
         if not isinstance(doc[field], list):
             raise ParseError(f"field '{field}' must be an array")
-    vertices = [_parse_point(v, f"vertices[{i}]") for i, v in enumerate(doc["vertices"])]
-    ridges = []
+    xy = _parse_points(doc["vertices"], "vertices")
+    pairs: list[int] = []
+    ends: list[int] = []
+    rays: dict[int, tuple[float, float]] = {}
     for i, robj in enumerate(doc["ridges"]):
-        where = f"ridges[{i}]"
-        if not isinstance(robj, dict):
-            raise ParseError(f"{where}: expected an object")
-        cells = _parse_cell_pair(robj.get("cells"), f"{where}.cells")
+        if type(robj) is not dict:
+            raise ParseError(f"ridges[{i}]: expected an object")
+        cells = robj.get("cells")
+        if not _is_int_pair(cells):
+            raise ParseError(f"ridges[{i}].cells: expected a [cell, cell] integer pair, got {cells!r}")
+        pairs += cells
         has_finite = "finite" in robj
-        has_ray = "ray" in robj
-        if has_finite == has_ray:
-            raise ParseError(f"{where}: exactly one of 'finite' or 'ray' is required")
+        if has_finite == ("ray" in robj):
+            raise ParseError(f"ridges[{i}]: exactly one of 'finite' or 'ray' is required")
         if has_finite:
-            fin = robj["finite"]
-            if (
-                not isinstance(fin, list)
-                or len(fin) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in fin)
-            ):
-                raise ParseError(f"{where}.finite: expected a [v0, v1] integer pair")
-            ridges.append(Ridge(cells=cells, v0=fin[0], v1=fin[1]))
-        else:
-            ray = robj["ray"]
-            if not isinstance(ray, dict) or "v" not in ray or "dir" not in ray:
-                raise ParseError(f"{where}.ray: expected an object with 'v' and 'dir'")
-            if not isinstance(ray["v"], int) or isinstance(ray["v"], bool):
-                raise ParseError(f"{where}.ray.v: expected an integer vertex id")
-            dx, dy = _parse_point(ray["dir"], f"{where}.ray.dir")
-            d = UnitVec2(dx, dy)
-            if not geom.is_unit(d):
-                raise ParseError(f"{where}.ray.dir: direction must be unit length")
-            ridges.append(Ridge(cells=cells, v0=ray["v"], ray_dir=d))
-    cells = []
+            if not _is_int_pair(robj["finite"]):
+                raise ParseError(f"ridges[{i}].finite: expected a [v0, v1] integer pair")
+            ends += robj["finite"]
+            continue
+        ray = robj["ray"]
+        if type(ray) is not dict or "v" not in ray or "dir" not in ray:
+            raise ParseError(f"ridges[{i}].ray: expected an object with 'v' and 'dir'")
+        if type(ray["v"]) is not int:
+            raise ParseError(f"ridges[{i}].ray.v: expected an integer vertex id")
+        d = _parse_point(ray["dir"], f"ridges[{i}].ray.dir")
+        if not geom.is_unit(d):
+            raise ParseError(f"ridges[{i}].ray.dir: direction must be unit length")
+        ends += (ray["v"], -1)
+        rays[i] = d
+    counts = [0]
+    listed: list[int] = []
+    bounded = []
     for i, cobj in enumerate(doc["cells"]):
-        where = f"cells[{i}]"
-        if not isinstance(cobj, dict):
-            raise ParseError(f"{where}: expected an object")
+        if type(cobj) is not dict:
+            raise ParseError(f"cells[{i}]: expected an object")
         rid_list = cobj.get("ridges")
-        if not isinstance(rid_list, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in rid_list
-        ):
-            raise ParseError(f"{where}.ridges: expected an array of ridge ids")
-        bounded = cobj.get("bounded")
-        if not isinstance(bounded, bool):
-            raise ParseError(f"{where}.bounded: expected a boolean")
-        cells.append(Cell(ridges=tuple(rid_list), bounded=bounded))
-    t = Tessellation(vertices, ridges, cells)
+        if type(rid_list) is not list or not all(type(v) is int for v in rid_list):
+            raise ParseError(f"cells[{i}].ridges: expected an array of ridge ids")
+        if type(cobj.get("bounded")) is not bool:
+            raise ParseError(f"cells[{i}].bounded: expected a boolean")
+        listed += rid_list
+        counts.append(len(rid_list))
+        bounded.append(cobj["bounded"])
+    nr = len(doc["ridges"])
+    finite = np.ones(nr, bool)
+    finite[list(rays)] = False
+    ray_dirs = np.full((nr, 2), math.nan)
+    ray_dirs[list(rays)] = np.reshape(list(rays.values()), (-1, 2))
+    t = Tessellation.from_arrays(
+        xy, _ids(pairs).reshape(-1, 2), _ids(ends).reshape(-1, 2), finite, ray_dirs,
+        np.cumsum(counts), _ids(listed), bounded,
+    )
     gt = None
     if "generators" in doc:
         gens = doc["generators"]
         if not isinstance(gens, list):
             raise ParseError("field 'generators' must be an array")
-        if len(gens) != len(cells):
+        if len(gens) != len(bounded):
             raise ParseError(
-                f"field 'generators' has {len(gens)} entries for {len(cells)} cells"
+                f"field 'generators' has {len(gens)} entries for {len(bounded)} cells"
             )
-        pts = [_parse_point(g, f"generators[{i}]") for i, g in enumerate(gens)]
-        gt = GroundTruth(tuple(Point2(x, y) for x, y in pts))
+        gt = GroundTruth(tuple(map(Point2._make, _parse_points(gens, "generators").tolist())))
     return t, gt
 
 

@@ -398,6 +398,20 @@ def test_loads_rejects_non_finite_coordinates():
         loads('{"version": 1, "vertices": [[NaN, 0]], "ridges": [], "cells": []}')
 
 
+def test_program_never_builds_the_object_views():
+    """The program reads the array storage. The Ridge/Cell views serve
+    callers only; a stray ``len(t.cells)`` in program code would bring the
+    object path back."""
+    _, built_t, built_gt = forward.sample_and_build(200, 0)
+    t, gt = loads(dumps(built_t, built_gt))
+    assert validate(t) == []
+    for method in METHODS:
+        reconstruct(t, method, gt)
+    dumps(t, gt)
+    for made in (built_t, t):
+        assert not {"vertices", "ridges", "cells"} & set(vars(made))
+
+
 def test_bisector_lines_survive_round_trip(built):
     _, t, _ = built(50, 3)
     t2, _ = loads(dumps(t))
