@@ -629,7 +629,10 @@ def _parse_point(obj, where: str) -> tuple[float, float]:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
     ):
         raise ParseError(f"{where}: expected a [x, y] number pair, got {obj!r}")
-    x, y = float(obj[0]), float(obj[1])
+    try:
+        x, y = float(obj[0]), float(obj[1])
+    except OverflowError:  # an integer beyond the float range
+        x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ParseError(f"{where}: coordinates must be finite")
     return x, y

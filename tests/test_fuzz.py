@@ -3,8 +3,9 @@
 A small generated file is mutated (bounded flags flipped, a cell's ridge ids
 dropped, repeated, reversed or all removed, the cells of two ridges swapped,
 a ridge's vertex id changed, a vertex id renamed in every ridge, a ray's
-direction scaled, vertices scaled) and run through ``loads`` and every
-reconstruction method, and through the command line. The only failures
+direction scaled, vertices scaled, one number set, for example to an id no
+machine integer holds) and run through ``loads`` and every reconstruction
+method, and through the command line. The only failures
 allowed are a ``VorogenError`` in the library and the documented exit codes
 0, 3, 4 and 5 on the command line; a raw ``IndexError``, ``TypeError`` or
 traceback is a bug.
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vorogen.cli import main
-from vorogen.errors import VorogenError
+from vorogen.errors import ParseError, VorogenError
 from vorogen.forward import sample_and_build
 from vorogen.pipeline import METHODS, reconstruct
 from vorogen.tessellation import dumps, loads
@@ -30,6 +32,18 @@ N_RIDGES = len(BASE["ridges"])
 N_VERTICES = len(BASE["vertices"])
 HULL_CELL = next(i for i, c in enumerate(BASE["cells"]) if not c["bounded"])
 RAY_RIDGES = [i for i, r in enumerate(BASE["ridges"]) if "ray" in r]
+FINITE_RIDGE = next(i for i, r in enumerate(BASE["ridges"]) if "finite" in r)
+# numbers no float holds, each in a field of its own
+FLOAT_OVERFLOWS = [
+    ("set", path, 10**400)
+    for path in (("vertices", 0, 0), ("ridges", RAY_RIDGES[0], "ray", "dir", 1), ("generators", 0, 1))
+]
+# ids beyond int32, int64 and both
+ID_OVERFLOWS = [
+    ("set", path, value)
+    for path in (("ridges", 0, "cells", 1), ("ridges", FINITE_RIDGE, "finite", 0), ("cells", 0, "ridges", 0))
+    for value in (2**31, 2**63, 10**30)
+]
 # the vertex shared by the first two ridges of the first bounded cell
 _FIRST, _SECOND = next(c for c in BASE["cells"] if c["bounded"])["ridges"][:2]
 (SHARED_VERTEX,) = set(BASE["ridges"][_FIRST]["finite"]) & set(BASE["ridges"][_SECOND]["finite"])
@@ -57,6 +71,7 @@ mutations = st.one_of(
         st.integers(-1, N_VERTICES - 1),  # -1 scales every vertex
         st.sampled_from([0.0, -1.0, 1e-9, 0.5, 2.0, 1e9]),
     ),
+    st.sampled_from(FLOAT_OVERFLOWS + ID_OVERFLOWS),
 )
 
 
@@ -94,6 +109,12 @@ def mutate(doc: dict, ops) -> dict:
                     r["finite"] = [new if w == old else w for w in r["finite"]]
                 elif r["ray"]["v"] == old:
                     r["ray"]["v"] = new
+        elif kind == "set":
+            *path, last = op[1]
+            field = doc
+            for key in path:
+                field = field[key]
+            field[last] = op[2]
         elif kind == "scale_ray":
             ray = ridges[op[1]]["ray"]
             ray["dir"] = [op[2] * ray["dir"][0], op[2] * ray["dir"][1]]
@@ -110,6 +131,7 @@ EXAMPLES = [
     ([("flip_bounded", HULL_CELL)], "anchor"),
     ([("rename_vertex", SHARED_VERTEX, 99999)], "anchor"),
     ([("scale_ray", RAY_RIDGES[0], 1.0 + 1e-10)], "brute"),
+    *(([op], "anchor") for op in FLOAT_OVERFLOWS + ID_OVERFLOWS),
 ]
 
 
@@ -137,3 +159,22 @@ def test_mutated_file_ends_in_typed_error(tmp_path, ops, cli_method):
     path.write_text(text)
     assert main(["validate", "--in", str(path)]) in (0, 4)
     assert main(["reconstruct", "--in", str(path), "--method", cli_method]) in (0, 3, 4, 5)
+
+
+@pytest.mark.parametrize("op", FLOAT_OVERFLOWS)
+def test_number_beyond_float_range_is_a_parse_error(tmp_path, op):
+    text = json.dumps(mutate(BASE, [op]))
+    with pytest.raises(ParseError, match="must be finite"):
+        loads(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["validate", "--in", str(path)]) == 5
+    assert main(["reconstruct", "--in", str(path)]) == 5
+
+
+@pytest.mark.parametrize("op", ID_OVERFLOWS)
+def test_id_beyond_machine_integers_is_inconsistent(tmp_path, op):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(mutate(BASE, [op])))
+    assert main(["validate", "--in", str(path)]) == 4
+    assert main(["reconstruct", "--in", str(path)]) == 4

@@ -179,7 +179,7 @@ def corpus_digest() -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
 
 
-CORPUS = "272f238817e9820a"
+CORPUS = "f187f5896d5e4f15"
 
 
 def test_file_contract_corpus():
