@@ -16,6 +16,7 @@ every ridge at once, warm-started from the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
@@ -181,17 +182,29 @@ def refine_all(
     g = g.view(complex)
     w = np.where(finite, 0.0, 1.0)
     length = a.lengths[usable]
-    w[usable] = length / (length + np.abs(g[ia] - c)[usable])
+    # math.hypot, not np.abs: numpy's complex modulus rounds differently on
+    # different SIMD paths
+    gap = (g[ia] - c)[usable]
+    w[usable] = length / (length + np.fromiter(map(math.hypot, gap.real, gap.imag), float, len(gap)))
     b = w * b
     scatter = np.concatenate((ib, ia))
+    er, ei = e.real, e.imag
+
+    def mirror(z):
+        # e conj(z) in real arithmetic, as the sweep forms it: a complex
+        # product could be rounded differently on another CPU
+        out = np.empty_like(z)
+        out.real = er * z.real + ei * z.imag
+        out.imag = ei * z.real - er * z.imag
+        return out
 
     def forward(z):
-        return w * (z[ib] - e * np.conj(z[ia]))
+        return w * (z[ib] - mirror(z[ia]))
 
     def adjoint(y):
         # R is symmetric: g_b collects W y and g_a collects -R W y
         y = w * y
-        y = np.concatenate((y, -e * np.conj(y)))
+        y = np.concatenate((y, -mirror(y)))
         return np.bincount(scatter, y.real, n) + 1j * np.bincount(scatter, y.imag, n)
 
     def sumsq(z):

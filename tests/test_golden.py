@@ -3,10 +3,11 @@
 Each digest is the SHA-256 of float64 values packed little-endian, taken
 from forward builds at n = 200 and 2000, seeds 0-4. They pin, bit for bit:
 the anchor score table and the selected anchor; the sweep's generators and
-trace from a patch holding the true generators (no LAPACK call and no
-complex product, so the digests hold across BLAS builds and CPUs); and the
-brute and cprime generators. A refactor that changes any of them changes
-results.
+trace from a patch holding the true generators, and the anchor method's
+final generators, ``refine_all`` run on that sweep, with its iteration
+count (no LAPACK call and no complex product or modulus, so the digests
+hold across BLAS builds and CPUs); and the brute and cprime generators. A
+refactor that changes any of them changes results.
 
 ``CORPUS`` pins the file contract the same way: the outcome of ``loads``
 and ``validate`` (the error's type and message, or the full list of
@@ -32,7 +33,7 @@ from vorogen.anchor import score_cell, select_anchor
 from vorogen.baselines import brute_force_all, c_prime_all
 from vorogen.errors import VorogenError
 from vorogen.forward import sample_and_build
-from vorogen.propagate import reconstruct_all
+from vorogen.propagate import reconstruct_all, refine_all
 from vorogen.solver import PatchSolution, assemble_patch
 from vorogen.tessellation import loads, validate
 
@@ -43,7 +44,8 @@ def digest(values) -> str:
     return hashlib.sha256(np.asarray(values, "<f8").tobytes()).hexdigest()[:16]
 
 
-def _sweep_digest(t, gt, members) -> str:
+def _sweep_digests(t, gt, members) -> tuple[str, str]:
+    """The sweep from the true patch generators, and its refinement."""
     patch = PatchSolution(
         members=members,
         generators={c: gt.generators[c] for c in members},
@@ -54,13 +56,14 @@ def _sweep_digest(t, gt, members) -> str:
     )
     known, trace = reconstruct_all(t, patch)
     n = len(t.cells)
+    refined, iterations = refine_all(t, known)
     return digest(
         [*(v for c in range(n) for v in known[c]),
          *(v for step in trace.order for v in step),
          *(trace.depth[c] for c in range(n)),
          *(trace.candidates.get(c, 0) for c in range(n)),
          trace.reflect_calls]
-    )
+    ), digest([*(v for c in range(n) for v in refined[c]), iterations])
 
 
 def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
@@ -69,29 +72,31 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
     scores = [score_cell(t, c) for c in range(len(t.cells))]
     anchor = select_anchor(t)
     members = assemble_patch(t, anchor).members
+    sweep_first, refined = _sweep_digests(t, gt, members)
     return {
         "anchor": anchor,
         "scores": digest(
             [(s.eligible, s.degree, s.min_edge_ratio, s.max_pairwise_parallelism,
               s.centrality, s.composite) for s in scores]
         ),
-        "sweep_first": _sweep_digest(t, gt, members),
+        "sweep_first": sweep_first,
+        "refined": refined,
         "brute": digest([p for _, p, _ in brute_force_all(t)]),
         "cprime": digest([p for _, p in c_prime_all(t)]),
     }
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "brute": "7b2aefc6abae453b", "cprime": "9b3883acafe16c1f"},
-    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "brute": "54f9f82915eb0786", "cprime": "e4203956e0f6e518"},
-    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "brute": "666e8070abf289ee", "cprime": "13467d0c4884396d"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "brute": "e9a4b8b3bceacdd0", "cprime": "246f4cf5b9c6f394"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "brute": "05e815c3401f013d", "cprime": "91e46387b17a0084"},
-    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "brute": "26394a0911c9cd37", "cprime": "e72768b1d76c36dc"},
-    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "brute": "66fbc7fc2ed7af1b", "cprime": "9632fb10cd57a37e"},
-    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "brute": "05c2ef37f297fc42", "cprime": "6c08914591f4a1f5"},
-    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "brute": "2e2148ff6b495c67", "cprime": "8c89c11e8faf365f"},
-    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "brute": "c37e91d91616cdec", "cprime": "67ba0141c7f8e7b6"},
+    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "refined": "71c21efcd2ad5efb", "brute": "7b2aefc6abae453b", "cprime": "9b3883acafe16c1f"},
+    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "refined": "fd26561dbf74c953", "brute": "54f9f82915eb0786", "cprime": "e4203956e0f6e518"},
+    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "refined": "29b68ab5b74e92cf", "brute": "666e8070abf289ee", "cprime": "13467d0c4884396d"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "refined": "2d2bebc829928b32", "brute": "e9a4b8b3bceacdd0", "cprime": "246f4cf5b9c6f394"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "refined": "36e75b0e33dcb8a2", "brute": "05e815c3401f013d", "cprime": "91e46387b17a0084"},
+    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "refined": "6f5b5a68478a88f5", "brute": "26394a0911c9cd37", "cprime": "e72768b1d76c36dc"},
+    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "refined": "ec0d127c169f9486", "brute": "66fbc7fc2ed7af1b", "cprime": "9632fb10cd57a37e"},
+    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "refined": "69535dbb0d2a68cd", "brute": "05c2ef37f297fc42", "cprime": "6c08914591f4a1f5"},
+    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "refined": "72a7ee38fa46e05e", "brute": "2e2148ff6b495c67", "cprime": "8c89c11e8faf365f"},
+    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "refined": "192c0e6f268900b0", "brute": "c37e91d91616cdec", "cprime": "67ba0141c7f8e7b6"},
 }
 
 
