@@ -8,6 +8,7 @@ z -> e conj(z) + b; ``reflect_point`` serves the tests as its reference.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateRidgeError, NoIntersectionError
@@ -60,46 +61,16 @@ def is_unit(v, tol: float = UNIT_TOL) -> bool:
     return abs(v[0] * v[0] + v[1] * v[1] - 1.0) <= tol
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as (rounded sum, its error), exactly."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _split(a: float) -> tuple[float, float]:
-    """a as two halves of at most 26 significant bits each (Veltkamp)."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a * b as (rounded product, its error), exactly (Dekker)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def reflect_point(p, line: RidgeLine) -> Point2:
     """Mirror image of ``p`` across ``line``; points on the line are fixed.
 
-    ``2 (a + ((p - a) . d) d) - p`` is written as float terms that sum to it
-    exactly (two-sum for the differences, two-product for the products),
-    and each coordinate is rounded once, by ``math.fsum``.
+    ``2 (a + ((p - a) . d) d) - p`` is evaluated in exact rational arithmetic
+    and rounded once per coordinate, so reflecting twice returns ``p`` up to
+    those roundings and the direction's own.
     """
-    ax, ay = line.anchor
-    dx, dy = line.dir
-    wx, wy = _two_sum(p[0], -ax), _two_sum(p[1], -ay)
-    t = [*_two_prod(wx[0], dx), *_two_prod(wx[1], dx), *_two_prod(wy[0], dy), *_two_prod(wy[1], dy)]
-    out = []
-    for a, q, d in ((ax, p[0], dx), (ay, p[1], dy)):
-        terms = [2.0 * a, -q]
-        for term in t:
-            terms += _two_prod(2.0 * term, d)
-        out.append(math.fsum(terms))
-    return Point2(*out)
+    (ax, ay), (dx, dy), (px, py) = (map(Fraction, v) for v in (line.anchor, line.dir, p))
+    t = (px - ax) * dx + (py - ay) * dy
+    return Point2(float(2 * (ax + t * dx) - px), float(2 * (ay + t * dy) - py))
 
 
 def line_from_two_points(a, b, min_length: float = 0.0) -> RidgeLine:
