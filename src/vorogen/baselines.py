@@ -86,15 +86,22 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     squared is s_a s_b, so that reflection is z -> s_a s_b conj(z).
     """
     arr = t.arrays
-    cell_rids = arr.cell_ridges[arr.cell_start[c] : arr.cell_start[c + 1]]
-    ends = dict(zip(cell_rids.tolist(), arr.ends[cell_rids].tolist()))
+    rids = arr.cell_ridges[arr.cell_start[c] : arr.cell_start[c + 1]]
+    ends = dict(zip(rids.tolist(), arr.ends[rids].tolist()))
     vids = sorted({v for pair in ends.values() for v in pair if v >= 0})
     xy = dict(zip(vids, map(Point2._make, arr.vertices[vids].tolist())))
+    incident = {v: t.vertex_ridges(v) for v in vids}
+    outer = sorted({rid for rids in incident.values() for rid in rids if rid not in ends})
+    # the outer ridges' directions, gathered once; a degenerate ridge has none
+    outer_dir = {
+        rid: UnitVec2._make(d)
+        for rid, d, bad in zip(outer, arr.dirs[outer].tolist(), arr.degenerate[outer].tolist())
+        if not bad
+    }
     rays: list[RidgeLine] = []
     for v in vids:
-        incident = t.vertex_ridges(v)
-        sides = [rid for rid in incident if rid in ends]
-        outers = [rid for rid in incident if rid not in ends]
+        sides = [rid for rid in incident[v] if rid in ends]
+        outers = [rid for rid in incident[v] if rid not in ends]
         if len(sides) != 2 or not outers:
             continue
         a = xy[v]
@@ -120,9 +127,8 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
         ex = sa.x * sb.x - sa.y * sb.y
         ey = sa.x * sb.y + sa.y * sb.x
         for rid in outers:
-            try:
-                d0 = t.ridge_line(rid).dir
-            except DegenerateRidgeError:
+            d0 = outer_dir.get(rid)
+            if d0 is None:
                 continue
             into = None
             for dz in (d0, UnitVec2(-d0.x, -d0.y)):
@@ -147,7 +153,8 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     whatever its flag says.
     """
     a = t.arrays
-    if not a.bounded[c] or not a.finite[a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]].all():
+    rids = a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]
+    if not a.bounded[c] or (a.ends[rids, 1] < 0).any():
         raise UnderdeterminedError(
             f"cell {c} is unbounded; the angle construction needs a closed polygon"
         )

@@ -98,15 +98,14 @@ class Tessellation:
     def __init__(self, vertices: Sequence, ridges: Sequence[Ridge], cells: Sequence[Cell]):
         """Convert hand-built objects to the array storage (``from_arrays``)."""
         ridges, cells = list(ridges), list(cells)
-        rays = [k for k, r in enumerate(ridges) if r.v1 is None and r.ray_dir is not None]
-        ray_dirs = np.full((len(ridges), 2), math.nan)
-        ray_dirs[rays] = np.reshape([ridges[k].ray_dir for k in rays], (-1, 2))
+        no_dir = (math.nan, math.nan)
+        ray_dirs = [no_dir if r.v1 is not None or r.ray_dir is None else r.ray_dir for r in ridges]
         self._store(
             np.reshape([(p[0], p[1]) for p in vertices], (-1, 2)),
             _ids([r.cells for r in ridges]).reshape(-1, 2),
             _ids([(r.v0, -1 if r.v1 is None else r.v1) for r in ridges]).reshape(-1, 2),
             [r.v1 is not None for r in ridges],
-            ray_dirs,
+            np.reshape(ray_dirs, (-1, 2)),
             np.cumsum([0] + [len(c.ridges) for c in cells]),
             _ids([rid for c in cells for rid in c.ridges]),
             [c.bounded for c in cells],
@@ -573,6 +572,7 @@ def _is_parallel_strip(t: Tessellation, cell: list[int], vertex_start, vertex_ri
 # -- serialization ------------------------------------------------------------
 
 
+_NO_DIR = (math.nan, math.nan)
 _FINITE = '{"cells": [%d, %d], "finite": [%d, %d]}'
 _RAY = '{"cells": [%d, %d], "ray": {"v": %d, "dir": [%.17g, %.17g]}}'
 
@@ -600,7 +600,7 @@ def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
     fields[rays, 3:] = t._rays[rays]
     used = np.ones(fields.shape, bool)
     used[t._finite, 4] = False
-    ridges = ", ".join(np.where(t._finite, _FINITE, _RAY).tolist()) % tuple(fields[used])
+    ridges = ", ".join([_FINITE if f else _RAY for f in t._finite.tolist()]) % tuple(fields[used])
     templates = map(_cell_template, np.diff(t._cell_start).tolist(), t._bounded.tolist())
     cells = ", ".join(templates) % tuple(t._cell_ridges.tolist())
     lines = ["{"]
@@ -677,7 +677,7 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
     xy = _parse_points(doc["vertices"], "vertices")
     pairs: list[int] = []
     ends: list[int] = []
-    rays: dict[int, tuple[float, float]] = {}
+    ray_dirs: list[tuple[float, float]] = []  # NaN for a finite ridge
     for i, robj in enumerate(doc["ridges"]):
         if type(robj) is not dict:
             raise ParseError(f"ridges[{i}]: expected an object")
@@ -692,6 +692,7 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
             if not _is_int_pair(robj["finite"]):
                 raise ParseError(f"ridges[{i}].finite: expected a [v0, v1] integer pair")
             ends += robj["finite"]
+            ray_dirs.append(_NO_DIR)
             continue
         ray = robj["ray"]
         if type(ray) is not dict or "v" not in ray or "dir" not in ray:
@@ -702,7 +703,7 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
         if not geom.is_unit(d):
             raise ParseError(f"ridges[{i}].ray.dir: direction must be unit length")
         ends += (ray["v"], -1)
-        rays[i] = d
+        ray_dirs.append(d)
     counts = [0]
     listed: list[int] = []
     bounded = []
@@ -717,14 +718,10 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
         listed += rid_list
         counts.append(len(rid_list))
         bounded.append(cobj["bounded"])
-    nr = len(doc["ridges"])
-    finite = np.ones(nr, bool)
-    finite[list(rays)] = False
-    ray_dirs = np.full((nr, 2), math.nan)
-    ray_dirs[list(rays)] = np.reshape(list(rays.values()), (-1, 2))
+    ray_dirs = np.reshape(ray_dirs, (-1, 2))
     t = Tessellation.from_arrays(
-        xy, _ids(pairs).reshape(-1, 2), _ids(ends).reshape(-1, 2), finite, ray_dirs,
-        np.cumsum(counts), _ids(listed), bounded,
+        xy, _ids(pairs).reshape(-1, 2), _ids(ends).reshape(-1, 2), np.isnan(ray_dirs[:, 0]),
+        ray_dirs, np.cumsum(counts), _ids(listed), bounded,
     )
     gt = None
     if "generators" in doc:
