@@ -135,18 +135,9 @@ class Tessellation:
             value = np.ascontiguousarray(value, dtype)
             value.flags.writeable = False
             setattr(self, name, value)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self._xy)
-
-    @property
-    def n_ridges(self) -> int:
-        return len(self._cells)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._bounded)
+        self.n_vertices, self.n_ridges, self.n_cells = len(self._xy), len(self._cells), len(self._bounded)
+        xs, ys = self._xy.T.tolist()
+        self._bbox = (min(xs), min(ys), max(xs), max(ys)) if xs else (0.0, 0.0, 0.0, 0.0)
 
     # -- object views, built on first access --------------------------------
 
@@ -172,13 +163,6 @@ class Tessellation:
         )
 
     # -- derived geometry ---------------------------------------------------
-
-    @cached_property
-    def _bbox(self) -> tuple[float, float, float, float]:
-        if not self.n_vertices:
-            return (0.0, 0.0, 0.0, 0.0)
-        xs, ys = self._xy.T.tolist()
-        return (min(xs), min(ys), max(xs), max(ys))
 
     def bbox(self) -> tuple[float, float, float, float]:
         return self._bbox
@@ -577,7 +561,7 @@ _FINITE = '{"cells": [%d, %d], "finite": [%d, %d]}'
 _RAY = '{"cells": [%d, %d], "ray": {"v": %d, "dir": [%.17g, %.17g]}}'
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cell_template(degree: int, bounded: bool) -> str:
     ids = ", ".join(["%d"] * degree)
     return f'{{"ridges": [{ids}], "bounded": {"true" if bounded else "false"}}}'
