@@ -24,7 +24,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -366,12 +366,30 @@ def validate(t: Tessellation) -> list[str]:
     An empty list means the tessellation is internally consistent and in
     generic position (every vertex on exactly 3 ridges). Each check is an
     array pass; messages are written for the vertices, ridges and cells it
-    flags, in that order.
+    flags, in that order. Each part runs in its own function, so that its
+    temporaries are freed before the next part starts.
     """
-    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
-    cells, ends, finite = t._cells, t._ends, t._finite
     nonfinite = np.flatnonzero(~np.isfinite(t._xy).all(axis=1)).tolist()
     out = [f"vertex {i} has non-finite coordinates" for i in nonfinite]
+    ok = _validate_ridges(t, out)
+    vertex_start, vertex_ridges = _vertex_index(t._ends, t._finite, t.n_vertices)
+    valence = np.diff(vertex_start)
+    referenced = np.zeros(t.n_vertices, bool)
+    referenced[t._ends[ok, 0]] = True
+    referenced[t._ends[ok & t._finite, 1]] = True
+    for v in np.flatnonzero(~referenced | (valence != 3)).tolist():
+        if not referenced[v]:
+            out.append(f"orphan vertex {v}")
+        elif not _is_split_bisector(t, vertex_start, vertex_ridges, v):
+            out.append(f"vertex {v} is shared by {valence[v]} ridges (expected 3)")
+    return out + _validate_cells(t, ~ok, vertex_start, vertex_ridges)
+
+
+def _validate_ridges(t: Tessellation, out: list[str]) -> np.ndarray:
+    """Append each ridge's violations to ``out``; returns which ridges have
+    every id in range."""
+    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
+    cells, ends, finite = t._cells, t._ends, t._finite
     thresh = t.degeneracy_threshold()
     bad_cell = ((cells < 0) | (cells >= nc)).any(axis=1)
     outside = (ends < 0) | (ends >= nv)
@@ -399,18 +417,7 @@ def validate(t: Tessellation) -> list[str]:
         if bad_ray[k]:
             out.append(f"ridge {k} ray direction is not unit length")
         out += [f"asymmetric adjacency at ridge {k} (cell {c})" for c, bad in zip((a, b), asym[k]) if bad]
-
-    vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
-    valence = np.diff(vertex_start)
-    referenced = np.zeros(nv, bool)
-    referenced[ends[ok, 0]] = True
-    referenced[ends[ok & finite, 1]] = True
-    for v in np.flatnonzero(~referenced | (valence != 3)).tolist():
-        if not referenced[v]:
-            out.append(f"orphan vertex {v}")
-        elif not _is_split_bisector(t, vertex_start, vertex_ridges, v):
-            out.append(f"vertex {v} is shared by {valence[v]} ridges (expected 3)")
-    return out + _validate_cells(t, ~ok, owner, vertex_start, vertex_ridges)
+    return ok
 
 
 def _is_split_bisector(t: Tessellation, vertex_start, vertex_ridges, v: VertexId) -> bool:
@@ -432,7 +439,7 @@ def _is_split_bisector(t: Tessellation, vertex_start, vertex_ridges, v: VertexId
     return sorted((a1, b1)) == sorted((a2, b2)) and math.hypot(x1 + x2, y1 + y2) <= 1e-9
 
 
-def _validate_cells(t: Tessellation, skip, owner, vertex_start, vertex_ridges) -> list[str]:
+def _validate_cells(t: Tessellation, skip, vertex_start, vertex_ridges) -> list[str]:
     """Violations of each cell, in cell order. ``skip`` marks the ridges
     reported for an out-of-range id, whose polygon cannot be walked.
 
@@ -443,6 +450,7 @@ def _validate_cells(t: Tessellation, skip, owner, vertex_start, vertex_ridges) -
     nr, nc = t.n_ridges, t.n_cells
     start, listed, bounded = t._cell_start, t._cell_ridges, t._bounded
     deg = np.diff(start)
+    owner = np.repeat(np.arange(nc), deg)
     in_range = (listed >= 0) & (listed < nr)
     borders = in_range.copy()
     borders[in_range] = (t._cells[listed[in_range]] == owner[in_range, None]).any(axis=1)
@@ -459,13 +467,13 @@ def _validate_cells(t: Tessellation, skip, owner, vertex_start, vertex_ridges) -
     open_ends[clean] = ray[first] & ray[last]
     closes[last] = True  # from here on: an open chain's breaks
     chain_ok = np.bincount(own[~closes], minlength=nc) == 0
-    polygon = clean & bounded & (rays == 0) & ~touches_skip & (deg >= 3) & closed
-    revisit, concave_at, area2 = _polygon_checks(t, polygon[own], own, corner, nc)
+    row = np.cumsum(clean) - 1  # a clean cell's row in the index of its own
+    polygon = np.flatnonzero(clean & bounded & (rays == 0) & ~touches_skip & (deg >= 3) & closed)
+    revisit, concave_at, area2 = _polygon_checks(t, polygon, sub_start[row[polygon]], corner)
     bad_polygon = (deg < 3) | ~closed | revisit | (concave_at >= 0) | (area2 <= 0.0)
     bad_chain = (rays != 2) | ~open_ends | ~chain_ok
     flagged = ~clean | np.where(bounded, (rays > 0) | (~touches_skip & bad_polygon), bad_chain)
 
-    row = np.cumsum(clean) - 1  # a clean cell's row in the index of its own
     out = []
     for c in np.flatnonzero(flagged).tolist():
         lo, hi = start[c], start[c + 1]
@@ -506,36 +514,36 @@ def _validate_cells(t: Tessellation, skip, owner, vertex_start, vertex_ridges) -
     return out
 
 
-def _polygon_checks(t: Tessellation, use, owner, corner, nc: int):
+def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corner: np.ndarray):
     """Per cell: whether its polygon revisits a vertex, the vertex of its
     first reflex corner (-1 if none) and twice its signed area.
 
-    ``use`` selects the boundary entries of the cells to check; their
-    ``corner`` (the vertex an entry shares with the next) is in range. The
-    area is summed corner by corner from the first, as a loop would.
+    ``cells`` are the cells to check and ``first`` their first boundary
+    entry in ``corner``, the vertex each entry shares with the next (here
+    always in range). Cells of one degree are checked together, one row of
+    a matrix each; the area is summed corner by corner from the first, as a
+    loop would.
     """
+    nc = t.n_cells
     revisit, concave_at, area2 = np.zeros(nc, bool), np.full(nc, -1), np.zeros(nc)
-    own, vid = owner[use], corner[use]
-    count = np.bincount(own, minlength=nc)
-    lo = np.cumsum(count) - count
-    at = np.arange(len(own))
-    nxt = np.where(at + 1 < lo[own] + count[own], at + 1, lo[own])
-    pair = np.sort(own * t.n_vertices + vid)
-    revisit[pair[1:][pair[1:] == pair[:-1]] // max(t.n_vertices, 1)] = True
-    p = t._xy[vid]
-    edge = p[nxt] - p  # from each corner to the next
-    length = np.fromiter(map(math.hypot, *edge.T), float, len(edge))
-    cross = edge[:, 0] * edge[nxt, 1] - edge[:, 1] * edge[nxt, 0]
-    norm = length * length[nxt]
-    bad = np.flatnonzero((norm > 0.0) & (cross < -1e-9 * norm))
-    cells_bad, first = np.unique(own[bad], return_index=True)
-    concave_at[cells_bad] = vid[nxt[bad[first]]]
-    term = p[:, 0] * p[nxt, 1] - p[nxt, 0] * p[:, 1]
-    for k in np.unique(count[count > 0]).tolist():
-        cs = np.flatnonzero(count == k)
-        rows = term[lo[cs, None] + np.arange(k)]
+    degree = np.diff(t._cell_start)[cells]
+    for k in np.unique(degree).tolist():
+        cs, vid = cells[degree == k], corner[first[degree == k, None] + np.arange(k)]
+        p = t._xy[vid]
+        p_next = np.roll(p, -1, axis=1)
+        edge = p_next - p  # from each corner to the next
+        length = np.fromiter(map(math.hypot, *edge.reshape(-1, 2).T), float, vid.size).reshape(vid.shape)
+        edge_next = np.roll(edge, -1, axis=1)
+        cross = edge[..., 0] * edge_next[..., 1] - edge[..., 1] * edge_next[..., 0]
+        norm = length * np.roll(length, -1, axis=1)
+        bad = (norm > 0.0) & (cross < -1e-9 * norm)
+        rows = np.flatnonzero(bad.any(axis=1))
+        concave_at[cs[rows]] = np.roll(vid, -1, axis=1)[rows, bad[rows].argmax(axis=1)]
+        ordered = np.sort(vid, axis=1)
+        revisit[cs] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        term = p[..., 0] * p_next[..., 1] - p_next[..., 0] * p[..., 1]
         for col in range(k):
-            area2[cs] += rows[:, col]
+            area2[cs] += term[:, col]
     return revisit, concave_at, area2
 
 
@@ -561,37 +569,55 @@ _FINITE = '{"cells": [%d, %d], "finite": [%d, %d]}'
 _RAY = '{"cells": [%d, %d], "ray": {"v": %d, "dir": [%.17g, %.17g]}}'
 
 
-@lru_cache(maxsize=64)
+_BLOCK = 4096  # items formatted at once, which bounds dumps' temporaries
+
+
 def _cell_template(degree: int, bounded: bool) -> str:
     ids = ", ".join(["%d"] * degree)
     return f'{{"ridges": [{ids}], "bounded": {"true" if bounded else "false"}}}'
 
 
+def _text(n: int, block_text) -> str:
+    """``block_text(lo, hi)`` of consecutive blocks of ``n`` items, joined."""
+    return ", ".join([block_text(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)])
+
+
 def _points_text(xy: np.ndarray) -> str:
-    return ", ".join(["[%.17g, %.17g]"] * len(xy)) % tuple(xy.ravel().tolist())
+    def block(lo: int, hi: int) -> str:
+        return ", ".join(["[%.17g, %.17g]"] * (hi - lo)) % tuple(xy[lo:hi].ravel().tolist())
+
+    return _text(len(xy), block)
 
 
 def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
     """Deterministic textual form of a tessellation (17 significant digits).
 
-    Each array is written by one %-format of all its items: a finite ridge
-    fills ``_FINITE`` with its cells and ends, a ray ``_RAY`` with its
-    cells, vertex and direction.
+    Each block of items is written by one %-format: a finite ridge fills
+    ``_FINITE`` with its cells and ends, a ray ``_RAY`` with its cells,
+    vertex and direction, and a cell the template of its degree.
     """
-    fields = np.empty((t.n_ridges, 5), object)
-    fields[:, :2], fields[:, 2:4] = t._cells, t._ends
-    rays = ~t._finite
-    fields[rays, 3:] = t._rays[rays]
-    used = np.ones(fields.shape, bool)
-    used[t._finite, 4] = False
-    ridges = ", ".join([_FINITE if f else _RAY for f in t._finite.tolist()]) % tuple(fields[used])
-    templates = map(_cell_template, np.diff(t._cell_start).tolist(), t._bounded.tolist())
-    cells = ", ".join(templates) % tuple(t._cell_ridges.tolist())
+
+    def ridges(lo: int, hi: int) -> str:
+        finite = t._finite[lo:hi]
+        fields = np.empty((hi - lo, 5), object)
+        fields[:, :2], fields[:, 2:4] = t._cells[lo:hi], t._ends[lo:hi]
+        fields[~finite, 3:] = t._rays[lo:hi][~finite]
+        used = np.ones(fields.shape, bool)
+        used[finite, 4] = False
+        return ", ".join([_FINITE if f else _RAY for f in finite.tolist()]) % tuple(fields[used])
+
+    def cells(lo: int, hi: int) -> str:
+        start = t._cell_start[lo : hi + 1]
+        kinds = list(zip(np.diff(start).tolist(), t._bounded[lo:hi].tolist()))
+        template = {kind: _cell_template(*kind) for kind in set(kinds)}
+        ids = t._cell_ridges[start[0] : start[-1]].tolist()
+        return ", ".join([template[kind] for kind in kinds]) % tuple(ids)
+
     lines = ["{"]
     lines.append(f'  "version": {FORMAT_VERSION},')
     lines.append(f'  "vertices": [{_points_text(t._xy)}],')
-    lines.append(f'  "ridges": [{ridges}],')
-    tail = f'  "cells": [{cells}]'
+    lines.append(f'  "ridges": [{_text(t.n_ridges, ridges)}],')
+    tail = f'  "cells": [{_text(t.n_cells, cells)}]'
     if gt is not None:
         lines.append(tail + ",")
         lines.append(f'  "generators": [{_points_text(np.array(gt.generators, float))}]')
