@@ -46,6 +46,9 @@ VertexId = int
 
 FORMAT_VERSION = 1
 
+# items that validate and dumps handle at once, which bounds their temporaries
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Ridge:
@@ -84,12 +87,12 @@ class GroundTruth:
 
 
 def _ids(values) -> np.ndarray:
-    """Ids as int64; one beyond that range becomes the nearest int64 bound,
-    which is as far out of range for a tessellation."""
+    """Ids as int32; one beyond that range becomes the nearest int32 bound,
+    which is as far out of range for any tessellation that fits in memory."""
     try:
-        return np.array(values, np.int64)
+        return np.array(values, np.int32)
     except OverflowError:
-        return np.clip(np.array(values, object), -(2**63), 2**63 - 1).astype(np.int64)
+        return np.clip(np.array(values, object), -(2**31), 2**31 - 1).astype(np.int32)
 
 
 class Tessellation:
@@ -130,7 +133,7 @@ class Tessellation:
 
     def _store(self, *arrays) -> None:
         names = ("_xy", "_cells", "_ends", "_finite", "_rays", "_cell_start", "_cell_ridges", "_bounded")
-        dtypes = (float, np.int64, np.int64, bool, float, np.int64, np.int64, bool)
+        dtypes = (float, np.int32, np.int32, bool, float, np.int64, np.int32, bool)
         for name, dtype, value in zip(names, dtypes, arrays):
             value = np.ascontiguousarray(value, dtype)
             value.flags.writeable = False
@@ -226,8 +229,10 @@ class RidgeArrays:
     ending at each vertex, ascending. Ridges are also indexed by their cell
     pair, as the sorted key ``min * C + max``, which ``pair_ridge`` searches.
 
-    Every id is checked to be in range. The id arrays are the tessellation's
-    own int64 storage, shared rather than copied.
+    Every id is checked to be in range. Ids are int32, which halves the
+    index arrays every tessellation keeps; arithmetic on ids that can pass
+    2**31 must widen them first. The cells, ends and cell ridges are the
+    tessellation's own storage, shared rather than copied.
     """
 
     vertices: np.ndarray  # (V, 2)
@@ -282,7 +287,8 @@ def _vertex_index(ends, finite, nv: int) -> tuple[np.ndarray, np.ndarray]:
     use = (vids >= 0) & (vids < nv)
     use[1::2] &= finite
     start = np.concatenate(([0], np.cumsum(np.bincount(vids[use], minlength=nv))))
-    return start, np.repeat(np.arange(len(ends)), 2)[use][np.argsort(vids[use], kind="stable")]
+    rids = np.repeat(np.arange(len(ends), dtype=np.int32), 2)
+    return start, rids[use][np.argsort(vids[use], kind="stable")]
 
 
 def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +342,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     dirs[degenerate] = math.nan
     dirs[~finite] = t._rays[~finite]
     pair = cells[t._cell_ridges]
-    keys = cells.min(axis=1) * nc + cells.max(axis=1)
+    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
     by_pair = np.argsort(keys, kind="stable")
     vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
     return RidgeArrays(
@@ -351,7 +357,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         cell_ridges=t._cell_ridges,
         cell_nbrs=np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0]),
         pair_keys=keys[by_pair],
-        pair_ridges=by_pair,
+        pair_ridges=by_pair.astype(np.int32),
         vertex_start=vertex_start,
         vertex_ridges=vertex_ridges,
     )
@@ -403,7 +409,7 @@ def _validate_ridges(t: Tessellation, out: list[str]) -> np.ndarray:
     owner = np.repeat(np.arange(nc), np.diff(t._cell_start))
     listed = t._cell_ridges
     keys = np.sort((owner * nr + listed)[(listed >= 0) & (listed < nr)])
-    key = np.where(ok[:, None], cells, 0) * nr + np.arange(nr)[:, None]
+    key = np.where(ok[:, None], cells, 0).astype(np.int64) * nr + np.arange(nr)[:, None]
     asym = ok[:, None] & (np.searchsorted(keys, key, "right") - np.searchsorted(keys, key) != 1)
     flagged = (cells[:, 0] == cells[:, 1]) | ~ok | degenerate | bad_ray | asym.any(axis=1)
     for k in np.flatnonzero(flagged).tolist():
@@ -520,30 +526,33 @@ def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corne
 
     ``cells`` are the cells to check and ``first`` their first boundary
     entry in ``corner``, the vertex each entry shares with the next (here
-    always in range). Cells of one degree are checked together, one row of
-    a matrix each; the area is summed corner by corner from the first, as a
-    loop would.
+    always in range). Up to ``_BLOCK`` cells of one degree are checked
+    together, one row of a matrix each; the area is summed corner by corner
+    from the first, as a loop would.
     """
     nc = t.n_cells
     revisit, concave_at, area2 = np.zeros(nc, bool), np.full(nc, -1), np.zeros(nc)
     degree = np.diff(t._cell_start)[cells]
     for k in np.unique(degree).tolist():
-        cs, vid = cells[degree == k], corner[first[degree == k, None] + np.arange(k)]
-        p = t._xy[vid]
-        p_next = np.roll(p, -1, axis=1)
-        edge = p_next - p  # from each corner to the next
-        length = np.fromiter(map(math.hypot, *edge.reshape(-1, 2).T), float, vid.size).reshape(vid.shape)
-        edge_next = np.roll(edge, -1, axis=1)
-        cross = edge[..., 0] * edge_next[..., 1] - edge[..., 1] * edge_next[..., 0]
-        norm = length * np.roll(length, -1, axis=1)
-        bad = (norm > 0.0) & (cross < -1e-9 * norm)
-        rows = np.flatnonzero(bad.any(axis=1))
-        concave_at[cs[rows]] = np.roll(vid, -1, axis=1)[rows, bad[rows].argmax(axis=1)]
-        ordered = np.sort(vid, axis=1)
-        revisit[cs] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        term = p[..., 0] * p_next[..., 1] - p_next[..., 0] * p[..., 1]
-        for col in range(k):
-            area2[cs] += term[:, col]
+        of_k = np.flatnonzero(degree == k)
+        for part in (of_k[lo : lo + _BLOCK] for lo in range(0, len(of_k), _BLOCK)):
+            cs, vid = cells[part], corner[first[part, None] + np.arange(k)]
+            p = t._xy[vid]
+            p_next = np.roll(p, -1, axis=1)
+            edge = p_next - p  # from each corner to the next
+            length = np.fromiter(map(math.hypot, *edge.reshape(-1, 2).T), float, vid.size)
+            length = length.reshape(vid.shape)
+            edge_next = np.roll(edge, -1, axis=1)
+            cross = edge[..., 0] * edge_next[..., 1] - edge[..., 1] * edge_next[..., 0]
+            norm = length * np.roll(length, -1, axis=1)
+            bad = (norm > 0.0) & (cross < -1e-9 * norm)
+            rows = np.flatnonzero(bad.any(axis=1))
+            concave_at[cs[rows]] = np.roll(vid, -1, axis=1)[rows, bad[rows].argmax(axis=1)]
+            ordered = np.sort(vid, axis=1)
+            revisit[cs] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            term = p[..., 0] * p_next[..., 1] - p_next[..., 0] * p[..., 1]
+            for col in range(k):
+                area2[cs] += term[:, col]
     return revisit, concave_at, area2
 
 
@@ -567,9 +576,6 @@ def _is_parallel_strip(t: Tessellation, cell: list[int], vertex_start, vertex_ri
 _NO_DIR = (math.nan, math.nan)
 _FINITE = '{"cells": [%d, %d], "finite": [%d, %d]}'
 _RAY = '{"cells": [%d, %d], "ray": {"v": %d, "dir": [%.17g, %.17g]}}'
-
-
-_BLOCK = 4096  # items formatted at once, which bounds dumps' temporaries
 
 
 def _cell_template(degree: int, bounded: bool) -> str:
@@ -613,18 +619,14 @@ def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
         ids = t._cell_ridges[start[0] : start[-1]].tolist()
         return ", ".join([template[kind] for kind in kinds]) % tuple(ids)
 
-    lines = ["{"]
-    lines.append(f'  "version": {FORMAT_VERSION},')
-    lines.append(f'  "vertices": [{_points_text(t._xy)}],')
-    lines.append(f'  "ridges": [{_text(t.n_ridges, ridges)}],')
-    tail = f'  "cells": [{_text(t.n_cells, cells)}]'
+    parts = [
+        f'{{\n  "version": {FORMAT_VERSION},\n  "vertices": [', _points_text(t._xy),
+        '],\n  "ridges": [', _text(t.n_ridges, ridges),
+        '],\n  "cells": [', _text(t.n_cells, cells), "]",
+    ]
     if gt is not None:
-        lines.append(tail + ",")
-        lines.append(f'  "generators": [{_points_text(np.array(gt.generators, float))}]')
-    else:
-        lines.append(tail)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts += [',\n  "generators": [', _points_text(np.array(gt.generators, float)), "]"]
+    return "".join(parts + ["\n}\n"])
 
 
 def save(t: Tessellation, path, gt: Optional[GroundTruth] = None) -> None:
@@ -728,11 +730,6 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
         listed += rid_list
         counts.append(len(rid_list))
         bounded.append(cobj["bounded"])
-    ray_dirs = np.reshape(ray_dirs, (-1, 2))
-    t = Tessellation.from_arrays(
-        xy, _ids(pairs).reshape(-1, 2), _ids(ends).reshape(-1, 2), np.isnan(ray_dirs[:, 0]),
-        ray_dirs, np.cumsum(counts), _ids(listed), bounded,
-    )
     gt = None
     if "generators" in doc:
         gens = doc["generators"]
@@ -743,6 +740,12 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
                 f"field 'generators' has {len(gens)} entries for {len(bounded)} cells"
             )
         gt = GroundTruth(tuple(map(Point2._make, _parse_points(gens, "generators").tolist())))
+    del doc
+    ray_dirs = np.reshape(ray_dirs, (-1, 2))
+    t = Tessellation.from_arrays(
+        xy, _ids(pairs).reshape(-1, 2), _ids(ends).reshape(-1, 2), np.isnan(ray_dirs[:, 0]),
+        ray_dirs, np.cumsum(counts), _ids(listed), bounded,
+    )
     return t, gt
 
 

@@ -184,7 +184,7 @@ def corpus_digest() -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
 
 
-CORPUS = "f187f5896d5e4f15"
+CORPUS = "7db35f0ec5f73fdc"
 
 
 def test_file_contract_corpus():
