@@ -124,8 +124,9 @@ class Tessellation:
         (-1 for a ray's missing end), whether it is finite, and a ray's unit
         direction (NaN where it has none); per cell its ridge ids at
         ``cell_ridges[cell_start[c]:cell_start[c + 1]]`` and whether it is
-        bounded. Ids are not checked here: ``validate`` reports bad ones and
-        ``arrays`` refuses them.
+        bounded. Ids are stored as int32 (``loads`` turns a larger one into
+        the int32 bound) and are not checked here: ``validate`` reports bad
+        ones and ``arrays`` refuses them.
         """
         t = cls.__new__(cls)
         t._store(vertices, ridge_cells, ridge_ends, finite, ray_dirs, cell_start, cell_ridges, bounded)
