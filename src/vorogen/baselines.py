@@ -90,18 +90,11 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
     ends = dict(zip(rids.tolist(), arr.ends[rids].tolist()))
     vids = sorted({v for pair in ends.values() for v in pair if v >= 0})
     xy = dict(zip(vids, map(Point2._make, arr.vertices[vids].tolist())))
-    incident = {v: t.vertex_ridges(v) for v in vids}
-    outer = sorted({rid for rids in incident.values() for rid in rids if rid not in ends})
-    # the outer ridges' directions, gathered once; a degenerate ridge has none
-    outer_dir = {
-        rid: UnitVec2._make(d)
-        for rid, d, bad in zip(outer, arr.dirs[outer].tolist(), arr.degenerate[outer].tolist())
-        if not bad
-    }
     rays: list[RidgeLine] = []
     for v in vids:
-        sides = [rid for rid in incident[v] if rid in ends]
-        outers = [rid for rid in incident[v] if rid not in ends]
+        incident = t.vertex_ridges(v)
+        sides = [rid for rid in incident if rid in ends]
+        outers = [rid for rid in incident if rid not in ends]
         if len(sides) != 2 or not outers:
             continue
         a = xy[v]
@@ -127,8 +120,9 @@ def _generator_rays(t: Tessellation, c: CellId) -> list[RidgeLine]:
         ex = sa.x * sb.x - sa.y * sb.y
         ey = sa.x * sb.y + sa.y * sb.x
         for rid in outers:
-            d0 = outer_dir.get(rid)
-            if d0 is None:
+            try:
+                d0 = t.ridge_line(rid).dir
+            except DegenerateRidgeError:
                 continue
             into = None
             for dz in (d0, UnitVec2(-d0.x, -d0.y)):
