@@ -21,7 +21,7 @@ from .errors import VorogenError
 from .forward import sample_and_build
 from .pipeline import reconstruct
 
-CSV_HEADER = "n,nsim,method,log10_mean_rmse,log10_max_rse,mean_depth,mean_propagate_ms"
+CSV_HEADER = "n,nsim,method,log10_mean_rmse,log10_max_rse,mean_depth,mean_propagate_ms,mean_build_ms"
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class CampaignRow:
     log10_max_rse: float
     mean_depth: float
     mean_propagate_ms: float
+    mean_build_ms: float
     failures: int
     results: tuple[SimResult, ...]
 
@@ -157,8 +158,9 @@ def run_campaign(
             max_rse = max(r.max_rse for r in good)
             mean_depth = sum(r.depth for r in good) / len(good)
             mean_prop_ms = 1e3 * sum(r.propagate_time for r in good) / len(good)
+            mean_build_ms = 1e3 * sum(r.build_time for r in good) / len(good)
         else:
-            mean_rmse = max_rse = mean_depth = mean_prop_ms = math.nan
+            mean_rmse = max_rse = mean_depth = mean_prop_ms = mean_build_ms = math.nan
         rows.append(
             CampaignRow(
                 n=n,
@@ -168,6 +170,7 @@ def run_campaign(
                 log10_max_rse=_log10(max_rse),
                 mean_depth=mean_depth,
                 mean_propagate_ms=mean_prop_ms,
+                mean_build_ms=mean_build_ms,
                 failures=failures,
                 results=tuple(good),
             )
@@ -176,7 +179,8 @@ def run_campaign(
 
 
 def format_row(row: CampaignRow) -> str:
-    vals = (row.log10_mean_rmse, row.log10_max_rse, row.mean_depth, row.mean_propagate_ms)
+    vals = (row.log10_mean_rmse, row.log10_max_rse, row.mean_depth, row.mean_propagate_ms,
+            row.mean_build_ms)
     nums = ",".join(format(v, ".6g") for v in vals)
     return f"{row.n},{row.nsim},{row.method},{nums}"
 

@@ -5,15 +5,21 @@ need no super-triangle bookkeeping or magic coordinates: every hull edge is
 shared with an "infinite" triangle, and the in-circumcircle predicate for
 those degenerates to an orientation test against the hull edge.
 
-Triangles are oriented triples of point indices (counter-clockwise for
-finite ones). The directed-edge map ``edge[(u, v)] -> triangle id`` is the
-only adjacency structure; every directed edge, including those touching the
-infinite vertex, has its reverse owned by the neighboring triangle.
+Triangles live in flat lists indexed by triangle id, and ids are given in
+creation order. The corners of triangle ``t`` are ``V[3t:3t+3]``, counter-
+clockwise for finite ones; its edge ``k`` is the directed edge from
+``V[3t+k]`` to ``V[3t+(k+1)%3]``, and ``N[3t+k]`` is the triangle across
+it, which owns the reverse edge. Every edge has one, including those
+touching the infinite vertex. A removed triangle keeps its slots with
+``alive[t]`` 0 (a bytearray of flags), so ids never shift; ``live`` counts
+the others.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 INF = -1
 
@@ -53,8 +59,8 @@ def circumcenter(a, b, c):
     return (a[0] + (cy * b2 - by * c2) / d, a[1] + (bx * c2 - cx * b2) / d)
 
 
-def _part1by1(v: int) -> int:
-    v &= 0xFFFF
+def _part1by1(v):
+    v = v & 0xFFFF
     v = (v | (v << 8)) & 0x00FF00FF
     v = (v | (v << 4)) & 0x0F0F0F0F
     v = (v | (v << 2)) & 0x33333333
@@ -63,23 +69,17 @@ def _part1by1(v: int) -> int:
 
 
 def insertion_order(pts: Sequence[tuple[float, float]]) -> list[int]:
-    """Morton (Z-curve) order so successive insertions stay spatially close."""
-    n = len(pts)
-    if n == 0:
+    """Morton (Z-curve) order so successive insertions stay spatially close;
+    points with equal keys keep their input order."""
+    p = np.asarray(pts, float).reshape(-1, 2)
+    if len(p) == 0:
         return []
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    sx = 65535.0 / (x1 - x0) if x1 > x0 else 0.0
-    sy = 65535.0 / (y1 - y0) if y1 > y0 else 0.0
-    keys = []
-    for i, (x, y) in enumerate(pts):
-        ix = int((x - x0) * sx)
-        iy = int((y - y0) * sy)
-        keys.append((_part1by1(ix) | (_part1by1(iy) << 1), i))
-    keys.sort()
-    return [i for _, i in keys]
+    lo = p.min(axis=0)
+    span = p.max(axis=0) - lo
+    scale = np.divide(65535.0, span, out=np.zeros(2), where=span > 0.0)
+    q = ((p - lo) * scale).astype(np.int64)
+    key = _part1by1(q[:, 0]) | (_part1by1(q[:, 1]) << 1)
+    return np.argsort(key, kind="stable").tolist()
 
 
 def all_collinear(pts: Sequence[tuple[float, float]]) -> bool:
@@ -105,41 +105,33 @@ class Triangulation:
     """Delaunay triangulation of distinct points, at least 3, not all collinear."""
 
     def __init__(self, points: Sequence[tuple[float, float]]):
-        self.points = [(float(p[0]), float(p[1])) for p in points]
-        if len(self.points) < 3:
+        if len(points) < 3:
             raise ValueError("need at least 3 points")
-        self.tris: dict[int, tuple[int, int, int]] = {}
-        self.edge: dict[tuple[int, int], int] = {}
-        self._next_id = 0
-        self._last_finite = -1
+        self._x = [float(p[0]) for p in points]
+        self._y = [float(p[1]) for p in points]
         self._build()
-
-    def real_items(self) -> list[tuple[int, tuple[int, int, int]]]:
-        """Finite triangles with their ids, in deterministic (creation) order."""
-        return [(tid, tri) for tid, tri in sorted(self.tris.items()) if INF not in tri]
 
     # -- construction ---------------------------------------------------------
 
     def _build(self) -> None:
-        pts = self.points
-        order = insertion_order(pts)
+        xs, ys = self._x, self._y
+        order = insertion_order(np.column_stack((xs, ys)))
         i0 = order[0]
+        a = (xs[i0], ys[i0])
         i1 = -1
         for idx in order[1:]:
-            if pts[idx] != pts[i0]:
+            if (xs[idx], ys[idx]) != a:
                 i1 = idx
                 break
         if i1 < 0:
             raise ValueError("all points coincide")
-        a = pts[i0]
-        b = pts[i1]
+        b = (xs[i1], ys[i1])
         i2 = -1
         o = 0.0
         for idx in order[1:]:
             if idx == i1:
                 continue
-            p = pts[idx]
-            o = orient(a[0], a[1], b[0], b[1], p[0], p[1])
+            o = orient(a[0], a[1], b[0], b[1], xs[idx], ys[idx])
             if o != 0.0:
                 i2 = idx
                 break
@@ -147,35 +139,24 @@ class Triangulation:
             raise ValueError("all points are collinear")
         if o < 0.0:
             i1, i2 = i2, i1
-        self._add_tri(i0, i1, i2)
-        self._add_tri(i1, i0, INF)
-        self._add_tri(i2, i1, INF)
-        self._add_tri(i0, i2, INF)
+        # triangle 0 is (i0, i1, i2); 1, 2 and 3 are the infinite triangles
+        # across its edges (i0, i1), (i1, i2) and (i2, i0)
+        self.V: list[int] = [i0, i1, i2, i1, i0, INF, i2, i1, INF, i0, i2, INF]
+        self.N: list[int] = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
+        self.alive = bytearray(b"\x01" * 4)
+        self.live = 4
+        self._last_finite = 0
         seeded = {i0, i1, i2}
         for idx in order:
             if idx not in seeded:
                 self._insert(idx)
 
-    def _add_tri(self, a: int, b: int, c: int) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        self.tris[tid] = (a, b, c)
-        e = self.edge
-        e[(a, b)] = tid
-        e[(b, c)] = tid
-        e[(c, a)] = tid
+    def _in_cavity(self, t: int, px: float, py: float) -> bool:
+        V = self.V
+        a, b, c = V[3 * t], V[3 * t + 1], V[3 * t + 2]
+        xs, ys = self._x, self._y
         if a != INF and b != INF and c != INF:
-            self._last_finite = tid
-        return tid
-
-    def _in_cavity(self, tid: int, px: float, py: float) -> bool:
-        a, b, c = self.tris[tid]
-        pts = self.points
-        if a != INF and b != INF and c != INF:
-            pa = pts[a]
-            pb = pts[b]
-            pc = pts[c]
-            return incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], px, py) > 0.0
+            return incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py) > 0.0
         # infinite triangle: its single real directed edge (x, y) faces outward,
         # so the point conflicts iff it is beyond the hull line, or on it
         # strictly between the edge's ends (a point on the line outside the
@@ -186,8 +167,7 @@ class Triangulation:
             x, y = c, a
         else:
             x, y = a, b
-        x1, y1 = pts[x]
-        x2, y2 = pts[y]
+        x1, y1, x2, y2 = xs[x], ys[x], xs[y], ys[y]
         o = orient(x1, y1, x2, y2, px, py)
         if o != 0.0:
             return o > 0.0
@@ -197,64 +177,93 @@ class Triangulation:
 
     def _locate(self, px: float, py: float) -> int:
         """Some triangle whose cavity test accepts (px, py), found by walking."""
-        pts = self.points
-        tris = self.tris
-        edge = self.edge
-        tid = self._last_finite
+        xs, ys, V, N = self._x, self._y, self.V, self.N
+        t = self._last_finite
         alt = 0
-        limit = 4 * len(tris) + 64
-        for _ in range(limit):
-            a, b, c = tris[tid]
-            ax, ay = pts[a]
-            bx, by = pts[b]
-            cx, cy = pts[c]
+        for _ in range(4 * self.live + 64):
+            j = 3 * t
+            a, b, c = V[j], V[j + 1], V[j + 2]
+            ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
+            # the edges with p strictly to their right: orient(u, v, p) < 0,
+            # written out with orient's operations
             neg = []
-            if orient(ax, ay, bx, by, px, py) < 0.0:
-                neg.append((a, b))
-            if orient(bx, by, cx, cy, px, py) < 0.0:
-                neg.append((b, c))
-            if orient(cx, cy, ax, ay, px, py) < 0.0:
-                neg.append((c, a))
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0:
+                neg.append(j)
+            if (cx - bx) * (py - by) - (cy - by) * (px - bx) < 0.0:
+                neg.append(j + 1)
+            if (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < 0.0:
+                neg.append(j + 2)
             if not neg:
-                return tid
-            u, v = neg[alt % len(neg)]
+                return t
+            t = N[neg[alt % len(neg)]]
             alt += 1
-            nb = edge[(v, u)]
-            if INF in tris[nb]:
-                return nb
-            tid = nb
-        for tid in sorted(tris):
-            if self._in_cavity(tid, px, py):
-                return tid
+            if V[3 * t] == INF or V[3 * t + 1] == INF or V[3 * t + 2] == INF:
+                return t
+        for t, live in enumerate(self.alive):
+            if live and self._in_cavity(t, px, py):
+                return t
         raise RuntimeError("point location failed")
 
     def _insert(self, pi: int) -> None:
-        px, py = self.points[pi]
+        xs, ys, V, N, alive = self._x, self._y, self.V, self.N, self.alive
+        px, py = xs[pi], ys[pi]
         seed = self._locate(px, py)
-        tris = self.tris
-        edge = self.edge
         cavity = [seed]
         in_cav = {seed}
-        i = 0
-        while i < len(cavity):
-            a, b, c = tris[cavity[i]]
-            i += 1
-            for u, v in ((a, b), (b, c), (c, a)):
-                nb = edge[(v, u)]
-                if nb not in in_cav and self._in_cavity(nb, px, py):
+        # the cavity's boundary edges in cavity order: a neighbour that fails
+        # the test once fails it again, so it never joins the cavity later
+        boundary = []
+        for t in cavity:
+            for e in range(3 * t, 3 * t + 3):
+                nb = N[e]
+                if nb in in_cav:
+                    continue
+                j = 3 * nb
+                a, b, c = V[j], V[j + 1], V[j + 2]
+                if a == INF or b == INF or c == INF:
+                    inside = self._in_cavity(nb, px, py)
+                else:
+                    # incircle(a, b, c, p) > 0, written out with the same
+                    # operations in the same order
+                    adx = xs[a] - px
+                    ady = ys[a] - py
+                    bdx = xs[b] - px
+                    bdy = ys[b] - py
+                    cdx = xs[c] - px
+                    cdy = ys[c] - py
+                    ad = adx * adx + ady * ady
+                    bd = bdx * bdx + bdy * bdy
+                    cd = cdx * cdx + cdy * cdy
+                    inside = (
+                        adx * (bdy * cd - cdy * bd)
+                        - ady * (bdx * cd - cdx * bd)
+                        + ad * (bdx * cdy - cdx * bdy)
+                    ) > 0.0
+                if inside:
                     in_cav.add(nb)
                     cavity.append(nb)
-        boundary = []
-        for tid in cavity:
-            a, b, c = tris[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if edge[(v, u)] not in in_cav:
-                    boundary.append((u, v))
-        for tid in cavity:
-            a, b, c = tris[tid]
-            del edge[(a, b)]
-            del edge[(b, c)]
-            del edge[(c, a)]
-            del tris[tid]
-        for u, v in boundary:
-            self._add_tri(u, v, pi)
+                else:
+                    boundary.append(e)
+        for t in cavity:
+            alive[t] = 0
+        # each boundary edge (u, v) becomes the triangle (u, v, pi)
+        t0 = len(alive)
+        after_u: dict[int, int] = {}
+        for t, e in enumerate(boundary, t0):
+            u = V[e]
+            v = V[e + 1 if e % 3 < 2 else e - 2]
+            out = N[e]
+            o = 3 * out
+            N[o if V[o] == v else o + 1 if V[o + 1] == v else o + 2] = t
+            V += (u, v, pi)
+            N += (out, -1, -1)
+            after_u[u] = t
+            if u != INF and v != INF:
+                self._last_finite = t
+        # triangle (u, v, pi) meets (v, w, pi) across the edge (v, pi)
+        for t in range(t0, len(alive) + len(boundary)):
+            nxt = after_u[V[3 * t + 1]]
+            N[3 * t + 1] = nxt
+            N[3 * nxt + 2] = t
+        alive += b"\x01" * len(boundary)
+        self.live += len(boundary) - len(cavity)

@@ -57,28 +57,55 @@ def sample_sites(n: int, seed: Optional[int]) -> SiteSample:
 
 
 def _too_close(pts: list, sep: float) -> set[int]:
-    """Indices of points closer than ``sep`` to an earlier point (grid hash)."""
+    """Indices of points within ``sep`` of an earlier point.
+
+    The candidates are the pairs in one cell, or in neighbouring cells, of a
+    grid of side 2 sep, found by sorting the cells' keys; ``math.hypot``
+    decides each candidate.
+    """
     if sep <= 0.0:
         sep = 1e-300
-    h = sep * 2.0
-    grid: dict[tuple[int, int], list[int]] = {}
-    bad: set[int] = set()
-    for i, (x, y) in enumerate(pts):
-        gx, gy = int(math.floor(x / h)), int(math.floor(y / h))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in grid.get((gx + dx, gy + dy), ()):
-                    if math.hypot(x - pts[j][0], y - pts[j][1]) <= sep:
-                        bad.add(i)
-        grid.setdefault((gx, gy), []).append(i)
-    return bad
+    p = np.asarray(pts, float).reshape(-1, 2)
+    g = np.floor(p / (sep * 2.0))
+    # each axis's cells ranked; rank r + 1 is the next cell when the two
+    # floors differ by exactly 1
+    (ux, rx), (uy, ry) = (np.unique(g[:, k], return_inverse=True) for k in range(2))
+    step_x = np.append(np.diff(ux) == 1.0, False)[rx]
+    step_y = np.diff(uy) == 1.0
+    up, down = np.append(step_y, False)[ry], np.insert(step_y, 0, False)[ry]
+    key = rx * len(uy) + ry
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    ends = np.searchsorted(sorted_key, key, "right")
+    # the later points of one's own cell, then the cells above, right-below,
+    # right and right-above
+    spans = [(np.arange(len(p)), at + 1, ends)]
+    for ok, shift in ((up, 1), (step_x & down, len(uy) - 1), (step_x, len(uy)),
+                      (step_x & up, len(uy) + 1)):
+        rows = np.flatnonzero(ok)
+        lo, hi = (np.searchsorted(sorted_key, key[rows] + shift, side) for side in ("left", "right"))
+        spans.append((rows, lo, hi))
+    i = np.concatenate([np.repeat(rows, hi - lo) for rows, lo, hi in spans])
+    j = order[np.concatenate([_ranges(lo, hi) for _, lo, hi in spans])]
+    d = p[i] - p[j]
+    close = [math.hypot(dx, dy) <= sep for dx, dy in zip(d[:, 0].tolist(), d[:, 1].tolist())]
+    return set(np.maximum(i, j)[np.array(close, bool)].tolist())
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of every ``range(lo[k], hi[k])``, concatenated."""
+    count = hi - lo
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     """Exact Voronoi tessellation of the sample, plus its ground truth.
 
-    Raises ConstructionError when sites are duplicated or a 4+-cocircular
-    degeneracy would produce a zero-length ridge; see ``jitter_degenerate``.
+    Raises ConstructionError when a site is not finite, sites are duplicated
+    or a 4+-cocircular degeneracy would produce a zero-length ridge; see
+    ``jitter_degenerate``.
     The error's ``threshold`` is the tolerance that rejected the build: the
     site separation for duplicates, ``Tessellation.degeneracy_threshold()``
     of the built diagram for a degenerate ridge.
@@ -89,6 +116,8 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
         raise ConstructionError(f"need at least 2 sites, got {n}")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ConstructionError("site coordinates must be finite")
     sep = geom.DEGENERACY_REL * (math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0)
     dup = _too_close(pts, sep)
     if dup:
@@ -105,35 +134,40 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
 
 
 def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
-    real = tri.real_items()
     p = np.array(pts, float)
-    corners = np.array([abc for _, abc in real]).reshape(-1, 3)
+    tv = np.fromiter(tri.V, np.int64, len(tri.V)).reshape(-1, 3)
+    live = np.frombuffer(tri.alive, bool)
+    real = np.flatnonzero(live & (tv >= 0).all(axis=1))
+    corners = tv[real]
     vertices = np.column_stack(delaunay.circumcenter(*(p[corners[:, k]].T for k in range(3))))
-    keys = sorted(key for key in tri.edge if 0 <= key[0] < key[1])
-    # each ridge's two triangles, ascending, and their vertex ids; an
-    # infinite triangle's id can be lower than a real one's
-    tids = np.sort([(tri.edge[(i, j)], tri.edge[(j, i)]) for i, j in keys], axis=1)
-    real_tids = np.array([tid for tid, _ in real])
-    ends = np.minimum(np.searchsorted(real_tids, tids), len(real_tids) - 1)
-    is_real = real_tids[ends] == tids
-    finite = is_real.all(axis=1)
-    ray_dirs = np.full((len(keys), 2), math.nan)
+    # every live directed edge (i, j) with 0 <= i < j is one ridge; its
+    # triangle and the one across it, ascending, give the ridge's vertex ids
+    # (an infinite triangle's id can be lower than a real one's)
+    head = tv.ravel()
+    tail = tv[:, [1, 2, 0]].ravel()
+    e = np.flatnonzero(np.repeat(live, 3) & (head >= 0) & (head < tail))
+    e = e[np.lexsort((tail[e], head[e]))]
+    ridge_cells = np.column_stack((head[e], tail[e]))
+    vid = np.full(len(tv), -1)
+    vid[real] = np.arange(len(real))
+    across = np.fromiter(tri.N, np.int64, len(tri.N))[e]
+    ends = vid[np.sort(np.column_stack((e // 3, across)), axis=1)]
+    finite = (ends >= 0).all(axis=1)
+    ends[~finite] = np.sort(ends[~finite], axis=1)[:, ::-1]  # (real triangle, -1)
+    ray_dirs = np.full((len(ends), 2), math.nan)
     for k in np.flatnonzero(~finite).tolist():
         # hull edge: ray from the circumcenter of its only real triangle,
         # perpendicular to the site pair and away from the third site
-        own = int(is_real[k, 1])
-        ends[k] = (ends[k, own], -1)
-        i, j = keys[k]
+        i, j = ridge_cells[k].tolist()
         gi, gj = pts[i], pts[j]
         mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
         dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
-        w = pts[next(w for w in tri.tris[int(tids[k, own])] if w != i and w != j)]
+        w = pts[next(w for w in corners[ends[k, 0]].tolist() if w != i and w != j)]
         if dx * (w[0] - mx) + dy * (w[1] - my) > 0.0:
             dx, dy = -dx, -dy
         ray_dirs[k] = geom.unit_vec(dx, dy)
     # a cell's ridges go by the angle of the neighbour across them, as
     # math.atan2 gives it (np.arctan2 rounds differently)
-    ridge_cells = np.array(keys).reshape(-1, 2)
     d = p[ridge_cells[:, ::-1].ravel()] - p[ridge_cells.ravel()]
     angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
     cell_start, cell_ridges = _boundaries(ridge_cells, len(pts), angle)

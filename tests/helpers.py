@@ -186,6 +186,26 @@ def rmse(generators: dict, gt: GroundTruth) -> float:
     return math.sqrt(total / len(generators))
 
 
+def too_close_reference(pts, sep: float) -> set[int]:
+    """Indices of points within ``sep`` of an earlier point: the grid-hash
+    loop ``forward._too_close`` replaced, one dict cell of side 2 sep per
+    point and its eight neighbours searched."""
+    if sep <= 0.0:
+        sep = 1e-300
+    h = sep * 2.0
+    grid: dict[tuple[int, int], list[int]] = {}
+    bad: set[int] = set()
+    for i, (x, y) in enumerate(pts):
+        gx, gy = int(math.floor(x / h)), int(math.floor(y / h))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in grid.get((gx + dx, gy + dy), ()):
+                    if math.hypot(x - pts[j][0], y - pts[j][1]) <= sep:
+                        bad.add(i)
+        grid.setdefault((gx, gy), []).append(i)
+    return bad
+
+
 # -- loop references for the vectorized anchor scoring and sweep -------------
 #
 # Per-cell Python loops with the floating-point operations of the scalar

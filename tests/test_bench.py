@@ -84,6 +84,9 @@ def test_campaign_aggregates_accuracy():
         assert row.log10_mean_rmse <= -11.0
         assert row.log10_max_rse <= -6.0
         assert row.mean_depth > 0.0
+        # the build column is averaged like the sweep's
+        assert row.mean_build_ms == 1e3 * sum(r.build_time for r in row.results) / 30
+        assert row.mean_build_ms > 0.0
 
 
 def test_campaign_of_one_matches_single_simulation():
@@ -137,6 +140,7 @@ def test_campaign_all_failures_yield_nan_row(monkeypatch):
     assert row.results == ()
     assert math.isnan(row.log10_mean_rmse)
     assert math.isnan(row.mean_depth)
+    assert math.isnan(row.mean_build_ms)
 
 
 # ---------------------------------------------------------------------- csv
@@ -146,7 +150,7 @@ def _stub_row(**overrides) -> CampaignRow:
     base = dict(
         n=100, nsim=5, method="anchor",
         log10_mean_rmse=-12.3456789, log10_max_rse=-6.5,
-        mean_depth=3.2, mean_propagate_ms=0.123456789,
+        mean_depth=3.2, mean_propagate_ms=0.123456789, mean_build_ms=1234.56789,
         failures=0, results=(),
     )
     base.update(overrides)
@@ -154,7 +158,7 @@ def _stub_row(**overrides) -> CampaignRow:
 
 
 def test_format_row_six_significant_digits():
-    assert format_row(_stub_row()) == "100,5,anchor,-12.3457,-6.5,3.2,0.123457"
+    assert format_row(_stub_row()) == "100,5,anchor,-12.3457,-6.5,3.2,0.123457,1234.57"
 
 
 def test_export_csv_writes_header_and_rows(tmp_path):
@@ -186,6 +190,7 @@ def test_export_csv_round_trips_values(tmp_path):
     assert float(fields[3]) == pytest.approx(row.log10_mean_rmse, rel=1e-5)
     assert float(fields[4]) == pytest.approx(row.log10_max_rse, rel=1e-5)
     assert float(fields[5]) == pytest.approx(row.mean_depth, rel=1e-5)
+    assert float(fields[7]) == pytest.approx(row.mean_build_ms, rel=1e-5)
 
 
 # ----------------------------------------------------- pipeline entry point

@@ -16,6 +16,7 @@ import pytest
 from vorogen.errors import ConstructionError
 from vorogen.forward import (
     SiteSample,
+    _too_close,
     build_voronoi,
     jitter_degenerate,
     sample_and_build,
@@ -26,7 +27,13 @@ from vorogen.pipeline import reconstruct
 from vorogen.tessellation import dumps, validate
 
 from conftest import DIAMOND_SITES, DIAMOND_VERTICES
-from helpers import cyclic_match, halfplane_cell, point_in_polygon, polygon_vertices
+from helpers import (
+    cyclic_match,
+    halfplane_cell,
+    point_in_polygon,
+    polygon_vertices,
+    too_close_reference,
+)
 
 
 def test_sample_sites_count_window_and_bounds():
@@ -124,6 +131,55 @@ def test_collinear_sites_plus_one_match_qhull(extra):
     assert validate(t) == []
     theirs = sorted(tuple(sorted(p)) for p in spatial.Voronoi(pts).ridge_points.tolist())
     assert sorted(r.cells for r in t.ridges) == theirs
+
+
+def _exact_pairs(sep: float) -> list[tuple[float, float]]:
+    """Pairs at a distance of exactly ``sep`` and one ulp beyond it, on and
+    across the grid lines of side 2 sep."""
+    pts = []
+    for k, x in enumerate((0.0, 2 * sep, 3 * sep, 7.5 * sep)):
+        y = 10.0 * sep * k
+        pts += [(x, y), (x + sep, y), (x, y + 1.0), (np.nextafter(x + sep, math.inf), y + 1.0)]
+        pts += [(x - 5.0, y), (x - 5.0, y + sep), (x + 5.0, y), (x + 5.0, y - sep)]
+    return pts
+
+
+def _groups_of_three(sep: float) -> list[tuple[float, float]]:
+    """Triangles of mutually close points, and chains whose ends are not."""
+    pts = []
+    for k in range(6):
+        x, y = 3.0 * k, 0.1 * k
+        pts += [(x, y), (x + 0.5 * sep, y), (x + 0.25 * sep, y + 0.4 * sep)]
+        pts += [(x, y + 1.0), (x + 0.9 * sep, y + 1.0), (x + 1.8 * sep, y + 1.0)]
+    return pts
+
+
+@pytest.mark.parametrize("name,pts,sep", [
+    ("exact pairs", _exact_pairs(0.5), 0.5),
+    ("exact pairs, small sep", _exact_pairs(3e-7), 3e-7),
+    ("groups of three", _groups_of_three(0.01), 0.01),
+    ("uniform", [tuple(p) for p in np.random.default_rng(3).uniform(0, 1, (3000, 2)).tolist()], 0.004),
+    ("column", [(0.25, 0.7e-3 * k * (1 + (k % 3 == 0))) for k in range(10_000)], 1e-3),
+    ("sep zero", [(0.0, 0.0), (1e-301, 0.0), (0.0, 0.0), (1.0, 1.0)], 0.0),
+    ("sep negative", [(0.0, 0.0), (0.0, 3e-301), (0.0, 1e-299), (0.0, 0.0)], -1.0),
+])
+def test_too_close_matches_the_loop(name, pts, sep):
+    """The clash set is {i : some j < i lies within sep}, as the loop found it."""
+    expected = too_close_reference(pts, sep)
+    assert _too_close(pts, sep) == expected
+    assert expected, f"{name}: the input should clash somewhere"
+
+
+def test_too_close_takes_a_pair_at_exactly_sep():
+    pts = [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (np.nextafter(0.5, 1.0), 1.0)]
+    assert _too_close(pts, 0.5) == {1}
+
+
+def test_non_finite_sites_raise_construction_error():
+    for bad in (math.nan, math.inf):
+        pts = (Point2(0.0, 0.0), Point2(bad, 1.0), Point2(1.0, 1.0))
+        with pytest.raises(ConstructionError, match="finite"):
+            build_voronoi(SiteSample(pts, 1.0, None))
 
 
 # SHA-256 of sample_sites' points as little-endian float64, recorded when
