@@ -1,8 +1,10 @@
 """Ground-truth generation: site sampling and exact Voronoi construction.
 
-``build_voronoi`` dualizes an incremental Delaunay triangulation:
-circumcenters of finite triangles become tessellation vertices, interior
-Delaunay edges become finite ridges, and hull edges become outward rays.
+``build_voronoi`` dualizes the Delaunay triangulation of ``delaunay``:
+circumcenters of finite triangles become tessellation vertices, numbered
+in the triangulation's canonical order (so a vertex id depends on the
+triangle set alone, not on how it was built), interior Delaunay edges
+become finite ridges, and hull edges become outward rays.
 Collinear inputs (including the 2-site case) shortcut to an explicit
 construction where each bisector line is a pair of opposite rays through a
 synthetic vertex.
@@ -103,12 +105,13 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     """Exact Voronoi tessellation of the sample, plus its ground truth.
 
-    Raises ConstructionError when a site is not finite, sites are duplicated
-    or a 4+-cocircular degeneracy would produce a zero-length ridge; see
-    ``jitter_degenerate``.
+    Raises ConstructionError when a site is not finite, sites are duplicated,
+    a 4+-cocircular degeneracy would produce a zero-length ridge, or sites
+    are so nearly collinear or coincident that float cannot place their
+    circumcenters well enough for ``validate``; see ``jitter_degenerate``.
     The error's ``threshold`` is the tolerance that rejected the build: the
     site separation for duplicates, ``Tessellation.degeneracy_threshold()``
-    of the built diagram for a degenerate ridge.
+    of the built diagram for a degenerate ridge, 0 for the rounding case.
     """
     pts = [(p[0], p[1]) for p in sites.points]
     n = len(pts)
@@ -135,25 +138,21 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
 
 def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     p = np.array(pts, float)
-    tv = np.fromiter(tri.V, np.int64, len(tri.V)).reshape(-1, 3)
-    live = np.frombuffer(tri.alive, bool)
-    real = np.flatnonzero(live & (tv >= 0).all(axis=1))
-    corners = tv[real]
-    vertices = np.column_stack(delaunay.circumcenter(*(p[corners[:, k]].T for k in range(3))))
-    # every live directed edge (i, j) with 0 <= i < j is one ridge; its
-    # triangle and the one across it, ascending, give the ridge's vertex ids
-    # (an infinite triangle's id can be lower than a real one's)
+    tv = tri.V
+    corners = tv[: tri.finite]
+    abc = [p[corners[:, k]].T for k in range(3)]
+    vertices = np.column_stack(delaunay.circumcenter(*abc))
+    # every directed edge (i, j) with 0 <= i < j is one ridge; its triangle
+    # and the one across it, ascending, give the ridge's vertex ids (finite
+    # triangles come first, and are the vertices in their order)
     head = tv.ravel()
     tail = tv[:, [1, 2, 0]].ravel()
-    e = np.flatnonzero(np.repeat(live, 3) & (head >= 0) & (head < tail))
+    e = np.flatnonzero((head >= 0) & (head < tail))
     e = e[np.lexsort((tail[e], head[e]))]
     ridge_cells = np.column_stack((head[e], tail[e]))
-    vid = np.full(len(tv), -1)
-    vid[real] = np.arange(len(real))
-    across = np.fromiter(tri.N, np.int64, len(tri.N))[e]
-    ends = vid[np.sort(np.column_stack((e // 3, across)), axis=1)]
-    finite = (ends >= 0).all(axis=1)
-    ends[~finite] = np.sort(ends[~finite], axis=1)[:, ::-1]  # (real triangle, -1)
+    ends = np.sort(np.column_stack((e // 3, tri.N.ravel()[e])), axis=1)
+    finite = ends[:, 1] < tri.finite
+    ends[~finite, 1] = -1  # (real triangle, -1)
     ray_dirs = np.full((len(ends), 2), math.nan)
     for k in np.flatnonzero(~finite).tolist():
         # hull edge: ray from the circumcenter of its only real triangle,
@@ -183,7 +182,7 @@ def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     t = Tessellation.from_arrays(
         vertices, ridge_cells, ends, finite, ray_dirs, cell_start, cell_ridges, bounded
     )
-    bad = np.flatnonzero(t.arrays.degenerate).tolist()
+    bad = np.flatnonzero(t.arrays.degenerate).tolist() if np.isfinite(vertices).all() else []
     if bad:
         groups = [tuple(sorted(set(corners[ends[r]].ravel().tolist()))) for r in bad]
         raise ConstructionError(
@@ -191,7 +190,41 @@ def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
             site_groups=tuple(groups),
             threshold=t.degeneracy_threshold(),
         )
+    bad = _unresolved(p, corners, vertices, tri.N[: tri.finite], abc)
+    if len(bad):
+        groups = sorted({tuple(sorted(c)) for c in corners[bad].tolist()})
+        raise ConstructionError(
+            f"rounding degeneracy: circumcenters too inexact for site groups {groups}",
+            site_groups=tuple(groups),
+        )
     return t
+
+
+def _unresolved(p, corners, vertices, nbrs, abc) -> np.ndarray:
+    """The finite triangles whose circumcenter rounding could make a cell
+    polygon turn the wrong way at it, by more than ``validate`` allows.
+
+    At the circumcenter of triangle (a, b, c), the polygon of cell a turns by
+    the triangle's angle at a. The ridge across edge (a, b) joins it to the
+    circumcenter across that edge; rounding both by ``circumcenter_error``
+    can turn the ridge by their sum over its length (a ray's direction is
+    exact). Nearly collinear or nearly coincident sites, whose circumcenters
+    float cannot place, end up here; so does a circumcenter that is not finite.
+    """
+    err = delaunay.circumcenter_error(*abc)
+    real = nbrs < len(corners)
+    other = np.where(real, nbrs, 0)
+    # the turn of each ridge, across edge k (from corner k to k + 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.hypot(*(vertices[other] - vertices[:, None, :]).transpose(2, 0, 1))
+        turn = np.where(real, (err[:, None] + err[other]) / gap, err[:, None] * 0.0)
+    a = p[corners]
+    u, w = a[:, [1, 2, 0]] - a, a[:, [2, 0, 1]] - a
+    cross = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    sine = cross / (np.hypot(*u.transpose(2, 0, 1)) * np.hypot(*w.transpose(2, 0, 1)))
+    # corner k sits between edge k - 1 and edge k
+    ok = sine >= turn + turn[:, [2, 0, 1]] - 0.5e-9
+    return np.flatnonzero(~ok.all(axis=1))
 
 
 def _boundaries(ridge_cells: np.ndarray, n: int, angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

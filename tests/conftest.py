@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -79,6 +80,16 @@ def diamond_missing_ring():
     cells = [Cell(ridges=fix(c.ridges), bounded=c.bounded) for c in cells]
     t = Tessellation(vertices, ridges, cells)
     return t, GroundTruth(tuple(Point2(*s) for s in sites))
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tests marked ``slow`` run only when VOROGEN_SLOW=1 is set."""
+    if os.environ.get("VOROGEN_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow; set VOROGEN_SLOW=1 to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 _BUILD_CACHE: dict = {}

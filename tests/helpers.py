@@ -8,6 +8,7 @@ normal-equations solve is an independent oracle for the QR path.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -212,6 +213,37 @@ def too_close_reference(pts, sep: float) -> set[int]:
 # geometry API, in the order the vectorized code must reproduce; tests
 # require bit-equal results. Sums run left to right (``_sum``), as the
 # builtin ``sum`` of floats did before Python 3.12 made it compensated.
+
+
+def assert_exactly_delaunay(pts, triangles) -> None:
+    """Check a Delaunay triangulation in rational arithmetic, independent of
+    ``delaunay``'s predicates: every triangle is counter-clockwise, no
+    directed edge repeats, every point is used and the count is that of a
+    triangulated convex polygon (2n - 2 - b for b boundary edges), and the
+    fourth point across every interior edge is not strictly inside the
+    triangle's circumcircle."""
+    p = [(Fraction(x), Fraction(y)) for x, y in pts]
+    opposite = {}
+    for a, b, c in triangles:
+        (ax, ay), (bx, by), (cx, cy) = p[a], p[b], p[c]
+        assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0, f"triangle {(a, b, c)}"
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            assert (u, v) not in opposite, f"edge {(u, v)} twice"
+            opposite[(u, v)] = w
+    boundary = sum((v, u) not in opposite for u, v in opposite)
+    assert {i for t in triangles for i in t} == set(range(len(pts)))
+    assert len(triangles) == 2 * len(pts) - 2 - boundary
+    for (u, v), w in opposite.items():
+        if (v, u) not in opposite:
+            continue
+        d = opposite[(v, u)]
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = p[u], p[v], p[w], p[d]
+        rows = [(ax - dx, ay - dy), (bx - dx, by - dy), (cx - dx, cy - dy)]
+        lift = [x * x + y * y for x, y in rows]
+        (r0, r1, r2), (l0, l1, l2) = rows, lift
+        det = (l0 * (r1[0] * r2[1] - r2[0] * r1[1]) + l1 * (r2[0] * r0[1] - r0[0] * r2[1])
+               + l2 * (r0[0] * r1[1] - r1[0] * r0[1]))
+        assert det <= 0, f"edge {(u, v)}: {d} inside the circle of {(u, v, w)}"
 
 
 def _sum(xs) -> float:

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vorogen.errors import ConstructionError
 from vorogen.forward import (
@@ -317,12 +319,37 @@ def test_build_is_deterministic():
     assert dumps(t1, gt1) == dumps(t2, gt2)
 
 
-# SHA-256 of dumps(t, gt) for the retried samples: a change to the retry
-# must keep these bits, jittered sites included
-RETRY_DIGESTS = {
-    1619958167: "33fccbbea6e19e00b01192d0b0d1758d38ec4c680bb730fd98877a71911eea5c",
-    2032142921: "ec63007cfaa1f0fbf6db2cae25292c8f7f1a2d85508c48e0fc95a0571c5e0083",
+# SHA-256 of the vertex coordinates as little-endian float64, rows sorted by
+# (x, y), recorded with the incremental triangulation: a renumbering of the
+# vertices keeps them, a change to a circumcenter's bits does not
+VERTEX_DIGESTS = {
+    (1000, 0): "d48a658810c8cf60",
+    (1000, 1): "269e10e808df8498",
+    (1000, 2): "2a118a60402dc739",
+    (10_000, 0): "a8dbc44ce41ace57",
 }
+
+
+def vertex_digest(t) -> str:
+    xy = np.asarray(t.arrays.vertices, "<f8")
+    return hashlib.sha256(xy[np.lexsort((xy[:, 1], xy[:, 0]))].tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,seed", sorted(VERTEX_DIGESTS))
+def test_vertex_coordinates_keep_their_bits(n, seed):
+    t, _ = build_voronoi(sample_sites(n, seed))
+    assert vertex_digest(t) == VERTEX_DIGESTS[(n, seed)]
+
+
+# SHA-256 of dumps(t, gt) for the retried samples: a change to the retry
+# must keep these bits, jittered sites included (re-recorded when the
+# vertices were renumbered from the triangle set; the sites, first 16 hex
+# digits of their float64 SHA-256, were recorded before and kept)
+RETRY_DIGESTS = {
+    1619958167: "9a3f9b6ea8c28d206bba8f01bd9aaef68dba31e2de289bc5c33997e647311f6c",
+    2032142921: "fd4a94029c13a5be0120af8f02f6804f8d55e2d5093cbb0a86310916b44ac683",
+}
+RETRY_SITES = {1619958167: "e18e62b6203bbd2a", 2032142921: "00e7f5997c242dbc"}
 
 
 @pytest.mark.parametrize("seed", sorted(RETRY_DIGESTS))
@@ -335,6 +362,7 @@ def test_retry_clears_the_rejecting_threshold(seed):
         build_voronoi(sample)
     jittered, t, gt = sample_and_build(10_000, seed)
     assert hashlib.sha256(dumps(t, gt).encode()).hexdigest() == RETRY_DIGESTS[seed]
+    assert hashlib.sha256(np.asarray(jittered.points, "<f8").tobytes()).hexdigest()[:16] == RETRY_SITES[seed]
     moved = [i for i, (p, q) in enumerate(zip(sample.points, jittered.points)) if p != q]
     assert 0 < len(moved) <= 4
     assert max(
@@ -343,6 +371,45 @@ def test_retry_clears_the_rejecting_threshold(seed):
     ) < 1e-3
     rep = reconstruct(t, "anchor", gt)
     assert rep.max_rse < 1e-8
+
+
+# small inputs where exact ties are the rule: integer grids, points rounded
+# onto a line, and points rounded onto a circle, a few moved by an ulp or so
+grid_sites = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=12)
+nudges = st.sampled_from([0.0, 0.0, 2.0**-52, -(2.0**-52), 1e-15, 5e-324, 1e-9])
+line_sites = st.lists(st.tuples(st.integers(-6, 6), nudges), min_size=2, max_size=10).map(
+    lambda ps: [(t / 3.0, 0.7 * t / 3.0 + 0.1 + e) for t, e in ps]
+)
+circle_sites = st.tuples(
+    st.lists(st.tuples(st.integers(0, 11), nudges), min_size=3, max_size=12), st.booleans()
+).map(lambda arg: [(math.cos(k * math.pi / 6) + e, math.sin(k * math.pi / 6)) for k, e in arg[0]]
+      + [(0.0, 0.0)] * arg[1])
+
+
+@settings(max_examples=150, deadline=5000)
+@given(st.one_of(grid_sites.map(lambda ps: [(float(x), float(y)) for x, y in ps]), line_sites, circle_sites))
+# rounded onto a line: a circumcenter that is not finite, and cells that
+# turn the wrong way; a pair 1e-9 apart on a circle: a cell not convex
+@example([(t / 3.0, 0.7 * t / 3.0 + 0.1) for t in (0, -1, 2)])
+@example([(t / 3.0, 0.7 * t / 3.0 + 0.1) for t in (-1, 3, -4, -3)])
+@example([(0.5000000010000001, 0.8660254037844386), (-1.0, 1.2246467991473532e-16),
+          (0.8660254037844384, -0.5000000000000004), (0.5000000000000003, 0.8660254037844386), (0.0, 0.0)])
+def test_degenerate_sites_build_or_raise_construction_error(pts):
+    """Any such input gives a diagram that validates, or a ConstructionError;
+    never another exception."""
+    try:
+        t, _ = build_voronoi(SiteSample(tuple(Point2(*p) for p in pts), 1.0, None))
+    except ConstructionError:
+        return
+    assert validate(t) == []
+    assert len(t.cells) == len(pts)
+
+
+@pytest.mark.slow
+def test_sample_and_build_at_1e5():
+    sample, t, gt = sample_and_build(100_000, 0)
+    assert validate(t) == []
+    assert len(t.cells) == 100_000 and gt.generators == sample.points
 
 
 def test_sample_and_build_shapes(built):

@@ -14,6 +14,7 @@ traceback is a bug.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from vorogen.cli import main
 from vorogen.errors import ParseError, VorogenError
-from vorogen.forward import sample_and_build
 from vorogen.pipeline import METHODS, reconstruct
-from vorogen.tessellation import dumps, loads
+from vorogen.tessellation import loads
 
-_, _T, _GT = sample_and_build(60, 3)
-BASE = json.loads(dumps(_T, _GT))
+# ``dumps(*sample_and_build(60, 3)[1:])`` as the incremental triangulation
+# numbered its vertices, frozen so that ``test_golden.CORPUS`` and the
+# ``@example`` rows below keep the vertex ids they name
+BASE = json.loads((Path(__file__).parent / "fuzz_base.json").read_text())
 N_CELLS = len(BASE["cells"])
 N_RIDGES = len(BASE["ridges"])
 N_VERTICES = len(BASE["vertices"])

@@ -87,16 +87,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "e8ab2286c4cb6b9e", "sweep_first": "f5958894843008c6", "refined": "71c21efcd2ad5efb", "brute": "7b2aefc6abae453b", "cprime": "9b3883acafe16c1f"},
-    (200, 1): {"anchor": 31, "scores": "4e37b5e1912298a9", "sweep_first": "258c52ef52c6c95f", "refined": "fd26561dbf74c953", "brute": "54f9f82915eb0786", "cprime": "e4203956e0f6e518"},
-    (200, 2): {"anchor": 35, "scores": "964e7d06da127a05", "sweep_first": "e26172fce01e72b9", "refined": "29b68ab5b74e92cf", "brute": "666e8070abf289ee", "cprime": "13467d0c4884396d"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "refined": "2d2bebc829928b32", "brute": "e9a4b8b3bceacdd0", "cprime": "246f4cf5b9c6f394"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "refined": "36e75b0e33dcb8a2", "brute": "05e815c3401f013d", "cprime": "91e46387b17a0084"},
-    (2000, 0): {"anchor": 190, "scores": "bac65ee4d23ebd7c", "sweep_first": "7a1290a03353c4a1", "refined": "6f5b5a68478a88f5", "brute": "26394a0911c9cd37", "cprime": "e72768b1d76c36dc"},
-    (2000, 1): {"anchor": 138, "scores": "ad56c5f01bc43848", "sweep_first": "e5cf695825c1a3a5", "refined": "ec0d127c169f9486", "brute": "66fbc7fc2ed7af1b", "cprime": "9632fb10cd57a37e"},
-    (2000, 2): {"anchor": 1940, "scores": "8d711ea77c1a9845", "sweep_first": "16bffa30d1ba9407", "refined": "69535dbb0d2a68cd", "brute": "05c2ef37f297fc42", "cprime": "6c08914591f4a1f5"},
-    (2000, 3): {"anchor": 518, "scores": "8abb8e529fb0fdff", "sweep_first": "4a5435f15b5d261a", "refined": "72a7ee38fa46e05e", "brute": "2e2148ff6b495c67", "cprime": "8c89c11e8faf365f"},
-    (2000, 4): {"anchor": 1729, "scores": "e900fceea5b66abf", "sweep_first": "23bef62d9a120948", "refined": "192c0e6f268900b0", "brute": "c37e91d91616cdec", "cprime": "67ba0141c7f8e7b6"},
+    (200, 0): {"anchor": 69, "scores": "4d14ef2a9f6d0b04", "sweep_first": "f5958894843008c6", "refined": "71c21efcd2ad5efb", "brute": "7b2aefc6abae453b", "cprime": "57455b6e23beb69f"},
+    (200, 1): {"anchor": 31, "scores": "dd69644f5c662687", "sweep_first": "258c52ef52c6c95f", "refined": "fd26561dbf74c953", "brute": "54f9f82915eb0786", "cprime": "870584b1e70f8899"},
+    (200, 2): {"anchor": 35, "scores": "af17edc678000d56", "sweep_first": "e26172fce01e72b9", "refined": "29b68ab5b74e92cf", "brute": "666e8070abf289ee", "cprime": "b703755054fb5c7d"},
+    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "refined": "2d2bebc829928b32", "brute": "e9a4b8b3bceacdd0", "cprime": "ec7d56ba2ba94872"},
+    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "refined": "36e75b0e33dcb8a2", "brute": "05e815c3401f013d", "cprime": "3f874801a7b760d4"},
+    (2000, 0): {"anchor": 190, "scores": "8be1ded567fba59c", "sweep_first": "7a1290a03353c4a1", "refined": "6f5b5a68478a88f5", "brute": "26394a0911c9cd37", "cprime": "acba6a7042295552"},
+    (2000, 1): {"anchor": 138, "scores": "32b3023a84dc711c", "sweep_first": "e5cf695825c1a3a5", "refined": "ec0d127c169f9486", "brute": "66fbc7fc2ed7af1b", "cprime": "589f771088458fac"},
+    (2000, 2): {"anchor": 1940, "scores": "24ff3b73d5b15bd2", "sweep_first": "16bffa30d1ba9407", "refined": "69535dbb0d2a68cd", "brute": "05c2ef37f297fc42", "cprime": "ff668243cb355419"},
+    (2000, 3): {"anchor": 518, "scores": "de0d05dfab7d77d0", "sweep_first": "4a5435f15b5d261a", "refined": "72a7ee38fa46e05e", "brute": "2e2148ff6b495c67", "cprime": "1282a2806ae715e1"},
+    (2000, 4): {"anchor": 1729, "scores": "d4b5a31047229b35", "sweep_first": "23bef62d9a120948", "refined": "192c0e6f268900b0", "brute": "c37e91d91616cdec", "cprime": "7dcf8910060daa66"},
 }
 
 
