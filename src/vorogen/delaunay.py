@@ -184,7 +184,7 @@ def all_collinear(pts: Sequence[tuple[float, float]]) -> bool:
 
 
 class Triangulation:
-    """Delaunay triangulation of at least 3 points, not all collinear.
+    """Delaunay triangulation of at least 3 finite points, not all collinear.
 
     ``V`` is a (T, 3) array of corner ids, counter-clockwise for finite
     triangles; ``N[t, k]`` is the triangle across edge ``k`` (from
@@ -198,6 +198,9 @@ class Triangulation:
         if len(points) < 3:
             raise ValueError("need at least 3 points")
         p = np.asarray(points, float).reshape(-1, 2)
+        bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
+        if len(bad):
+            raise ValueError(f"point {bad[0]} is not finite")
         order = np.array(insertion_order(p), np.int64)
         seed = _seed_triangle(p, order)
         rank = np.empty(len(p), np.int64)

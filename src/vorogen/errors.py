@@ -11,14 +11,6 @@ class DegenerateRidgeError(VorogenError):
     """A ridge (or direction vector) is too short to define a line."""
 
 
-class NoIntersectionError(VorogenError):
-    """Two lines are parallel within tolerance; carries the offending sine."""
-
-    def __init__(self, message: str, sine: float = 0.0):
-        super().__init__(message)
-        self.sine = sine
-
-
 class ParseError(VorogenError):
     """A tessellation file is malformed; message carries line/field context."""
 

@@ -206,29 +206,22 @@ class Tessellation:
         anchor = Point2._make(a.vertices[a.ends[rid, 0]].tolist())
         return RidgeLine(anchor, UnitVec2._make(a.dirs[rid].tolist()))
 
-    def vertex_ridges(self, v: VertexId) -> tuple[RidgeId, ...]:
-        """Ridges ending at vertex ``v``, ascending."""
-        a = self.arrays
-        if not 0 <= v < self.n_vertices:
-            return ()
-        return tuple(a.vertex_ridges[a.vertex_start[v] : a.vertex_start[v + 1]].tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class RidgeArrays:
     """Struct-of-arrays view of a tessellation's ridges and cell boundaries.
 
     Row ``k`` of a per-ridge array describes ridge ``k``, whose line is
-    anchored at its first vertex, ``vertices[ends[k, 0]]``. Directions are
-    computed as ``geom.line_from_two_points`` computes them (one
-    ``math.hypot`` per ridge), so they are bit-identical to
-    ``Tessellation.ridge_line``; rays keep their stored direction, and
-    degenerate ridges (no longer than the degeneracy threshold) have NaN
-    directions. The CSR index lists cell ``c``'s boundary at entries
-    ``cell_start[c]:cell_start[c + 1]`` in CCW order, each entry with its
-    ridge id and the cell across that ridge; a second one lists the ridges
-    ending at each vertex, ascending. Ridges are also indexed by their cell
-    pair, as the sorted key ``min * C + max``, which ``pair_ridge`` searches.
+    anchored at its first vertex, ``vertices[ends[k, 0]]``. A finite ridge's
+    direction is its vector from the first vertex to the second divided by
+    its ``math.hypot`` length, as ``Tessellation.ridge_line`` hands it out;
+    rays keep their stored direction, and degenerate ridges (no longer than
+    the degeneracy threshold) have NaN directions. The CSR index lists cell
+    ``c``'s boundary at entries ``cell_start[c]:cell_start[c + 1]`` in CCW
+    order, each entry with its ridge id and the cell across that ridge; a
+    second one lists the ridges ending at each vertex, ascending. Ridges
+    are also indexed by their cell pair, as the sorted key
+    ``min * C + max``, which ``pair_ridge`` searches.
 
     Every id is checked to be in range. Ids are int32, which halves the
     index arrays every tessellation keeps; arithmetic on ids that can pass
@@ -273,7 +266,7 @@ def _is_unit(dirs: np.ndarray) -> np.ndarray:
 def _segments(xy, ends, finite) -> tuple[np.ndarray, np.ndarray]:
     """Each ridge's vector from its first end to its second (zero for a ray)
     and its length. math.hypot, not np.hypot: the two round differently on
-    about a third of the ridges, and these are geom.line_from_two_points'."""
+    about a third of the ridges, and every direction's bits would move."""
     seg = xy[np.where(finite, ends[:, 1], ends[:, 0])] - xy[ends[:, 0]]
     return seg, np.fromiter(map(math.hypot, *seg.T), float, len(seg))
 

@@ -2,7 +2,9 @@
 
 The half-plane clipper here is a from-scratch O(n^2) Voronoi cell
 construction used to cross-check the Delaunay-based builder, and the
-normal-equations solve is an independent oracle for the QR path.
+normal-equations solve is an independent oracle for the QR path. The line
+primitives and the per-cell loops of the two reference methods are the
+scalar references the array code is held to.
 """
 
 from __future__ import annotations
@@ -12,11 +14,95 @@ from fractions import Fraction
 
 import numpy as np
 
-from vorogen.anchor import composite_score
-from vorogen.errors import DegenerateRidgeError
-from vorogen.geom import PARALLEL_TOL, Point2, RidgeLine, intersect_lines, reflect_point, unit_vec
-from vorogen.solver import PatchSystem
+from vorogen.anchor import composite_score, eligible_cells
+from vorogen.baselines import ZERO_DELTA_WEIGHT_CAP, CPrimeEstimate
+from vorogen.errors import (
+    DegenerateRidgeError,
+    NoEligibleAnchorError,
+    UnderdeterminedError,
+    VorogenError,
+)
+from vorogen.geom import PARALLEL_TOL, Point2, RidgeLine, UnitVec2, unit_vec
+from vorogen.propagate import sweep
+from vorogen.solver import PatchSystem, assemble_patch, solve_patch
 from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
+
+
+# -- line primitives ------------------------------------------------------------
+
+
+class NoIntersectionError(VorogenError):
+    """Two lines are parallel within tolerance; carries the offending sine."""
+
+    def __init__(self, message: str, sine: float = 0.0):
+        super().__init__(message)
+        self.sine = sine
+
+
+def reflect_point(p, line: RidgeLine) -> Point2:
+    """Mirror image of ``p`` across ``line``; points on the line are fixed.
+
+    ``2 (a + ((p - a) . d) d) - p`` is evaluated in exact rational arithmetic
+    and rounded once per coordinate, so reflecting twice returns ``p`` up to
+    those roundings and the direction's own. The reference for the mirror
+    map z -> e conj(z) + b of ``solver.mirror_terms``.
+    """
+    (ax, ay), (dx, dy), (px, py) = (map(Fraction, v) for v in (line.anchor, line.dir, p))
+    t = (px - ax) * dx + (py - ay) * dy
+    return Point2(float(2 * (ax + t * dx) - px), float(2 * (ay + t * dy) - py))
+
+
+def line_from_two_points(a, b, min_length: float = 0.0) -> RidgeLine:
+    """Line through ``a`` and ``b`` anchored at ``a``.
+
+    Raises DegenerateRidgeError when the two points are closer than
+    ``min_length`` (or coincide exactly).
+    """
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    n = math.hypot(dx, dy)
+    if n <= min_length or n == 0.0:
+        raise DegenerateRidgeError(
+            f"points ({a[0]}, {a[1]}) and ({b[0]}, {b[1]}) are {n:.3e} apart"
+            f" (minimum {min_length:.3e})"
+        )
+    return RidgeLine(Point2(float(a[0]), float(a[1])), UnitVec2(dx / n, dy / n))
+
+
+def intersect_lines(l1: RidgeLine, l2: RidgeLine) -> Point2:
+    """Unique intersection point; near-parallel lines raise NoIntersectionError."""
+    d1 = l1.dir
+    d2 = l2.dir
+    sine = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(sine) <= PARALLEL_TOL:
+        raise NoIntersectionError(
+            f"lines are parallel within tolerance (|sin| = {abs(sine):.3e})", sine=sine
+        )
+    wx = l2.anchor[0] - l1.anchor[0]
+    wy = l2.anchor[1] - l1.anchor[1]
+    t = (wx * d2[1] - wy * d2[0]) / sine
+    return Point2(l1.anchor[0] + t * d1[0], l1.anchor[1] + t * d1[1])
+
+
+def distance_to_line(p, line: RidgeLine) -> float:
+    """Perpendicular distance from ``p`` to ``line``."""
+    wx = p[0] - line.anchor[0]
+    wy = p[1] - line.anchor[1]
+    return abs(wx * line.dir[1] - wy * line.dir[0])
+
+
+def same_line(l1: RidgeLine, l2: RidgeLine, tol: float = 1e-9) -> bool:
+    """True when the two lines coincide (direction up to sign, shared points)."""
+    cross = l1.dir[0] * l2.dir[1] - l1.dir[1] * l2.dir[0]
+    return abs(cross) <= tol and distance_to_line(l2.anchor, l1) <= tol
+
+
+def vertex_ridges(t: Tessellation, v: int) -> tuple[int, ...]:
+    """Ridges ending at vertex ``v``, ascending, from the ridge arrays' index."""
+    a = t.arrays
+    if not 0 <= v < t.n_vertices:
+        return ()
+    return tuple(a.vertex_ridges[a.vertex_start[v] : a.vertex_start[v + 1]].tolist())
 
 
 def halfplane_cell(sites, i: int, pad: float) -> list[tuple[float, float]]:
@@ -350,3 +436,157 @@ def sweep_reference(t: Tessellation, known: dict, step=mirror_step):
             order.append((nc, src, rid))
         current = nxt
     return known, order, depth, candidates, calls
+
+
+# -- loop references for the array-pass reference methods ----------------------
+
+
+def brute_force_reference(t: Tessellation):
+    """``baselines.brute_force_all`` one patch at a time: ``solve_patch`` of
+    ``assemble_patch`` for each eligible cell, ascending, then the sweep."""
+    known: dict = {}
+    resid: dict = {}
+    for c in eligible_cells(t):
+        sol = solve_patch(assemble_patch(t, c))
+        known[c] = sol.generators[c]
+        resid[c] = sol.residual
+    if not known:
+        raise NoEligibleAnchorError(
+            "no anchor-eligible cell; the per-cell brute force cannot start"
+        )
+    known, trace = sweep(t, known, origin="any solved cell")
+    for nc, src, _ in trace.order:
+        resid[nc] = resid[src]
+    return [(c, known[c], resid[c]) for c in range(t.n_cells)]
+
+
+def generator_rays_reference(t: Tessellation, c: int) -> list[RidgeLine]:
+    """One generator-passing ray per usable vertex of cell ``c``, one vertex
+    at a time in ascending id order, as ``baselines._generator_rays`` must
+    reproduce them: the outer ridge's direction into the wedge of the two
+    sides s_a, s_b (s_a x s_b > 0), reflected by z -> s_a s_b conj(z)."""
+    arr = t.arrays
+    rids = arr.cell_ridges[arr.cell_start[c] : arr.cell_start[c + 1]]
+    ends = dict(zip(rids.tolist(), arr.ends[rids].tolist()))
+    vids = sorted({v for pair in ends.values() for v in pair if v >= 0})
+    xy = dict(zip(vids, map(Point2._make, arr.vertices[vids].tolist())))
+    rays: list[RidgeLine] = []
+    for v in vids:
+        incident = vertex_ridges(t, v)
+        sides = [rid for rid in incident if rid in ends]
+        outers = [rid for rid in incident if rid not in ends]
+        if len(sides) != 2 or not outers:
+            continue
+        a = xy[v]
+        side_dirs = []
+        ok = True
+        for rid in sides:
+            v0, v1 = ends[rid]
+            w = xy[v1 if v0 == v else v0]
+            try:
+                side_dirs.append(unit_vec(w.x - a.x, w.y - a.y))
+            except DegenerateRidgeError:
+                ok = False
+                break
+        if not ok:
+            continue
+        sa, sb = side_dirs
+        cross = sa.x * sb.y - sa.y * sb.x
+        if abs(cross) <= PARALLEL_TOL:
+            continue
+        if cross < 0.0:
+            sa, sb = sb, sa
+        ex = sa.x * sb.x - sa.y * sb.y
+        ey = sa.x * sb.y + sa.y * sb.x
+        for rid in outers:
+            try:
+                d0 = t.ridge_line(rid).dir
+            except DegenerateRidgeError:
+                continue
+            into = None
+            for dz in (d0, UnitVec2(-d0.x, -d0.y)):
+                if sa.x * dz.y - sa.y * dz.x > 0.0 and dz.x * sb.y - dz.y * sb.x > 0.0:
+                    into = dz
+                    break
+            if into is None:
+                continue
+            g = unit_vec(ex * into.x + ey * into.y, ey * into.x - ex * into.y)
+            rays.append(RidgeLine(a, g))
+    return rays
+
+
+def delta_weights_reference(deltas: list[float]) -> list[float]:
+    raw: list[float] = []
+    capped: list[int] = []
+    for i, d in enumerate(deltas):
+        if d == 0.0:
+            raw.append(0.0)
+            capped.append(i)
+        else:
+            raw.append(1.0 / d)
+    if capped:
+        others = [raw[i] for i in range(len(raw)) if i not in capped]
+        cap = ZERO_DELTA_WEIGHT_CAP * (_sum(others) / len(others)) if others else 0.0
+        for i in capped:
+            raw[i] = cap
+    total = _sum(raw)
+    if total <= 0.0:
+        return [1.0 / len(raw)] * len(raw)
+    return [w / total for w in raw]
+
+
+def c_prime_cell_reference(t: Tessellation, c: int) -> CPrimeEstimate:
+    """``baselines.c_prime_cell`` as a loop over ray pairs (i < j)."""
+    a = t.arrays
+    rids = a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]
+    if not a.bounded[c] or (a.ends[rids, 1] < 0).any():
+        raise UnderdeterminedError(
+            f"cell {c} is unbounded; the angle construction needs a closed polygon"
+        )
+    rays = generator_rays_reference(t, c)
+    if len(rays) < 2:
+        raise UnderdeterminedError(
+            f"cell {c} yields {len(rays)} generator rays; need at least 2"
+        )
+    points: list[Point2] = []
+    deltas: list[float] = []
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            try:
+                p = intersect_lines(rays[i], rays[j])
+            except NoIntersectionError:
+                continue
+            points.append(p)
+            (a1, d1), (a2, d2) = rays[i], rays[j]
+            sine = d1.x * d2.y - d1.y * d2.x
+            l1 = math.hypot(p.x - a1.x, p.y - a1.y)
+            l2 = math.hypot(p.x - a2.x, p.y - a2.y)
+            deltas.append((l1 + l2) / abs(sine))
+    if not points:
+        raise UnderdeterminedError(
+            f"cell {c} has no two non-parallel generator rays"
+        )
+    weights = delta_weights_reference(deltas)
+    ex = _sum(w * p.x for w, p in zip(weights, points))
+    ey = _sum(w * p.y for w, p in zip(weights, points))
+    return CPrimeEstimate(
+        cell=c,
+        ray_pairs_used=len(points),
+        raw_intersections=points,
+        weights=weights,
+        estimate=Point2(ex, ey),
+    )
+
+
+def c_prime_all_reference(t: Tessellation):
+    """``baselines.c_prime_all`` one cell at a time."""
+    known = {}
+    for c in np.flatnonzero(t.arrays.bounded).tolist():
+        try:
+            known[c] = c_prime_cell_reference(t, c).estimate
+        except (UnderdeterminedError, DegenerateRidgeError):
+            continue
+    if not known:
+        raise UnderdeterminedError("no cell admits the angle construction")
+    known, _ = sweep(t, known, origin="any estimated cell")
+    return [(c, known[c]) for c in range(t.n_cells)]

@@ -2,28 +2,45 @@
 
 The diamond pins both methods exactly: the center cell is the only
 eligible anchor for the brute force, and its four vertex rays all pass
-through (1, 1) for the angle construction.
+through (1, 1) for the angle construction. Both methods run as array
+passes; the per-cell loops in ``helpers`` are their bit-for-bit references.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from helpers import max_cell_error, pair_delta_reference
-from vorogen.anchor import select_anchor
+from helpers import (
+    NoIntersectionError,
+    brute_force_reference,
+    c_prime_all_reference,
+    c_prime_cell_reference,
+    generator_rays_reference,
+    intersect_lines,
+    max_cell_error,
+    pair_delta_reference,
+)
+from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.baselines import (
     _delta_weights,
-    _generator_rays,
     _pair_delta,
     brute_force_all,
     c_prime_all,
     c_prime_cell,
 )
-from vorogen.errors import NoEligibleAnchorError, NoIntersectionError, UnderdeterminedError
-from vorogen.forward import SiteSample, build_voronoi
-from vorogen.geom import Point2, intersect_lines, unit_vec
+from vorogen.errors import (
+    DegenerateRidgeError,
+    InconsistentSystemError,
+    NoEligibleAnchorError,
+    UnderdeterminedError,
+    VorogenError,
+)
+from vorogen.forward import SiteSample, build_voronoi, sample_and_build
+from vorogen.geom import Point2, unit_vec
+from vorogen.pipeline import reconstruct
 from vorogen.propagate import reconstruct_all
 from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import Cell, Ridge, Tessellation
@@ -109,21 +126,24 @@ def test_pair_delta_matches_finite_differences(built):
     cells = [c for c in range(len(t.cells)) if t.cells[c].bounded][:8]
     pairs = 0
     for c in cells:
-        rays = _generator_rays(t, c)
+        rays = generator_rays_reference(t, c)
         for i in range(len(rays)):
             for j in range(i + 1, len(rays)):
                 try:
                     p = intersect_lines(rays[i], rays[j])
                 except NoIntersectionError:
                     continue
-                got = _pair_delta(rays[i], rays[j], p)
-                assert got == pytest.approx(pair_delta_reference(rays[i], rays[j], p), rel=1e-5)
+                r1, r2 = rays[i], rays[j]
+                rows = (np.array([v]) for v in (r1.anchor, r1.dir, r2.anchor, r2.dir, p))
+                got = _pair_delta(*rows)[0]
+                assert got == pytest.approx(pair_delta_reference(r1, r2, p), rel=1e-5)
                 pairs += 1
     assert pairs >= 100
 
 
 def test_insensitive_pairs_give_uniform_weights():
-    assert _delta_weights([0.0] * 4) == [0.25, 0.25, 0.25, 0.25]
+    deltas = np.zeros((1, 4))
+    assert _delta_weights(deltas, deltas == 0.0).tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
 
 def test_c_prime_rejects_unbounded_cell(diamond):
@@ -185,3 +205,85 @@ def test_c_prime_all_accuracy_on_built(built):
     out = c_prime_all(t)
     assert [c for c, _ in out] == list(range(100))
     assert max_cell_error({c: p for c, p in out}, gt) < 1e-6
+
+
+# ------------------------------------------------ parity with the cell loops
+
+
+def _outcome(fn, *args):
+    """``fn``'s result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except VorogenError as exc:
+        return type(exc), str(exc)
+
+
+PARITY = [(n, seed) for n in (200, 2000) for seed in range(3)]
+
+
+@pytest.mark.parametrize("n,seed", PARITY)
+def test_brute_force_matches_the_cell_loop(built, n, seed):
+    """Generators and residuals equal the one-patch-at-a-time loop's bit for bit."""
+    _, t, _ = built(n, seed)
+    assert brute_force_all(t) == brute_force_reference(t)
+
+
+@pytest.mark.parametrize("n,seed", PARITY)
+def test_c_prime_matches_the_cell_loop(built, n, seed):
+    """Every cell's rays, pairs, intersections, weights and estimate, and
+    every error, equal the per-cell loop's bit for bit."""
+    _, t, _ = built(n, seed)
+    for c in range(t.n_cells):
+        assert _outcome(c_prime_cell, t, c) == _outcome(c_prime_cell_reference, t, c)
+    assert c_prime_all(t) == c_prime_all_reference(t)
+
+
+def test_both_methods_match_the_cell_loops_on_the_diamond(diamond):
+    t, _ = diamond
+    assert brute_force_all(t) == brute_force_reference(t)
+    assert c_prime_all(t) == c_prime_all_reference(t)
+    for c in range(t.n_cells):
+        assert _outcome(c_prime_cell, t, c) == _outcome(c_prime_cell_reference, t, c)
+
+
+def _moved_vertex(t, v: int, to) -> Tessellation:
+    vertices = list(t.vertices)
+    vertices[v] = Point2(*to)
+    return Tessellation(vertices, list(t.ridges), list(t.cells))
+
+
+@pytest.mark.parametrize("how", ["shifted", "collapsed"])
+def test_brute_force_raises_the_loop_error_of_the_lowest_cell(built, how):
+    """Shifting a vertex makes the patches around it inconsistent (six
+    cells here); moving the far end of the lowest eligible cell's first
+    ring ridge onto that cell's corner makes the ridge degenerate. Either
+    way the error is the loop's for the lowest failing cell, type and
+    message."""
+    _, t, _ = built(200, 1)
+    a = t.arrays
+    if how == "shifted":
+        cell = int(np.flatnonzero(a.bounded)[len(a.bounded) // 2])
+        v = int(a.ends[a.cell_ridges[a.cell_start[cell]], 0])
+        to, error = (t.vertices[v].x + 0.05, t.vertices[v].y - 0.03), InconsistentSystemError
+    else:
+        cell = eligible_cells(t)[0]
+        lo, hi = a.cell_start[cell], a.cell_start[cell + 1]
+        ring = a.pair_ridge(a.cell_nbrs[lo:hi], np.roll(a.cell_nbrs[lo:hi], -1))
+        ends = a.ends[ring[ring >= 0][0]].tolist()
+        corners = set(a.ends[a.cell_ridges[lo:hi]].ravel().tolist())
+        (v,), (w,) = [u for u in ends if u not in corners], [u for u in ends if u in corners]
+        to, error = t.vertices[w], DegenerateRidgeError
+    broken = _moved_vertex(t, v, to)
+    expected = _outcome(brute_force_reference, broken)
+    assert expected[0] is error, expected
+    assert _outcome(brute_force_all, broken) == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("method", ["brute", "cprime"])
+def test_reference_methods_at_1e4(method):
+    """Both reference methods finish at the paper's size and meet criterion
+    08's bound on the worst generator error."""
+    _, t, gt = sample_and_build(10_000, 0)
+    rep = reconstruct(t, method, gt)
+    assert rep.max_rse < 1e-6, f"{method}: {rep.max_rse:.3e}"

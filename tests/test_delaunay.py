@@ -207,6 +207,14 @@ def test_rejects_inputs_without_a_triangle(pts, message):
         delaunay.Triangulation(pts)
 
 
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
+def test_rejects_points_that_are_not_finite(bad):
+    """Refused at entry, not by the exact predicates' rational fallback."""
+    pts = [(0.0, 0.0), (1.0, 0.0), bad, (0.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^point 2 is not finite$"):
+        delaunay.Triangulation(pts)
+
+
 @pytest.mark.slow
 def test_uniform_1e5_matches_qhull():
     assert_matches_qhull(points(100_000, 0))

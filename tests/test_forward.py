@@ -24,17 +24,19 @@ from vorogen.forward import (
     sample_and_build,
     sample_sites,
 )
-from vorogen.geom import DEGENERACY_REL, Point2, distance_to_line
+from vorogen.geom import DEGENERACY_REL, Point2
 from vorogen.pipeline import reconstruct
 from vorogen.tessellation import dumps, validate
 
 from conftest import DIAMOND_SITES, DIAMOND_VERTICES
 from helpers import (
     cyclic_match,
+    distance_to_line,
     halfplane_cell,
     point_in_polygon,
     polygon_vertices,
     too_close_reference,
+    vertex_ridges,
 )
 
 
@@ -108,7 +110,7 @@ def test_cocircular_square_raises_and_jitter_repairs():
     t, _ = build_voronoi(jittered)
     assert validate(t) == []
     # every vertex is 3-valent after the repair
-    assert all(len(t.vertex_ridges(v)) == 3 for v in range(len(t.vertices)))
+    assert all(len(vertex_ridges(t, v)) == 3 for v in range(len(t.vertices)))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

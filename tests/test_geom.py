@@ -1,4 +1,7 @@
-"""Reflection and line primitives: pinned examples plus property tests."""
+"""Reflection and line primitives: pinned examples plus property tests.
+
+``unit_vec`` and ``is_unit`` are the package's; the reflection and line
+functions are the tests' scalar references, kept in ``helpers``."""
 
 from __future__ import annotations
 
@@ -8,20 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vorogen import geom
-from vorogen.errors import DegenerateRidgeError, NoIntersectionError
-from vorogen.geom import (
-    Point2,
-    RidgeLine,
-    UnitVec2,
+from helpers import (
+    NoIntersectionError,
     distance_to_line,
     intersect_lines,
-    is_unit,
     line_from_two_points,
     reflect_point,
     same_line,
-    unit_vec,
 )
+from vorogen.errors import DegenerateRidgeError
+from vorogen.geom import Point2, RidgeLine, UnitVec2, is_unit, unit_vec
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)

@@ -12,8 +12,7 @@ import statistics
 
 import pytest
 
-from helpers import max_cell_error, reflect_step, rmse, sweep_reference
-from vorogen import geom
+from helpers import max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
 from vorogen.anchor import select_anchor
 from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
 from vorogen.geom import Point2
@@ -177,7 +176,7 @@ def _weighted_mirror_residual(t, known, warm):
     total = 0.0
     for rid, r in enumerate(t.ridges):
         a, b = r.cells
-        img = geom.reflect_point(known[a], t.ridge_line(rid))
+        img = reflect_point(known[a], t.ridge_line(rid))
         w = 1.0
         if r.is_finite:
             p0, p1 = t.vertices[r.v0], t.vertices[r.v1]

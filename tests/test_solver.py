@@ -16,6 +16,7 @@ from helpers import (
     max_cell_error,
     mirror_system,
     normal_equations_solve,
+    reflect_point,
     transform_tessellation,
 )
 from vorogen.errors import (
@@ -24,7 +25,6 @@ from vorogen.errors import (
     SingularSystemError,
 )
 from vorogen.anchor import eligible_cells, select_anchor
-from vorogen.geom import reflect_point
 from vorogen.solver import PatchSystem, assemble_patch, mirror_terms, solve_patch
 from vorogen.tessellation import Ridge, Tessellation
 

@@ -15,7 +15,7 @@ from vorogen.errors import (
     ParseError,
     UnsupportedVersionError,
 )
-from vorogen.geom import UnitVec2, line_from_two_points, same_line
+from vorogen.geom import UnitVec2
 from vorogen.pipeline import METHODS, reconstruct
 from vorogen.solver import assemble_patch, mirror_terms
 from vorogen.tessellation import (
@@ -32,6 +32,7 @@ from vorogen.tessellation import (
 )
 
 from conftest import DIAMOND_CENTER, make_diamond
+from helpers import line_from_two_points, same_line, vertex_ridges
 
 
 def test_diamond_fixture_validates_clean(diamond):
@@ -324,7 +325,7 @@ def test_ridge_between_takes_the_lowest_id():
 
 def test_vertex_ridges(diamond):
     t, _ = diamond
-    assert sorted(t.vertex_ridges(0)) == [0, 1, 4]
+    assert sorted(vertex_ridges(t, 0)) == [0, 1, 4]
 
 
 def test_dumps_loads_round_trip_bit_exact(diamond):
