@@ -1,19 +1,25 @@
 """Command line behavior: outputs, determinism and the exit-code contract.
 
-Commands run in-process through main(argv); one subprocess test checks the
-installed console script end to end and is skipped when it is not installed.
+Commands run in-process through main(argv). Two subprocess tests run the
+command line end to end: one as ``python -m vorogen.cli`` with the package on
+``PYTHONPATH``, one through the installed console script, skipped when it is
+not installed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import max_cell_error
+import vorogen
 from vorogen.anchor import select_anchor
 from vorogen.cli import main
 from vorogen.tessellation import Tessellation, load, save
@@ -241,6 +247,27 @@ def test_unknown_commands_and_flags_exit_2(tmp_path, capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["generate", "--n", "10", "--out", str(tmp_path / "t"), "--bogus"]) == 2
+
+
+def test_module_entry_point_smoke(tmp_path):
+    """generate, validate and reconstruct, each in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vorogen.__file__).resolve().parents[1]))
+
+    def cli(*args: str) -> str:
+        run = subprocess.run(
+            [sys.executable, "-m", "vorogen.cli", *args], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 0, (args[0], run.stderr)
+        return run.stdout
+
+    path, out, report = tmp_path / "t.json", tmp_path / "out.json", tmp_path / "report.json"
+    cli("generate", "--n", "300", "--seed", "0", "--out", str(path))
+    assert cli("validate", "--in", str(path)).strip().endswith("ok")
+    cli("reconstruct", "--in", str(path), "--out", str(out), "--report", str(report))
+    assert json.loads(report.read_text())["cells"] == 300
+    for made in (path, out):
+        t, gt = load(made)
+        assert t.n_cells == 300 and gt is not None
 
 
 @pytest.mark.skipif(

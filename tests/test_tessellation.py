@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -55,8 +56,55 @@ def test_validate_flags_asymmetric_adjacency():
     vertices, ridges, cells = _diamond_parts()
     # remove the center cell's ridge 0 from its list only
     cells[4] = Cell(ridges=(1, 3, 2), bounded=True)
-    msgs = validate(Tessellation(vertices, ridges, cells))
-    assert any("asymmetric adjacency at ridge 0" in m for m in msgs)
+    assert validate(Tessellation(vertices, ridges, cells)) == [
+        "asymmetric adjacency at ridge 0 (cell 4)",
+        "cell 4 ridges do not chain into a closed polygon",
+    ]
+
+
+def _listed_twice(ridges, cells):
+    cells[4] = Cell(ridges=(1, 3, 2, 0, 0), bounded=True)
+
+
+def _self_joined(ridges, cells):
+    ridges[0] = Ridge(cells=(4, 4), v0=0, v1=3)
+
+
+def _self_joined_listed_twice(ridges, cells):
+    _self_joined(ridges, cells)
+    _listed_twice(ridges, cells)
+
+
+def _listed_by_a_stranger(ridges, cells):
+    cells[1] = Cell(ridges=(5, 1, 4, 0), bounded=False)
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_listed_twice, [
+            "asymmetric adjacency at ridge 0 (cell 4)",
+            "cell 4 ridges do not chain into a closed polygon",
+        ]),
+        (_self_joined, [
+            "ridge 0 joins cell 4 to itself",
+            "cell 0 lists ridge 0 that does not border it",
+        ]),
+        (_self_joined_listed_twice, [
+            "ridge 0 joins cell 4 to itself",
+            "asymmetric adjacency at ridge 0 (cell 4)",
+            "asymmetric adjacency at ridge 0 (cell 4)",
+            "cell 0 lists ridge 0 that does not border it",
+            "cell 4 ridges do not chain into a closed polygon",
+        ]),
+        (_listed_by_a_stranger, ["cell 1 lists ridge 0 that does not border it"]),
+    ],
+)
+def test_validate_adjacency_messages(edit, expected):
+    """How often each cell of a ridge lists it, message for message."""
+    vertices, ridges, cells = _diamond_parts()
+    edit(ridges, cells)
+    assert validate(Tessellation(vertices, ridges, cells)) == expected
 
 
 def test_validate_flags_degenerate_ridge():
@@ -364,6 +412,31 @@ def test_load_missing_file_raises_oserror(tmp_path):
 def test_loads_rejects_truncated_document():
     with pytest.raises(ParseError):
         loads('{"version": 1, "vertices": [[0, 0')
+
+
+@pytest.fixture()
+def gc_state():
+    """Restores the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_file_layer_restores_the_collector(diamond, gc_state, enabled):
+    t, gt = diamond
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    loads(dumps(t, gt))
+    assert gc.isenabled() is enabled
+    with pytest.raises(ParseError):
+        loads('{"version": 1, "vertices": [[0, 0')
+    assert gc.isenabled() is enabled
 
 
 def test_loads_rejects_unknown_version():
