@@ -9,6 +9,11 @@ count (no LAPACK call and no complex product or modulus, so the digests
 hold across BLAS builds and CPUs); and the brute and cprime generators. A
 refactor that changes any of them changes results.
 
+``REPORTS`` pins the end-to-end path on the same builds: the bytes of
+``sample_and_build``'s sites and ground truth, and per method the
+generators, ``rmse``, ``max_rse``, ``depth`` and ``refine_iterations`` of
+``reconstruct(t, method, gt)``.
+
 ``CORPUS`` pins the file contract the same way: the outcome of ``loads``
 and ``validate`` (the error's type and message, or the full list of
 violations) on about 200 documents mutated by ``test_fuzz.mutate`` with a
@@ -33,6 +38,7 @@ from vorogen.anchor import score_cell, select_anchor
 from vorogen.baselines import brute_force_all, c_prime_all
 from vorogen.errors import VorogenError
 from vorogen.forward import sample_and_build
+from vorogen.pipeline import METHODS, reconstruct
 from vorogen.propagate import reconstruct_all, refine_all
 from vorogen.solver import PatchSolution, assemble_patch
 from vorogen.tessellation import loads, validate
@@ -104,6 +110,36 @@ GOLDEN = {
 def test_golden_digests(built, n, seed):
     _, t, gt = built(n, seed)
     assert golden_row(n, seed, t, gt) == GOLDEN[(n, seed)]
+
+
+def report_row(sites, t, gt) -> dict:
+    row = {"sites": digest(sites.points), "truth": digest(gt.generators)}
+    for method in METHODS:
+        rep = reconstruct(t, method, gt)
+        row[method] = digest(
+            [*np.asarray(rep.generators, float).ravel(), rep.rmse, rep.max_rse, rep.depth,
+             rep.refine_iterations]
+        )
+    return row
+
+
+REPORTS = {
+    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "0bd3bf360d35c9ca", "brute": "7b03e5933c8244cb", "cprime": "7a9d838047a1267c"},
+    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "081fcbd34c82429f", "brute": "e07cfa6ace8277de", "cprime": "d3792ea34e43a231"},
+    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "62ec6871511812f5", "brute": "a039e2f9737aab43", "cprime": "d6f6fdbeb3d29e36"},
+    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "60bc8cdfc6c6614b", "brute": "88406f50f9615e7d", "cprime": "d639da2d1492e8a7"},
+    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "f1d2be454af2d2bc", "brute": "643003b33efa310e", "cprime": "8d5b25b39d05d2bb"},
+    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "04b21d14c10bd36c", "brute": "911d6c630c8f494a", "cprime": "84eb49e57df98449"},
+    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "7942b91e6d7a9ce9", "brute": "d777e1efe2e7137d", "cprime": "0f977b5d6e41c9ff"},
+    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "d00391999e25f382", "brute": "5d23af824c9c6f47", "cprime": "0f6170ebb4f14b58"},
+    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "b13d738a22256e0a", "brute": "094d40224c25f5e3", "cprime": "b80babc9e84a1bf5"},
+    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "28c08c1fbe269328", "brute": "74a5bdea7b69fa29", "cprime": "56147b75714cb5b1"},
+}
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_report_digests(built, n, seed):
+    assert report_row(*built(n, seed)) == REPORTS[(n, seed)]
 
 
 def _random_op(rng: random.Random) -> tuple:
@@ -194,4 +230,6 @@ def test_file_contract_corpus():
 if __name__ == "__main__":
     for n, seed in CASES:
         print(f"    ({n}, {seed}): {golden_row(n, seed)!r},")
+    for n, seed in CASES:
+        print(f"    ({n}, {seed}): {report_row(*sample_and_build(n, seed))!r},")
     print(f"CORPUS = {corpus_digest()!r}")
