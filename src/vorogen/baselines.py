@@ -67,14 +67,14 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- brute force
 
 
-def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
+def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell independent reconstruction: one full patch solve per cell.
 
     Every eligible cell anchors its own solve and contributes only its own
     generator. Ineligible (hull) cells are then filled by the reflection
     sweep from the solved cells so the result covers all cells; filled cells
-    inherit the residual of their source. Returns (cell, point, residual)
-    triples for every cell, in cell order.
+    inherit the residual of their source. Returns the (n, 2) generators and
+    the (n,) residuals, indexed by cell.
 
     The patches are those of ``solver.assemble_patch``, built ``_BLOCK``
     cells at a time and solved as ``solver.solve_patch`` solves them, with
@@ -98,15 +98,14 @@ def brute_force_all(t: Tessellation) -> list[tuple[CellId, Point2, float]]:
                 ok, z, residual = _solve_stack(mat, rhs)
                 group = group[ok]
                 xy[group], resid[group], solved[group] = z[:, :2], residual, True
-    known = {c: Point2._make(p) for c, p in zip(cells.tolist(), xy[cells].tolist()) if solved[c]}
     for c in cells[~solved[cells]].tolist():
         sol = solve_patch(assemble_patch(t, c))  # raises the loop's error
-        known[c] = sol.generators[c]
+        xy[c] = sol.generators[c]
         resid[c] = sol.residual
-    known, trace = sweep(t, known, origin="any solved cell")
-    for nc, src, _ in trace.order:
+    generators, trace = sweep(t, cells, xy[cells], origin="any solved cell")
+    for nc, src in zip(trace.cells.tolist(), trace.sources.tolist()):
         resid[nc] = resid[src]
-    return list(zip(range(t.n_cells), (known[c] for c in range(t.n_cells)), resid.tolist()))
+    return generators, resid
 
 
 def _patch_stacks(a: RidgeArrays, cells: np.ndarray, e: np.ndarray, b: np.ndarray):
@@ -382,8 +381,8 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     )
 
 
-def c_prime_all(t: Tessellation) -> list[tuple[CellId, Point2]]:
-    """Angle-rotation estimates for every cell.
+def c_prime_all(t: Tessellation) -> np.ndarray:
+    """Angle-rotation estimates for every cell, as an (n, 2) array.
 
     Bounded cells get their own construction; unbounded ones (and any cell
     where the construction is underdetermined) are filled by the reflection
@@ -402,6 +401,4 @@ def c_prime_all(t: Tessellation) -> list[tuple[CellId, Point2]]:
     if not done.any():
         raise UnderdeterminedError("no cell admits the angle construction")
     ids = np.flatnonzero(done)
-    known = dict(zip(ids.tolist(), map(Point2._make, xy[ids].tolist())))
-    known, _ = sweep(t, known, origin="any estimated cell")
-    return [(c, known[c]) for c in range(t.n_cells)]
+    return sweep(t, ids, xy[ids], origin="any estimated cell")[0]

@@ -20,21 +20,24 @@ import numpy as np
 
 from . import delaunay, geom
 from .errors import ConstructionError
-from .geom import Point2
-from .tessellation import GroundTruth, Tessellation, shared_corners
+from .tessellation import GroundTruth, Tessellation, point_array, shared_corners
 
 # Smallest jitter of sample_and_build's retry, relative to the window side;
 # the retry uses the threshold that rejected the build when that is larger.
 DEFAULT_JITTER_REL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteSample:
-    """Generator points plus the side length of the sampling window."""
+    """Generator points, as ``tessellation.point_array`` stores them, plus
+    the side length of the sampling window."""
 
-    points: tuple[Point2, ...]
+    points: np.ndarray
     window: float
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", point_array(self.points))
 
 
 def sample_sites(n: int, seed: Optional[int]) -> SiteSample:
@@ -55,10 +58,11 @@ def sample_sites(n: int, seed: Optional[int]) -> SiteSample:
         if not on_edge.any():
             break
         pts[on_edge] = rng.uniform(0.0, window, size=(int(on_edge.sum()), 2))
-    return SiteSample(tuple(Point2(float(x), float(y)) for x, y in pts), window, seed)
+    pts.flags.writeable = False
+    return SiteSample(pts, window, seed)
 
 
-def _too_close(pts: list, sep: float) -> set[int]:
+def _too_close(pts, sep: float) -> set[int]:
     """Indices of points within ``sep`` of an earlier point.
 
     The candidates are the pairs in one cell, or in neighbouring cells, of a
@@ -113,31 +117,28 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     site separation for duplicates, ``Tessellation.degeneracy_threshold()``
     of the built diagram for a degenerate ridge, 0 for the rounding case.
     """
-    pts = [(p[0], p[1]) for p in sites.points]
-    n = len(pts)
+    p = sites.points
+    n = len(p)
     if n < 2:
         raise ConstructionError(f"need at least 2 sites, got {n}")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    if not all(map(math.isfinite, xs + ys)):
+    if not np.isfinite(p).all():
         raise ConstructionError("site coordinates must be finite")
-    sep = geom.DEGENERACY_REL * (math.hypot(max(xs) - min(xs), max(ys) - min(ys)) or 1.0)
-    dup = _too_close(pts, sep)
+    sep = geom.DEGENERACY_REL * (math.hypot(*(p.max(axis=0) - p.min(axis=0)).tolist()) or 1.0)
+    dup = _too_close(p, sep)
     if dup:
         raise ConstructionError(
             f"duplicate sites within degeneracy tolerance: {sorted(dup)}",
             site_groups=(tuple(sorted(dup)),),
             threshold=sep,
         )
-    gt = GroundTruth(tuple(Point2(*p) for p in pts))
-    if n == 2 or delaunay.all_collinear(pts):
-        return _collinear_voronoi(pts), gt
-    tri = delaunay.Triangulation(pts)
-    return _dualize(pts, tri), gt
+    gt = GroundTruth(p)
+    if n == 2 or delaunay.all_collinear(p):
+        return _collinear_voronoi(p.tolist()), gt
+    tri = delaunay.Triangulation(p)
+    return _dualize(p, tri), gt
 
 
-def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
-    p = np.array(pts, float)
+def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
     tv = tri.V
     corners = tv[: tri.finite]
     abc = [p[corners[:, k]].T for k in range(3)]
@@ -158,10 +159,10 @@ def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
         # hull edge: ray from the circumcenter of its only real triangle,
         # perpendicular to the site pair and away from the third site
         i, j = ridge_cells[k].tolist()
-        gi, gj = pts[i], pts[j]
+        gi, gj = p[i].tolist(), p[j].tolist()
         mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
         dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
-        w = pts[next(w for w in corners[ends[k, 0]].tolist() if w != i and w != j)]
+        w = p[next(w for w in corners[ends[k, 0]].tolist() if w != i and w != j)].tolist()
         if dx * (w[0] - mx) + dy * (w[1] - my) > 0.0:
             dx, dy = -dx, -dy
         ray_dirs[k] = geom.unit_vec(dx, dy)
@@ -169,8 +170,8 @@ def _dualize(pts, tri: "delaunay.Triangulation") -> Tessellation:
     # math.atan2 gives it (np.arctan2 rounds differently)
     d = p[ridge_cells[:, ::-1].ravel()] - p[ridge_cells.ravel()]
     angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
-    cell_start, cell_ridges = _boundaries(ridge_cells, len(pts), angle)
-    bounded = np.bincount(ridge_cells[~finite].ravel(), minlength=len(pts)) == 0
+    cell_start, cell_ridges = _boundaries(ridge_cells, len(p), angle)
+    bounded = np.bincount(ridge_cells[~finite].ravel(), minlength=len(p)) == 0
     # an unbounded cell's chain starts just after its gap, the first entry
     # that shares no vertex with the next
     _, closes = shared_corners(ends, finite, cell_start, cell_ridges)
@@ -294,13 +295,14 @@ def _repair(
     build when the eighth round still fails.
     """
     rng = np.random.default_rng(0 if sites.seed is None else sites.seed)
-    pts = [(p[0], p[1]) for p in sites.points]
+    pts = sites.points.copy()
     for _ in range(8):
         for i in sorted(set().union(*exc.site_groups)):
             ang = rng.uniform(0.0, 2.0 * math.pi)
             rad = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
-            pts[i] = (pts[i][0] + rad * math.cos(ang), pts[i][1] + rad * math.sin(ang))
-        moved = SiteSample(tuple(Point2(*p) for p in pts), sites.window, sites.seed)
+            x, y = pts[i].tolist()
+            pts[i] = (x + rad * math.cos(ang), y + rad * math.sin(ang))
+        moved = SiteSample(pts, sites.window, sites.seed)
         try:
             return moved, build_voronoi(moved)
         except ConstructionError as err:

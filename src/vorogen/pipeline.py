@@ -8,12 +8,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .anchor import select_anchor
 from .baselines import brute_force_all, c_prime_all
-from .geom import Point2
 from .propagate import reconstruct_all, refine_all
 from .solver import assemble_patch, solve_patch
-from .tessellation import CellId, GroundTruth, Tessellation
+from .tessellation import CellId, GroundTruth, Tessellation, point_array
 
 METHODS = ("anchor", "brute", "cprime")
 
@@ -21,9 +22,10 @@ METHODS = ("anchor", "brute", "cprime")
 STAGES = ("select", "solve", "sweep", "refine")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionReport:
-    """Recovered generators (indexed by cell id) plus solve diagnostics.
+    """Recovered generators (indexed by cell id, as
+    ``tessellation.point_array`` stores them) plus solve diagnostics.
 
     ``rmse``/``max_rse`` are present only when ground truth was supplied.
     ``timings`` holds wall-clock seconds per stage of ``STAGES`` and is the
@@ -35,7 +37,7 @@ class ReconstructionReport:
     """
 
     method: str
-    generators: tuple[Point2, ...]
+    generators: np.ndarray
     anchor: Optional[CellId] = None
     depth: int = 0
     residual: Optional[float] = None
@@ -45,17 +47,21 @@ class ReconstructionReport:
     refine_iterations: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "generators", point_array(self.generators))
 
-def _errors(
-    generators: tuple[Point2, ...], gt: GroundTruth
-) -> tuple[float, float]:
-    sq = 0.0
-    worst = 0.0
-    for g, true in zip(generators, gt.generators):
-        e = math.hypot(g.x - true[0], g.y - true[1])
-        sq += e * e
-        worst = max(worst, e)
-    return math.sqrt(sq / len(generators)), worst
+
+def _errors(generators: np.ndarray, gt: GroundTruth) -> tuple[float, float]:
+    """Root-mean-square and largest distance from the true generators.
+
+    Each distance is ``math.hypot``'s (``np.hypot`` may round differently)
+    and the squares are added left to right, as a loop adds them
+    (``np.sum`` adds pairwise); a NaN distance does not count as the largest.
+    """
+    d = generators - gt.generators
+    e = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
+    sq = np.add.accumulate(e * e)[-1]
+    return math.sqrt(sq / len(e)), float(np.fmax.reduce(e, initial=0.0))
 
 
 def reconstruct(
@@ -91,10 +97,9 @@ def reconstruct(
         t1 = time.perf_counter()
         patch = solve_patch(assemble_patch(t, anchor_cell))
         t2 = time.perf_counter()
-        known, trace = reconstruct_all(t, patch)
+        generators, trace = reconstruct_all(t, patch)
         t3 = time.perf_counter()
-        known, iterations = refine_all(t, known)
-        generators = tuple(known[c] for c in range(t.n_cells))
+        generators, iterations = refine_all(t, generators)
         timings.update(
             select=t1 - t0, solve=t2 - t1, sweep=t3 - t2, refine=time.perf_counter() - t3
         )
@@ -102,13 +107,11 @@ def reconstruct(
         residual = patch.residual
         condition = patch.condition
     elif method == "brute":
-        triples = brute_force_all(t)
-        generators = tuple(p for _, p, _ in triples)
-        residual = max(r for _, _, r in triples)
+        generators, residuals = brute_force_all(t)
+        residual = float(residuals.max())
         timings["solve"] = time.perf_counter() - t0
     else:
-        pairs = c_prime_all(t)
-        generators = tuple(p for _, p in pairs)
+        generators = c_prime_all(t)
         timings["solve"] = time.perf_counter() - t0
     rmse = max_rse = None
     if gt is not None:

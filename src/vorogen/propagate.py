@@ -18,57 +18,63 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping
 
 import numpy as np
 
 from .errors import UnreachableCellsError
-from .geom import Point2
 from .solver import PatchSolution, mirror_terms
-from .tessellation import CellId, RidgeId, Tessellation
+from .tessellation import Tessellation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationTrace:
-    """What the sweep did: finalization order, per-cell depth and fan-in.
+    """What the sweep did, as arrays: finalization order, depth and fan-in.
 
-    ``order`` holds one (cell, source cell, ridge) triple per non-patch cell,
-    in finalization order; a source is always finalized before its target.
+    ``cells``, ``sources`` and ``ridges`` hold one entry per non-patch cell,
+    in finalization order: the cell, the finalized cell it was reflected
+    from and the ridge between them; a source is always finalized before its
+    target. ``depth[c]`` is cell c's ridge distance from the known cells and
+    ``candidates[c]`` the number of ridges it could have been reflected
+    through (0 for a known cell).
     """
 
-    order: tuple[tuple[CellId, CellId, RidgeId], ...]
-    depth: dict[CellId, int]
-    candidates: dict[CellId, int]
+    cells: np.ndarray
+    sources: np.ndarray
+    ridges: np.ndarray
+    depth: np.ndarray
+    candidates: np.ndarray
 
     @property
     def reflect_calls(self) -> int:
         """One reflection per finalized cell."""
-        return len(self.order)
+        return len(self.cells)
 
     @property
     def max_depth(self) -> int:
-        return max(self.depth.values(), default=0)
+        return int(self.depth.max(initial=0))
 
     @property
     def mean_depth(self) -> float:
-        return sum(self.depth.values()) / len(self.depth) if self.depth else 0.0
+        return int(self.depth.sum()) / len(self.depth) if len(self.depth) else 0.0
 
 
 def sweep(
     t: Tessellation,
-    known: Mapping[CellId, Point2],
+    cells: np.ndarray,
+    points: np.ndarray,
     origin: str = "the known cells",
-) -> tuple[dict[CellId, Point2], PropagationTrace]:
-    """Recover every generator by layered reflection from the ``known`` ones.
+) -> tuple[np.ndarray, PropagationTrace]:
+    """Recover every generator by layered reflection from the known ones,
+    ``points[k]`` being the generator of cell ``cells[k]``.
 
     Layer d + 1 holds the unknown cells across a ridge from layer d, layer 0
-    being ``known``. A layer is found by one gather over the CSR boundary
-    index of the previous one, in discovery order (source cells ascending,
-    each in its boundary order). Each new cell is the mirror image of its
-    first incoming source across their shared ridge, R g + b from
-    ``mirror_terms``, reflected as one array operation per layer, so every
-    generator is the one a per-cell loop in that order would give. Raises
+    being the known cells. A layer is found by one gather over the CSR
+    boundary index of the previous one, in discovery order (source cells
+    ascending, each in its boundary order). Each new cell is the mirror
+    image of its first incoming source across their shared ridge, R g + b
+    from ``mirror_terms``, reflected as one array operation per layer, so
+    every generator is the one a per-cell loop in that order would give.
+    Returns the (n, 2) generators, read-only, and the trace. Raises
     UnreachableCellsError, naming ``origin``, when the ridge graph does not
     connect every cell to a known one.
     """
@@ -79,10 +85,11 @@ def sweep(
     er, ei, br, bi = e.real, e.imag, b.real, b.imag
     xy = np.zeros((n, 2))
     depth = np.full(n, -1)
-    seeds = np.fromiter(known, np.intp, len(known))
-    xy[seeds] = np.array(list(known.values()), float).reshape(-1, 2)
+    fan_in = np.zeros(n, np.intp)
+    seeds = np.asarray(cells, np.intp)
+    xy[seeds] = np.asarray(points, float).reshape(-1, 2)
     depth[seeds] = 0
-    layers = []
+    order = [np.empty((3, 0), np.intp)]  # (cells, sources, ridges) per layer
     current = np.unique(seeds)
     d = 0
     while len(current):
@@ -96,7 +103,7 @@ def sweep(
         src, dst, rid = src[new], dst[new], a.cell_ridges[entry[new]]
         if not len(dst):
             break
-        cells, first, fan_in = np.unique(dst, return_index=True, return_counts=True)
+        found, first, incoming = np.unique(dst, return_index=True, return_counts=True)
         src, rid = src[first], rid[first]
         bad = a.degenerate[rid]
         if bad.any():
@@ -104,11 +111,12 @@ def sweep(
         # g -> e conj(g) + b in real arithmetic: a complex product could be
         # rounded differently on another CPU
         x, y = xy[src, 0], xy[src, 1]
-        xy[cells, 0] = er[rid] * x + ei[rid] * y + br[rid]
-        xy[cells, 1] = ei[rid] * x - er[rid] * y + bi[rid]
-        depth[cells] = d + 1
-        layers.append((cells, src, rid, fan_in))
-        current = cells
+        xy[found, 0] = er[rid] * x + ei[rid] * y + br[rid]
+        xy[found, 1] = ei[rid] * x - er[rid] * y + bi[rid]
+        depth[found] = d + 1
+        fan_in[found] = incoming
+        order.append(np.stack((found, src, rid)))
+        current = found
         d += 1
 
     missing = np.flatnonzero(depth < 0)
@@ -117,31 +125,21 @@ def sweep(
             f"{len(missing)} of {n} cells cannot be reached from {origin}",
             cells=tuple(missing.tolist()),
         )
-    order: list[tuple[CellId, CellId, RidgeId]] = []
-    candidates: dict[CellId, int] = {}
-    for cells, srcs, rids, fan_in in layers:
-        order += zip(cells.tolist(), srcs.tolist(), rids.tolist())
-        candidates.update(zip(cells.tolist(), fan_in.tolist()))
-    finished = [*known, *(c for c, _, _ in order)]
-    points = map(Point2._make, xy[finished].tolist())
-    trace = PropagationTrace(
-        order=tuple(order),
-        depth=dict(zip(finished, depth[finished].tolist())),
-        candidates=candidates,
-    )
-    return dict(zip(finished, points)), trace
+    xy.flags.writeable = False
+    return xy, PropagationTrace(*np.concatenate(order, axis=1), depth, fan_in)
 
 
-def reconstruct_all(
-    t: Tessellation, patch: PatchSolution
-) -> tuple[dict[CellId, Point2], PropagationTrace]:
+def reconstruct_all(t: Tessellation, patch: PatchSolution) -> tuple[np.ndarray, PropagationTrace]:
     """Recover every generator from the solved patch.
 
-    Returns the full cell -> generator map and the trace of the sweep.
-    Raises UnreachableCellsError if the ridge adjacency graph does not
-    connect every cell to the patch.
+    Returns the (n, 2) generators and the trace of the sweep. Raises
+    UnreachableCellsError if the ridge adjacency graph does not connect
+    every cell to the patch.
     """
-    return sweep(t, patch.generators, f"the patch around cell {patch.members[0]}")
+    known = patch.generators
+    return sweep(
+        t, list(known), list(known.values()), f"the patch around cell {patch.members[0]}"
+    )
 
 
 # CGLS stops once the normal-equation residual ||A^T W (b - A g)|| has fallen
@@ -150,10 +148,8 @@ REFINE_TOL = 1e-3
 REFINE_MAX_ITER = 100
 
 
-def refine_all(
-    t: Tessellation, known: dict[CellId, Point2]
-) -> tuple[dict[CellId, Point2], int]:
-    """Weighted least-squares polish of a complete generator map.
+def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int]:
+    """Weighted least-squares polish of every generator.
 
     Every ridge between cells a and b contributes the patch system's mirror
     equation ``g_b - R g_a = (I - R) c`` (two rows, ``solver.mirror_terms``),
@@ -166,9 +162,9 @@ def refine_all(
     weigh 0.
 
     Solved by CGLS (conjugate gradients on the normal equations) starting
-    from ``known``; each step is one gather over the ridges and one
-    ``bincount`` scatter back, so O(n). Returns the refined map and the
-    number of iterations taken.
+    from the (n, 2) ``generators``; each step is one gather over the ridges
+    and one ``bincount`` scatter back, so O(n). Returns the refined (n, 2)
+    generators, read-only, and the number of iterations taken.
     """
     # points are complex numbers, reflections z -> e conj(z) (``mirror_terms``)
     n = t.n_cells
@@ -178,8 +174,9 @@ def refine_all(
     usable = finite & ~a.degenerate
     c, e, b = mirror_terms(a, slice(None))
 
-    g = np.fromiter(chain.from_iterable(known[k] for k in range(n)), float, 2 * n)
-    g = g.view(complex)
+    g = np.ascontiguousarray(generators, float).reshape(-1).view(complex)
+    if len(g) != n:
+        raise ValueError(f"{len(g)} generators for {n} cells")
     w = np.where(finite, 0.0, 1.0)
     length = a.lengths[usable]
     # math.hypot, not np.abs: numpy's complex modulus rounds differently on
@@ -227,5 +224,6 @@ def refine_all(
         p = s + (gamma_next / gamma) * p
         gamma = gamma_next
         iterations += 1
-    refined = map(Point2._make, g.view(float).reshape(-1, 2).tolist())
-    return dict(enumerate(refined)), iterations
+    refined = g.view(float).reshape(-1, 2)
+    refined.flags.writeable = False
+    return refined, iterations

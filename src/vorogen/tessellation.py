@@ -80,11 +80,32 @@ class Cell:
     bounded: bool
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Generator points indexed by CellId (known only on the forward path)."""
+def point_array(values) -> np.ndarray:
+    """A point set as one read-only float64 (n, 2) array, row c for cell c.
 
-    generators: tuple[Point2, ...]
+    Any (n, 2) array-like is taken; a read-only float64 array is kept as it
+    is, anything else copied.
+    """
+    xy = values
+    if not (isinstance(xy, np.ndarray) and xy.dtype == np.float64 and not xy.flags.writeable):
+        xy = np.array(values, float)
+        if not xy.size:
+            xy = xy.reshape(0, 2)  # an empty sequence has shape (0,)
+        xy.flags.writeable = False
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array of points, got shape {xy.shape}")
+    return xy
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Generator points indexed by CellId (known only on the forward path),
+    as ``point_array`` stores them."""
+
+    generators: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", point_array(self.generators))
 
 
 def _ids(values) -> np.ndarray:
@@ -642,7 +663,7 @@ def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
         '],\n  "cells": [', _text(t.n_cells, cells), "]",
     ]
     if gt is not None:
-        parts += [',\n  "generators": [', _points_text(np.array(gt.generators, float)), "]"]
+        parts += [',\n  "generators": [', _points_text(gt.generators), "]"]
     return "".join(parts + ["\n}\n"])
 
 
@@ -757,7 +778,9 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
             raise ParseError(
                 f"field 'generators' has {len(gens)} entries for {len(bounded)} cells"
             )
-        gt = GroundTruth(tuple(map(Point2._make, _parse_points(gens, "generators").tolist())))
+        points = _parse_points(gens, "generators")
+        points.flags.writeable = False  # so GroundTruth keeps it uncopied
+        gt = GroundTruth(points)
     del doc
     ray_dirs = np.reshape(ray_dirs, (-1, 2))
     t = Tessellation.from_arrays(

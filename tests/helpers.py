@@ -258,19 +258,24 @@ def relabel_cells(t: Tessellation, perm, gt: GroundTruth | None = None):
     return out, GroundTruth(tuple(gens))
 
 
-def max_cell_error(generators: dict, gt: GroundTruth) -> float:
-    return max(
-        math.hypot(p.x - gt.generators[c][0], p.y - gt.generators[c][1])
-        for c, p in generators.items()
-    )
+def _cell_errors(generators, gt: GroundTruth) -> list[tuple[float, float]]:
+    """(dx, dy) from the true generator of each cell of ``generators``: an
+    (n, 2) array, row c for cell c, or a patch's {cell: point} map."""
+    if isinstance(generators, dict):
+        cells, xy = list(generators), list(generators.values())
+    else:
+        cells, xy = range(len(generators)), generators
+    d = np.asarray(xy, float).reshape(-1, 2) - gt.generators[cells]
+    return d.tolist()
 
 
-def rmse(generators: dict, gt: GroundTruth) -> float:
-    total = sum(
-        (p.x - gt.generators[c][0]) ** 2 + (p.y - gt.generators[c][1]) ** 2
-        for c, p in generators.items()
-    )
-    return math.sqrt(total / len(generators))
+def max_cell_error(generators, gt: GroundTruth) -> float:
+    return max(math.hypot(dx, dy) for dx, dy in _cell_errors(generators, gt))
+
+
+def rmse(generators, gt: GroundTruth) -> float:
+    errors = _cell_errors(generators, gt)
+    return math.sqrt(sum(dx**2 + dy**2 for dx, dy in errors) / len(errors))
 
 
 def too_close_reference(pts, sep: float) -> set[int]:
@@ -410,11 +415,13 @@ def reflect_step(t: Tessellation, rid: int, g) -> Point2:
     return reflect_point(g, t.ridge_line(rid))
 
 
-def sweep_reference(t: Tessellation, known: dict, step=mirror_step):
+def sweep_reference(t: Tessellation, cells, points, step=mirror_step):
     """Layered reflection sweep, one cell at a time, each new cell reflected
-    through its first incoming ridge by ``step``: (generators, order, depth,
-    candidates, reflect_calls)."""
-    known = dict(known)
+    through its first incoming ridge by ``step``: the (n, 2) generators, the
+    (cell, source, ridge) rows in finalization order, and per cell the depth
+    and the number of candidate ridges (0 for a known cell); then the number
+    of reflections."""
+    known = dict(zip(cells, np.asarray(points, float).tolist()))
     depth = {c: 0 for c in known}
     order, candidates, calls = [], {}, 0
     current = sorted(known)
@@ -435,7 +442,14 @@ def sweep_reference(t: Tessellation, known: dict, step=mirror_step):
             depth[nc] = depth[src] + 1
             order.append((nc, src, rid))
         current = nxt
-    return known, order, depth, candidates, calls
+    n = t.n_cells
+    return (
+        np.array([known[c] for c in range(n)], float).reshape(-1, 2),
+        np.array(order, np.intp).reshape(-1, 3),
+        np.array([depth[c] for c in range(n)]),
+        np.array([candidates.get(c, 0) for c in range(n)]),
+        calls,
+    )
 
 
 # -- loop references for the array-pass reference methods ----------------------
@@ -443,9 +457,10 @@ def sweep_reference(t: Tessellation, known: dict, step=mirror_step):
 
 def brute_force_reference(t: Tessellation):
     """``baselines.brute_force_all`` one patch at a time: ``solve_patch`` of
-    ``assemble_patch`` for each eligible cell, ascending, then the sweep."""
+    ``assemble_patch`` for each eligible cell, ascending, then the sweep:
+    the (n, 2) generators and the (n,) residuals."""
     known: dict = {}
-    resid: dict = {}
+    resid = np.zeros(t.n_cells)
     for c in eligible_cells(t):
         sol = solve_patch(assemble_patch(t, c))
         known[c] = sol.generators[c]
@@ -454,10 +469,10 @@ def brute_force_reference(t: Tessellation):
         raise NoEligibleAnchorError(
             "no anchor-eligible cell; the per-cell brute force cannot start"
         )
-    known, trace = sweep(t, known, origin="any solved cell")
-    for nc, src, _ in trace.order:
+    generators, trace = sweep(t, list(known), list(known.values()), origin="any solved cell")
+    for nc, src in zip(trace.cells.tolist(), trace.sources.tolist()):
         resid[nc] = resid[src]
-    return [(c, known[c], resid[c]) for c in range(t.n_cells)]
+    return generators, resid
 
 
 def generator_rays_reference(t: Tessellation, c: int) -> list[RidgeLine]:
@@ -588,5 +603,4 @@ def c_prime_all_reference(t: Tessellation):
             continue
     if not known:
         raise UnderdeterminedError("no cell admits the angle construction")
-    known, _ = sweep(t, known, origin="any estimated cell")
-    return [(c, known[c]) for c in range(t.n_cells)]
+    return sweep(t, list(known), list(known.values()), origin="any estimated cell")[0]

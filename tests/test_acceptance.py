@@ -42,8 +42,8 @@ def test_criterion_02_anchor_matches_brute_force():
     for seed in range(20):
         _, t, _ = sample_and_build(200, seed)
         swept = reconstruct(t, "anchor").generators
-        for c, p, _ in brute_force_all(t):
-            d = math.hypot(p.x - swept[c].x, p.y - swept[c].y)
+        for c, (dx, dy) in enumerate((brute_force_all(t)[0] - swept).tolist()):
+            d = math.hypot(dx, dy)
             assert d < 1e-8, f"seed {seed} cell {c}: {d:.3e}"
 
 
@@ -87,8 +87,8 @@ def test_criterion_05_ridges_bisect_their_sites():
             ga, gb = gt.generators[a], gt.generators[b]
             for v in r.vertex_ids():
                 p = t.vertices[v]
-                da = math.hypot(p.x - ga.x, p.y - ga.y)
-                db = math.hypot(p.x - gb.x, p.y - gb.y)
+                da = math.hypot(p.x - ga[0], p.y - ga[1])
+                db = math.hypot(p.x - gb[0], p.y - gb[1])
                 assert abs(da - db) <= 1e-10 * max(da, db, 1.0), (
                     f"seed {seed} ridge {rid}"
                 )
@@ -184,8 +184,5 @@ def test_criterion_10_anchor_choice_independent():
         best = reconstruct(t, "anchor")
         drawn = reconstruct(t, "anchor", anchor_seed=seed)
         assert drawn.anchor != best.anchor, f"seed {seed}: the same anchor twice"
-        diff = max(
-            math.hypot(a.x - b.x, a.y - b.y)
-            for a, b in zip(best.generators, drawn.generators)
-        )
+        diff = max(map(math.hypot, *(best.generators - drawn.generators).T.tolist()))
         assert diff < 1e-8, f"seed {seed}: {diff:.3e}"

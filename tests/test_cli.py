@@ -85,7 +85,7 @@ def test_reconstruct_out_round_trip(tess_file, tmp_path):
     t2, recovered = load(out)
     assert t2.vertices == t.vertices
     assert recovered is not None
-    assert max_cell_error(dict(enumerate(recovered.generators)), gt) < 1e-9
+    assert max_cell_error(recovered.generators, gt) < 1e-9
 
 
 def test_reconstruct_baseline_methods(tess_file, tmp_path):

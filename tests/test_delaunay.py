@@ -36,7 +36,7 @@ def finite_triangles(tri) -> list[tuple[int, int, int]]:
 
 
 def points(n: int, seed: int) -> list[tuple[float, float]]:
-    return [(p.x, p.y) for p in sample_sites(n, seed).points]
+    return [tuple(p) for p in sample_sites(n, seed).points.tolist()]
 
 
 def digest(rows) -> str:

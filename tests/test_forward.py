@@ -44,15 +44,15 @@ def test_sample_sites_count_window_and_bounds():
     s = sample_sites(10, seed=42)
     assert len(s.points) == 10
     assert s.window == pytest.approx(math.sqrt(10))
-    assert all(0.0 < p.x < s.window and 0.0 < p.y < s.window for p in s.points)
+    assert ((0.0 < s.points) & (s.points < s.window)).all()
 
 
 def test_sample_sites_deterministic():
-    assert sample_sites(10, seed=7).points == sample_sites(10, seed=7).points
+    assert np.array_equal(sample_sites(10, seed=7).points, sample_sites(10, seed=7).points)
 
 
 def test_sample_sites_seeds_differ():
-    assert sample_sites(10, seed=0).points != sample_sites(10, seed=1).points
+    assert not np.array_equal(sample_sites(10, seed=0).points, sample_sites(10, seed=1).points)
 
 
 def test_sample_sites_rejects_tiny_n():
@@ -64,7 +64,7 @@ def test_build_two_sites():
     t, gt = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
     assert validate(t) == []
     assert len(t.cells) == 2
-    assert gt.generators == (Point2(0.0, 0.0), Point2(2.0, 0.0))
+    assert gt.generators.tolist() == [[0.0, 0.0], [2.0, 0.0]]
 
 
 def test_build_three_collinear_sites():
@@ -80,7 +80,7 @@ def test_build_three_collinear_sites():
 def test_build_diamond_matches_hand_computation():
     t, gt = build_voronoi(SiteSample(tuple(Point2(*s) for s in DIAMOND_SITES), 2.0, None))
     assert validate(t) == []
-    assert gt.generators[4] == Point2(1.0, 1.0)
+    assert gt.generators[4].tolist() == [1.0, 1.0]
     center = t.cells[4]
     assert center.bounded and len(center.ridges) == 4
     poly = polygon_vertices(t, 4)
@@ -106,7 +106,7 @@ def test_cocircular_square_raises_and_jitter_repairs():
     # the Voronoi vertices are (0.5, 0.5) twice and (0.5, 1.375): diameter 0.875
     assert exc.value.threshold == pytest.approx(DEGENERACY_REL * 0.875, rel=1e-12)
     jittered = jitter_degenerate(sample, 1e-9)
-    assert jittered.points != sample.points
+    assert not np.array_equal(jittered.points, sample.points)
     t, _ = build_voronoi(jittered)
     assert validate(t) == []
     # every vertex is 3-valent after the repair
@@ -213,14 +213,14 @@ def test_jitter_is_identity_on_generic_input():
 
 def test_jitter_repairs_duplicate_sites():
     """``sample_sites`` leaves a near-duplicate pair to the build's retry."""
-    pts = list(sample_sites(40, seed=11).points)
-    pts[5] = Point2(pts[3].x + 1e-13, pts[3].y)
-    sample = SiteSample(tuple(pts), math.sqrt(40), seed=11)
+    pts = sample_sites(40, seed=11).points.copy()
+    pts[5] = (pts[3, 0] + 1e-13, pts[3, 1])
+    sample = SiteSample(pts, math.sqrt(40), seed=11)
     with pytest.raises(ConstructionError) as exc:
         build_voronoi(sample)
     assert exc.value.site_groups == ((5,),)
     jittered = jitter_degenerate(sample, 1e-9)
-    assert [i for i, (p, q) in enumerate(zip(pts, jittered.points)) if p != q] == [5]
+    assert np.flatnonzero((pts != jittered.points).any(axis=1)).tolist() == [5]
     t, _ = build_voronoi(jittered)
     assert validate(t) == []
 
@@ -242,8 +242,8 @@ def test_jitter_moves_points_at_most_eps():
     eps = 1e-6
     out = jitter_degenerate(sample, eps)
     # the repair loop may retry a few rounds, so allow a small multiple
-    for p, q in zip(sample.points, out.points):
-        assert math.hypot(p.x - q.x, p.y - q.y) <= 8 * eps
+    for (px, py), (qx, qy) in zip(sample.points.tolist(), out.points.tolist()):
+        assert math.hypot(px - qx, py - qy) <= 8 * eps
 
 
 def test_bisector_property(built):
@@ -254,14 +254,14 @@ def test_bisector_property(built):
             ga, gb = gt.generators[a], gt.generators[b]
             for v in r.vertex_ids():
                 p = t.vertices[v]
-                da = math.hypot(p.x - ga.x, p.y - ga.y)
-                db = math.hypot(p.x - gb.x, p.y - gb.y)
+                da = math.hypot(p.x - ga[0], p.y - ga[1])
+                db = math.hypot(p.x - gb[0], p.y - gb[1])
                 assert abs(da - db) <= 1e-10 * max(da, db, 1.0), f"ridge {rid}"
 
 
 def test_cells_match_halfplane_oracle(built):
     _, t, gt = built(30, 0)
-    sites = [(g.x, g.y) for g in gt.generators]
+    sites = [tuple(g) for g in gt.generators.tolist()]
     pad = 10.0 * math.sqrt(30)
     for c, cell in enumerate(t.cells):
         if not cell.bounded:
@@ -278,7 +278,7 @@ def test_matches_qhull_voronoi(built, n, seed):
     finite ridge ends at Qhull's vertices to 1e-9 relative."""
     spatial = pytest.importorskip("scipy.spatial")
     sample, t, gt = built(n, seed)
-    vor = spatial.Voronoi([(g.x, g.y) for g in gt.generators])
+    vor = spatial.Voronoi(gt.generators)
     theirs = {}
     for (i, j), ends in zip(vor.ridge_points.tolist(), vor.ridge_vertices):
         theirs[(min(i, j), max(i, j))] = ends
@@ -365,12 +365,9 @@ def test_retry_clears_the_rejecting_threshold(seed):
     jittered, t, gt = sample_and_build(10_000, seed)
     assert hashlib.sha256(dumps(t, gt).encode()).hexdigest() == RETRY_DIGESTS[seed]
     assert hashlib.sha256(np.asarray(jittered.points, "<f8").tobytes()).hexdigest()[:16] == RETRY_SITES[seed]
-    moved = [i for i, (p, q) in enumerate(zip(sample.points, jittered.points)) if p != q]
+    moved = np.flatnonzero((sample.points != jittered.points).any(axis=1))
     assert 0 < len(moved) <= 4
-    assert max(
-        math.hypot(sample.points[i].x - jittered.points[i].x,
-                   sample.points[i].y - jittered.points[i].y) for i in moved
-    ) < 1e-3
+    assert max(map(math.hypot, *(sample.points - jittered.points)[moved].T.tolist())) < 1e-3
     rep = reconstruct(t, "anchor", gt)
     assert rep.max_rse < 1e-8
 
@@ -411,7 +408,7 @@ def test_degenerate_sites_build_or_raise_construction_error(pts):
 def test_sample_and_build_at_1e5():
     sample, t, gt = sample_and_build(100_000, 0)
     assert validate(t) == []
-    assert len(t.cells) == 100_000 and gt.generators == sample.points
+    assert len(t.cells) == 100_000 and np.array_equal(gt.generators, sample.points)
 
 
 def test_sample_and_build_shapes(built):
@@ -419,7 +416,7 @@ def test_sample_and_build_shapes(built):
     assert len(sample.points) == 100
     assert len(t.cells) == 100
     assert len(gt.generators) == 100
-    assert gt.generators == sample.points
+    assert np.array_equal(gt.generators, sample.points)
 
 
 def test_unbounded_cells_trace_the_hull(built):

@@ -65,9 +65,9 @@ def _sweep_digests(t, gt, members) -> tuple[str, str]:
     refined, iterations = refine_all(t, known)
     return digest(
         [*(v for c in range(n) for v in known[c]),
-         *(v for step in trace.order for v in step),
+         *np.stack((trace.cells, trace.sources, trace.ridges), axis=1).ravel(),
          *(trace.depth[c] for c in range(n)),
-         *(trace.candidates.get(c, 0) for c in range(n)),
+         *(trace.candidates[c] for c in range(n)),
          trace.reflect_calls]
     ), digest([*(v for c in range(n) for v in refined[c]), iterations])
 
@@ -87,8 +87,8 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
         ),
         "sweep_first": sweep_first,
         "refined": refined,
-        "brute": digest([p for _, p, _ in brute_force_all(t)]),
-        "cprime": digest([p for _, p in c_prime_all(t)]),
+        "brute": digest(brute_force_all(t)[0]),
+        "cprime": digest(c_prime_all(t)),
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from helpers import max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
@@ -33,11 +34,11 @@ def _solve(t, anchor=None):
 def test_sweep_reflects_across_diamond_ridges(diamond):
     t, _ = diamond
     # from the center cell: ridge 3 lies on x+y=3, ridge 0 on x+y=1
-    known, _ = sweep(t, {4: Point2(1.0, 1.0)})
+    known, _ = sweep(t, [4], [(1.0, 1.0)])
     assert known[3] == pytest.approx((2.0, 2.0), abs=1e-14)
     assert known[0] == pytest.approx((0.0, 0.0), abs=1e-14)
     # a point on ridge 1's line x-y=1 stays put in cell 1
-    known, _ = sweep(t, {4: Point2(1.5, 0.5)})
+    known, _ = sweep(t, [4], [(1.5, 0.5)])
     assert known[1] == pytest.approx((1.5, 0.5), abs=1e-14)
 
 
@@ -48,7 +49,7 @@ def test_sweep_across_degenerate_ridge_raises():
         [Cell(ridges=(0,), bounded=False), Cell(ridges=(0,), bounded=False)],
     )
     with pytest.raises(DegenerateRidgeError):
-        sweep(t, {0: Point2(1.0, 1.0)})
+        sweep(t, [0], [(1.0, 1.0)])
 
 
 # -------------------------------------------------------------- full sweep
@@ -57,8 +58,8 @@ def test_sweep_across_degenerate_ridge_raises():
 def test_patch_already_covers_diamond(diamond):
     t, gt = diamond
     known, trace = reconstruct_all(t, _solve(t, 4))
-    assert len(known) == 5
-    assert trace.order == ()
+    assert known.shape == (5, 2)
+    assert trace.reflect_calls == len(trace.cells) == len(trace.sources) == len(trace.ridges) == 0
     assert trace.max_depth == 0
     assert trace.reflect_calls == 0
     assert max_cell_error(known, gt) < 1e-10
@@ -68,20 +69,21 @@ def test_sweep_recovers_all_generators(built):
     _, t, gt = built(100, 0)
     sol = _solve(t)
     known, trace = reconstruct_all(t, sol)
-    assert len(known) == 100
-    assert set(known) == set(range(100))
+    assert known.shape == (100, 2)
     assert max_cell_error(known, gt) < 1e-9
-    # one finalization per non-patch cell
-    assert len(trace.order) == 100 - len(sol.generators)
-    assert set(trace.depth) == set(range(100))
+    # one finalization per non-patch cell, each once
+    assert len(trace.cells) == 100 - len(sol.generators)
+    assert sorted([*trace.cells.tolist(), *sol.generators]) == list(range(100))
+    assert trace.depth.shape == (100,) and (trace.depth >= 0).all()
 
 
 def test_trace_layer_invariants(built):
     _, t, _ = built(200, 3)
     sol = _solve(t)
     _, trace = reconstruct_all(t, sol)
-    pos = {cell: i for i, (cell, _, _) in enumerate(trace.order)}
-    for cell, src, rid in trace.order:
+    order = list(zip(trace.cells.tolist(), trace.sources.tolist(), trace.ridges.tolist()))
+    pos = {cell: i for i, (cell, _, _) in enumerate(order)}
+    for cell, src, rid in order:
         # finalized via a real shared ridge, strictly one layer in
         assert set(t.ridges[rid].cells) == {cell, src}
         assert trace.depth[src] == trace.depth[cell] - 1
@@ -89,7 +91,7 @@ def test_trace_layer_invariants(built):
             assert pos[src] < pos[cell]
         assert trace.candidates[cell] >= 1
     # no empty layers
-    assert sorted(set(trace.depth.values())) == list(range(trace.max_depth + 1))
+    assert sorted(set(trace.depth.tolist())) == list(range(trace.max_depth + 1))
     assert 0.0 < trace.mean_depth <= trace.max_depth
 
 
@@ -97,8 +99,8 @@ def test_reflect_call_counts(built):
     _, t, _ = built(150, 2)
     sol = _solve(t)
     _, trace = reconstruct_all(t, sol)
-    assert trace.reflect_calls == len(trace.order) == len(t.cells) - len(sol.generators)
-    assert sum(trace.candidates.values()) <= len(t.ridges)
+    assert trace.reflect_calls == len(trace.cells) == len(t.cells) - len(sol.generators)
+    assert trace.candidates.sum() <= len(t.ridges)
 
 
 def test_policies_agree_on_exact_input(built):
@@ -112,9 +114,7 @@ def test_policies_agree_on_exact_input(built):
         assert max_cell_error(known, gt) < 1e-9
     for a in runs:
         for b in runs:
-            diff = max(
-                math.hypot(a[c].x - b[c].x, a[c].y - b[c].y) for c in a
-            )
+            diff = max(map(math.hypot, *(a - b).T.tolist()))
             assert diff < 1e-8
 
 
@@ -124,13 +124,13 @@ def test_sweep_matches_loop_reference(built):
     _, t, gt = built(300, 6)
     anchor = select_anchor(t)
     for seeds in (assemble_patch(t, anchor).members, (0, 7, 150, 299)):
-        known = {c: gt.generators[c] for c in seeds}
-        got, trace = sweep(t, known)
-        ref, order, depth, candidates, calls = sweep_reference(t, known)
-        assert got == ref
-        assert list(trace.order) == order
-        assert trace.depth == depth
-        assert trace.candidates == candidates
+        known = gt.generators[list(seeds)]
+        got, trace = sweep(t, seeds, known)
+        ref, order, depth, candidates, calls = sweep_reference(t, seeds, known)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.stack((trace.cells, trace.sources, trace.ridges), axis=1), order)
+        assert np.array_equal(trace.depth, depth)
+        assert np.array_equal(trace.candidates, candidates)
         assert trace.reflect_calls == calls
 
 
@@ -140,9 +140,9 @@ def test_sweep_beats_the_reflect_point_loop(built):
     for seed in range(5):
         _, t, gt = built(1000, seed)
         members = assemble_patch(t, select_anchor(t)).members
-        known = {c: gt.generators[c] for c in members}
-        got, _ = sweep(t, known)
-        ref = sweep_reference(t, known, reflect_step)[0]
+        known = gt.generators[list(members)]
+        got, _ = sweep(t, members, known)
+        ref = sweep_reference(t, members, known, reflect_step)[0]
         assert rmse(got, gt) < rmse(ref, gt)
 
 
@@ -172,7 +172,8 @@ def test_depth_grows_like_sqrt_n(built):
 
 def _weighted_mirror_residual(t, known, warm):
     """Loop reference: weighted norm of g_b - reflect(g_a) over every ridge,
-    with finite ridges weighted L / (L + d) from the warm-start map."""
+    with finite ridges weighted L / (L + d) from the warm-start generators."""
+    known, warm = ([Point2._make(p) for p in xy.tolist()] for xy in (known, warm))
     total = 0.0
     for rid, r in enumerate(t.ridges):
         a, b = r.cells
@@ -189,14 +190,14 @@ def _weighted_mirror_residual(t, known, warm):
 
 def test_refinement_keeps_exact_input_and_lowers_mirror_residual(diamond, built):
     t, gt = diamond
-    refined, _ = refine_all(t, dict(enumerate(gt.generators)))
+    refined, _ = refine_all(t, gt.generators)
     assert max_cell_error(refined, gt) < 1e-12
 
     _, t, gt = built(1000, 0)
     swept, _ = reconstruct_all(t, _solve(t))
     refined, iterations = refine_all(t, swept)
     assert 0 < iterations <= REFINE_MAX_ITER
-    assert set(refined) == set(swept)
+    assert refined.shape == swept.shape
     assert _weighted_mirror_residual(t, refined, swept) <= _weighted_mirror_residual(
         t, swept, swept
     )

@@ -384,14 +384,14 @@ def test_dumps_loads_round_trip_bit_exact(diamond):
     assert t2.vertices == t.vertices
     assert t2.ridges == t.ridges
     assert t2.cells == t.cells
-    assert gt2.generators == gt.generators
+    assert np.array_equal(gt2.generators, gt.generators)
 
 
 def test_round_trip_on_forward_build_is_bit_exact(built):
     _, t, gt = built(100, 1)
     t2, gt2 = loads(dumps(t, gt))
     assert t2.vertices == t.vertices
-    assert gt2.generators == gt.generators
+    assert np.array_equal(gt2.generators, gt.generators)
     assert dumps(t2, gt2) == dumps(t, gt)
 
 
@@ -401,7 +401,7 @@ def test_save_load_file_round_trip(tmp_path, diamond):
     save(t, path, gt)
     t2, gt2 = load(path)
     assert t2.vertices == t.vertices
-    assert gt2.generators == gt.generators
+    assert np.array_equal(gt2.generators, gt.generators)
 
 
 def test_load_missing_file_raises_oserror(tmp_path):
