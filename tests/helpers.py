@@ -258,7 +258,7 @@ def relabel_cells(t: Tessellation, perm, gt: GroundTruth | None = None):
     return out, GroundTruth(tuple(gens))
 
 
-def _cell_errors(generators, gt: GroundTruth) -> list[tuple[float, float]]:
+def _cell_errors(generators, gt: GroundTruth) -> list[list[float]]:
     """(dx, dy) from the true generator of each cell of ``generators``: an
     (n, 2) array, row c for cell c, or a patch's {cell: point} map."""
     if isinstance(generators, dict):

@@ -1,16 +1,18 @@
 """A whole point set travels as one read-only float64 (n, 2) array, row c
 for cell c: the sample's sites, the ground truth (built or loaded) and the
-generators every reconstruction method reports."""
+generators every reconstruction method reports. The errors reported from
+them keep the bits of a per-cell loop."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from vorogen.forward import SiteSample, build_voronoi
-from vorogen.pipeline import METHODS, reconstruct
+from vorogen.pipeline import METHODS, _errors, reconstruct
 from vorogen.tessellation import GroundTruth, dumps, loads
 
 
@@ -62,3 +64,20 @@ def test_reports_compare_by_identity(built):
     rep = reconstruct(t, "anchor", gt)
     assert rep == rep and rep != dataclasses.replace(rep)
     assert sites == sites and gt == gt
+
+
+def test_errors_add_the_squares_left_to_right():
+    """rmse and max_rse equal a loop's: ``math.hypot`` per cell, squares
+    added in cell order. One error of 1 then a thousand of 1e-8 tells the
+    orders apart: added left to right the small squares vanish, added
+    pairwise (``np.sum``) they do not."""
+    truth = np.zeros((1001, 2))
+    found = np.full((1001, 2), [0.6e-8, 0.8e-8])
+    found[0] = (0.6, 0.8)
+    sq = worst = 0.0
+    for (x, y), (tx, ty) in zip(found.tolist(), truth.tolist()):
+        e = math.hypot(x - tx, y - ty)
+        sq += e * e
+        worst = max(worst, e)
+    assert sq != float(np.sum(np.hypot(*found.T) ** 2))
+    assert _errors(found, GroundTruth(truth)) == (math.sqrt(sq / 1001), worst)
