@@ -3,8 +3,8 @@
 The anchor is the one cell whose surrounding patch gets solved directly;
 everything else is reached by reflections. Eligibility is hard (bounded,
 two non-parallel ridges, at least one ring ridge between consecutive
-neighbors); everything on top is a soft composite used to prefer compact,
-central, well-conditioned cells.
+neighbors, as ``RidgeArrays.ring`` lists them); everything on top is a
+soft composite used to prefer compact, central, well-conditioned cells.
 """
 
 from __future__ import annotations
@@ -77,19 +77,18 @@ def build_score_table(t: Tessellation) -> ScoreTable:
     a = t.arrays
     n = t.n_cells
     degree = np.diff(a.cell_start)
-    owner = np.repeat(np.arange(n), degree)
     bad = a.degenerate[a.cell_ridges]
-    min_sin, max_sin = _sin_range(a, owner, bad, n)
+    min_sin, max_sin = _sin_range(a, bad, n)
     angle_spread = np.fmax(0.0, np.fmin(1.0, min_sin))
-    min_edge_ratio = _edge_ratio(a, owner, bad, n)
+    min_edge_ratio = _edge_ratio(a, bad, n)
     centrality = _centrality(t, degree)
     band = np.where((DEGREE_BAND[0] <= degree) & (degree <= DEGREE_BAND[1]), 1.0, 0.5)
     return ScoreTable(
         eligible=(
             a.bounded
-            & (np.bincount(owner[bad], minlength=n) == 0)
+            & (np.bincount(a.entry_cell[bad], minlength=n) == 0)
             & (max_sin > geom.PARALLEL_TOL)
-            & _has_ring_pair(a, owner, degree, n)
+            & (np.bincount(a.entry_cell, a.ring >= 0, n) > 0)
         ),
         degree=degree,
         min_edge_ratio=min_edge_ratio,
@@ -110,12 +109,12 @@ def _per_cell(ufunc, values: np.ndarray, owner: np.ndarray, n: int, empty: float
     return out
 
 
-def _sin_range(a, owner: np.ndarray, bad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sin_range(a, bad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Min and max |sin| over the direction pairs (i < j) of each cell's
     non-degenerate ridges, taken pair offset by pair offset; the min is 0
     for a cell with fewer than two such ridges."""
     use = np.flatnonzero(~bad)
-    ucell = owner[use]
+    ucell = a.entry_cell[use]
     ucount = np.bincount(ucell, minlength=n)
     later = (np.cumsum(ucount) - 1)[ucell] - np.arange(len(use))  # entries after this one
     dx, dy = a.dirs[a.cell_ridges[use]].T
@@ -131,21 +130,11 @@ def _sin_range(a, owner: np.ndarray, bad: np.ndarray, n: int) -> tuple[np.ndarra
     return min_sin, _per_cell(np.fmax, emax, ucell, n, 0.0)
 
 
-def _edge_ratio(a, owner: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
+def _edge_ratio(a, bad: np.ndarray, n: int) -> np.ndarray:
     """Shortest over longest finite non-degenerate ridge; 0 for a cell with none."""
     fin = np.flatnonzero(~bad & np.isfinite(a.lengths[a.cell_ridges]))
-    lens, fcell = a.lengths[a.cell_ridges[fin]], owner[fin]
+    lens, fcell = a.lengths[a.cell_ridges[fin]], a.entry_cell[fin]
     return _per_cell(np.fmin, lens, fcell, n, 0.0) / _per_cell(np.fmax, lens, fcell, n, math.inf)
-
-
-def _has_ring_pair(a, owner: np.ndarray, degree: np.ndarray, n: int) -> np.ndarray:
-    """Bounded cells with a ridge between some two consecutive neighbours."""
-    start = a.cell_start
-    nxt = np.arange(1, len(owner) + 1)
-    wrap = np.flatnonzero(degree)
-    nxt[start[wrap + 1] - 1] = start[wrap]
-    ring = a.pair_ridge(a.cell_nbrs, a.cell_nbrs[nxt])
-    return a.bounded & (np.bincount(owner, ring >= 0, n) > 0)
 
 
 def _centrality(t: Tessellation, degree: np.ndarray) -> np.ndarray:

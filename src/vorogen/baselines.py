@@ -33,7 +33,7 @@ from .solver import (
     mirror_terms,
     solve_patch,
 )
-from .tessellation import CellId, RidgeArrays, Tessellation
+from .tessellation import CellId, RidgeArrays, Tessellation, ranges
 
 # a zero-displacement (insensitive) pair gets at most this multiple of the
 # mean inverse-displacement weight
@@ -57,11 +57,6 @@ class CPrimeEstimate:
     raw_intersections: list[Point2]
     weights: list[float]
     estimate: Point2
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The indices ``start[i]:start[i] + count[i]``, concatenated."""
-    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 # ------------------------------------------------------------- brute force
@@ -120,7 +115,7 @@ def _patch_stacks(a: RidgeArrays, cells: np.ndarray, e: np.ndarray, b: np.ndarra
         cs = cells[degree == k]
         entry = a.cell_start[cs, None] + np.arange(k)
         nb = a.cell_nbrs[entry]
-        ring = a.pair_ridge(nb, np.roll(nb, -1, axis=1))
+        ring = a.ring[entry]
         has = ring >= 0
         # unknown j belongs to the j-th distinct cell of (anchor, *neighbours)
         cell_list = np.concatenate((cs[:, None], nb), axis=1)
@@ -188,9 +183,7 @@ def _solve_stack(mat: np.ndarray, rhs: np.ndarray):
 
 def _closed(a: RidgeArrays) -> np.ndarray:
     """Cells flagged bounded that have no ray side."""
-    n = len(a.bounded)
-    owner = np.repeat(np.arange(n), np.diff(a.cell_start))
-    rays = np.bincount(owner, a.ends[a.cell_ridges, 1] < 0, n)
+    rays = np.bincount(a.entry_cell, a.ends[a.cell_ridges, 1] < 0, len(a.bounded))
     return a.bounded & (rays == 0)
 
 
@@ -222,18 +215,18 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     and unit direction, ordered by cell, vertex id and outer ridge id.
     """
     nv, nr = len(a.vertices), len(a.cells)
-    count = a.cell_start[cells + 1] - a.cell_start[cells]
-    owner = np.repeat(np.arange(len(cells), dtype=np.int64), count)
-    rids = a.cell_ridges[_ranges(a.cell_start[cells], count)]
+    lo, hi = a.cell_start[cells], a.cell_start[cells + 1]
+    row = np.repeat(np.arange(len(cells), dtype=np.int64), hi - lo)  # each entry's row in cells
+    rids = a.cell_ridges[ranges(lo, hi)]
     # each cell's distinct vertices, ascending, and the ridges ending there
     ends = a.ends[rids].ravel()
     keep = ends >= 0
-    corner = np.unique(np.repeat(owner, 2)[keep] * nv + ends[keep])
+    corner = np.unique(np.repeat(row, 2)[keep] * nv + ends[keep])
     cell, v = np.divmod(corner, nv)
     deg = a.vertex_start[v + 1] - a.vertex_start[v]
     at = np.repeat(np.arange(len(corner)), deg)
-    inc = a.vertex_ridges[_ranges(a.vertex_start[v], deg)]
-    own = np.unique(owner * nr + rids)
+    inc = a.vertex_ridges[ranges(a.vertex_start[v], a.vertex_start[v + 1])]
+    own = np.unique(row * nr + rids)
     query = cell[at] * nr + inc
     side = own[np.minimum(np.searchsorted(own, query), len(own) - 1)] == query
     n_side = np.bincount(at[side], minlength=len(corner))

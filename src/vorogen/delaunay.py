@@ -124,10 +124,10 @@ def circumcenter(a, b, c):
     by = b[1] - a[1]
     cx = c[0] - a[0]
     cy = c[1] - a[1]
-    d = 2.0 * (bx * cy - by * cx)
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        d = 2.0 * (bx * cy - by * cx)
+        b2 = bx * bx + by * by
+        c2 = cx * cx + cy * cy
         return (a[0] + (cy * b2 - by * c2) / d, a[1] + (bx * c2 - cx * b2) / d)
 
 

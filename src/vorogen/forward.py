@@ -20,7 +20,7 @@ import numpy as np
 
 from . import delaunay, geom
 from .errors import ConstructionError
-from .tessellation import GroundTruth, Tessellation, point_array, shared_corners
+from .tessellation import GroundTruth, Tessellation, point_array, ranges, shared_corners
 
 # Smallest jitter of sample_and_build's retry, relative to the window side;
 # the retry uses the threshold that rejected the build when that is larger.
@@ -94,22 +94,17 @@ def _too_close(pts, sep: float) -> set[int]:
         lo, hi = (np.searchsorted(sorted_key, key[rows] + shift, side) for side in ("left", "right"))
         spans.append((rows, lo, hi))
     i = np.concatenate([np.repeat(rows, hi - lo) for rows, lo, hi in spans])
-    j = order[np.concatenate([_ranges(lo, hi) for _, lo, hi in spans])]
+    j = order[np.concatenate([ranges(lo, hi) for _, lo, hi in spans])]
     d = p[i] - p[j]
     close = [math.hypot(dx, dy) <= sep for dx, dy in zip(d[:, 0].tolist(), d[:, 1].tolist())]
     return set(np.maximum(i, j)[np.array(close, bool)].tolist())
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integers of every ``range(lo[k], hi[k])``, concatenated."""
-    count = hi - lo
-    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-
-
 def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     """Exact Voronoi tessellation of the sample, plus its ground truth.
 
-    Raises ConstructionError when a site is not finite, sites are duplicated,
+    Raises ConstructionError when a site is not finite, the sites' extent
+    overflows the float range, sites are duplicated,
     a 4+-cocircular degeneracy would produce a zero-length ridge, or sites
     are so nearly collinear or coincident that float cannot place their
     circumcenters well enough for ``validate``; see ``jitter_degenerate``.
@@ -123,7 +118,12 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
         raise ConstructionError(f"need at least 2 sites, got {n}")
     if not np.isfinite(p).all():
         raise ConstructionError("site coordinates must be finite")
-    sep = geom.DEGENERACY_REL * (math.hypot(*(p.max(axis=0) - p.min(axis=0)).tolist()) or 1.0)
+    with np.errstate(over="ignore"):
+        extent = math.hypot(*(p.max(axis=0) - p.min(axis=0)).tolist())
+    if not math.isfinite(extent):
+        # no site is a duplicate, and no jitter could repair this
+        raise ConstructionError("sites spread beyond the float range: their extent overflows")
+    sep = geom.DEGENERACY_REL * (extent or 1.0)
     dup = _too_close(p, sep)
     if dup:
         raise ConstructionError(
@@ -216,13 +216,13 @@ def _unresolved(p, corners, vertices, nbrs, abc) -> np.ndarray:
     real = nbrs < len(corners)
     other = np.where(real, nbrs, 0)
     # the turn of each ridge, across edge k (from corner k to k + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         gap = np.hypot(*(vertices[other] - vertices[:, None, :]).transpose(2, 0, 1))
         turn = np.where(real, (err[:, None] + err[other]) / gap, err[:, None] * 0.0)
-    a = p[corners]
-    u, w = a[:, [1, 2, 0]] - a, a[:, [2, 0, 1]] - a
-    cross = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-    sine = cross / (np.hypot(*u.transpose(2, 0, 1)) * np.hypot(*w.transpose(2, 0, 1)))
+        a = p[corners]
+        u, w = a[:, [1, 2, 0]] - a, a[:, [2, 0, 1]] - a
+        cross = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+        sine = cross / (np.hypot(*u.transpose(2, 0, 1)) * np.hypot(*w.transpose(2, 0, 1)))
     # corner k sits between edge k - 1 and edge k
     ok = sine >= turn + turn[:, [2, 0, 1]] - 0.5e-9
     return np.flatnonzero(~ok.all(axis=1))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UnreachableCellsError
 from .solver import PatchSolution, mirror_terms
-from .tessellation import Tessellation
+from .tessellation import Tessellation, ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +94,8 @@ def sweep(
     d = 0
     while len(current):
         # the boundary entries of the current layer, in discovery order
-        lo, hi = start[current], start[current + 1]
-        count = hi - lo
-        entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        src = np.repeat(current, count)
+        entry = ranges(start[current], start[current + 1])
+        src = a.entry_cell[entry]
         dst = a.cell_nbrs[entry]
         new = depth[dst] < 0
         src, dst, rid = src[new], dst[new], a.cell_ridges[entry[new]]

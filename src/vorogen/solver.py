@@ -109,9 +109,10 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     """Build the patch system for ``anchor``; the anchor must be eligible.
 
     Its rows are the global mirror rows (``mirror_terms``) of the anchor's
-    ridges, in its CCW boundary order, then of its ring ridges: the ridge
-    joining each two consecutive neighbours, where one does. Raises
-    DegenerateRidgeError for a degenerate ring ridge.
+    ridges, in its CCW boundary order, then of its ring ridges
+    (``RidgeArrays.ring``): the ridge joining each two consecutive
+    neighbours, where one does. Raises DegenerateRidgeError for a degenerate
+    ring ridge.
     """
     score = score_cell(t, anchor)
     if not score.eligible:
@@ -123,11 +124,10 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     a = t.arrays
     lo, hi = a.cell_start[anchor], a.cell_start[anchor + 1]
     nb = a.cell_nbrs[lo:hi]
-    nxt = np.concatenate((nb[1:], nb[:1]))
-    ring = a.pair_ridge(nb, nxt)
+    ring = a.ring[lo:hi]
     has = ring >= 0
     src = np.concatenate((np.full(len(nb), anchor), nb[has]))
-    dst = np.concatenate((nb, nxt[has]))
+    dst = np.concatenate((nb, np.roll(nb, -1)[has]))
     rids = np.concatenate((a.cell_ridges[lo:hi], ring[has]))
     bad = a.degenerate[rids]
     if bad.any():

@@ -240,10 +240,11 @@ class RidgeArrays:
     rays keep their stored direction, and degenerate ridges (no longer than
     the degeneracy threshold) have NaN directions. The CSR index lists cell
     ``c``'s boundary at entries ``cell_start[c]:cell_start[c + 1]`` in CCW
-    order, each entry with its ridge id and the cell across that ridge; a
-    second one lists the ridges ending at each vertex, ascending. Ridges
-    are also indexed by their cell pair, as the sorted key
-    ``min * C + max``, which ``pair_ridge`` searches.
+    order, each entry with its ridge id, its cell, the cell across its
+    ridge and its ring ridge: the lowest-id ridge joining that neighbour to
+    the neighbour of the cell's next entry (its first after its last), -1
+    where none does. A second index lists the ridges ending at each vertex,
+    ascending.
 
     Every id is checked to be in range. Ids are int32, which halves the
     index arrays every tessellation keeps; arithmetic on ids that can pass
@@ -260,23 +261,15 @@ class RidgeArrays:
     bounded: np.ndarray  # (C,) bool
     cell_start: np.ndarray  # (C + 1,) CSR offsets
     cell_ridges: np.ndarray  # (E,) ridge id of each boundary entry
+    entry_cell: np.ndarray  # (E,) cell owning each entry
     cell_nbrs: np.ndarray  # (E,) cell across each entry's ridge
-    pair_keys: np.ndarray  # (R,) sorted cell-pair keys, int64
-    pair_ridges: np.ndarray  # (R,) ridge of each key; the lowest id among equal keys first
+    ring: np.ndarray  # (E,) ring ridge of each entry, -1 for none
     vertex_start: np.ndarray  # (V + 1,) offsets into vertex_ridges
     vertex_ridges: np.ndarray  # ridges ending at each vertex, ascending
 
     @property
     def finite(self) -> np.ndarray:
         return self.ends[:, 1] >= 0
-
-    def pair_ridge(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """The lowest-id ridge joining cells ``c1[i]`` and ``c2[i]``, or -1
-        where no ridge joins them."""
-        keys = self.pair_keys
-        query = np.minimum(c1, c2).astype(np.int64) * len(self.bounded) + np.maximum(c1, c2)
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[pos] == query, self.pair_ridges[pos], -1)
 
 
 def _is_unit(dirs: np.ndarray) -> np.ndarray:
@@ -307,6 +300,21 @@ def _vertex_index(ends, finite, nv: int) -> tuple[np.ndarray, np.ndarray]:
     return start, rids[use][np.argsort(vids[use], kind="stable")]
 
 
+def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of every ``range(lo[k], hi[k])``, concatenated: the
+    entries of CSR rows, for one."""
+    count = hi - lo
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _successors(cell_start) -> np.ndarray:
+    """The next boundary entry of each entry's cell, a cell's first after its last."""
+    nxt = np.arange(1, cell_start[-1] + 1)
+    last = np.flatnonzero(np.diff(cell_start)) + 1
+    nxt[cell_start[last] - 1] = cell_start[last - 1]
+    return nxt
+
+
 def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, np.ndarray]:
     """The corner each boundary entry shares with the next one of its cell
     (a cell's last entry with its first).
@@ -314,9 +322,7 @@ def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, n
     Returns, per entry, the vertex id and whether the two ridges share
     exactly one vertex; the id means nothing where they do not.
     """
-    nxt = np.arange(1, len(cell_ridges) + 1)
-    last = np.flatnonzero(np.diff(cell_start)) + 1
-    nxt[cell_start[last] - 1] = cell_start[last - 1]
+    nxt = _successors(cell_start)
     a0, a1 = ends[cell_ridges].T
     fa = finite[cell_ridges]
     b0, b1, fb = a0[nxt], a1[nxt], fa[nxt]
@@ -329,7 +335,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
     cells, ends, finite = t._cells, t._ends, t._finite
     rids = np.arange(nr)
-    owner = np.repeat(np.arange(nc), np.diff(t._cell_start))
+    owner = np.repeat(np.arange(nc, dtype=np.int32), np.diff(t._cell_start))
     for kind, who, refs, what, limit in (
         ("ridge", np.repeat(rids, 2), cells.ravel(), ("cell", "cells"), nc),
         ("ridge", rids, ends[:, 0], ("vertex", "vertices"), nv),
@@ -358,8 +364,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     dirs[degenerate] = math.nan
     dirs[~finite] = t._rays[~finite]
     pair = cells[t._cell_ridges]
-    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
-    by_pair = np.argsort(keys, kind="stable")
+    nbrs = np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0])
     vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
     return RidgeArrays(
         vertices=t._xy,
@@ -371,12 +376,24 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         bounded=t._bounded,
         cell_start=t._cell_start,
         cell_ridges=t._cell_ridges,
-        cell_nbrs=np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0]),
-        pair_keys=keys[by_pair],
-        pair_ridges=by_pair.astype(np.int32),
+        entry_cell=owner,
+        cell_nbrs=nbrs,
+        ring=_ring_ridges(cells, nbrs, nbrs[_successors(t._cell_start)], nc),
         vertex_start=vertex_start,
         vertex_ridges=vertex_ridges,
     )
+
+
+def _ring_ridges(cells, c1, c2, nc: int) -> np.ndarray:
+    """The lowest-id ridge joining cells ``c1[i]`` and ``c2[i]``, -1 where
+    none does: a search of the ridges sorted by the key ``min * nc + max``
+    of their cells, equal keys in id order."""
+    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
+    by_key = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[by_key]
+    query = np.minimum(c1, c2).astype(np.int64) * nc + np.maximum(c1, c2)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[pos] == query, by_key[pos], np.int32(-1))
 
 
 # -- validation ---------------------------------------------------------------

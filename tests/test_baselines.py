@@ -269,7 +269,7 @@ def test_brute_force_raises_the_loop_error_of_the_lowest_cell(built, how):
     else:
         cell = eligible_cells(t)[0]
         lo, hi = a.cell_start[cell], a.cell_start[cell + 1]
-        ring = a.pair_ridge(a.cell_nbrs[lo:hi], np.roll(a.cell_nbrs[lo:hi], -1))
+        ring = a.ring[lo:hi]
         ends = a.ends[ring[ring >= 0][0]].tolist()
         corners = set(a.ends[a.cell_ridges[lo:hi]].ravel().tolist())
         (v,), (w,) = [u for u in ends if u not in corners], [u for u in ends if u in corners]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,31 @@ def test_non_finite_sites_raise_construction_error():
         pts = (Point2(0.0, 0.0), Point2(bad, 1.0), Point2(1.0, 1.0))
         with pytest.raises(ConstructionError, match="finite"):
             build_voronoi(SiteSample(pts, 1.0, None))
+
+
+def test_overflowing_extent_is_refused_not_called_duplicate():
+    """Sites whose extent overflows float are not duplicates: the separation
+    would be infinite, and so would a jitter. Nothing is retried, and no
+    RuntimeWarning escapes."""
+    sample = SiteSample(((-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)), 1.0, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="float range") as exc:
+            build_voronoi(sample)
+        assert jitter_degenerate(sample, 1.0) is sample
+    assert exc.value.site_groups == ()
+    assert exc.value.threshold == 0.0
+
+
+def test_overflowing_circumcenters_raise_without_warnings():
+    """A finite extent whose circumcenter arithmetic overflows ends in the
+    rounding-degeneracy error, with no RuntimeWarning on the way."""
+    sample = SiteSample(((0.0, 0.0), (1e308, 1.0), (2.0, 1e308)), 1.0, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="rounding degeneracy") as exc:
+            build_voronoi(sample)
+    assert exc.value.site_groups == ((0, 1, 2),)
 
 
 # SHA-256 of sample_sites' points as little-endian float64, recorded when

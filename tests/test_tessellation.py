@@ -197,9 +197,9 @@ def _nbrs(t, c):
 
 def _ring(t, c):
     """(neighbour, next neighbour, joining ridge or -1) around cell ``c``."""
-    nb = np.array(_nbrs(t, c))
-    nxt = np.roll(nb, -1)
-    return list(zip(nb.tolist(), nxt.tolist(), t.arrays.pair_ridge(nb, nxt).tolist()))
+    a = t.arrays
+    nb = _nbrs(t, c)
+    return list(zip(nb, nb[1:] + nb[:1], a.ring[a.cell_start[c]:a.cell_start[c + 1]].tolist()))
 
 
 def test_neighbors_diamond_center_ccw(diamond):
@@ -358,17 +358,48 @@ def test_validate_reports_a_split_bisector_without_direction():
     assert "ridge 0 ray direction is not unit length" in validate(bad)
 
 
-def test_ridge_between_is_symmetric(diamond):
-    t, _ = diamond
-    assert t.arrays.pair_ridge(np.array([0, 4, 0]), np.array([4, 0, 3])).tolist() == [0, 0, -1]
+def _two_ridges_join_a_ring_pair():
+    """The diamond with a second ray between cells 1 and 3, listed by no
+    cell: ridges 5 and 8 both join the center's neighbours 1 and 3."""
+    vertices, ridges, cells, _ = make_diamond()
+    ridges.append(Ridge(cells=(3, 1), v0=1, ray_dir=UnitVec2(1.0, 0.0)))
+    return Tessellation(vertices, ridges, cells)
 
 
-def test_ridge_between_takes_the_lowest_id():
-    """Two ridges join cells 0 and 1 (a bisector split into opposite rays)."""
-    sample = forward.SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None)
-    t, _ = forward.build_voronoi(sample)
-    assert [r.cells for r in t.ridges] == [(0, 1), (0, 1)]
-    assert t.arrays.pair_ridge(np.array([1, 0]), np.array([0, 1])).tolist() == [0, 0]
+def _entry_loop(t):
+    """Per boundary entry, in order: its cell and its ring ridge, the
+    lowest-id ridge joining its neighbour to the next entry's, or -1."""
+    lowest = {}
+    for rid, r in enumerate(t.ridges):
+        lowest.setdefault(frozenset(r.cells), rid)
+    cells, ring = [], []
+    for c, cell in enumerate(t.cells):
+        nbrs = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
+        for i, nb in enumerate(nbrs):
+            cells.append(c)
+            ring.append(lowest.get(frozenset((nb, nbrs[(i + 1) % len(nbrs)])), -1))
+    return cells, ring
+
+
+@pytest.mark.parametrize("case", ["built", "diamond", "missing_ring", "two_ridges", "no_ridges"])
+def test_entry_cell_and_ring_match_the_entry_loop(case, built, diamond, diamond_missing_ring):
+    t = {
+        "built": lambda: built(2000, 0)[1],
+        "diamond": lambda: diamond[0],
+        "missing_ring": lambda: diamond_missing_ring[0],
+        "two_ridges": _two_ridges_join_a_ring_pair,
+        "no_ridges": lambda: Tessellation([], [], [Cell(ridges=(), bounded=True)]),
+    }[case]()
+    a = t.arrays
+    cells, ring = _entry_loop(t)
+    assert a.entry_cell.dtype == a.ring.dtype == np.int32
+    assert a.entry_cell.tolist() == cells
+    assert a.ring.tolist() == ring
+    if case == "two_ridges":
+        lo = a.cell_start[DIAMOND_CENTER]
+        assert a.ring[lo:lo + 1].tolist() == [5]  # not 8
+    if case == "no_ridges":
+        assert a.ring.shape == (0,)
 
 
 def test_vertex_ridges(diamond):
