@@ -2,9 +2,10 @@
 
 The anchor is the one cell whose surrounding patch gets solved directly;
 everything else is reached by reflections. Eligibility is hard (bounded,
-two non-parallel ridges, at least one ring ridge between consecutive
-neighbors, as ``RidgeArrays.ring`` lists them); everything on top is a
-soft composite used to prefer compact, central, well-conditioned cells.
+two non-parallel ridges, a ring ridge between consecutive neighbors, as
+``RidgeArrays.ring`` lists them); a soft composite prefers compact, central,
+well-conditioned cells. ``build_score_table`` scores every cell in one pass
+over the cell degrees, and the tessellation keeps that table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import geom
 from .errors import NoEligibleAnchorError
-from .tessellation import CellId, Tessellation
+from .tessellation import CellId, Tessellation, check_id
 
 DEGREE_BAND = (4, 7)
 
@@ -43,13 +44,9 @@ class AnchorScore:
 def composite_score(
     min_edge_ratio: float, centrality: float, degree: int, angle_spread: float
 ) -> float:
-    """Fixed-weight blend; improving any single criterion never lowers it."""
-    band = 1.0 if DEGREE_BAND[0] <= degree <= DEGREE_BAND[1] else 0.5
-    return _composite(min_edge_ratio, centrality, band, angle_spread)
-
-
-def _composite(min_edge_ratio, centrality, band, angle_spread):
-    # one expression for scalars and arrays, so both round alike
+    """Fixed-weight blend; improving any single criterion never lowers it.
+    Takes one cell's figures, or arrays of them with one entry per cell."""
+    band = np.where((DEGREE_BAND[0] <= degree) & (degree <= DEGREE_BAND[1]), 1.0, 0.5)
     return 0.4 * min_edge_ratio + 0.3 * (1.0 - centrality) + 0.2 * band + 0.1 * angle_spread
 
 
@@ -68,108 +65,70 @@ class ScoreTable:
 def build_score_table(t: Tessellation) -> ScoreTable:
     """Score every cell at once from the tessellation's ridge arrays.
 
-    Each figure is computed with the same floating-point operations, in the
-    same order, as a per-cell loop over the cell's ridges would use, so
-    every composite is reproducible bit for bit whatever the cell count.
-    Each part runs in its own function, so that its temporaries are freed
-    before the next part starts.
-    """
-    a = t.arrays
-    n = t.n_cells
-    degree = np.diff(a.cell_start)
-    bad = a.degenerate[a.cell_ridges]
-    min_sin, max_sin = _sin_range(a, bad, n)
-    angle_spread = np.fmax(0.0, np.fmin(1.0, min_sin))
-    min_edge_ratio = _edge_ratio(a, bad, n)
-    centrality = _centrality(t, degree)
-    band = np.where((DEGREE_BAND[0] <= degree) & (degree <= DEGREE_BAND[1]), 1.0, 0.5)
-    return ScoreTable(
-        eligible=(
-            a.bounded
-            & (np.bincount(a.entry_cell[bad], minlength=n) == 0)
-            & (max_sin > geom.PARALLEL_TOL)
-            & (np.bincount(a.entry_cell, a.ring >= 0, n) > 0)
-        ),
-        degree=degree,
-        min_edge_ratio=min_edge_ratio,
-        max_pairwise_parallelism=1.0 - angle_spread,
-        centrality=centrality,
-        composite=_composite(min_edge_ratio, centrality, band, angle_spread),
-    )
-
-
-def _per_cell(ufunc, values: np.ndarray, owner: np.ndarray, n: int, empty: float) -> np.ndarray:
-    """``ufunc`` reduced over each cell's run of ``values`` (``owner`` ascending);
-    ``empty`` for a cell with none. fmin and fmax skip NaN as Python's min and
-    max of a running value do."""
-    count = np.bincount(owner, minlength=n)
-    out = np.full(n, empty)
-    has = count > 0
-    out[has] = ufunc.reduceat(values, (np.cumsum(count) - count)[has])
-    return out
-
-
-def _sin_range(a, bad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max |sin| over the direction pairs (i < j) of each cell's
-    non-degenerate ridges, taken pair offset by pair offset; the min is 0
-    for a cell with fewer than two such ridges."""
-    use = np.flatnonzero(~bad)
-    ucell = a.entry_cell[use]
-    ucount = np.bincount(ucell, minlength=n)
-    later = (np.cumsum(ucount) - 1)[ucell] - np.arange(len(use))  # entries after this one
-    dx, dy = a.dirs[a.cell_ridges[use]].T
-    emin = np.ones(len(use))
-    emax = np.zeros(len(use))
-    for off in range(1, int(later.max(initial=0)) + 1):
-        s = np.abs(dx[:-off] * dy[off:] - dy[:-off] * dx[off:])
-        s[later[:-off] < off] = math.nan  # pairs that cross into the next cell
-        np.fmin(emin[:-off], s, out=emin[:-off])
-        np.fmax(emax[:-off], s, out=emax[:-off])
-    min_sin = _per_cell(np.fmin, emin, ucell, n, 0.0)
-    min_sin[ucount < 2] = 0.0
-    return min_sin, _per_cell(np.fmax, emax, ucell, n, 0.0)
-
-
-def _edge_ratio(a, bad: np.ndarray, n: int) -> np.ndarray:
-    """Shortest over longest finite non-degenerate ridge; 0 for a cell with none."""
-    fin = np.flatnonzero(~bad & np.isfinite(a.lengths[a.cell_ridges]))
-    lens, fcell = a.lengths[a.cell_ridges[fin]], a.entry_cell[fin]
-    return _per_cell(np.fmin, lens, fcell, n, 0.0) / _per_cell(np.fmax, lens, fcell, n, math.inf)
-
-
-def _centrality(t: Tessellation, degree: np.ndarray) -> np.ndarray:
-    """Distance from each cell's vertex centroid to the diagram center, in [0, 1].
-
-    The centroid adds the cell's distinct vertices in ascending id order,
-    one column at a time, cells grouped by degree.
+    One pass over the cell degrees k: the cells of degree k are the rows of
+    a (cells, k) matrix of boundary entries, reduced along the rows with the
+    floating-point operations of a per-cell loop over the cell's ridges, in
+    its order, so every composite is reproducible bit for bit whatever the
+    cell count. A cell without ridges keeps the loop's defaults: ineligible,
+    spread and edge ratio 0, centrality 1.
     """
     a = t.arrays
     n = t.n_cells
     x0, y0, x1, y1 = t.bbox()
-    cx = np.zeros(n)
-    cy = np.zeros(n)
+    center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    half_diag = 0.5 * t.diameter()
+    degree = np.diff(a.cell_start)
+    eligible = np.zeros(n, bool)
+    spread = np.zeros(n)
+    min_edge_ratio = np.zeros(n)
+    centrality = np.ones(n)
     for k in np.unique(degree[degree > 0]).tolist():
         cs = np.flatnonzero(degree == k)
         entries = a.cell_start[cs, None] + np.arange(k)
-        vids = np.sort(a.ends[a.cell_ridges[entries]].reshape(len(cs), 2 * k), axis=1)
+        rids = a.cell_ridges[entries]
+        bad = a.degenerate[rids]
+        # min and max |sin| of the direction pairs (i, j > i), skipping a degenerate
+        # ridge's NaN; the min starts at 1, so a |sin| rounded above 1 reads 1
+        dx, dy = np.moveaxis(a.dirs[rids], 2, 0)
+        lo = np.ones(len(cs))
+        hi = np.zeros(len(cs))
+        for i in range(k - 1):
+            s = np.abs(dx[:, i, None] * dy[:, i + 1 :] - dy[:, i, None] * dx[:, i + 1 :])
+            np.fmin(lo, np.fmin.reduce(s, axis=1), out=lo)
+            np.fmax(hi, np.fmax.reduce(s, axis=1), out=hi)
+        spread[cs] = np.where(k - bad.sum(axis=1) >= 2, lo, 0.0)
+        has_ring = (a.ring[entries] >= 0).any(axis=1)
+        eligible[cs] = a.bounded[cs] & ~bad.any(axis=1) & (hi > geom.PARALLEL_TOL) & has_ring
+        # shortest over longest finite non-degenerate ridge, 0 with none
+        lens = a.lengths[rids]
+        usable = ~bad & np.isfinite(lens)
+        shortest = np.min(lens, axis=1, where=usable, initial=math.inf)
+        longest = np.max(lens, axis=1, where=usable, initial=0.0)
+        any_usable = usable.any(axis=1)
+        min_edge_ratio[cs] = np.divide(shortest, longest, out=np.zeros(len(cs)), where=any_usable)
+        # centrality: the distinct vertices' centroid (ids ascending) from the center, in [0, 1]
+        vids = np.sort(a.ends[rids].reshape(len(cs), 2 * k), axis=1)
         keep = vids >= 0  # -1 marks a ray's missing end
         keep[:, 1:] &= vids[:, 1:] != vids[:, :-1]
-        xy = a.vertices[vids]
-        sx = np.zeros(len(cs))
-        sy = np.zeros(len(cs))
+        total = np.zeros((len(cs), 2))
         for col in range(2 * k):
-            np.add(sx, xy[:, col, 0], out=sx, where=keep[:, col])
-            np.add(sy, xy[:, col, 1], out=sy, where=keep[:, col])
-        m = keep.sum(axis=1)
-        cx[cs] = sx / m - 0.5 * (x0 + x1)
-        cy[cs] = sy / m - 0.5 * (y0 + y1)
-    half_diag = 0.5 * t.diameter()
-    d = np.fromiter(map(math.hypot, cx, cy), float, n)
-    return np.where(degree > 0, np.fmin(1.0, d / half_diag), 1.0)
+            np.add(total, a.vertices[vids[:, col]], out=total, where=keep[:, col, None])
+        d = map(math.hypot, *(total / keep.sum(axis=1)[:, None] - center).T.tolist())
+        centrality[cs] = np.fmin(1.0, np.fromiter(d, float, len(cs)) / half_diag)
+    return ScoreTable(
+        eligible=eligible,
+        degree=degree,
+        min_edge_ratio=min_edge_ratio,
+        max_pairwise_parallelism=1.0 - spread,
+        centrality=centrality,
+        composite=composite_score(min_edge_ratio, centrality, degree, spread),
+    )
 
 
 def score_cell(t: Tessellation, c: CellId) -> AnchorScore:
-    """Score one cell; never raises on degenerate geometry, just marks ineligible."""
+    """Score one cell; never raises on degenerate geometry, just marks
+    ineligible. Raises OutOfRangeIdError for a cell id that does not exist."""
+    check_id(c, t.n_cells, "cell")
     s = t.anchor_scores
     return AnchorScore(
         cell=c,

@@ -33,7 +33,7 @@ from .solver import (
     mirror_terms,
     solve_patch,
 )
-from .tessellation import CellId, RidgeArrays, Tessellation, ranges
+from .tessellation import CellId, RidgeArrays, Tessellation, check_id, ranges
 
 # a zero-displacement (insensitive) pair gets at most this multiple of the
 # mean inverse-displacement weight
@@ -346,8 +346,9 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     displacement) are capped at 10x the mean weight; when every pair is
     insensitive the weights are uniform. A cell with a ray side is unbounded
     whatever its flag says. This is ``c_prime_all``'s construction on one
-    cell.
+    cell. Raises OutOfRangeIdError for a cell id that does not exist.
     """
+    check_id(c, t.n_cells, "cell")
     a = t.arrays
     rids = a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]
     if not a.bounded[c] or (a.ends[rids, 1] < 0).any():

@@ -142,6 +142,7 @@ def run_campaign(
         for n in ns
         for i in range(nsim)
     ]
+    workers = min(workers, len(jobs))  # a forked pool starts every worker at once
     if workers <= 1:
         outcomes = [_run_job(j) for j in jobs]
     else:

@@ -78,12 +78,15 @@ def reconstruct(
     by that seed (``select_anchor``). ``brute``
     solves every eligible cell independently; ``cprime`` is the
     angle-rotation construction. Error statistics are filled in when ``gt``
-    is given. Raises, before any work, OutOfRangeIdError when a ridge or
-    cell refers to an id that does not exist, and InconsistentSystemError
-    for a non-finite vertex or a ray without a unit direction.
+    is given. Raises, before any work, ValueError when ``gt`` does not hold
+    one generator per cell, OutOfRangeIdError when a ridge or cell refers to
+    an id that does not exist, and InconsistentSystemError for a non-finite
+    vertex or a ray without a unit direction.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if gt is not None and len(gt.generators) != t.n_cells:
+        raise ValueError("ground truth length does not match cell count")
     timings = dict.fromkeys(STAGES, 0.0)
     anchor_cell: Optional[CellId] = None
     depth = 0
@@ -115,8 +118,6 @@ def reconstruct(
         timings["solve"] = time.perf_counter() - t0
     rmse = max_rse = None
     if gt is not None:
-        if len(gt.generators) != len(generators):
-            raise ValueError("ground truth length does not match cell count")
         rmse, max_rse = _errors(generators, gt)
     return ReconstructionReport(
         method=method,

@@ -112,7 +112,7 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     ridges, in its CCW boundary order, then of its ring ridges
     (``RidgeArrays.ring``): the ridge joining each two consecutive
     neighbours, where one does. Raises DegenerateRidgeError for a degenerate
-    ring ridge.
+    ring ridge and OutOfRangeIdError for an anchor id that does not exist.
     """
     score = score_cell(t, anchor)
     if not score.eligible:

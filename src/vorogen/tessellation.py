@@ -117,6 +117,13 @@ def _ids(values) -> np.ndarray:
         return np.clip(np.array(values, object), -(2**31), 2**31 - 1).astype(np.int32)
 
 
+def check_id(i: int, n: int, what: str) -> None:
+    """Raise OutOfRangeIdError unless ``0 <= i < n``: an array would read a
+    negative id from its end."""
+    if not 0 <= i < n:
+        raise OutOfRangeIdError(f"{what} {i} does not exist; there are {n} {what}s")
+
+
 class Tessellation:
     """Immutable vertices/ridges/cells bundle; the algorithms read ``arrays``."""
 
@@ -219,6 +226,7 @@ class Tessellation:
         return build_score_table(self)
 
     def ridge_line(self, rid: RidgeId) -> RidgeLine:
+        check_id(rid, self.n_ridges, "ridge")
         a = self.arrays
         if a.degenerate[rid]:
             raise DegenerateRidgeError(
@@ -733,7 +741,7 @@ def loads(text: str) -> tuple[Tessellation, Optional[GroundTruth]]:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1.0 == 1
         raise UnsupportedVersionError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )

@@ -145,9 +145,18 @@ def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring
         [Cell(ridges=(0, 1), bounded=True), Cell(ridges=(0,), bounded=False),
          Cell(ridges=(1,), bounded=False)],
     )
+    # |sin| of these two perpendicular ridges rounds to 1 + 2**-52; the loop's min reads 1
+    perpendicular = Tessellation(
+        [(0.0, 0.0), (1.0, 5.0), (-5.0, 1.0)],
+        [Ridge(cells=(0, 1), v0=0, v1=1), Ridge(cells=(0, 2), v0=0, v1=2)],
+        [Cell(ridges=(0, 1), bounded=True), Cell(ridges=(0,), bounded=False),
+         Cell(ridges=(1,), bounded=False)],
+    )
     two_sites, _ = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
+    vertices, ridges, cells, _ = make_diamond()
+    no_ridges = Tessellation(vertices, ridges, [*cells, Cell(ridges=(), bounded=True)])
     cases = [diamond[0], two_diamonds[0], diamond_missing_ring[0], collapsed, parallel,
-             two_sites, built(300, 5)[1]]
+             perpendicular, two_sites, no_ridges, built(300, 5)[1]]
     for t in cases:
         for c in range(len(t.cells)):
             s = score_cell(t, c)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from vorogen import bench
@@ -21,8 +22,10 @@ from vorogen.bench import (
     run_simulation,
 )
 from vorogen.errors import NoEligibleAnchorError
-from vorogen.forward import sample_and_build
+from vorogen.forward import SiteSample, build_voronoi, sample_and_build
+from vorogen.geom import Point2
 from vorogen.pipeline import reconstruct
+from vorogen.tessellation import GroundTruth
 
 
 # -------------------------------------------------------------------- seeds
@@ -112,6 +115,28 @@ def test_campaign_worker_count_does_not_change_results():
         assert a.log10_mean_rmse == b.log10_mean_rmse
         assert a.log10_max_rse == b.log10_max_rse
         assert a.failures == b.failures
+
+
+def test_campaign_pool_is_no_larger_than_the_job_list(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    (row,) = run_campaign(ns=(20,), nsim=2, workers=8, master_seed=0)
+    assert sizes == [2]
+    assert len(row.results) + row.failures == 2
 
 
 def test_campaign_counts_failures(monkeypatch):
@@ -228,3 +253,7 @@ def test_reconstruct_rejects_mismatched_truth():
     _, _, other = sample_and_build(40, 6)
     with pytest.raises(ValueError, match="does not match"):
         reconstruct(t, "anchor", other)
+    # checked before the work: this diagram has no eligible anchor
+    two_sites, _ = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
+    with pytest.raises(ValueError, match="does not match"):
+        reconstruct(two_sites, "anchor", GroundTruth(np.zeros((3, 2))))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from vorogen import forward
+from vorogen.anchor import score_cell
+from vorogen.baselines import c_prime_cell
 from vorogen.errors import (
     AnchorIneligibleError,
     InconsistentSystemError,
@@ -320,6 +322,20 @@ def test_ridge_arrays_reject_out_of_range_ids(cells, v0, cell_ridges, words):
     assert validate(t)  # validation still reports instead of raising
 
 
+@pytest.mark.parametrize("end", ["-1", "n"])
+@pytest.mark.parametrize(
+    "entry_point", [score_cell, assemble_patch, c_prime_cell, Tessellation.ridge_line],
+    ids=lambda f: f.__name__,
+)
+def test_per_id_entry_points_refuse_ids_out_of_range(diamond, entry_point, end):
+    # numpy would read -1 as the last cell or ridge, and n past the end
+    t, _ = diamond
+    n = t.n_ridges if entry_point is Tessellation.ridge_line else t.n_cells
+    i = -1 if end == "-1" else n
+    with pytest.raises(OutOfRangeIdError, match=f"{i} does not exist"):
+        entry_point(t, i)
+
+
 def _malformed(t, kind):
     """``t`` with its first ray's direction doubled or removed, or with
     vertex 0's x set to NaN; such a tessellation can only be built in code."""
@@ -471,8 +487,9 @@ def test_file_layer_restores_the_collector(diamond, gc_state, enabled):
 
 
 def test_loads_rejects_unknown_version():
-    with pytest.raises(UnsupportedVersionError):
-        loads('{"version": 99, "vertices": [], "ridges": [], "cells": []}')
+    for version in ("99", "true", "1.0"):  # true == 1.0 == 1 in Python
+        with pytest.raises(UnsupportedVersionError, match=version.capitalize()):
+            loads('{"version": %s, "vertices": [], "ridges": [], "cells": []}' % version)
 
 
 def test_loads_rejects_missing_field():
