@@ -11,7 +11,8 @@ averaged with sensitivity weights.
 Both run as array passes over the whole diagram, cells grouped by the shape
 of their work (patch matrix shape, ray count), and give the bits a per-cell
 loop gives: the stacked LAPACK and BLAS calls run the same routine on each
-matrix, and sums are added column by column, left to right.
+matrix, and sums are added column by column, left to right. The patches
+are those of the anchor method's solve (``solver.patch_stacks``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from .anchor import eligible_cells
 from .errors import NoEligibleAnchorError, UnderdeterminedError
 from .geom import Point2
 from .propagate import sweep
-from .solver import (
-    CONSISTENCY_REL_TOL,
-    RANK_REL_TOL,
-    assemble_patch,
-    mirror_terms,
-    solve_patch,
-)
+from .solver import assemble_patch, patch_stacks, solve_patch, solve_stack
 from .tessellation import CellId, RidgeArrays, Tessellation, check_id, ranges
 
 # a zero-displacement (insensitive) pair gets at most this multiple of the
@@ -71,11 +66,11 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     inherit the residual of their source. Returns the (n, 2) generators and
     the (n,) residuals, indexed by cell.
 
-    The patches are those of ``solver.assemble_patch``, built ``_BLOCK``
-    cells at a time and solved as ``solver.solve_patch`` solves them, with
-    one stacked call per matrix shape. A patch that is singular, inconsistent or has a
-    degenerate ring ridge is solved on its own, which raises the error of
-    the lowest such cell.
+    The patches are built ``_BLOCK`` cells at a time by ``solver.patch_stacks``
+    and solved by ``solve_stack``, one stacked call per matrix shape. A patch
+    that is singular, inconsistent or has a degenerate ring ridge is solved
+    on its own by ``assemble_patch`` and ``solve_patch``, which raise the
+    error of the lowest such cell.
     """
     cells = np.array(eligible_cells(t), np.intp)
     if not len(cells):
@@ -86,96 +81,21 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     xy = np.zeros((t.n_cells, 2))
     resid = np.zeros(t.n_cells)
     solved = np.zeros(t.n_cells, bool)
-    _, e, b = mirror_terms(a, slice(None))
     for lo in range(0, len(cells), _BLOCK):
-        for group, mat, rhs in _patch_stacks(a, cells[lo : lo + _BLOCK], e, b):
+        for group, mat, rhs, _, _ in patch_stacks(a, cells[lo : lo + _BLOCK]):
             if mat is not None:
-                ok, z, residual = _solve_stack(mat, rhs)
+                _, rank, z, residual, limit = solve_stack(mat, rhs)
+                ok = (rank == mat.shape[2]) & ~(residual > limit)
                 group = group[ok]
-                xy[group], resid[group], solved[group] = z[:, :2], residual, True
+                xy[group], resid[group], solved[group] = z[ok, :2], residual[ok], True
     for c in cells[~solved[cells]].tolist():
         sol = solve_patch(assemble_patch(t, c))  # raises the loop's error
-        xy[c] = sol.generators[c]
+        xy[c] = sol.generators[0]
         resid[c] = sol.residual
     generators, trace = sweep(t, cells, xy[cells], origin="any solved cell")
     for nc, src in zip(trace.cells.tolist(), trace.sources.tolist()):
         resid[nc] = resid[src]
     return generators, resid
-
-
-def _patch_stacks(a: RidgeArrays, cells: np.ndarray, e: np.ndarray, b: np.ndarray):
-    """Yield (cells, matrices, right-hand sides), one stack per matrix shape,
-    of the patches ``solver.assemble_patch`` builds around ``cells``: the
-    same rows, in the same order, from the same entries e, b of
-    ``mirror_terms`` over all ridges. Cells whose patch has a degenerate
-    ring ridge, or fewer equations than unknowns, come as (cells, None,
-    None)."""
-    degree = np.diff(a.cell_start)[cells]
-    for k in np.unique(degree).tolist():
-        cs = cells[degree == k]
-        entry = a.cell_start[cs, None] + np.arange(k)
-        nb = a.cell_nbrs[entry]
-        ring = a.ring[entry]
-        has = ring >= 0
-        # unknown j belongs to the j-th distinct cell of (anchor, *neighbours)
-        cell_list = np.concatenate((cs[:, None], nb), axis=1)
-        first = (cell_list[:, :, None] == cell_list[:, None, :]).argmax(axis=2)
-        is_first = first == np.arange(k + 1)
-        block = np.take_along_axis(np.cumsum(is_first, axis=1) - 1, first, axis=1)
-        # ring rows run from each neighbour to the next, where a ridge joins them
-        pick = np.argsort(~has, axis=1, kind="stable")
-        ring_src = np.take_along_axis(block[:, 1:], pick, axis=1)
-        ring_dst = np.take_along_axis(np.roll(block[:, 1:], -1, axis=1), pick, axis=1)
-        ring = np.take_along_axis(ring, pick, axis=1)
-        n_ring = has.sum(axis=1)
-        members = is_first.sum(axis=1)
-        bad = (a.degenerate[ring] & (np.arange(k) < n_ring[:, None])).any(axis=1)
-        bad |= k + n_ring < members
-        if bad.any():
-            yield cs[bad], None, None
-        shape = np.where(bad, -1, n_ring * (k + 2) + members)
-        for key in np.unique(shape[~bad]).tolist():
-            sel = np.flatnonzero(shape == key)
-            r, c = divmod(key, k + 2)
-            rids = np.concatenate((a.cell_ridges[entry[sel]], ring[sel, :r]), axis=1)
-            src = 2 * np.concatenate((np.zeros((len(sel), k), np.intp), ring_src[sel, :r]), axis=1)
-            dst = 2 * np.concatenate((block[sel, 1:], ring_dst[sel, :r]), axis=1)
-            er, ei = e.real[rids], e.imag[rids]
-            # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
-            g = np.arange(len(sel))[:, None]
-            row = 2 * np.arange(k + r)
-            mat = np.zeros((len(sel), 2 * (k + r), 2 * c))
-            mat[g, row, dst] = 1.0
-            mat[g, row + 1, dst + 1] = 1.0
-            mat[g, row, src] -= er
-            mat[g, row, src + 1] -= ei
-            mat[g, row + 1, src] -= ei
-            mat[g, row + 1, src + 1] += er
-            yield cs[sel], mat, b[rids].view(float)
-
-
-def _solve_stack(mat: np.ndarray, rhs: np.ndarray):
-    """``solver.solve_patch`` on each matrix of a stack: whether it solved,
-    and the solutions and residuals of those that did."""
-    n = mat.shape[2]
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[:, 0]
-    rank = np.where(smax > 0.0, np.count_nonzero(svals > RANK_REL_TOL * smax[:, None], axis=1), 0)
-    ok = rank == n
-    if not ok.all():
-        mat, rhs = mat[ok], rhs[ok]
-    if not len(mat):
-        return ok, np.empty((0, n)), np.empty(0)
-    rhs = rhs[..., None]
-    q, r = np.linalg.qr(mat)
-    z = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ rhs)
-    # np.linalg.norm of a vector is the square root of its BLAS dot product
-    res = mat @ z - rhs
-    residual = np.sqrt((np.swapaxes(res, 1, 2) @ res)[:, 0, 0])
-    bnorm = np.sqrt((np.swapaxes(rhs, 1, 2) @ rhs)[:, 0, 0])
-    consistent = ~(residual > CONSISTENCY_REL_TOL * bnorm)
-    ok[ok] = consistent
-    return ok, z[consistent, :, 0], residual[consistent]
 
 
 # ---------------------------------------------------------- angle rotation

@@ -81,7 +81,8 @@ def reconstruct(
     is given. Raises, before any work, ValueError when ``gt`` does not hold
     one generator per cell, OutOfRangeIdError when a ridge or cell refers to
     an id that does not exist, and InconsistentSystemError for a non-finite
-    vertex or a ray without a unit direction.
+    vertex, a ray without a unit direction or broken incidence
+    (``Tessellation.arrays``).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -134,10 +134,7 @@ def reconstruct_all(t: Tessellation, patch: PatchSolution) -> tuple[np.ndarray, 
     UnreachableCellsError if the ridge adjacency graph does not connect
     every cell to the patch.
     """
-    known = patch.generators
-    return sweep(
-        t, list(known), list(known.values()), f"the patch around cell {patch.members[0]}"
-    )
+    return sweep(t, patch.members, patch.generators, f"the patch around cell {patch.members[0]}")
 
 
 # CGLS stops once the normal-equation residual ||A^T W (b - A g)|| has fallen

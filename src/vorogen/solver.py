@@ -12,7 +12,9 @@ since I - R annihilates the line direction). These are the rows that
 reflection ``propagate.sweep`` applies; all three take the terms from
 ``mirror_terms``. Stacking them over the anchor's ridges and the ring
 ridges gives an overdetermined linear system in the anchor generator and
-its neighbor generators, solved once by Householder QR.
+its neighbor generators, solved once by Householder QR. ``patch_stacks``
+and ``solve_stack`` build and solve many patches at once, one stack per
+matrix shape; ``assemble_patch`` and ``solve_patch`` are their one-cell case.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 
 from .anchor import score_cell
 from .errors import AnchorIneligibleError, InconsistentSystemError, SingularSystemError
-from .geom import Point2
-from .tessellation import CellId, RidgeArrays, Tessellation
+from .tessellation import CellId, RidgeArrays, Tessellation, point_array
 
 # smallest singular value below this fraction of the largest means rank deficient
 RANK_REL_TOL = 1e-8
@@ -48,28 +49,21 @@ class PatchSystem:
     rhs: np.ndarray
     row_pairs: tuple[tuple[CellId, CellId], ...]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
-    @property
-    def k(self) -> int:
-        return len(self.members) - 1
-
-    def column_block(self, cell: CellId) -> int:
-        return self.members.index(cell)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchSolution:
-    """Solved generator positions plus the numerical health of the solve."""
+    """Solved generator positions, a read-only ``(len(members), 2)`` array
+    whose row j is cell ``members[j]``'s, plus the numerical health of the solve."""
 
     members: tuple[CellId, ...]
-    generators: dict[CellId, Point2]
+    generators: np.ndarray
     residual: float
     rank: int
     smin: float
     smax: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", point_array(self.generators))
 
     @property
     def condition(self) -> float:
@@ -105,58 +99,118 @@ def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return c, e, 2.0 * m * (m.real * c.real + m.imag * c.imag)
 
 
-def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
-    """Build the patch system for ``anchor``; the anchor must be eligible.
+def patch_stacks(a: RidgeArrays, cells: np.ndarray):
+    """Yield (cells, matrices, right-hand sides, members, row_pairs), one
+    stack per matrix shape, of the patches around the eligible ``cells``.
 
-    Its rows are the global mirror rows (``mirror_terms``) of the anchor's
-    ridges, in its CCW boundary order, then of its ring ridges
-    (``RidgeArrays.ring``): the ridge joining each two consecutive
-    neighbours, where one does. Raises DegenerateRidgeError for a degenerate
-    ring ridge and OutOfRangeIdError for an anchor id that does not exist.
+    A patch's rows are the global mirror rows (``mirror_terms``) of its
+    anchor's ridges, in CCW order, then of its ring ridges
+    (``RidgeArrays.ring``), each relating a (source, target) pair of cells;
+    its unknowns are the generators of its members, the distinct cells of
+    (anchor, *neighbours) in order of first appearance. Cells whose patch
+    has a degenerate ring ridge come as (cells, None, None, None, None).
+    """
+    degree = a.cell_start[cells + 1] - a.cell_start[cells]
+    for k in np.unique(degree).tolist():
+        cs = cells[degree == k]
+        entry = a.cell_start[cs, None] + np.arange(k)
+        nb = a.cell_nbrs[entry]
+        ring = a.ring[entry]
+        has = ring >= 0
+        # unknown j belongs to the j-th distinct cell of (anchor, *neighbours)
+        cell_list = np.concatenate((cs[:, None], nb), axis=1)
+        first = (cell_list[:, :, None] == cell_list[:, None, :]).argmax(axis=2)
+        is_first = first == np.arange(k + 1)
+        block = np.take_along_axis(np.cumsum(is_first, axis=1) - 1, first, axis=1)
+        # ring rows run from each neighbour to the next, where a ridge joins them
+        pick = np.argsort(~has, axis=1, kind="stable")
+        ring_src = np.take_along_axis(block[:, 1:], pick, axis=1)
+        ring_dst = np.take_along_axis(np.roll(block[:, 1:], -1, axis=1), pick, axis=1)
+        ring = np.take_along_axis(ring, pick, axis=1)
+        n_ring = has.sum(axis=1)
+        # the rows' ridges: the anchor's, then its ring ridges (the first n_ring)
+        rids = np.concatenate((a.cell_ridges[entry], ring), axis=1)
+        _, e, b = mirror_terms(a, rids.ravel())
+        e, b = e.reshape(rids.shape), b.reshape(rids.shape)
+        bad = (a.degenerate[ring] & (np.arange(k) < n_ring[:, None])).any(axis=1)
+        if bad.any():
+            yield cs[bad], None, None, None, None
+        shape = np.where(bad, -1, n_ring * (k + 2) + is_first.sum(axis=1))
+        for key in np.unique(shape[~bad]).tolist():
+            sel = np.flatnonzero(shape == key)
+            r, c = divmod(key, k + 2)
+            src = np.concatenate((np.zeros((len(sel), k), np.intp), ring_src[sel, :r]), axis=1)
+            dst = np.concatenate((block[sel, 1:], ring_dst[sel, :r]), axis=1)
+            er, ei = e.real[sel, : k + r], e.imag[sel, : k + r]
+            g = np.arange(len(sel))[:, None]
+            members = cell_list[sel][is_first[sel]].reshape(len(sel), c)
+            pairs = np.stack((members[g, src], members[g, dst]), axis=2)
+            # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
+            row, src, dst = 2 * np.arange(k + r), 2 * src, 2 * dst
+            mat = np.zeros((len(sel), 2 * (k + r), 2 * c))
+            mat[g, row, dst] = 1.0
+            mat[g, row + 1, dst + 1] = 1.0
+            mat[g, row, src] -= er
+            mat[g, row, src + 1] -= ei
+            mat[g, row + 1, src] -= ei
+            mat[g, row + 1, src + 1] += er
+            yield cs[sel], mat, b[sel, : k + r].view(float), members, pairs
+
+
+def solve_stack(mat: np.ndarray, rhs: np.ndarray):
+    """Least-squares solve of each matrix of a stack via QR, raising nothing:
+    per matrix its singular values (descending), rank, solution and residual
+    (NaN where the rank falls short) and the residual limit
+    ``CONSISTENCY_REL_TOL * ||b||``. A stacked LAPACK or BLAS call runs the
+    same routine on every matrix, so a matrix's bits do not depend on its
+    stack."""
+    n = mat.shape[2]
+    svals = np.linalg.svd(mat, compute_uv=False)
+    rank = np.where(svals[:, 0] > 0.0, np.count_nonzero(svals > RANK_REL_TOL * svals[:, :1], axis=1), 0)
+    rhs = rhs[..., None]
+    # np.linalg.norm of a vector is the square root of its BLAS dot product
+    bnorm = np.sqrt((np.swapaxes(rhs, 1, 2) @ rhs)[:, 0, 0])
+    z, residual = np.full((len(mat), n), np.nan), np.full(len(mat), np.nan)
+    full = rank == n
+    if not full.all():
+        mat, rhs = mat[full], rhs[full]
+    if len(mat):
+        # QR, not the SVD's solution: median error 1e-14 against 2.6e-14 on brute's n = 1000 patches
+        q, r = np.linalg.qr(mat)
+        x = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ rhs)
+        res = mat @ x - rhs
+        z[full] = x[:, :, 0]
+        residual[full] = np.sqrt((np.swapaxes(res, 1, 2) @ res)[:, 0, 0])
+    return svals, rank, z, residual, CONSISTENCY_REL_TOL * bnorm
+
+
+def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
+    """The patch system ``patch_stacks`` builds around the eligible ``anchor``.
+
+    Raises AnchorIneligibleError for an ineligible anchor, DegenerateRidgeError
+    for a degenerate ring ridge (the first in CCW order) and OutOfRangeIdError
+    for an anchor id that does not exist.
     """
     score = score_cell(t, anchor)
     if not score.eligible:
         raise AnchorIneligibleError(
             f"cell {anchor} is not anchor-eligible (bounded={bool(t.arrays.bounded[anchor])},"
-            f" degree={score.degree},"
-            f" max parallelism={score.max_pairwise_parallelism:.3g})"
+            f" degree={score.degree}, max parallelism={score.max_pairwise_parallelism:.3g})"
         )
     a = t.arrays
-    lo, hi = a.cell_start[anchor], a.cell_start[anchor + 1]
-    nb = a.cell_nbrs[lo:hi]
-    ring = a.ring[lo:hi]
-    has = ring >= 0
-    src = np.concatenate((np.full(len(nb), anchor), nb[has]))
-    dst = np.concatenate((nb, np.roll(nb, -1)[has]))
-    rids = np.concatenate((a.cell_ridges[lo:hi], ring[has]))
-    bad = a.degenerate[rids]
-    if bad.any():
-        t.ridge_line(int(rids[np.argmax(bad)]))  # raises DegenerateRidgeError
-    members = tuple(dict.fromkeys([anchor, *nb.tolist()]))
-    block = {cell: j for j, cell in enumerate(members)}
-    s = 2 * np.array([block[cell] for cell in src.tolist()], np.intp)
-    d = 2 * np.array([block[cell] for cell in dst.tolist()], np.intp)
-    _, e, b = mirror_terms(a, rids)
-    # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
-    row = 2 * np.arange(len(rids))
-    mat = np.zeros((2 * len(rids), 2 * len(members)))
-    mat[row, d] = 1.0
-    mat[row + 1, d + 1] = 1.0
-    mat[row, s] -= e.real
-    mat[row, s + 1] -= e.imag
-    mat[row + 1, s] -= e.imag
-    mat[row + 1, s + 1] += e.real
+    ((_, mat, rhs, members, pairs),) = patch_stacks(a, np.array([anchor]))
+    if mat is None:
+        ring = a.ring[a.cell_start[anchor] : a.cell_start[anchor + 1]]
+        ring = ring[ring >= 0]
+        t.ridge_line(int(ring[np.argmax(a.degenerate[ring])]))  # raises DegenerateRidgeError
     return PatchSystem(
-        anchor=anchor,
-        members=members,
-        matrix=mat,
-        rhs=b.view(float),
-        row_pairs=tuple(zip(src.tolist(), dst.tolist())),
+        anchor=anchor, members=tuple(members[0].tolist()), matrix=mat[0], rhs=rhs[0],
+        row_pairs=tuple(map(tuple, pairs[0].tolist())),
     )
 
 
 def solve_patch(system: PatchSystem) -> PatchSolution:
-    """Least-squares solve of the patch system via QR.
+    """Least-squares solve of the patch system, ``solve_stack`` on a stack of one.
 
     Raises SingularSystemError when the system is rank deficient (for example
     when every ridge in the patch is parallel, which leaves a translation
@@ -165,56 +219,34 @@ def solve_patch(system: PatchSystem) -> PatchSolution:
     that really are perpendicular bisectors of some generator set.
     """
     mat = system.matrix
-    rhs = system.rhs
     n = mat.shape[1]
     if mat.shape[0] < n:
         raise SingularSystemError(
-            f"patch around cell {system.anchor} has {mat.shape[0]} equations"
-            f" for {n} unknowns"
+            f"patch around cell {system.anchor} has {mat.shape[0]} equations for {n} unknowns"
         )
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = float(svals[0])
-    smin = float(svals[-1])
-    rank = int(np.count_nonzero(svals > RANK_REL_TOL * smax)) if smax > 0.0 else 0
+    svals, rank, z, residual, limit = solve_stack(mat[None], system.rhs[None])
+    rank, residual, limit = int(rank[0]), float(residual[0]), float(limit[0])
     if rank < n:
-        _, _, vh = np.linalg.svd(mat)
-        null = vh[-1]
+        null = np.linalg.svd(mat)[2][-1]
         raise SingularSystemError(
             _describe_null(system, null, rank, n), null_direction=tuple(float(v) for v in null)
         )
-    # QR, not the SVD's solution: median error 1e-14 against 2.6e-14 on brute's n = 1000 patches
-    q, r = np.linalg.qr(mat)
-    z = np.linalg.solve(r, q.T @ rhs)
-    residual = float(np.linalg.norm(mat @ z - rhs))
-    bnorm = float(np.linalg.norm(rhs))
-    if residual > CONSISTENCY_REL_TOL * bnorm:
+    if residual > limit:
         raise InconsistentSystemError(
-            f"patch around cell {system.anchor} has least-squares residual"
-            f" {residual:.3e} > {CONSISTENCY_REL_TOL:g} * ||b|| = "
-            f"{CONSISTENCY_REL_TOL * bnorm:.3e}; ridges are not mirror-consistent",
+            f"patch around cell {system.anchor} has least-squares residual {residual:.3e}"
+            f" > {CONSISTENCY_REL_TOL:g} * ||b|| = {limit:.3e}; ridges are not mirror-consistent",
             residual=residual,
-            threshold=CONSISTENCY_REL_TOL * bnorm,
+            threshold=limit,
         )
-    generators = {
-        cell: Point2(float(z[2 * j]), float(z[2 * j + 1]))
-        for j, cell in enumerate(system.members)
-    }
     return PatchSolution(
-        members=system.members,
-        generators=generators,
-        residual=residual,
-        rank=rank,
-        smin=smin,
-        smax=smax,
+        members=system.members, generators=z[0].reshape(-1, 2), residual=residual, rank=rank,
+        smin=float(svals[0, -1]), smax=float(svals[0, 0]),
     )
 
 
 def _describe_null(system: PatchSystem, null: np.ndarray, rank: int, n: int) -> str:
     """Human-readable account of the free motion left by a rank-deficient patch."""
-    msg = (
-        f"patch around cell {system.anchor} is singular"
-        f" (rank {rank} of {n})"
-    )
+    msg = f"patch around cell {system.anchor} is singular (rank {rank} of {n})"
     blocks = null.reshape(-1, 2)
     spread = float(np.max(np.abs(blocks - blocks[0])))
     if spread <= 1e-6:

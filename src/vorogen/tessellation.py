@@ -213,8 +213,10 @@ class Tessellation:
         """The ridge geometry as arrays, built on first use and then kept.
 
         Raises OutOfRangeIdError when a ridge or cell refers to an id that
-        does not exist, and InconsistentSystemError for a non-finite vertex
-        or a ray whose direction is missing or not unit length.
+        does not exist, and InconsistentSystemError for a non-finite vertex,
+        a ray whose direction is missing or not unit length, a cell listing a
+        ridge that does not border it, or a ridge not listed exactly once by
+        each of its two cells; the messages are ``validate``'s.
         """
         return _ridge_arrays(self)
 
@@ -371,8 +373,20 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         dirs = seg / lengths[:, None]
     dirs[degenerate] = math.nan
     dirs[~finite] = t._rays[~finite]
-    pair = cells[t._cell_ridges]
-    nbrs = np.where(pair[:, 0] == owner, pair[:, 1], pair[:, 0])
+    # every ridge is listed once by each of its two cells and by no other
+    listed = t._cell_ridges
+    c0, c1 = cells[listed].T
+    s0, s1 = c0 == owner, c1 == owner
+    nbrs = np.where(s0, c1, c0)
+    bad = np.flatnonzero(~(s0 | s1))
+    if len(bad):
+        e = bad[0]
+        raise InconsistentSystemError(f"cell {owner[e]} lists ridge {listed[e]} that does not border it")
+    n0, n1 = (np.bincount(listed[s], minlength=nr) for s in (s0, s1))
+    bad = np.flatnonzero((n0 != 1) | (n1 != 1))
+    if len(bad):
+        k = bad[0]
+        raise InconsistentSystemError(f"asymmetric adjacency at ridge {k} (cell {cells[k, int(n0[k] == 1)]})")
     vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
     return RidgeArrays(
         vertices=t._xy,

@@ -258,14 +258,11 @@ def relabel_cells(t: Tessellation, perm, gt: GroundTruth | None = None):
     return out, GroundTruth(tuple(gens))
 
 
-def _cell_errors(generators, gt: GroundTruth) -> list[list[float]]:
-    """(dx, dy) from the true generator of each cell of ``generators``: an
-    (n, 2) array, row c for cell c, or a patch's {cell: point} map."""
-    if isinstance(generators, dict):
-        cells, xy = list(generators), list(generators.values())
-    else:
-        cells, xy = range(len(generators)), generators
-    d = np.asarray(xy, float).reshape(-1, 2) - gt.generators[cells]
+def _cell_errors(generators, gt) -> list[list[float]]:
+    """(dx, dy) of each row of ``generators`` from the same row of the truth:
+    a GroundTruth, row c for cell c, or the true points of the same cells,
+    such as ``gt.generators[list(sol.members)]`` for a patch solution."""
+    d = np.asarray(generators, float).reshape(-1, 2) - getattr(gt, "generators", gt)
     return d.tolist()
 
 
@@ -463,7 +460,7 @@ def brute_force_reference(t: Tessellation):
     resid = np.zeros(t.n_cells)
     for c in eligible_cells(t):
         sol = solve_patch(assemble_patch(t, c))
-        known[c] = sol.generators[c]
+        known[c] = sol.generators[0]
         resid[c] = sol.residual
     if not known:
         raise NoEligibleAnchorError(

@@ -176,6 +176,25 @@ def test_reconstruct_out_of_range_ids_exit_4(tmp_path, capsys, method, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["foreign", "repeated"])
+def test_reconstruct_broken_incidence_exits_4(tmp_path, capsys, fault):
+    """Cell 0 lists a ridge that does not border it, or its first ridge twice."""
+    path = tmp_path / "t60.json"
+    assert main(["generate", "--n", "60", "--seed", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    rids = doc["cells"][0]["ridges"]
+    if fault == "foreign":
+        rids[0] = next(k for k, r in enumerate(doc["ridges"]) if 0 not in r["cells"])
+        words = f"cell 0 lists ridge {rids[0]} that does not border it"
+    else:
+        rids.append(rids[0])
+        words = f"asymmetric adjacency at ridge {rids[0]} (cell 0)"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["reconstruct", "--in", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: {words}\n"
+
+
 # ---------------------------------------------------------------- validate
 
 

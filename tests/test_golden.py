@@ -54,7 +54,7 @@ def _sweep_digests(t, gt, members) -> tuple[str, str]:
     """The sweep from the true patch generators, and its refinement."""
     patch = PatchSolution(
         members=members,
-        generators={c: gt.generators[c] for c in members},
+        generators=gt.generators[list(members)],
         residual=0.0,
         rank=2 * len(members),
         smin=1.0,

@@ -1,7 +1,8 @@
 """A whole point set travels as one read-only float64 (n, 2) array, row c
 for cell c: the sample's sites, the ground truth (built or loaded) and the
-generators every reconstruction method reports. The errors reported from
-them keep the bits of a per-cell loop."""
+generators every reconstruction method reports; a patch solution's are
+one row per member. The errors reported from them keep the bits of a
+per-cell loop."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from vorogen.anchor import select_anchor
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.pipeline import METHODS, _errors, reconstruct
+from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import GroundTruth, dumps, loads
 
 
@@ -31,6 +34,8 @@ def test_point_sets_are_read_only_float64_arrays(built):
         assert_frozen_points(xy, 200)
     for method in METHODS:
         assert_frozen_points(reconstruct(t, method, gt).generators, 200)
+    sol = solve_patch(assemble_patch(t, select_anchor(t)))
+    assert_frozen_points(sol.generators, len(sol.members))
 
 
 def test_array_likes_are_copied_into_frozen_arrays(built):

@@ -73,7 +73,7 @@ def test_sweep_recovers_all_generators(built):
     assert max_cell_error(known, gt) < 1e-9
     # one finalization per non-patch cell, each once
     assert len(trace.cells) == 100 - len(sol.generators)
-    assert sorted([*trace.cells.tolist(), *sol.generators]) == list(range(100))
+    assert sorted([*trace.cells.tolist(), *sol.members]) == list(range(100))
     assert trace.depth.shape == (100,) and (trace.depth >= 0).all()
 
 

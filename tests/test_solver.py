@@ -25,6 +25,7 @@ from vorogen.errors import (
     SingularSystemError,
 )
 from vorogen.anchor import eligible_cells, select_anchor
+from vorogen.geom import Point2
 from vorogen.solver import PatchSystem, assemble_patch, mirror_terms, solve_patch
 from vorogen.tessellation import Ridge, Tessellation
 
@@ -39,12 +40,12 @@ def test_diamond_system_shape_and_members(diamond):
     sys_ = assemble_patch(t, 4)
     assert sys_.anchor == 4
     # 4 anchor ridges + 4 ring ridges, 2 rows each; unknowns for 5 cells
-    assert sys_.shape == (16, 10)
-    assert sys_.k == 4
+    assert sys_.matrix.shape == (16, 10)
+    assert len(sys_.members) - 1 == 4
     # anchor first, then neighbors in first-appearance CCW order
     assert sys_.members == (4, 1, 3, 2, 0)
-    assert sys_.column_block(4) == 0
-    assert sys_.column_block(0) == 4
+    assert sys_.members.index(4) == 0
+    assert sys_.members.index(0) == 4
 
 
 def test_diamond_row_pairs(diamond):
@@ -69,7 +70,7 @@ def test_row_structure_sparsity(diamond):
 def test_missing_ring_pair_drops_two_rows(diamond_missing_ring):
     t, _ = diamond_missing_ring
     sys_ = assemble_patch(t, 4)
-    assert sys_.shape == (14, 10)
+    assert sys_.matrix.shape == (14, 10)
     assert (1, 3) not in sys_.row_pairs and (3, 1) not in sys_.row_pairs
 
 
@@ -81,7 +82,7 @@ def test_generic_patch_has_full_ring(built):
         anchor = select_anchor(t)
         sys_ = assemble_patch(t, anchor)
         k = len(t.cells[anchor].ridges)
-        assert sys_.shape == (4 * k, 2 * (k + 1))
+        assert sys_.matrix.shape == (4 * k, 2 * (k + 1))
 
 
 def _row_ridges(t, sys_):
@@ -94,16 +95,22 @@ def _row_ridges(t, sys_):
     return [*t.cells[sys_.anchor].ridges, *ring]
 
 
-def test_patch_rows_are_the_global_mirror_rows(diamond, built):
+def test_patch_rows_are_the_global_mirror_rows(diamond, diamond_missing_ring, built):
     """Each equation is the mirror_terms row pair that refine_all solves:
     -R = -[[Re e, Im e], [Im e, -Re e]] on the source block, the identity on
-    the target block and (Re b, Im b) on the right, bit for bit."""
-    for t in (diamond[0], built(200, 0)[1]):
-        sys_ = assemble_patch(t, select_anchor(t))
+    the target block and (Re b, Im b) on the right, bit for bit, for every
+    eligible cell. ``_row_ridges`` finds the ring ridges from ``t.ridges``,
+    not through ``patch_stacks``, which ``assemble_patch`` shares with
+    ``brute``."""
+    big = built(200, 0)[1]
+    cases = [(diamond[0], 4), (diamond_missing_ring[0], 4)]
+    cases += [(big, c) for c in eligible_cells(big)]
+    for t, anchor in cases:
+        sys_ = assemble_patch(t, anchor)
         _, e, b = mirror_terms(t.arrays, np.array(_row_ridges(t, sys_)))
         for j, (src, dst) in enumerate(sys_.row_pairs):
             expect = np.zeros((2, sys_.matrix.shape[1]))
-            s, d = 2 * sys_.column_block(src), 2 * sys_.column_block(dst)
+            s, d = 2 * sys_.members.index(src), 2 * sys_.members.index(dst)
             expect[:, d:d + 2] = np.eye(2)
             expect[:, s:s + 2] -= [[e[j].real, e[j].imag], [e[j].imag, -e[j].real]]
             assert sys_.matrix[2 * j:2 * j + 2].tolist() == expect.tolist()
@@ -159,8 +166,8 @@ def test_diamond_solve_recovers_all_five(diamond):
     t, gt = diamond
     sol = solve_patch(assemble_patch(t, 4))
     assert sol.members == (4, 1, 3, 2, 0)
-    assert len(sol.generators) == 5
-    assert max_cell_error(sol.generators, gt) < 1e-10
+    assert sol.generators.shape == (5, 2)
+    assert max_cell_error(sol.generators, gt.generators[list(sol.members)]) < 1e-10
     assert sol.residual < 1e-12
     assert sol.rank == 10
     assert sol.smin > 1e-8
@@ -175,10 +182,9 @@ def test_solve_matches_normal_equations(built):
         sys_ = assemble_patch(t, anchor)
         sol = solve_patch(sys_)
         z_ne = normal_equations_solve(sys_)
-        for j, cell in enumerate(sys_.members):
-            g = sol.generators[cell]
-            assert abs(g.x - z_ne[2 * j]) < 1e-9
-            assert abs(g.y - z_ne[2 * j + 1]) < 1e-9
+        for j, (x, y) in enumerate(sol.generators.tolist()):
+            assert abs(x - z_ne[2 * j]) < 1e-9
+            assert abs(y - z_ne[2 * j + 1]) < 1e-9
 
 
 def test_neighbors_are_reflections_of_anchor(built):
@@ -186,12 +192,12 @@ def test_neighbors_are_reflections_of_anchor(built):
     _, t, _ = built(100, 4)
     anchor = select_anchor(t)
     sol = solve_patch(assemble_patch(t, anchor))
-    ga = sol.generators[anchor]
+    ga = Point2(*sol.generators[0])
     for rid in t.cells[anchor].ridges:
         cid = t.ridges[rid].other_cell(anchor)
         mirrored = reflect_point(ga, t.ridge_line(rid))
-        gn = sol.generators[cid]
-        assert math.hypot(mirrored.x - gn.x, mirrored.y - gn.y) < 1e-10
+        gx, gy = sol.generators[sol.members.index(cid)]
+        assert math.hypot(mirrored.x - gx, mirrored.y - gy) < 1e-10
 
 
 def test_eligible_anchors_are_well_conditioned(built):
@@ -206,7 +212,7 @@ def test_solution_accuracy_on_built_patches(built):
         _, t, gt = built(n, seed)
         anchor = select_anchor(t)
         sol = solve_patch(assemble_patch(t, anchor))
-        assert max_cell_error(sol.generators, gt) < 1e-10
+        assert max_cell_error(sol.generators, gt.generators[list(sol.members)]) < 1e-10
 
 
 # ---------------------------------------------------------------- failures
@@ -226,7 +232,7 @@ def _vertical_triple() -> PatchSystem:
 
 def test_all_parallel_mirrors_are_singular():
     sys_ = _vertical_triple()
-    assert sys_.shape == (6, 6)
+    assert sys_.matrix.shape == (6, 6)
     with pytest.raises(SingularSystemError) as exc:
         solve_patch(sys_)
     assert "translate freely along" in str(exc.value)
@@ -272,9 +278,9 @@ def test_solution_is_translation_equivariant(built):
     t2 = transform_tessellation(t, lambda p: (p[0] + dx, p[1] + dy), lambda d: d)
     anchor = select_anchor(t2)
     sol = solve_patch(assemble_patch(t2, anchor))
-    for c, g in sol.generators.items():
+    for c, (x, y) in zip(sol.members, sol.generators.tolist()):
         tx, ty = gt.generators[c]
-        assert math.hypot(g.x - (tx + dx), g.y - (ty + dy)) < 1e-10
+        assert math.hypot(x - (tx + dx), y - (ty + dy)) < 1e-10
 
 
 def test_solution_is_rotation_equivariant(built):
@@ -288,6 +294,6 @@ def test_solution_is_rotation_equivariant(built):
     t2 = transform_tessellation(t, rot, rot)
     anchor = select_anchor(t2)
     sol = solve_patch(assemble_patch(t2, anchor))
-    for c, g in sol.generators.items():
+    for c, (x, y) in zip(sol.members, sol.generators.tolist()):
         rx, ry = rot(gt.generators[c])
-        assert math.hypot(g.x - rx, g.y - ry) < 1e-10
+        assert math.hypot(x - rx, y - ry) < 1e-10

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vorogen import forward
-from vorogen.anchor import score_cell
+from vorogen.anchor import score_cell, select_anchor
 from vorogen.baselines import c_prime_cell
 from vorogen.errors import (
     AnchorIneligibleError,
@@ -365,6 +366,31 @@ def test_malformed_geometry_is_inconsistent(built, kind, words):
     assert validate(bad)  # validation still reports instead of raising
 
 
+@pytest.mark.parametrize("fault", ["foreign", "repeated", "dropped"])
+def test_broken_incidence_is_inconsistent(built, fault):
+    """A cell listing a ridge that does not border it, a ridge twice or not
+    one of its ridges is refused by every method with ``validate``'s message for the fault. The
+    broken cell is the anchor, whose patch the sweep would otherwise trust."""
+    _, t, gt = built(200, 0)
+    c = select_anchor(t)
+    cells = list(t.cells)
+    rids = list(cells[c].ridges)
+    if fault == "foreign":
+        rids[0] = next(rid for rid, r in enumerate(t.ridges) if c not in r.cells)
+        words = f"cell {c} lists ridge {rids[0]} that does not border it"
+    elif fault == "repeated":
+        rids.append(rids[0])
+        words = f"asymmetric adjacency at ridge {rids[0]} (cell {c})"
+    else:
+        words = f"asymmetric adjacency at ridge {rids.pop()} (cell {c})"
+    cells[c] = Cell(tuple(rids), cells[c].bounded)
+    bad = Tessellation(t.vertices, t.ridges, cells)
+    for method in METHODS:
+        with pytest.raises(InconsistentSystemError, match=re.escape(words)):
+            reconstruct(bad, method, gt)
+    assert words in validate(bad)
+
+
 def test_validate_reports_a_split_bisector_without_direction():
     """The 2-site diagram's two opposite rays, one without a direction."""
     sample = forward.SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None)
@@ -375,10 +401,12 @@ def test_validate_reports_a_split_bisector_without_direction():
 
 
 def _two_ridges_join_a_ring_pair():
-    """The diamond with a second ray between cells 1 and 3, listed by no
-    cell: ridges 5 and 8 both join the center's neighbours 1 and 3."""
+    """The diamond with a second ray between cells 1 and 3, listed by both
+    after ridge 5: ridges 5 and 8 both join the center's neighbours 1 and 3."""
     vertices, ridges, cells, _ = make_diamond()
     ridges.append(Ridge(cells=(3, 1), v0=1, ray_dir=UnitVec2(1.0, 0.0)))
+    cells[1] = Cell(ridges=(5, 8, 1, 4), bounded=False)
+    cells[3] = Cell(ridges=(6, 3, 5, 8), bounded=False)
     return Tessellation(vertices, ridges, cells)
 
 
