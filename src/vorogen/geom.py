@@ -1,8 +1,9 @@
 """Flat 2D primitives: points, directions and lines.
 
 Everything here is an immutable value type plus pure functions, all in
-double precision. The program reflects with ``solver.mirror_terms``' map
-z -> e conj(z) + b and works on lines as arrays (``tessellation.RidgeArrays``).
+double precision. The program reflects with the map z -> e conj(z) + b of
+``solver.build_mirror_terms``, kept per diagram in ``RidgeArrays.mirrors``,
+and works on lines as arrays (``tessellation.RidgeArrays``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .errors import DegenerateRidgeError
 PARALLEL_TOL = 1e-10
 DEGENERACY_REL = 1e-12
 UNIT_TOL = 1e-12
+# Loading refuses a coordinate beyond COORD_MAX in magnitude: the program
+# squares coordinates and their differences, which overflow past about 2**511.
+COORD_MAX = 2.0**500
 
 
 class Point2(NamedTuple):

@@ -7,8 +7,8 @@ d + 1 only through ridges from layer-d cells, never sideways within a layer,
 so every cell's depth equals its ridge distance from the patch. A cell with
 several incoming ridges takes the reflection through the first one found.
 
-Each reflection is the ridge's mirror map g -> R g + b, with the terms of
-``solver.mirror_terms`` that the patch and ``refine_all`` use too. Its
+Each reflection is the ridge's mirror map g -> R g + b, with the terms
+that the patch and ``refine_all`` read too (``RidgeArrays.mirrors``). Its
 direction comes from two stored vertices, so the sweep's rounding error
 grows with depth. ``refine_all`` then re-solves the mirror equations of
 every ridge at once, warm-started from the sweep.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableCellsError
-from .solver import PatchSolution, mirror_terms
+from .solver import PatchSolution
 from .tessellation import Tessellation, ranges
 
 
@@ -72,7 +72,7 @@ def sweep(
     boundary index of the previous one, in discovery order (source cells
     ascending, each in its boundary order). Each new cell is the mirror
     image of its first incoming source across their shared ridge, R g + b
-    from ``mirror_terms``, reflected as one array operation per layer, so
+    from ``RidgeArrays.mirrors``, reflected as one array operation per layer, so
     every generator is the one a per-cell loop in that order would give.
     Returns the (n, 2) generators, read-only, and the trace. Raises
     UnreachableCellsError, naming ``origin``, when the ridge graph does not
@@ -81,7 +81,7 @@ def sweep(
     a = t.arrays
     n = t.n_cells
     start = a.cell_start
-    _, e, b = mirror_terms(a, slice(None))
+    _, e, b = a.mirrors
     er, ei, br, bi = e.real, e.imag, b.real, b.imag
     xy = np.zeros((n, 2))
     depth = np.full(n, -1)
@@ -147,7 +147,7 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
     """Weighted least-squares polish of every generator.
 
     Every ridge between cells a and b contributes the patch system's mirror
-    equation ``g_b - R g_a = (I - R) c`` (two rows, ``solver.mirror_terms``),
+    equation ``g_b - R g_a = (I - R) c`` (two rows, ``RidgeArrays.mirrors``),
     giving 2n unknowns in all. A finite ridge of length L stores its
     direction to about eps / L, which moves a reflected point at distance d
     from the ridge by about eps * d / L, so its rows are weighted
@@ -161,13 +161,13 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
     and one ``bincount`` scatter back, so O(n). Returns the refined (n, 2)
     generators, read-only, and the number of iterations taken.
     """
-    # points are complex numbers, reflections z -> e conj(z) (``mirror_terms``)
+    # points are complex numbers, reflections z -> e conj(z) (``solver.build_mirror_terms``)
     n = t.n_cells
     a = t.arrays
     ia, ib = a.cells.T
     finite = a.finite
     usable = finite & ~a.degenerate
-    c, e, b = mirror_terms(a, slice(None))
+    c, e, b = a.mirrors
 
     g = np.ascontiguousarray(generators, float).reshape(-1).view(complex)
     if len(g) != n:

@@ -9,10 +9,11 @@ where R reflects across the ridge line, m is the line's unit normal and c
 is any point on it (the right hand side does not depend on which point,
 since I - R annihilates the line direction). These are the rows that
 ``propagate.refine_all`` solves over every ridge, and g -> R g + b is the
-reflection ``propagate.sweep`` applies; all three take the terms from
-``mirror_terms``. Stacking them over the anchor's ridges and the ring
-ridges gives an overdetermined linear system in the anchor generator and
-its neighbor generators, solved once by Householder QR. ``patch_stacks``
+reflection ``propagate.sweep`` applies; all three read the terms that
+``build_mirror_terms`` computes once per diagram and ``RidgeArrays.mirrors``
+keeps. Stacking them over the anchor's ridges and the ring ridges gives an
+overdetermined linear system in the anchor generator and its neighbor
+generators, solved once by Householder QR. ``patch_stacks``
 and ``solve_stack`` build and solve many patches at once, one stack per
 matrix shape; ``assemble_patch`` and ``solve_patch`` are their one-cell case.
 """
@@ -71,7 +72,14 @@ class PatchSolution:
 
 
 def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mirror equation ``g_b - R g_a = (I - R) c`` of ridges ``rids``.
+    """The mirror terms (c, e, b) of ridges ``rids``, gathered from
+    ``a.mirrors``: each array indexed by ``rids``."""
+    return tuple(x[rids] for x in a.mirrors)
+
+
+def build_mirror_terms(a: RidgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mirror equation ``g_b - R g_a = (I - R) c`` of every ridge,
+    as read-only arrays; ``RidgeArrays.mirrors`` keeps them.
 
     Points are complex numbers x + iy: the reflection across a line through
     the origin with unit direction u is z -> u^2 conj(z). Returns, one entry
@@ -85,18 +93,20 @@ def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarr
     reflections depend on the CPU. The products that form c and b have a
     factor with a zero part, so they round the same on every path.
     """
-    ends = a.ends[rids]
-    finite = ends[:, 1] >= 0
+    ends, finite = a.ends, a.finite
     verts = a.vertices.view(complex).ravel()
     p0 = verts[ends[:, 0]]
     p1 = verts[np.where(finite, ends[:, 1], ends[:, 0])]
     c = np.where(finite, 0.5 * (p0 + p1), p0)
-    u = np.where(a.degenerate[rids], 1.0, a.dirs[rids].view(complex).ravel())
+    u = np.where(a.degenerate, 1.0, a.dirs.view(complex).ravel())
     e = np.empty_like(u)
     e.real = u.real * u.real - u.imag * u.imag
     e.imag = u.real * u.imag + u.imag * u.real
     m = 1j * u
-    return c, e, 2.0 * m * (m.real * c.real + m.imag * c.imag)
+    terms = c, e, 2.0 * m * (m.real * c.real + m.imag * c.imag)
+    for x in terms:
+        x.flags.writeable = False
+    return terms
 
 
 def patch_stacks(a: RidgeArrays, cells: np.ndarray):
@@ -130,8 +140,7 @@ def patch_stacks(a: RidgeArrays, cells: np.ndarray):
         n_ring = has.sum(axis=1)
         # the rows' ridges: the anchor's, then its ring ridges (the first n_ring)
         rids = np.concatenate((a.cell_ridges[entry], ring), axis=1)
-        _, e, b = mirror_terms(a, rids.ravel())
-        e, b = e.reshape(rids.shape), b.reshape(rids.shape)
+        _, e, b = mirror_terms(a, rids)
         bad = (a.degenerate[ring] & (np.arange(k) < n_ring[:, None])).any(axis=1)
         if bad.any():
             yield cs[bad], None, None, None, None

@@ -212,11 +212,13 @@ class Tessellation:
     def arrays(self) -> "RidgeArrays":
         """The ridge geometry as arrays, built on first use and then kept.
 
-        Raises OutOfRangeIdError when a ridge or cell refers to an id that
-        does not exist, and InconsistentSystemError for a non-finite vertex,
-        a ray whose direction is missing or not unit length, a cell listing a
-        ridge that does not border it, or a ridge not listed exactly once by
-        each of its two cells; the messages are ``validate``'s.
+        Raises on the first fault found, which ``validate`` lists too:
+        OutOfRangeIdError for an id that does not exist, InconsistentSystemError
+        for a non-finite vertex, a ray whose direction is missing or not unit
+        length, a cell listing a ridge that does not border it, or a ridge not
+        listed exactly once by each of its two cells. The vertex and the last
+        two faults have ``validate``'s message; the others name the bad id or
+        direction, where ``validate`` says "out-of-range" or "not unit length".
         """
         return _ridge_arrays(self)
 
@@ -281,33 +283,11 @@ class RidgeArrays:
     def finite(self) -> np.ndarray:
         return self.ends[:, 1] >= 0
 
-
-def _is_unit(dirs: np.ndarray) -> np.ndarray:
-    """``geom.is_unit`` of each row; False for NaN."""
-    x, y = dirs.T
-    return np.abs(x * x + y * y - 1.0) <= geom.UNIT_TOL
-
-
-def _segments(xy, ends, finite) -> tuple[np.ndarray, np.ndarray]:
-    """Each ridge's vector from its first end to its second (zero for a ray)
-    and its length. math.hypot, not np.hypot: the two round differently on
-    about a third of the ridges, and every direction's bits would move."""
-    seg = xy[np.where(finite, ends[:, 1], ends[:, 0])] - xy[ends[:, 0]]
-    return seg, np.fromiter(map(math.hypot, *seg.T), float, len(seg))
-
-
-def _vertex_index(ends, finite, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR offsets and ids of the ridges ending at each vertex, ascending.
-
-    Every ridge end naming a vertex in range counts, so a finite ridge from
-    ``v`` to ``v`` is listed twice.
-    """
-    vids = ends.ravel()
-    use = (vids >= 0) & (vids < nv)
-    use[1::2] &= finite
-    start = np.concatenate(([0], np.cumsum(np.bincount(vids[use], minlength=nv))))
-    rids = np.repeat(np.arange(len(ends), dtype=np.int32), 2)
-    return start, rids[use][np.argsort(vids[use], kind="stable")]
+    @cached_property
+    def mirrors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``solver.build_mirror_terms``, read-only, built on first use and then kept."""
+        from .solver import build_mirror_terms  # solver imports this module
+        return build_mirror_terms(self)
 
 
 def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -341,68 +321,113 @@ def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, n
     return np.where(first_in, a0, a1), first_in != second_in
 
 
+@dataclass(frozen=True, eq=False)
+class _Incidence:
+    """Every structural fault of a tessellation, found by one pass over any
+    storage (``_incidence``): ``Tessellation.arrays`` raises on the first and
+    ``validate`` lists them all. Only a ridge whose cells and ends are in
+    range (``ok``; a ray's missing end always is) has ``RidgeArrays``' geometry.
+    """
+
+    bad_cell: np.ndarray  # (R, 2) a ridge's cell id is out of range
+    bad_end: np.ndarray  # (R, 2) a ridge's end vertex id is out of range
+    ok: np.ndarray  # (R,)
+    seg: np.ndarray  # (R, 2) from the first end to the second, zero for a ray
+    lengths: np.ndarray  # (R,) inf for a ray
+    degenerate: np.ndarray  # (R,)
+    bad_ray: np.ndarray  # (R,) an ok ray whose direction is not unit length
+    listings: np.ndarray  # (R, 2) how often each of a ridge's cells lists it, as floats
+    nonfinite: np.ndarray  # (V,) a vertex with a non-finite coordinate
+    owner: np.ndarray  # (E,) the cell of each entry
+    in_range: np.ndarray  # (E,) the entry's ridge id is in range
+    borders: np.ndarray  # (E,) the entry's ridge is one of its cell's
+    nbrs: np.ndarray  # (E,) the other cell of the entry's ridge
+    vertex_start: np.ndarray  # (V + 1,) as ``RidgeArrays``; every end in range
+    vertex_ridges: np.ndarray  # counts, so a finite ridge from v to v is listed twice
+
+
+def _incidence(t: Tessellation) -> _Incidence:
+    # a gather by fancy or boolean index, or an any/all over two columns,
+    # costs several times what the ``take`` and the ``|`` used here cost
+    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
+    cells, ends, finite, listed = t._cells, t._ends, t._finite, t._cell_ridges
+    bad_cell = (cells < 0) | (cells >= nc)
+    bad_end = (ends < 0) | (ends >= nv)
+    bad_end[:, 1] &= finite
+    ok = ~(bad_cell[:, 0] | bad_cell[:, 1] | bad_end[:, 0] | bad_end[:, 1])
+    use = ok & finite
+    # a ridge that is not in use reads a zero vector from a row past the vertices
+    xy = np.concatenate((t._xy, np.zeros((1, 2))))
+    v0 = np.where(ok, ends[:, 0], nv)
+    with np.errstate(invalid="ignore"):  # inf - inf, where a vertex is not finite
+        seg = xy.take(np.where(use, ends[:, 1], v0), 0) - xy.take(v0, 0)
+    # math.hypot, not np.hypot: the two round differently on about a third
+    # of the ridges, and every direction's bits would move
+    lengths = np.fromiter(map(math.hypot, *seg.T), float, nr)
+    lengths[~finite] = math.inf
+    degenerate = use & ((ends[:, 0] == ends[:, 1]) | (lengths <= t.degeneracy_threshold()))
+    rx, ry = t._rays.T
+    bad_ray = ok & ~finite & ~(np.abs(rx * rx + ry * ry - 1.0) <= geom.UNIT_TOL)  # NaN is not unit
+    owner = np.repeat(np.arange(nc, dtype=np.int32), np.diff(t._cell_start))
+    in_range = (listed >= 0) & (listed < nr)
+    # an entry whose ridge id is out of range reads the cells -1 from a row past the ridges
+    rid = np.where(in_range, listed, nr)
+    c0, c1 = np.concatenate((cells, np.full((1, 2), -1, np.int32))).take(rid, 0).T
+    s0, s1 = c0 == owner, c1 == owner
+    listings = np.stack([np.bincount(rid, s, nr + 1)[:nr] for s in (s0, s1)], axis=1)
+    nonfinite = ~np.isfinite(t._xy[:, 0]) | ~np.isfinite(t._xy[:, 1])
+    at = ~bad_end
+    at[:, 1] &= finite
+    vids = ends[at]
+    vertex_start = np.concatenate(([0], np.cumsum(np.bincount(vids, minlength=nv))))
+    vertex_ridges = np.repeat(np.arange(nr, dtype=np.int32), 2)[at.ravel()][np.argsort(vids, kind="stable")]
+    return _Incidence(
+        bad_cell, bad_end, ok, seg, lengths, degenerate, bad_ray, listings, nonfinite,
+        owner, in_range, s0 | s1, np.where(s0, c1, c0), vertex_start, vertex_ridges,
+    )
+
+
 def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
-    cells, ends, finite = t._cells, t._ends, t._finite
-    rids = np.arange(nr)
-    owner = np.repeat(np.arange(nc, dtype=np.int32), np.diff(t._cell_start))
-    for kind, who, refs, what, limit in (
-        ("ridge", np.repeat(rids, 2), cells.ravel(), ("cell", "cells"), nc),
-        ("ridge", rids, ends[:, 0], ("vertex", "vertices"), nv),
-        ("ridge", rids[finite], ends[finite, 1], ("vertex", "vertices"), nv),
-        ("cell", owner, t._cell_ridges, ("ridge", "ridges"), nr),
+    cells, ends, finite, listed = t._cells, t._ends, t._finite, t._cell_ridges
+    inc = _incidence(t)
+    for error, flagged, message in (
+        (OutOfRangeIdError, inc.bad_cell.ravel(),
+         lambda i: f"ridge {i // 2} references cell {cells.flat[i]}; there are {nc} cells"),
+        (OutOfRangeIdError, inc.bad_end.T.ravel(),  # every first end before any second end
+         lambda i: f"ridge {i % nr} references vertex {ends.T.flat[i]}; there are {nv} vertices"),
+        (OutOfRangeIdError, ~inc.in_range,
+         lambda e: f"cell {inc.owner[e]} references ridge {listed[e]}; there are {nr} ridges"),
+        (InconsistentSystemError, inc.nonfinite, lambda v: f"vertex {v} has non-finite coordinates"),
+        (InconsistentSystemError, inc.bad_ray, lambda k: f"ray ridge {k} has direction"
+         f" {None if math.isnan(t._rays[k, 0]) else tuple(t._rays[k].tolist())}, not a unit vector"),
+        (InconsistentSystemError, ~inc.borders,
+         lambda e: f"cell {inc.owner[e]} lists ridge {listed[e]} that does not border it"),
+        (InconsistentSystemError, (inc.listings[:, 0] != 1) | (inc.listings[:, 1] != 1),
+         lambda k: f"asymmetric adjacency at ridge {k} (cell {cells[k, int(inc.listings[k, 0] == 1)]})"),
     ):
-        bad = np.flatnonzero((refs < 0) | (refs >= limit))
+        bad = np.flatnonzero(flagged)
         if len(bad):
-            k = bad[0]
-            raise OutOfRangeIdError(
-                f"{kind} {who[k]} references {what[0]} {refs[k]}; there are {limit} {what[1]}"
-            )
-    bad = np.flatnonzero(~np.isfinite(t._xy).all(axis=1))
-    if len(bad):
-        raise InconsistentSystemError(f"vertex {bad[0]} has non-finite coordinates")
-    bad = np.flatnonzero(~finite & ~_is_unit(t._rays))
-    if len(bad):
-        x, y = t._rays[bad[0]].tolist()
-        d = None if math.isnan(x) else (x, y)
-        raise InconsistentSystemError(f"ray ridge {bad[0]} has direction {d}, not a unit vector")
-    seg, lengths = _segments(t._xy, ends, finite)
-    lengths[~finite] = math.inf
-    degenerate = finite & ((lengths <= t.degeneracy_threshold()) | (lengths == 0.0))
+            raise error(message(int(bad[0])))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dirs = seg / lengths[:, None]
-    dirs[degenerate] = math.nan
+        dirs = inc.seg / inc.lengths[:, None]
+    dirs[inc.degenerate] = math.nan
     dirs[~finite] = t._rays[~finite]
-    # every ridge is listed once by each of its two cells and by no other
-    listed = t._cell_ridges
-    c0, c1 = cells[listed].T
-    s0, s1 = c0 == owner, c1 == owner
-    nbrs = np.where(s0, c1, c0)
-    bad = np.flatnonzero(~(s0 | s1))
-    if len(bad):
-        e = bad[0]
-        raise InconsistentSystemError(f"cell {owner[e]} lists ridge {listed[e]} that does not border it")
-    n0, n1 = (np.bincount(listed[s], minlength=nr) for s in (s0, s1))
-    bad = np.flatnonzero((n0 != 1) | (n1 != 1))
-    if len(bad):
-        k = bad[0]
-        raise InconsistentSystemError(f"asymmetric adjacency at ridge {k} (cell {cells[k, int(n0[k] == 1)]})")
-    vertex_start, vertex_ridges = _vertex_index(ends, finite, nv)
     return RidgeArrays(
         vertices=t._xy,
         cells=cells,
         ends=ends,
         dirs=dirs,
-        lengths=lengths,
-        degenerate=degenerate,
+        lengths=inc.lengths,
+        degenerate=inc.degenerate,
         bounded=t._bounded,
         cell_start=t._cell_start,
-        cell_ridges=t._cell_ridges,
-        entry_cell=owner,
-        cell_nbrs=nbrs,
-        ring=_ring_ridges(cells, nbrs, nbrs[_successors(t._cell_start)], nc),
-        vertex_start=vertex_start,
-        vertex_ridges=vertex_ridges,
+        cell_ridges=listed,
+        entry_cell=inc.owner,
+        cell_nbrs=inc.nbrs,
+        ring=_ring_ridges(cells, inc.nbrs, inc.nbrs[_successors(t._cell_start)], nc),
+        vertex_start=inc.vertex_start,
+        vertex_ridges=inc.vertex_ridges,
     )
 
 
@@ -425,71 +450,46 @@ def validate(t: Tessellation) -> list[str]:
     """Check structural invariants; returns one message per violation.
 
     An empty list means the tessellation is internally consistent and in
-    generic position (every vertex on exactly 3 ridges). Each check is an
-    array pass; messages are written for the vertices, ridges and cells it
-    flags, in that order. Each part runs in its own function, so that its
-    temporaries are freed before the next part starts.
+    generic position (every vertex on exactly 3 ridges). Array passes, the
+    first the one ``Tessellation.arrays`` runs (``_incidence``), flag the
+    vertices, ridges and cells that messages are written for, in that order.
     """
-    nonfinite = np.flatnonzero(~np.isfinite(t._xy).all(axis=1)).tolist()
-    out = [f"vertex {i} has non-finite coordinates" for i in nonfinite]
-    ok = _validate_ridges(t, out)
-    vertex_start, vertex_ridges = _vertex_index(t._ends, t._finite, t.n_vertices)
-    valence = np.diff(vertex_start)
+    inc = _incidence(t)
+    out = [f"vertex {i} has non-finite coordinates" for i in np.flatnonzero(inc.nonfinite).tolist()]
+    cells, ok, thresh = t._cells, inc.ok, t.degeneracy_threshold()
+    asym = ok[:, None] & (inc.listings != 1)
+    flagged = (cells[:, 0] == cells[:, 1]) | ~ok | inc.degenerate | inc.bad_ray | asym[:, 0] | asym[:, 1]
+    for k in np.flatnonzero(flagged).tolist():
+        a, b = cells[k].tolist()
+        if a == b:
+            out.append(f"ridge {k} joins cell {a} to itself")
+        if not ok[k]:
+            out.append(f"ridge {k} references an out-of-range {'cell' if any(inc.bad_cell[k]) else 'vertex'}")
+        if inc.degenerate[k]:
+            out.append(f"degenerate ridge {k} (length below {thresh:.3e})")
+        if inc.bad_ray[k]:
+            out.append(f"ridge {k} ray direction is not unit length")
+        out += [f"asymmetric adjacency at ridge {k} (cell {c})" for c, bad in zip((a, b), asym[k]) if bad]
+    valence = np.diff(inc.vertex_start)
     referenced = np.zeros(t.n_vertices, bool)
     referenced[t._ends[ok, 0]] = True
     referenced[t._ends[ok & t._finite, 1]] = True
     for v in np.flatnonzero(~referenced | (valence != 3)).tolist():
         if not referenced[v]:
             out.append(f"orphan vertex {v}")
-        elif not _is_split_bisector(t, vertex_start, vertex_ridges, v):
+        elif not _is_split_bisector(t, inc, v):
             out.append(f"vertex {v} is shared by {valence[v]} ridges (expected 3)")
-    return out + _validate_cells(t, ~ok, vertex_start, vertex_ridges)
+    return out + _validate_cells(t, inc)
 
 
-def _validate_ridges(t: Tessellation, out: list[str]) -> np.ndarray:
-    """Append each ridge's violations to ``out``; returns which ridges have
-    every id in range."""
-    nv, nr, nc = t.n_vertices, t.n_ridges, t.n_cells
-    cells, ends, finite = t._cells, t._ends, t._finite
-    thresh = t.degeneracy_threshold()
-    bad_cell = ((cells < 0) | (cells >= nc)).any(axis=1)
-    outside = (ends < 0) | (ends >= nv)
-    bad_vertex = ~bad_cell & (outside[:, 0] | (finite & outside[:, 1]))
-    ok = ~bad_cell & ~bad_vertex
-    _, length = _segments(t._xy, ends[ok], finite[ok])
-    degenerate = np.zeros(nr, bool)
-    degenerate[ok] = finite[ok] & ((ends[ok, 0] == ends[ok, 1]) | (length <= thresh))
-    bad_ray = ok & ~finite & ~_is_unit(t._rays)
-    # how often each ridge is listed by each of its cells
-    owner = np.repeat(np.arange(nc), np.diff(t._cell_start))
-    listed = t._cell_ridges
-    in_range = (listed >= 0) & (listed < nr)
-    owner, listed = owner[in_range], listed[in_range]
-    count = [np.bincount(listed[cells[listed, j] == owner], minlength=nr) for j in (0, 1)]
-    asym = ok[:, None] & (np.stack(count, axis=1) != 1)
-    flagged = (cells[:, 0] == cells[:, 1]) | ~ok | degenerate | bad_ray | asym.any(axis=1)
-    for k in np.flatnonzero(flagged).tolist():
-        a, b = cells[k].tolist()
-        if a == b:
-            out.append(f"ridge {k} joins cell {a} to itself")
-        if not ok[k]:
-            out.append(f"ridge {k} references an out-of-range {'cell' if bad_cell[k] else 'vertex'}")
-        if degenerate[k]:
-            out.append(f"degenerate ridge {k} (length below {thresh:.3e})")
-        if bad_ray[k]:
-            out.append(f"ridge {k} ray direction is not unit length")
-        out += [f"asymmetric adjacency at ridge {k} (cell {c})" for c, bad in zip((a, b), asym[k]) if bad]
-    return ok
-
-
-def _is_split_bisector(t: Tessellation, vertex_start, vertex_ridges, v: VertexId) -> bool:
+def _is_split_bisector(t: Tessellation, inc: _Incidence, v: VertexId) -> bool:
     """Two opposite rays from one vertex between the same two cells.
 
     This is how a bisector with no Voronoi vertex on it (the 2-site diagram)
     is represented, so it is tolerated at valence 2.
     """
     if 0 <= v < t.n_vertices:
-        rids = vertex_ridges[vertex_start[v] : vertex_start[v + 1]]
+        rids = inc.vertex_ridges[inc.vertex_start[v] : inc.vertex_start[v + 1]]
     else:  # an id out of range is in no index: look for its ridges
         hit = t._ends == v
         hit[:, 1] &= t._finite
@@ -501,21 +501,19 @@ def _is_split_bisector(t: Tessellation, vertex_start, vertex_ridges, v: VertexId
     return sorted((a1, b1)) == sorted((a2, b2)) and math.hypot(x1 + x2, y1 + y2) <= 1e-9
 
 
-def _validate_cells(t: Tessellation, skip, vertex_start, vertex_ridges) -> list[str]:
-    """Violations of each cell, in cell order. ``skip`` marks the ridges
-    reported for an out-of-range id, whose polygon cannot be walked.
+def _validate_cells(t: Tessellation, inc: _Incidence) -> list[str]:
+    """Violations of each cell, in cell order. The polygon of a cell with a
+    ridge that is not ``inc.ok``, or not finite in length, is not checked.
 
     A cell is clean when every ridge it lists is in range and borders it.
     The boundary chains (``shared_corners``), rays and polygons of the clean
     cells are checked as array passes over a CSR index of their own.
     """
-    nr, nc = t.n_ridges, t.n_cells
+    nc = t.n_cells
     start, listed, bounded = t._cell_start, t._cell_ridges, t._bounded
     deg = np.diff(start)
-    owner = np.repeat(np.arange(nc), deg)
-    in_range = (listed >= 0) & (listed < nr)
-    borders = in_range.copy()
-    borders[in_range] = (t._cells[listed[in_range]] == owner[in_range, None]).any(axis=1)
+    owner, in_range, borders = inc.owner, inc.in_range, inc.borders
+    skip = ~inc.ok | (t._finite & ~np.isfinite(inc.lengths))
     clean = (deg > 0) & (np.bincount(owner[~borders], minlength=nc) == 0)
     rids, own = listed[clean[owner]], owner[clean[owner]]
     sub_start = np.concatenate(([0], np.cumsum(deg[clean])))
@@ -564,7 +562,7 @@ def _validate_cells(t: Tessellation, skip, vertex_start, vertex_ridges) -> list[
             out.append(f"cell {c} polygon is not convex at vertex {concave_at[c]}")
         elif bounded[c]:
             out.append(f"cell {c} polygon is not counter-clockwise")
-        elif not _is_parallel_strip(t, cell, vertex_start, vertex_ridges):
+        elif not _is_parallel_strip(t, cell, inc):
             if rays[c] != 2:
                 out.append(f"unbounded cell {c} has {rays[c]} ray ridges (expected 2)")
             elif not open_ends[c]:
@@ -612,7 +610,7 @@ def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corne
     return revisit, concave_at, area2
 
 
-def _is_parallel_strip(t: Tessellation, cell: list[int], vertex_start, vertex_ridges) -> bool:
+def _is_parallel_strip(t: Tessellation, cell: list[int], inc: _Incidence) -> bool:
     """Cell bounded only by whole bisector lines (collinear-site diagrams).
 
     Such a cell is a half plane or a strip: every ridge is a ray, and the
@@ -623,7 +621,7 @@ def _is_parallel_strip(t: Tessellation, cell: list[int], vertex_start, vertex_ri
     verts = set(t._ends[cell, 0].tolist())
     if len(verts) * 2 != len(cell) or len(verts) > 2:
         return False
-    return all(_is_split_bisector(t, vertex_start, vertex_ridges, v) for v in verts)
+    return all(_is_split_bisector(t, inc, v) for v in verts)
 
 
 # -- serialization ------------------------------------------------------------
@@ -724,6 +722,8 @@ def _parse_point(obj, where: str) -> tuple[float, float]:
         x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ParseError(f"{where}: coordinates must be finite")
+    if max(abs(x), abs(y)) > geom.COORD_MAX:
+        raise ParseError(f"{where}: coordinates must be at most 2**500 in magnitude")
     return x, y
 
 
@@ -736,7 +736,7 @@ def _parse_points(objs: list, where: str) -> np.ndarray:
     ):
         with suppress(OverflowError):  # an integer beyond the float range
             xy = np.array(objs, float).reshape(-1, 2)
-            if np.isfinite(xy).all():
+            if (np.abs(xy) <= geom.COORD_MAX).all():  # False for NaN
                 return xy
     return np.reshape([_parse_point(p, f"{where}[{i}]") for i, p in enumerate(objs)], (-1, 2))
 

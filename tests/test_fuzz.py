@@ -14,6 +14,7 @@ traceback is a bug.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from vorogen.cli import main
 from vorogen.errors import ParseError, VorogenError
 from vorogen.pipeline import METHODS, reconstruct
-from vorogen.tessellation import loads
+from vorogen.tessellation import loads, validate
 
 # ``dumps(*sample_and_build(60, 3)[1:])`` as the incremental triangulation
 # numbered its vertices, frozen so that ``test_golden.CORPUS`` and the
@@ -127,6 +128,24 @@ def mutate(doc: dict, ops) -> dict:
     return doc
 
 
+# Tessellation.arrays' wording of an id or ray fault, and validate's
+ARRAYS_WORDING = [
+    (r"(ridge \d+) references (cell|vertex) -?\d+; there are \d+ \w+", r"\1 references an out-of-range \2"),
+    (r"(cell \d+) references ridge (-?\d+); there are \d+ ridges", r"\1 references out-of-range ridge \2"),
+    (r"ray (ridge \d+) has direction .*, not a unit vector", r"\1 ray direction is not unit length"),
+]
+
+
+def validate_wording(message: str) -> str:
+    """``validate``'s message for the fault ``Tessellation.arrays`` raised
+    with ``message``; the two share the wording of every other fault."""
+    for pattern, wording in ARRAYS_WORDING:
+        match = re.fullmatch(pattern, message)
+        if match:
+            return match.expand(wording)
+    return message
+
+
 # (ops, cli_method) pairs that every run tries first
 EXAMPLES = [
     ([("flip_bounded", HULL_CELL)], "cprime"),
@@ -152,6 +171,13 @@ def test_mutated_file_ends_in_typed_error(tmp_path, ops, cli_method):
         t, gt = loads(text)
     except VorogenError:
         return
+    # every fault Tessellation.arrays refuses is one validate lists, so a
+    # file that validates clean builds its arrays
+    listed = validate(t)
+    try:
+        t.arrays
+    except VorogenError as e:
+        assert validate_wording(str(e)) in listed
     for method in METHODS:
         try:
             reconstruct(t, method, gt)
@@ -172,6 +198,24 @@ def test_number_beyond_float_range_is_a_parse_error(tmp_path, op):
     path.write_text(text)
     assert main(["validate", "--in", str(path)]) == 5
     assert main(["reconstruct", "--in", str(path)]) == 5
+
+
+@pytest.mark.parametrize("op", [("scale_vertex", -1, 1e200), ("set", ("generators", 0, 1), 1e200)])
+def test_coordinate_whose_square_overflows_is_a_parse_error(tmp_path, op):
+    text = json.dumps(mutate(BASE, [op]))
+    with pytest.raises(ParseError, match=re.escape("must be at most 2**500")):
+        loads(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["validate", "--in", str(path)]) == 5
+    assert main(["reconstruct", "--in", str(path)]) == 5
+
+
+def test_large_coordinates_within_the_bound_reconstruct():
+    t, _ = loads(json.dumps(mutate(BASE, [("scale_vertex", -1, 1e140)])))
+    assert validate(t) == []
+    for method in METHODS:
+        reconstruct(t, method)
 
 
 @pytest.mark.parametrize("op", ID_OVERFLOWS)

@@ -24,8 +24,11 @@ from vorogen.errors import (
     InconsistentSystemError,
     SingularSystemError,
 )
+from vorogen import forward, solver
 from vorogen.anchor import eligible_cells, select_anchor
+from vorogen.baselines import brute_force_all
 from vorogen.geom import Point2
+from vorogen.pipeline import reconstruct
 from vorogen.solver import PatchSystem, assemble_patch, mirror_terms, solve_patch
 from vorogen.tessellation import Ridge, Tessellation
 
@@ -128,6 +131,21 @@ def test_mirror_terms_rounds_each_real_product(built):
             ux, uy = 1.0, 0.0
         expect.append([ux * ux - uy * uy, ux * uy + uy * ux])
     assert e.view(float).reshape(-1, 2).tolist() == expect
+
+
+@pytest.mark.parametrize("run", ["anchor", "brute"])
+def test_mirror_terms_are_built_once_per_diagram(monkeypatch, run):
+    """The patch, the sweep and the refinement read one cached copy."""
+    calls = []
+    build = solver.build_mirror_terms
+    monkeypatch.setattr(solver, "build_mirror_terms", lambda a: calls.append(a) or build(a))
+    _, t, _ = forward.sample_and_build(200, 0)
+    if run == "anchor":
+        reconstruct(t, "anchor")
+    else:
+        brute_force_all(t)
+    assert len(calls) == 1
+    assert not t.arrays.mirrors[1].flags.writeable
 
 
 def test_scaled_ring_ray_is_refused():

@@ -338,8 +338,9 @@ def test_per_id_entry_points_refuse_ids_out_of_range(diamond, entry_point, end):
 
 
 def _malformed(t, kind):
-    """``t`` with its first ray's direction doubled or removed, or with
-    vertex 0's x set to NaN; such a tessellation can only be built in code."""
+    """``t`` with its first ray's direction doubled or removed, with vertex
+    0's x set to NaN, or with both ends of its first finite ridge moved to
+    x = inf; such a tessellation can only be built in code."""
     ridges, vertices = list(t.ridges), list(t.vertices)
     k = next(rid for rid, r in enumerate(ridges) if not r.is_finite)
     r = ridges[k]
@@ -347,14 +348,22 @@ def _malformed(t, kind):
         ridges[k] = Ridge(cells=r.cells, v0=r.v0, ray_dir=(2.0 * r.ray_dir[0], 2.0 * r.ray_dir[1]))
     elif kind == "missing ray":
         ridges[k] = Ridge(cells=r.cells, v0=r.v0)
-    else:
+    elif kind == "nan vertex":
         vertices[0] = (math.nan, vertices[0].y)
+    else:
+        for v in next(r for r in ridges if r.is_finite).vertex_ids():
+            vertices[v] = (math.inf, vertices[v].y)
     return Tessellation(vertices, ridges, t.cells)
 
 
 @pytest.mark.parametrize(
     "kind,words",
-    [("scaled ray", "ray ridge"), ("missing ray", "ray ridge"), ("nan vertex", "vertex 0")],
+    [
+        ("scaled ray", "ray ridge"),
+        ("missing ray", "ray ridge"),
+        ("nan vertex", "vertex 0"),
+        ("infinite ridge", "non-finite coordinates"),
+    ],
 )
 def test_malformed_geometry_is_inconsistent(built, kind, words):
     """Every method refuses a bad ray or vertex with a typed error (exit 4)."""
