@@ -107,16 +107,6 @@ def _closed(a: RidgeArrays) -> np.ndarray:
     return a.bounded & (rays == 0)
 
 
-def _unit(x: np.ndarray, y: np.ndarray):
-    """``geom.unit_vec`` of each (x, y): the direction, and whether it exists."""
-    _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
-    sx, sy = np.ldexp(x, -e), np.ldexp(y, -e)
-    n = np.fromiter(map(math.hypot, sx, sy), float, len(sx))
-    ok = (n > 0.0) & np.isfinite(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return sx / n, sy / n, ok
-
-
 def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     """One generator-passing ray per usable vertex of each of ``cells``.
 
@@ -159,7 +149,7 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     for rid in (sides[first], sides[first + 1]):
         v0, v1 = a.ends[rid].T
         w = a.vertices[np.where(v0 == v[use], v1, v0)]
-        s.append(_unit(w[:, 0] - a0[:, 0], w[:, 1] - a0[:, 1]))
+        s.append(geom.unit_vecs(w[:, 0] - a0[:, 0], w[:, 1] - a0[:, 1]))
     (sax, say, ok_a), (sbx, sby, ok_b) = s
     with np.errstate(invalid="ignore"):
         cross = sax * sby - say * sbx
@@ -179,7 +169,7 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     fwd = (sax * dy - say * dx > 0.0) & (dx * sby - dy * sbx > 0.0)
     back = (sax * -dy - say * -dx > 0.0) & (-dx * sby - -dy * sbx > 0.0)
     ix, iy = np.where(fwd, dx, -dx), np.where(fwd, dy, -dy)
-    gx, gy, _ = _unit(ex * ix + ey * iy, ey * ix - ex * iy)  # e and the ridge are unit
+    gx, gy, _ = geom.unit_vecs(ex * ix + ey * iy, ey * ix - ex * iy)  # e and the ridge are unit
     into = fwd | back
     corner_of = use[j[into]]
     return cell[corner_of], a.vertices[v[corner_of]], np.stack((gx[into], gy[into]), axis=1)

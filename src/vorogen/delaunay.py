@@ -27,14 +27,10 @@ point on an edge splits the two triangles of that edge into four, so no
 triangle is ever flat.
 
 The finished triangles are put in a canonical order that depends on the
-triangle set alone. Each finite triangle is rotated so that its corner of
-highest insertion rank comes last (the rank is the position in
-``insertion_order``, after the seed triangle's three corners, which come
-first), except the seed triangle, which keeps its first point first; they
-are then sorted by the ranks of their last, first and middle corners. This
-is the rotation the former incremental code gave every triangle, so
-circumcenters computed relative to the first corner keep their bits. Ghost
-triangles follow, each with INF last.
+triangle set alone, not on the random priority that built them. Each
+finite triangle is rotated so that its corner of highest site id comes
+last, and the triangles are sorted by the ids of their last, first and
+middle corners. Ghost triangles follow, each with INF last.
 """
 
 from __future__ import annotations
@@ -148,29 +144,6 @@ def circumcenter_error(a, b, c):
         return 8.0 * _EPS * (num + 2.0 * radius * (np.abs(bx * cy) + np.abs(by * cx))) / d
 
 
-def _part1by1(v):
-    v = v & 0xFFFF
-    v = (v | (v << 8)) & 0x00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F
-    v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
-
-
-def insertion_order(pts: Sequence[tuple[float, float]]) -> list[int]:
-    """Morton (Z-curve) order of the points, equal keys in input order; it
-    ranks the corners when the triangles are put in canonical order."""
-    p = np.asarray(pts, float).reshape(-1, 2)
-    if len(p) == 0:
-        return []
-    lo = p.min(axis=0)
-    span = p.max(axis=0) - lo
-    scale = np.divide(65535.0, span, out=np.zeros(2), where=span > 0.0)
-    q = ((p - lo) * scale).astype(np.int64)
-    key = _part1by1(q[:, 0]) | (_part1by1(q[:, 1]) << 1)
-    return np.argsort(key, kind="stable").tolist()
-
-
 def all_collinear(pts: Sequence[tuple[float, float]]) -> bool:
     """True when no triple of points spans a triangle, by ``orient``."""
     p = np.asarray(pts, float).reshape(-1, 2)
@@ -201,35 +174,10 @@ class Triangulation:
         bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
         if len(bad):
             raise ValueError(f"point {bad[0]} is not finite")
-        order = np.array(insertion_order(p), np.int64)
-        seed = _seed_triangle(p, order)
-        rank = np.empty(len(p), np.int64)
-        rank[seed] = np.arange(3)
-        rest = order[~np.isin(order, seed)]
-        rank[rest] = np.arange(3, len(p))
+        if all_collinear(p):
+            raise ValueError("all points coincide" if (p == p[0]).all() else "all points are collinear")
         V, O = _Rounds(p).run()
-        self.V, self.N, self.finite = _canonical(V, O, rank, seed[0])
-
-
-def _seed_triangle(p: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """(i0, i1, i2), counter-clockwise: the first point of ``order``, the first
-    other point, and the first point off their line. The canonical order
-    ranks these three first and keeps i0 first in their triangle, as the
-    incremental triangulation that started from it did, so that the
-    circumcenters keep their bits."""
-    i0 = order[0]
-    other = order[(p[order] != p[i0]).any(axis=1)]
-    if not len(other):
-        raise ValueError("all points coincide")
-    i1 = other[0]
-    o = orient(*p[i0], *p[i1], p[order, 0], p[order, 1])
-    off = np.flatnonzero(o)
-    if not len(off):
-        raise ValueError("all points are collinear")
-    i2 = order[off[0]]
-    if o[off[0]] < 0:
-        i1, i2 = i2, i1
-    return np.array([i0, i1, i2], np.int64)
+        self.V, self.N, self.finite = _canonical(V, O)
 
 
 def _unique_points(p: np.ndarray) -> np.ndarray:
@@ -500,14 +448,12 @@ class _Rounds:
         self.on[k] = np.where(o == 0, 3 * t1[r] + 1, np.where(on >= 0, self.own[on], -1))
 
 
-def _canonical(V: np.ndarray, O: np.ndarray, rank: np.ndarray, first: int):
+def _canonical(V: np.ndarray, O: np.ndarray):
     """The triangles in canonical order (see the module docstring): corners,
     the neighbour across each edge, and the number of finite triangles."""
     T = len(V)
-    r = np.where(V == INF, len(rank), rank[V])
+    r = np.where(V == INF, np.iinfo(np.int64).max, V)
     last = np.argmax(r, axis=1)
-    seed = (V == first).any(axis=1) & (r.max(axis=1) == 2)
-    last[seed] = (np.argmax(V[seed] == first, axis=1) + 2) % 3
     turn = (last[:, None] + 1 + np.arange(3)) % 3
     V = np.take_along_axis(V, turn, axis=1)
     r = np.take_along_axis(r, turn, axis=1)
@@ -515,8 +461,7 @@ def _canonical(V: np.ndarray, O: np.ndarray, rank: np.ndarray, first: int):
     new_id = np.empty(T, np.int64)
     new_id[perm] = np.arange(T)
     # old half-edge 3t + k is slot (k - last - 1) % 3 of triangle new_id[t]
-    old = O.reshape(T, 3)
-    tw = np.take_along_axis(old, turn, axis=1)[perm]
+    tw = np.take_along_axis(O.reshape(T, 3), turn, axis=1)[perm]
     N = new_id[tw // 3]
-    finite = int((r[:, 2] < len(rank)).sum())
+    finite = int((V[:, 2] != INF).sum())
     return V[perm], N, finite

@@ -155,17 +155,19 @@ def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
     finite = ends[:, 1] < tri.finite
     ends[~finite, 1] = -1  # (real triangle, -1)
     ray_dirs = np.full((len(ends), 2), math.nan)
-    for k in np.flatnonzero(~finite).tolist():
-        # hull edge: ray from the circumcenter of its only real triangle,
-        # perpendicular to the site pair and away from the third site
-        i, j = ridge_cells[k].tolist()
-        gi, gj = p[i].tolist(), p[j].tolist()
-        mx, my = 0.5 * (gi[0] + gj[0]), 0.5 * (gi[1] + gj[1])
-        dx, dy = -(gj[1] - gi[1]), gj[0] - gi[0]
-        w = p[next(w for w in corners[ends[k, 0]].tolist() if w != i and w != j)].tolist()
-        if dx * (w[0] - mx) + dy * (w[1] - my) > 0.0:
-            dx, dy = -dx, -dy
-        ray_dirs[k] = geom.unit_vec(dx, dy)
+    # hull edge (i, j): ray from the circumcenter of its only real triangle,
+    # perpendicular to the site pair and away from the triangle's third
+    # site w, whose id is the corners' sum less i and j
+    ray = np.flatnonzero(~finite)
+    i, j = ridge_cells[ray].T
+    gi, gj = p[i], p[j]
+    w = p[corners[ends[ray, 0]].sum(axis=1) - i - j]
+    dx, dy = -(gj[:, 1] - gi[:, 1]), gj[:, 0] - gi[:, 0]
+    with np.errstate(all="ignore"):  # far-out sites: the test reads inf or NaN, as in float
+        m = 0.5 * (gi + gj)
+        away = dx * (w[:, 0] - m[:, 0]) + dy * (w[:, 1] - m[:, 1]) > 0.0
+    ux, uy, _ = geom.unit_vecs(np.where(away, -dx, dx), np.where(away, -dy, dy))
+    ray_dirs[ray] = np.column_stack((ux, uy))
     # a cell's ridges go by the angle of the neighbour across them, as
     # math.atan2 gives it (np.arctan2 rounds differently)
     d = p[ridge_cells[:, ::-1].ravel()] - p[ridge_cells.ravel()]

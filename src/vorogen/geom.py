@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DegenerateRidgeError
 
 # Two directions count as parallel when the |sin| of their angle falls below
@@ -25,6 +27,10 @@ UNIT_TOL = 1e-12
 # Loading refuses a coordinate beyond COORD_MAX in magnitude: the program
 # squares coordinates and their differences, which overflow past about 2**511.
 COORD_MAX = 2.0**500
+# A diagram whose vertices span a diagonal below EXTENT_MIN (but above 0) is
+# refused: the squares of errors of 2**-52 times the extent then stay normal
+# floats, so sums of squared residuals neither underflow nor lose bits.
+EXTENT_MIN = 2.0**-400
 
 
 class Point2(NamedTuple):
@@ -58,6 +64,16 @@ def unit_vec(x: float, y: float) -> UnitVec2:
     if n <= 0.0 or not math.isfinite(n):
         raise DegenerateRidgeError(f"cannot normalize direction ({x}, {y})")
     return UnitVec2(sx / n, sy / n)
+
+
+def unit_vecs(x: np.ndarray, y: np.ndarray):
+    """``unit_vec`` of each (x, y): the direction, and whether it exists."""
+    _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
+    sx, sy = np.ldexp(x, -e), np.ldexp(y, -e)
+    n = np.fromiter(map(math.hypot, sx, sy), float, len(sx))
+    ok = (n > 0.0) & np.isfinite(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sx / n, sy / n, ok
 
 
 def is_unit(v, tol: float = UNIT_TOL) -> bool:

@@ -214,11 +214,14 @@ class Tessellation:
 
         Raises on the first fault found, which ``validate`` lists too:
         OutOfRangeIdError for an id that does not exist, InconsistentSystemError
-        for a non-finite vertex, a ray whose direction is missing or not unit
-        length, a cell listing a ridge that does not border it, or a ridge not
-        listed exactly once by each of its two cells. The vertex and the last
-        two faults have ``validate``'s message; the others name the bad id or
-        direction, where ``validate`` says "out-of-range" or "not unit length".
+        for a vertex that is not finite or has a coordinate above
+        ``geom.COORD_MAX``, vertices spanning a diagonal below
+        ``geom.EXTENT_MIN`` (but above 0), a ray whose direction is missing or
+        not unit length, a cell listing a ridge that does not border it, or a
+        ridge not listed exactly once by each of its two cells. The vertex,
+        extent and last two faults have ``validate``'s message; the others
+        name the bad id or direction, where ``validate`` says "out-of-range"
+        or "not unit length".
         """
         return _ridge_arrays(self)
 
@@ -338,6 +341,8 @@ class _Incidence:
     bad_ray: np.ndarray  # (R,) an ok ray whose direction is not unit length
     listings: np.ndarray  # (R, 2) how often each of a ridge's cells lists it, as floats
     nonfinite: np.ndarray  # (V,) a vertex with a non-finite coordinate
+    huge: np.ndarray  # (V,) a vertex with a finite coordinate above ``geom.COORD_MAX``
+    span_fault: str  # the vertices span a diagonal in (0, ``geom.EXTENT_MIN``); else ""
     owner: np.ndarray  # (E,) the cell of each entry
     in_range: np.ndarray  # (E,) the entry's ridge id is in range
     borders: np.ndarray  # (E,) the entry's ridge is one of its cell's
@@ -375,14 +380,19 @@ def _incidence(t: Tessellation) -> _Incidence:
     c0, c1 = np.concatenate((cells, np.full((1, 2), -1, np.int32))).take(rid, 0).T
     s0, s1 = c0 == owner, c1 == owner
     listings = np.stack([np.bincount(rid, s, nr + 1)[:nr] for s in (s0, s1)], axis=1)
-    nonfinite = ~np.isfinite(t._xy[:, 0]) | ~np.isfinite(t._xy[:, 1])
+    x, y = np.abs(t._xy.T)
+    nonfinite = ~np.isfinite(x) | ~np.isfinite(y)
+    huge = ~nonfinite & ((x > geom.COORD_MAX) | (y > geom.COORD_MAX))
+    x0, y0, x1, y1 = t._bbox
+    span = math.hypot(x1 - x0, y1 - y0)
+    span_fault = f"vertices span {span:.3e}, below 2**-400" if 0.0 < span < geom.EXTENT_MIN else ""
     at = ~bad_end
     at[:, 1] &= finite
     vids = ends[at]
     vertex_start = np.concatenate(([0], np.cumsum(np.bincount(vids, minlength=nv))))
     vertex_ridges = np.repeat(np.arange(nr, dtype=np.int32), 2)[at.ravel()][np.argsort(vids, kind="stable")]
     return _Incidence(
-        bad_cell, bad_end, ok, seg, lengths, degenerate, bad_ray, listings, nonfinite,
+        bad_cell, bad_end, ok, seg, lengths, degenerate, bad_ray, listings, nonfinite, huge, span_fault,
         owner, in_range, s0 | s1, np.where(s0, c1, c0), vertex_start, vertex_ridges,
     )
 
@@ -398,7 +408,8 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
          lambda i: f"ridge {i % nr} references vertex {ends.T.flat[i]}; there are {nv} vertices"),
         (OutOfRangeIdError, ~inc.in_range,
          lambda e: f"cell {inc.owner[e]} references ridge {listed[e]}; there are {nr} ridges"),
-        (InconsistentSystemError, inc.nonfinite, lambda v: f"vertex {v} has non-finite coordinates"),
+        (InconsistentSystemError, inc.nonfinite | inc.huge, lambda v: _vertex_fault(inc, v)),
+        (InconsistentSystemError, [inc.span_fault != ""], lambda _: inc.span_fault),
         (InconsistentSystemError, inc.bad_ray, lambda k: f"ray ridge {k} has direction"
          f" {None if math.isnan(t._rays[k, 0]) else tuple(t._rays[k].tolist())}, not a unit vector"),
         (InconsistentSystemError, ~inc.borders,
@@ -431,6 +442,12 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
     )
 
 
+def _vertex_fault(inc: _Incidence, v: int) -> str:
+    if inc.nonfinite[v]:
+        return f"vertex {v} has non-finite coordinates"
+    return f"vertex {v} has a coordinate above 2**500 in magnitude"
+
+
 def _ring_ridges(cells, c1, c2, nc: int) -> np.ndarray:
     """The lowest-id ridge joining cells ``c1[i]`` and ``c2[i]``, -1 where
     none does: a search of the ridges sorted by the key ``min * nc + max``
@@ -455,7 +472,8 @@ def validate(t: Tessellation) -> list[str]:
     vertices, ridges and cells that messages are written for, in that order.
     """
     inc = _incidence(t)
-    out = [f"vertex {i} has non-finite coordinates" for i in np.flatnonzero(inc.nonfinite).tolist()]
+    out = [_vertex_fault(inc, v) for v in np.flatnonzero(inc.nonfinite | inc.huge).tolist()]
+    out += [inc.span_fault] if inc.span_fault else []
     cells, ok, thresh = t._cells, inc.ok, t.degeneracy_threshold()
     asym = ok[:, None] & (inc.listings != 1)
     flagged = (cells[:, 0] == cells[:, 1]) | ~ok | inc.degenerate | inc.bad_ray | asym[:, 0] | asym[:, 1]
@@ -503,7 +521,8 @@ def _is_split_bisector(t: Tessellation, inc: _Incidence, v: VertexId) -> bool:
 
 def _validate_cells(t: Tessellation, inc: _Incidence) -> list[str]:
     """Violations of each cell, in cell order. The polygon of a cell with a
-    ridge that is not ``inc.ok``, or not finite in length, is not checked.
+    ridge that is not ``inc.ok``, or that ends at a vertex flagged non-finite
+    or huge, is not checked.
 
     A cell is clean when every ridge it lists is in range and borders it.
     The boundary chains (``shared_corners``), rays and polygons of the clean
@@ -513,7 +532,9 @@ def _validate_cells(t: Tessellation, inc: _Incidence) -> list[str]:
     start, listed, bounded = t._cell_start, t._cell_ridges, t._bounded
     deg = np.diff(start)
     owner, in_range, borders = inc.owner, inc.in_range, inc.borders
-    skip = ~inc.ok | (t._finite & ~np.isfinite(inc.lengths))
+    # -1, a bad or missing end, reads the row past the vertices
+    wild = np.append(inc.nonfinite | inc.huge, False).take(np.where(inc.bad_end, -1, t._ends))
+    skip = ~inc.ok | wild[:, 0] | wild[:, 1]
     clean = (deg > 0) & (np.bincount(owner[~borders], minlength=nc) == 0)
     rids, own = listed[clean[owner]], owner[clean[owner]]
     sub_start = np.concatenate(([0], np.cumsum(deg[clean])))

@@ -151,44 +151,44 @@ def test_predicates_are_exact_near_degenerate_input():
     assert (delaunay.incircle(*c, *d, *a, *b) == delaunay.incircle(*args)).all()
 
 
-# SHA-256 (first 16 hex digits) of the finite triangles in canonical order
-# and of insertion_order, as int64; the triangles' digests were recorded
-# when the canonical order replaced the incremental code's creation order
+# SHA-256 (first 16 hex digits) of the finite triangles in canonical order,
+# as int64; re-recorded when the canonical order came to rank corners by
+# their site ids
 DIGESTS = {
-    (1000, 0): ("a23e7fd3ece931f1", "391a40ddae29b139"),
-    (1000, 1): ("c0ec4e7ac246ff55", "ad9cbd3ee35f4c2d"),
-    (1000, 2): ("9475c9de60675b1c", "4d4db1babb93a99d"),
-    (10_000, 0): ("45462a6e8c5df6c0", "c507a7d6f5ea29ee"),
+    (1000, 0): "f933bccc8f1ad9a3",
+    (1000, 1): "f45db4be5052bfcd",
+    (1000, 2): "9367db0a060f8c8c",
+    (10_000, 0): "903ada40de20120c",
 }
 
 
 @pytest.mark.parametrize("n,seed", sorted(DIGESTS))
 def test_triangle_ids_and_insertion_order_keep_their_bits(n, seed):
-    pts = points(n, seed)
-    tris, order = DIGESTS[(n, seed)]
-    assert digest(delaunay.insertion_order(pts)) == order
-    assert digest(finite_triangles(build(pts))) == tris
+    assert digest(finite_triangles(build(points(n, seed)))) == DIGESTS[(n, seed)]
 
 
 def test_canonical_rotation_puts_the_latest_corner_last():
-    """Each finite triangle ends with its corner inserted last in the
-    parent's order, except the first triangle, which starts with its first
-    point; and the triangles go by those last corners."""
-    pts = points(1000, 3)
-    order = delaunay.insertion_order(pts)
-    rank = np.empty(len(pts), int)
-    rank[order] = np.arange(len(pts))
-    tris = np.array(finite_triangles(build(pts)))
-    r = rank[tris]
-    seed = r.max(axis=1) == 2
-    assert tris[seed].tolist() == [[order[0], *tris[seed][0, 1:]]]
-    assert (r[~seed, 2] == r[~seed].max(axis=1)).all()
-    assert (np.diff(r[:, 2]) >= 0).all()
+    """Each finite triangle ends with its highest site id, and the triangles
+    go by their last, first and middle corners; every ghost triangle ends
+    with INF."""
+    tri = build(points(1000, 3))
+    tris = tri.V[: tri.finite]
+    assert (tris[:, 2] == tris.max(axis=1)).all()
+    assert (np.lexsort((tris[:, 1], tris[:, 0], tris[:, 2])) == np.arange(tri.finite)).all()
+    assert (tri.V[tri.finite :, 2] == delaunay.INF).all()
 
 
-def test_insertion_order_ties_keep_input_order():
-    assert delaunay.insertion_order([]) == []
-    assert delaunay.insertion_order([(1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]) == [1, 3, 0, 2]
+def test_canonical_order_ignores_the_insertion_priority(monkeypatch):
+    """The random priority that decides the insertion rounds reaches no
+    triangle or neighbour id: generic points have one Delaunay
+    triangulation, and every priority seed numbers it the same way."""
+    pts = [tuple(p) for p in np.random.default_rng(4).uniform(0.0, 1.0, (1000, 2)).tolist()]
+    tri = build(pts)
+    for seed in (1, 99):
+        monkeypatch.setattr(delaunay, "_PRIORITY_SEED", seed)
+        other = build(pts)
+        assert np.array_equal(other.V, tri.V) and np.array_equal(other.N, tri.N)
+        assert other.finite == tri.finite
 
 
 def test_repeated_points_are_left_out():

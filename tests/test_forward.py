@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vorogen import delaunay
 from vorogen.errors import ConstructionError
 from vorogen.forward import (
     SiteSample,
@@ -25,7 +26,7 @@ from vorogen.forward import (
     sample_and_build,
     sample_sites,
 )
-from vorogen.geom import DEGENERACY_REL, Point2
+from vorogen.geom import DEGENERACY_REL, Point2, unit_vec
 from vorogen.pipeline import reconstruct
 from vorogen.tessellation import dumps, validate
 
@@ -63,7 +64,8 @@ def test_sample_sites_rejects_tiny_n():
 
 def test_build_two_sites():
     t, gt = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
-    assert validate(t) == []
+    assert validate(t) == []  # one vertex: an extent of 0 is no fault
+    assert len(t.arrays.vertices) == 1
     assert len(t.cells) == 2
     assert gt.generators.tolist() == [[0.0, 0.0], [2.0, 0.0]]
 
@@ -341,6 +343,24 @@ def test_ray_ridges_still_bisect(built):
         assert da == pytest.approx(db, rel=1e-10)
 
 
+def test_hull_rays_match_the_loop(built):
+    """Each hull ray has the bits of a per-ridge loop: perpendicular to its
+    two sites, away from the third corner of its triangle (vertex ids are
+    the finite triangles' ids), normalized by ``unit_vec``."""
+    for n, seed in ((50, 3), (2000, 1)):
+        sample, t, _ = built(n, seed)
+        p = sample.points.tolist()
+        corners = delaunay.Triangulation(sample.points).V.tolist()
+        for k in np.flatnonzero(~t._finite).tolist():
+            i, j = t._cells[k].tolist()
+            (w,) = set(corners[t._ends[k, 0]]) - {i, j}
+            (xi, yi), (xj, yj), (xw, yw) = p[i], p[j], p[w]
+            dx, dy = -(yj - yi), xj - xi
+            if dx * (xw - 0.5 * (xi + xj)) + dy * (yw - 0.5 * (yi + yj)) > 0.0:
+                dx, dy = -dx, -dy
+            assert tuple(t._rays[k].tolist()) == unit_vec(dx, dy), f"ridge {k}"
+
+
 def test_build_is_deterministic():
     _, t1, gt1 = sample_and_build(60, 9)
     _, t2, gt2 = sample_and_build(60, 9)
@@ -348,13 +368,15 @@ def test_build_is_deterministic():
 
 
 # SHA-256 of the vertex coordinates as little-endian float64, rows sorted by
-# (x, y), recorded with the incremental triangulation: a renumbering of the
-# vertices keeps them, a change to a circumcenter's bits does not
+# (x, y): a renumbering of the vertices keeps them, a change to a
+# circumcenter's bits does not (re-recorded when the canonical order came to
+# rank corners by site id, which changes the corner each circumcenter is
+# computed from)
 VERTEX_DIGESTS = {
-    (1000, 0): "d48a658810c8cf60",
-    (1000, 1): "269e10e808df8498",
-    (1000, 2): "2a118a60402dc739",
-    (10_000, 0): "a8dbc44ce41ace57",
+    (1000, 0): "73bdab0f590baad9",
+    (1000, 1): "c7134d87f442bcb7",
+    (1000, 2): "40a5341b0f61e259",
+    (10_000, 0): "0905bfaaeedcee06",
 }
 
 
@@ -371,11 +393,12 @@ def test_vertex_coordinates_keep_their_bits(n, seed):
 
 # SHA-256 of dumps(t, gt) for the retried samples: a change to the retry
 # must keep these bits, jittered sites included (re-recorded when the
-# vertices were renumbered from the triangle set; the sites, first 16 hex
+# vertices were renumbered from the triangle set, and again when the
+# canonical order came to rank corners by site id; the sites, first 16 hex
 # digits of their float64 SHA-256, were recorded before and kept)
 RETRY_DIGESTS = {
-    1619958167: "9a3f9b6ea8c28d206bba8f01bd9aaef68dba31e2de289bc5c33997e647311f6c",
-    2032142921: "fd4a94029c13a5be0120af8f02f6804f8d55e2d5093cbb0a86310916b44ac683",
+    1619958167: "6c17faf24c56d084bbb2e873f8c50a4268e3719098192b66a7e693d4ba6681cb",
+    2032142921: "63318845966747404d035b7d6c84c6d702eecae8136827b2f58e83a7ec11bbc9",
 }
 RETRY_SITES = {1619958167: "e18e62b6203bbd2a", 2032142921: "00e7f5997c242dbc"}
 

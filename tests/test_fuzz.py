@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vorogen.cli import main
-from vorogen.errors import ParseError, VorogenError
+from vorogen.errors import InconsistentSystemError, ParseError, VorogenError
 from vorogen.pipeline import METHODS, reconstruct
 from vorogen.tessellation import loads, validate
 
@@ -216,6 +216,40 @@ def test_large_coordinates_within_the_bound_reconstruct():
     assert validate(t) == []
     for method in METHODS:
         reconstruct(t, method)
+
+
+def scaled(f: float) -> dict:
+    """BASE with its vertices and generators scaled by ``f``."""
+    doc = mutate(BASE, [("scale_vertex", -1, f)])
+    doc["generators"] = [[f * x, f * y] for x, y in doc["generators"]]
+    return doc
+
+
+def test_small_coordinates_within_the_bound_reconstruct():
+    """A power-of-two scale above the extent bound keeps every relative error."""
+    t, gt = loads(json.dumps(BASE))
+    small, small_gt = loads(json.dumps(scaled(2.0**-300)))
+    assert validate(small) == []
+    for method in METHODS:
+        want, got = reconstruct(t, method, gt), reconstruct(small, method, small_gt)
+        assert got.rmse / 2.0**-300 == pytest.approx(want.rmse, rel=1e-6)
+        assert got.max_rse / 2.0**-300 == pytest.approx(want.max_rse, rel=1e-6)
+        assert got.refine_iterations == want.refine_iterations
+
+
+def test_extent_below_the_bound_is_inconsistent(tmp_path):
+    """Below 2**-400 the squared errors would underflow: such a file loads,
+    and ``validate``, ``arrays`` and the CLI refuse it (exit 4)."""
+    text = json.dumps(scaled(2.0**-450))
+    t, _ = loads(text)
+    (message,) = validate(t)
+    assert re.fullmatch(r"vertices span \S+, below 2\*\*-400", message)
+    with pytest.raises(InconsistentSystemError, match=re.escape(message)):
+        t.arrays
+    path = tmp_path / "tiny.json"
+    path.write_text(text)
+    assert main(["validate", "--in", str(path)]) == 4
+    assert main(["reconstruct", "--in", str(path)]) == 4
 
 
 @pytest.mark.parametrize("op", ID_OVERFLOWS)

@@ -93,16 +93,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "4d14ef2a9f6d0b04", "sweep_first": "f5958894843008c6", "refined": "71c21efcd2ad5efb", "brute": "7b2aefc6abae453b", "cprime": "57455b6e23beb69f"},
-    (200, 1): {"anchor": 31, "scores": "dd69644f5c662687", "sweep_first": "258c52ef52c6c95f", "refined": "fd26561dbf74c953", "brute": "54f9f82915eb0786", "cprime": "870584b1e70f8899"},
-    (200, 2): {"anchor": 35, "scores": "af17edc678000d56", "sweep_first": "e26172fce01e72b9", "refined": "29b68ab5b74e92cf", "brute": "666e8070abf289ee", "cprime": "b703755054fb5c7d"},
-    (200, 3): {"anchor": 49, "scores": "6fdabd2f5d93433e", "sweep_first": "28ac1c6c1834716b", "refined": "2d2bebc829928b32", "brute": "e9a4b8b3bceacdd0", "cprime": "ec7d56ba2ba94872"},
-    (200, 4): {"anchor": 137, "scores": "733e80df66ee51cc", "sweep_first": "56190127218ad5cf", "refined": "36e75b0e33dcb8a2", "brute": "05e815c3401f013d", "cprime": "3f874801a7b760d4"},
-    (2000, 0): {"anchor": 190, "scores": "8be1ded567fba59c", "sweep_first": "7a1290a03353c4a1", "refined": "6f5b5a68478a88f5", "brute": "26394a0911c9cd37", "cprime": "acba6a7042295552"},
-    (2000, 1): {"anchor": 138, "scores": "32b3023a84dc711c", "sweep_first": "e5cf695825c1a3a5", "refined": "ec0d127c169f9486", "brute": "66fbc7fc2ed7af1b", "cprime": "589f771088458fac"},
-    (2000, 2): {"anchor": 1940, "scores": "24ff3b73d5b15bd2", "sweep_first": "16bffa30d1ba9407", "refined": "69535dbb0d2a68cd", "brute": "05c2ef37f297fc42", "cprime": "ff668243cb355419"},
-    (2000, 3): {"anchor": 518, "scores": "de0d05dfab7d77d0", "sweep_first": "4a5435f15b5d261a", "refined": "72a7ee38fa46e05e", "brute": "2e2148ff6b495c67", "cprime": "1282a2806ae715e1"},
-    (2000, 4): {"anchor": 1729, "scores": "d4b5a31047229b35", "sweep_first": "23bef62d9a120948", "refined": "192c0e6f268900b0", "brute": "c37e91d91616cdec", "cprime": "7dcf8910060daa66"},
+    (200, 0): {"anchor": 69, "scores": "a8488ef666004876", "sweep_first": "e37d25d06ef57153", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
+    (200, 1): {"anchor": 31, "scores": "394d6a8a9df32e2f", "sweep_first": "c8544486f9118c0f", "refined": "0ad7cf52e0b5d958", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
+    (200, 2): {"anchor": 35, "scores": "105cd94585c7eb90", "sweep_first": "09602d48afd4290f", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
+    (200, 3): {"anchor": 49, "scores": "e40df5a181fcd4e4", "sweep_first": "be89613313814e6c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
+    (200, 4): {"anchor": 137, "scores": "a46c0af584901831", "sweep_first": "0b4f6c614e3570b4", "refined": "233ecd3cdca03d99", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
+    (2000, 0): {"anchor": 190, "scores": "816c5623d5987906", "sweep_first": "a50d12768f076fd0", "refined": "a4db4fb0c2c89b50", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
+    (2000, 1): {"anchor": 138, "scores": "3263cbfba2e834e6", "sweep_first": "156cfc2577b552fe", "refined": "9e9a52a0262d459c", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
+    (2000, 2): {"anchor": 1940, "scores": "f7b49e73c2b9fe68", "sweep_first": "06549376a8bfe990", "refined": "22efd7d60bbbf3de", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
+    (2000, 3): {"anchor": 518, "scores": "03231a1c2ca3dcf8", "sweep_first": "c08470870cb963cb", "refined": "5a96f87d23782d32", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
+    (2000, 4): {"anchor": 1729, "scores": "92ec19c3c7ea86dd", "sweep_first": "5a348a72b20fcaca", "refined": "f15295b37b269bdd", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
 }
 
 
@@ -124,16 +124,16 @@ def report_row(sites, t, gt) -> dict:
 
 
 REPORTS = {
-    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "0bd3bf360d35c9ca", "brute": "7b03e5933c8244cb", "cprime": "7a9d838047a1267c"},
-    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "081fcbd34c82429f", "brute": "e07cfa6ace8277de", "cprime": "d3792ea34e43a231"},
-    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "62ec6871511812f5", "brute": "a039e2f9737aab43", "cprime": "d6f6fdbeb3d29e36"},
-    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "60bc8cdfc6c6614b", "brute": "88406f50f9615e7d", "cprime": "d639da2d1492e8a7"},
-    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "f1d2be454af2d2bc", "brute": "643003b33efa310e", "cprime": "8d5b25b39d05d2bb"},
-    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "04b21d14c10bd36c", "brute": "911d6c630c8f494a", "cprime": "84eb49e57df98449"},
-    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "7942b91e6d7a9ce9", "brute": "d777e1efe2e7137d", "cprime": "0f977b5d6e41c9ff"},
-    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "d00391999e25f382", "brute": "5d23af824c9c6f47", "cprime": "0f6170ebb4f14b58"},
-    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "b13d738a22256e0a", "brute": "094d40224c25f5e3", "cprime": "b80babc9e84a1bf5"},
-    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "28c08c1fbe269328", "brute": "74a5bdea7b69fa29", "cprime": "56147b75714cb5b1"},
+    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "205ce5d658ebef7d", "brute": "db27f07f36881e41", "cprime": "c47b5735cf4d7aad"},
+    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "f71198d50d4b1e4f", "brute": "20ba9a32a5212d7b", "cprime": "86a5397302bd1f78"},
+    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "d1fd03c6925c596c", "brute": "16e9e826334caff7", "cprime": "9ac7aa8a8cbde722"},
+    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "f64102ab1e62a4c1", "brute": "58de3ff233b7a689", "cprime": "96f1efb1b8667980"},
+    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "d9efff718e9b482c", "brute": "1fc3ec34906d18d6", "cprime": "9f8216c096e8fc44"},
+    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "416e0476fb5c3ec4", "brute": "68fa73043604c1fa", "cprime": "9a762d4ac11385b7"},
+    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "24a4e67e56c8e312", "brute": "f83416af96b6474d", "cprime": "7e45b15d446e36fc"},
+    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "c5d0bb3718c3a0b0", "brute": "0a35395d00ebf3a4", "cprime": "435b50dfca159ea1"},
+    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "25ca35a52c41b93e", "brute": "515d7597a9658e13", "cprime": "c4e452fc9ec6b26d"},
+    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "757e171335f4e00f", "brute": "0f3a4769a1208f16", "cprime": "ba29c423e9dc0d55"},
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,20 @@ def test_malformed_geometry_is_inconsistent(built, kind, words):
         with pytest.raises(InconsistentSystemError, match=words):
             reconstruct(bad, method, gt)
     assert validate(bad)  # validation still reports instead of raising
+
+
+def test_huge_code_built_vertices_are_refused_without_warnings(diamond):
+    """``loads`` refuses a coordinate above 2**500; a tessellation built in
+    code with such vertices is listed by ``validate``, whose polygon checks
+    skip the cell touching them, and refused by ``arrays``."""
+    t, _ = diamond
+    huge = Tessellation([(1e300 * x, 1e300 * y) for x, y in t.vertices], t.ridges, t.cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        msgs = validate(huge)
+    assert msgs == [f"vertex {v} has a coordinate above 2**500 in magnitude" for v in range(4)]
+    with pytest.raises(InconsistentSystemError, match=re.escape(msgs[0])):
+        huge.arrays
 
 
 @pytest.mark.parametrize("fault", ["foreign", "repeated", "dropped"])
