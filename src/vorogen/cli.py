@@ -57,6 +57,7 @@ def _cmd_reconstruct(args) -> int:
     if rep.anchor is not None:
         summary["anchor"] = rep.anchor
         summary["refine_iterations"] = rep.refine_iterations
+        summary["condition"] = rep.condition
     if rep.residual is not None:
         summary["residual"] = rep.residual
     if rep.rmse is not None:
@@ -128,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
     r.add_argument("--anchor-seed", type=int, help="draw the anchor among the eligible cells"
-                   " with this seed (default: the best-scoring cell)")
+                   " with this seed (default: the cell of largest edge ratio; --method anchor"
+                   " only)")
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")
     r.set_defaults(func=_cmd_reconstruct)

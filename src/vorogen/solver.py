@@ -203,8 +203,8 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     score = score_cell(t, anchor)
     if not score.eligible:
         raise AnchorIneligibleError(
-            f"cell {anchor} is not anchor-eligible (bounded={bool(t.arrays.bounded[anchor])},"
-            f" degree={score.degree}, max parallelism={score.max_pairwise_parallelism:.3g})"
+            f"cell {anchor} is not anchor-eligible"
+            f" (bounded={bool(t.arrays.bounded[anchor])}, degree={score.degree})"
         )
     a = t.arrays
     ((_, mat, rhs, members, pairs),) = patch_stacks(a, np.array([anchor]))

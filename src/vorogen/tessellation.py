@@ -197,9 +197,6 @@ class Tessellation:
 
     # -- derived geometry ---------------------------------------------------
 
-    def bbox(self) -> tuple[float, float, float, float]:
-        return self._bbox
-
     def diameter(self) -> float:
         x0, y0, x1, y1 = self._bbox
         return math.hypot(x1 - x0, y1 - y0) or 1.0

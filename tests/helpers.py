@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vorogen.anchor import composite_score, eligible_cells
+from vorogen.anchor import eligible_cells
 from vorogen.baselines import ZERO_DELTA_WEIGHT_CAP, CPrimeEstimate
 from vorogen.errors import (
     DegenerateRidgeError,
@@ -342,8 +342,7 @@ def _sum(xs) -> float:
 
 
 def score_cell_reference(t: Tessellation, c: int) -> tuple:
-    """(eligible, degree, min_edge_ratio, max_pairwise_parallelism,
-    centrality, composite) of one cell, one ridge at a time."""
+    """(eligible, degree, min_edge_ratio) of one cell, one ridge at a time."""
     cell = t.cells[c]
     dirs, lengths, degenerate = [], [], False
     for rid in cell.ridges:
@@ -356,38 +355,18 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
         if r.is_finite:
             p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
             lengths.append(math.hypot(p1.x - p0.x, p1.y - p0.y))
-    min_sin, max_sin = 1.0, 0.0
+    max_sin = 0.0
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
-            s = abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0])
-            min_sin = min(min_sin, s)
-            max_sin = max(max_sin, s)
-    if len(dirs) < 2:
-        min_sin = 0.0
+            max_sin = max(max_sin, abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]))
     min_edge_ratio = (min(lengths) / max(lengths)) if lengths else 0.0
-    vids = sorted({v for rid in cell.ridges for v in t.ridges[rid].vertex_ids()})
-    centrality = 1.0
-    if vids:
-        cx = _sum(t.vertices[v].x for v in vids) / len(vids)
-        cy = _sum(t.vertices[v].y for v in vids) / len(vids)
-        x0, y0, x1, y1 = t.bbox()
-        d = math.hypot(cx - 0.5 * (x0 + x1), cy - 0.5 * (y0 + y1))
-        centrality = min(1.0, d / (0.5 * t.diameter()))
     nb = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
     pairs = {frozenset(r.cells) for r in t.ridges}
     has_ring = cell.bounded and any(
         frozenset((nb[i], nb[(i + 1) % len(nb)])) in pairs for i in range(len(nb))
     )
-    spread = max(0.0, min(1.0, min_sin))
     eligible = cell.bounded and not degenerate and max_sin > PARALLEL_TOL and has_ring
-    return (
-        eligible,
-        len(cell.ridges),
-        min_edge_ratio,
-        1.0 - spread,
-        centrality,
-        composite_score(min_edge_ratio, centrality, len(cell.ridges), spread),
-    )
+    return eligible, len(cell.ridges), min_edge_ratio
 
 
 def mirror_step(t: Tessellation, rid: int, g) -> Point2:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from vorogen.anchor import composite_score, eligible_cells, score_cell, select_anchor
+from vorogen.anchor import eligible_cells, score_cell, select_anchor
 from vorogen.errors import NoEligibleAnchorError
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2
@@ -48,9 +48,7 @@ def test_all_parallel_bounded_cell_is_ineligible():
         Cell(ridges=(1,), bounded=False),
     ]
     t = Tessellation(vertices, ridges, cells)
-    s = score_cell(t, 0)
-    assert not s.eligible
-    assert s.max_pairwise_parallelism == pytest.approx(1.0, abs=1e-12)
+    assert not score_cell(t, 0).eligible
 
 
 def test_two_site_diagram_has_no_anchor():
@@ -58,21 +56,6 @@ def test_two_site_diagram_has_no_anchor():
     assert eligible_cells(t) == []
     with pytest.raises(NoEligibleAnchorError):
         select_anchor(t)
-
-
-def test_composite_weights():
-    assert composite_score(1.0, 0.0, 4, 1.0) == pytest.approx(1.0)
-    assert composite_score(1.0, 0.0, 3, 1.0) == pytest.approx(0.9)  # out-of-band degree
-    assert composite_score(0.0, 1.0, 3, 0.0) == pytest.approx(0.1)
-    assert composite_score(0.5, 0.5, 7, 0.5) == pytest.approx(0.4 * 0.5 + 0.3 * 0.5 + 0.2 + 0.1 * 0.5)
-
-
-def test_composite_is_monotone():
-    base = composite_score(0.4, 0.6, 5, 0.3)
-    assert composite_score(0.5, 0.6, 5, 0.3) > base
-    assert composite_score(0.4, 0.5, 5, 0.3) > base
-    assert composite_score(0.4, 0.6, 5, 0.4) > base
-    assert composite_score(0.4, 0.6, 3, 0.3) < base
 
 
 def test_eligible_cells_sorted_and_bounded(built):
@@ -92,11 +75,13 @@ def test_selected_anchor_is_eligible(built):
     assert score_cell(t, select_anchor(t, seed=5)).eligible
 
 
-def test_best_score_maximizes_composite(built):
-    _, t, _ = built(100, 1)
-    best = select_anchor(t)
-    scores = {c: score_cell(t, c).composite for c in eligible_cells(t)}
-    assert scores[best] == max(scores.values())
+def test_best_score_maximizes_edge_ratio(built):
+    """The anchor is the lowest-id eligible cell of largest edge ratio."""
+    for n, seed in ((100, 1), (300, 5)):
+        _, t, _ = built(n, seed)
+        ratios = {c: score_cell(t, c).min_edge_ratio for c in eligible_cells(t)}
+        best = max(ratios.values())
+        assert select_anchor(t) == min(c for c, r in ratios.items() if r == best)
 
 
 def test_random_policy_is_deterministic(built):
@@ -115,12 +100,12 @@ def test_random_policy_spreads_over_eligible_cells(built):
 
 
 def test_exact_tie_breaks_to_lowest_cell_id(two_diamonds):
-    # the two components are exact translated copies: identical composites
+    # the two components are exact translated copies: identical edge ratios
     t, _ = two_diamonds
     s1 = score_cell(t, 4)
     s2 = score_cell(t, 9)
     assert s1.eligible and s2.eligible
-    assert s1.composite == s2.composite
+    assert s1.min_edge_ratio == s2.min_edge_ratio
     assert select_anchor(t) == 4
 
 
@@ -145,7 +130,7 @@ def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring
         [Cell(ridges=(0, 1), bounded=True), Cell(ridges=(0,), bounded=False),
          Cell(ridges=(1,), bounded=False)],
     )
-    # |sin| of these two perpendicular ridges rounds to 1 + 2**-52; the loop's min reads 1
+    # |sin| of these two perpendicular ridges rounds to 1 + 2**-52
     perpendicular = Tessellation(
         [(0.0, 0.0), (1.0, 5.0), (-5.0, 1.0)],
         [Ridge(cells=(0, 1), v0=0, v1=1), Ridge(cells=(0, 2), v0=0, v1=2)],
@@ -160,6 +145,5 @@ def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring
     for t in cases:
         for c in range(len(t.cells)):
             s = score_cell(t, c)
-            got = (s.eligible, s.degree, s.min_edge_ratio, s.max_pairwise_parallelism,
-                   s.centrality, s.composite)
+            got = (s.eligible, s.degree, s.min_edge_ratio)
             assert got == score_cell_reference(t, c), c

@@ -248,6 +248,14 @@ def test_reconstruct_rejects_unknown_method():
         reconstruct(t, "magic")
 
 
+def test_reconstruct_rejects_anchor_seed_with_other_methods():
+    # checked before the work: this diagram has no eligible anchor
+    two_sites, _ = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
+    for method in ("brute", "cprime"):
+        with pytest.raises(ValueError, match="anchor method only"):
+            reconstruct(two_sites, method, anchor_seed=3)
+
+
 def test_reconstruct_rejects_mismatched_truth():
     _, t, _ = sample_and_build(30, 6)
     _, _, other = sample_and_build(40, 6)

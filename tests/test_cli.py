@@ -9,6 +9,7 @@ not installed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -76,6 +77,7 @@ def test_reconstruct_reports_accuracy(tess_file, tmp_path, capsys):
     assert doc["depth"] >= 1
     assert doc["rmse"] < 1e-10
     assert doc["max_rse"] < 1e-9
+    assert math.isfinite(doc["condition"]) and doc["condition"] >= 1.0
 
 
 def test_reconstruct_out_round_trip(tess_file, tmp_path):
@@ -111,6 +113,13 @@ def test_reconstruct_alternative_policies(tess_file, tmp_path):
     t, _ = load(tess_file)
     assert json.loads(report.read_text())["anchor"] == select_anchor(t, seed=3)
     assert main(["reconstruct", "--in", str(tess_file), "--anchor-policy", "random"]) == 2
+
+
+def test_anchor_seed_with_another_method_exits_2(tess_file, capsys):
+    code = main(["reconstruct", "--in", str(tess_file), "--method", "cprime",
+                 "--anchor-seed", "3"])
+    assert code == 2
+    assert "anchor method only" in capsys.readouterr().err
 
 
 def test_reconstruct_inconsistent_input_exits_4(tess_file, tmp_path, capsys):

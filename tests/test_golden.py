@@ -82,8 +82,7 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
     return {
         "anchor": anchor,
         "scores": digest(
-            [(s.eligible, s.degree, s.min_edge_ratio, s.max_pairwise_parallelism,
-              s.centrality, s.composite) for s in scores]
+            [(s.eligible, s.degree, s.min_edge_ratio) for s in scores]
         ),
         "sweep_first": sweep_first,
         "refined": refined,
@@ -93,16 +92,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "a8488ef666004876", "sweep_first": "e37d25d06ef57153", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
-    (200, 1): {"anchor": 31, "scores": "394d6a8a9df32e2f", "sweep_first": "c8544486f9118c0f", "refined": "0ad7cf52e0b5d958", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
-    (200, 2): {"anchor": 35, "scores": "105cd94585c7eb90", "sweep_first": "09602d48afd4290f", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
-    (200, 3): {"anchor": 49, "scores": "e40df5a181fcd4e4", "sweep_first": "be89613313814e6c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
-    (200, 4): {"anchor": 137, "scores": "a46c0af584901831", "sweep_first": "0b4f6c614e3570b4", "refined": "233ecd3cdca03d99", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
-    (2000, 0): {"anchor": 190, "scores": "816c5623d5987906", "sweep_first": "a50d12768f076fd0", "refined": "a4db4fb0c2c89b50", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
-    (2000, 1): {"anchor": 138, "scores": "3263cbfba2e834e6", "sweep_first": "156cfc2577b552fe", "refined": "9e9a52a0262d459c", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
-    (2000, 2): {"anchor": 1940, "scores": "f7b49e73c2b9fe68", "sweep_first": "06549376a8bfe990", "refined": "22efd7d60bbbf3de", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
-    (2000, 3): {"anchor": 518, "scores": "03231a1c2ca3dcf8", "sweep_first": "c08470870cb963cb", "refined": "5a96f87d23782d32", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
-    (2000, 4): {"anchor": 1729, "scores": "92ec19c3c7ea86dd", "sweep_first": "5a348a72b20fcaca", "refined": "f15295b37b269bdd", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
+    (200, 0): {"anchor": 69, "scores": "0ab0a70ab6d2848c", "sweep_first": "e37d25d06ef57153", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
+    (200, 1): {"anchor": 157, "scores": "3fe8b4046668983b", "sweep_first": "9c9b2dbf4ebcc99d", "refined": "617042b816613f79", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
+    (200, 2): {"anchor": 35, "scores": "b94580321d42b1f4", "sweep_first": "09602d48afd4290f", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
+    (200, 3): {"anchor": 49, "scores": "ad863f6c2b04a226", "sweep_first": "be89613313814e6c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
+    (200, 4): {"anchor": 27, "scores": "ad192db0bdd8a126", "sweep_first": "848b85c92e8aa2e7", "refined": "ac4d50d0442769df", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
+    (2000, 0): {"anchor": 1666, "scores": "f2c629e2bb8d00c3", "sweep_first": "b7e9bff84fc0163b", "refined": "59537c509bbdd389", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
+    (2000, 1): {"anchor": 537, "scores": "d14f4e8f4442a9a2", "sweep_first": "0d9c4f1fd651f85c", "refined": "c5d9bc02775bfc79", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
+    (2000, 2): {"anchor": 643, "scores": "95360e7fbcb2ec4a", "sweep_first": "3888e5b2b12aab39", "refined": "2e4bb3ef030060e1", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
+    (2000, 3): {"anchor": 1671, "scores": "b1016e9195e05a28", "sweep_first": "4b8d7f14ff8660e1", "refined": "2f7273c23ed38069", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
+    (2000, 4): {"anchor": 597, "scores": "d11a488e24503768", "sweep_first": "0ba1712d441756ca", "refined": "50fe612579394fbe", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
 }
 
 
@@ -125,15 +124,15 @@ def report_row(sites, t, gt) -> dict:
 
 REPORTS = {
     (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "205ce5d658ebef7d", "brute": "db27f07f36881e41", "cprime": "c47b5735cf4d7aad"},
-    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "f71198d50d4b1e4f", "brute": "20ba9a32a5212d7b", "cprime": "86a5397302bd1f78"},
+    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "9ae96ce81afe54ab", "brute": "20ba9a32a5212d7b", "cprime": "86a5397302bd1f78"},
     (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "d1fd03c6925c596c", "brute": "16e9e826334caff7", "cprime": "9ac7aa8a8cbde722"},
     (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "f64102ab1e62a4c1", "brute": "58de3ff233b7a689", "cprime": "96f1efb1b8667980"},
-    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "d9efff718e9b482c", "brute": "1fc3ec34906d18d6", "cprime": "9f8216c096e8fc44"},
-    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "416e0476fb5c3ec4", "brute": "68fa73043604c1fa", "cprime": "9a762d4ac11385b7"},
-    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "24a4e67e56c8e312", "brute": "f83416af96b6474d", "cprime": "7e45b15d446e36fc"},
-    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "c5d0bb3718c3a0b0", "brute": "0a35395d00ebf3a4", "cprime": "435b50dfca159ea1"},
-    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "25ca35a52c41b93e", "brute": "515d7597a9658e13", "cprime": "c4e452fc9ec6b26d"},
-    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "757e171335f4e00f", "brute": "0f3a4769a1208f16", "cprime": "ba29c423e9dc0d55"},
+    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "dbf81e496c4e0ad1", "brute": "1fc3ec34906d18d6", "cprime": "9f8216c096e8fc44"},
+    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "7b553dc7926236eb", "brute": "68fa73043604c1fa", "cprime": "9a762d4ac11385b7"},
+    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "ee7ab321ee8afda8", "brute": "f83416af96b6474d", "cprime": "7e45b15d446e36fc"},
+    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "411a1e4d92b5f454", "brute": "0a35395d00ebf3a4", "cprime": "435b50dfca159ea1"},
+    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "e316e747a5bcae88", "brute": "515d7597a9658e13", "cprime": "c4e452fc9ec6b26d"},
+    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "ca1a5903c436ee2d", "brute": "0f3a4769a1208f16", "cprime": "ba29c423e9dc0d55"},
 }
 
 

@@ -104,7 +104,7 @@ def test_reflect_call_counts(built):
 
 
 def test_policies_agree_on_exact_input(built):
-    """Sweeps from the best-scoring and from a seeded anchor's patch agree."""
+    """Sweeps from the default and from a seeded anchor's patch agree."""
     _, t, gt = built(200, 7)
     runs = [
         reconstruct_all(t, _solve(t))[0],
