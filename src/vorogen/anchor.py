@@ -1,12 +1,15 @@
 """Anchor-cell scoring and selection.
 
 The anchor is the one cell whose surrounding patch gets solved directly;
-everything else is reached by reflections. Eligibility is hard (bounded,
-two non-parallel ridges, a ring ridge between consecutive neighbors, as
-``RidgeArrays.ring`` lists them); among the eligible cells the anchor is
-the one of largest edge ratio, the shortest usable ridge over the longest.
-``build_score_table`` scores every cell in one pass over the cell degrees,
-and the tessellation keeps that table.
+everything else is reached by reflections. A cell is eligible when the
+paper's patch around it exists: it is bounded, its ridges are not
+degenerate and not all parallel to the first, its k neighbours are
+distinct cells other than itself, and each consecutive pair of them is
+joined by a non-degenerate ring ridge (``RidgeArrays.ring``), so that the
+patch is 4k scalar equations in 2(k + 1) unknowns. Among the eligible
+cells the anchor is the one of largest edge ratio, the shortest usable
+ridge over the longest. ``build_score_table`` scores every cell in one
+flat pass over the boundary entries, and the tessellation keeps that table.
 """
 
 from __future__ import annotations
@@ -36,49 +39,46 @@ class AnchorScore:
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Every field of ``AnchorScore``, one array entry per cell."""
+    """Every cell's eligibility and edge ratio, one array entry per cell."""
 
     eligible: np.ndarray
-    degree: np.ndarray
     min_edge_ratio: np.ndarray
 
 
 def build_score_table(t: Tessellation) -> ScoreTable:
     """Score every cell at once from the tessellation's ridge arrays.
 
-    One pass over the cell degrees k: the cells of degree k are the rows of
-    a (cells, k) matrix of boundary entries, reduced along the rows with the
-    floating-point operations of a per-cell loop over the cell's ridges, in
-    its order, so every score is reproducible bit for bit whatever the cell
-    count. A cell without ridges keeps the loop's defaults: ineligible, edge
-    ratio 0.
+    One flat pass over the boundary entries: each entry's faults are
+    counted per cell with ``bincount`` over ``entry_cell``, and the shortest
+    and longest usable ridge are taken with ``minimum.at`` / ``maximum.at``.
+    Each |sin| is the per-cell loop's expression, and counts, comparisons
+    and a min or max round nothing, so every score is the one that loop
+    gives, whatever the cell count. A cell without ridges is ineligible, of
+    edge ratio 0.
     """
     a = t.arrays
     n = t.n_cells
-    degree = np.diff(a.cell_start)
-    eligible = np.zeros(n, bool)
-    min_edge_ratio = np.zeros(n)
-    for k in np.unique(degree[degree > 0]).tolist():
-        cs = np.flatnonzero(degree == k)
-        entries = a.cell_start[cs, None] + np.arange(k)
-        rids = a.cell_ridges[entries]
-        bad = a.degenerate[rids]
-        # max |sin| of the direction pairs (i, j > i), skipping a degenerate ridge's NaN
-        dx, dy = np.moveaxis(a.dirs[rids], 2, 0)
-        hi = np.zeros(len(cs))
-        for i in range(k - 1):
-            s = np.abs(dx[:, i, None] * dy[:, i + 1 :] - dy[:, i, None] * dx[:, i + 1 :])
-            np.fmax(hi, np.fmax.reduce(s, axis=1), out=hi)
-        has_ring = (a.ring[entries] >= 0).any(axis=1)
-        eligible[cs] = a.bounded[cs] & ~bad.any(axis=1) & (hi > geom.PARALLEL_TOL) & has_ring
-        # shortest over longest finite non-degenerate ridge, 0 with none
-        lens = a.lengths[rids]
-        usable = ~bad & np.isfinite(lens)
-        shortest = np.min(lens, axis=1, where=usable, initial=math.inf)
-        longest = np.max(lens, axis=1, where=usable, initial=0.0)
-        any_usable = usable.any(axis=1)
-        min_edge_ratio[cs] = np.divide(shortest, longest, out=np.zeros(len(cs)), where=any_usable)
-    return ScoreTable(eligible=eligible, degree=degree, min_edge_ratio=min_edge_ratio)
+    cell, nbrs, ring, rids = a.entry_cell, a.cell_nbrs, a.ring, a.cell_ridges
+    bad = a.degenerate[rids]
+    # |sin| of each ridge against its cell's first ridge (NaN for a degenerate one)
+    dx, dy = a.dirs[rids].T
+    x0, y0 = dx[a.cell_start[cell]], dy[a.cell_start[cell]]
+    turns = np.abs(x0 * dy - y0 * dx) > geom.PARALLEL_TOL
+    # an entry's faults (ring -1 reads the last ridge's flag, but is a fault anyway)
+    fault = bad | (ring < 0) | a.degenerate[ring] | (nbrs == cell)
+    # and once per repeat, the cell of a (cell, neighbour) key listed twice
+    key = np.sort(cell.astype(np.int64) * n + nbrs)
+    twice = key[1:][key[1:] == key[:-1]] // n
+    faults = np.bincount(cell, fault, n) + np.bincount(twice, minlength=n)
+    eligible = a.bounded & (faults == 0) & (np.bincount(cell, turns, n) > 0)
+    # shortest over longest finite non-degenerate ridge, 0 with none
+    lens = a.lengths[rids]
+    usable = ~bad & np.isfinite(lens)
+    shortest, longest = np.full(n, math.inf), np.zeros(n)
+    np.minimum.at(shortest, cell[usable], lens[usable])
+    np.maximum.at(longest, cell[usable], lens[usable])
+    min_edge_ratio = np.divide(shortest, longest, out=np.zeros(n), where=longest > 0.0)
+    return ScoreTable(eligible=eligible, min_edge_ratio=min_edge_ratio)
 
 
 def score_cell(t: Tessellation, c: CellId) -> AnchorScore:
@@ -86,10 +86,11 @@ def score_cell(t: Tessellation, c: CellId) -> AnchorScore:
     ineligible. Raises OutOfRangeIdError for a cell id that does not exist."""
     check_id(c, t.n_cells, "cell")
     s = t.anchor_scores
+    start = t.arrays.cell_start
     return AnchorScore(
         cell=c,
         eligible=bool(s.eligible[c]),
-        degree=int(s.degree[c]),
+        degree=int(start[c + 1] - start[c]),
         min_edge_ratio=float(s.min_edge_ratio[c]),
     )
 

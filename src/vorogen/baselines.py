@@ -9,7 +9,7 @@ vertex, is a ray through the generator; pairwise ray intersections are
 averaged with sensitivity weights.
 
 Both run as array passes over the whole diagram, cells grouped by the shape
-of their work (patch matrix shape, ray count), and give the bits a per-cell
+of their work (patch degree, ray count), and give the bits a per-cell
 loop gives: the stacked LAPACK and BLAS calls run the same routine on each
 matrix, and sums are added column by column, left to right. The patches
 are those of the anchor method's solve (``solver.patch_stacks``).
@@ -61,16 +61,17 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell independent reconstruction: one full patch solve per cell.
 
     Every eligible cell anchors its own solve and contributes only its own
-    generator. Ineligible (hull) cells are then filled by the reflection
-    sweep from the solved cells so the result covers all cells; filled cells
-    inherit the residual of their source. Returns the (n, 2) generators and
-    the (n,) residuals, indexed by cell.
+    generator. Ineligible cells (the hull's, and any other without the
+    paper's patch) are then filled by the reflection sweep from the solved
+    cells so the result covers all cells; filled cells inherit the residual
+    of their source. Returns the (n, 2) generators and the (n,) residuals,
+    indexed by cell.
 
     The patches are built ``_BLOCK`` cells at a time by ``solver.patch_stacks``
-    and solved by ``solve_stack``, one stacked call per matrix shape. A patch
-    that is singular, inconsistent or has a degenerate ring ridge is solved
-    on its own by ``assemble_patch`` and ``solve_patch``, which raise the
-    error of the lowest such cell.
+    and solved by ``solve_stack``, one stacked call per cell degree. A patch
+    that is singular or inconsistent is solved on its own by
+    ``assemble_patch`` and ``solve_patch``, which raise the error of the
+    lowest such cell.
     """
     cells = np.array(eligible_cells(t), np.intp)
     if not len(cells):
@@ -83,11 +84,10 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     solved = np.zeros(t.n_cells, bool)
     for lo in range(0, len(cells), _BLOCK):
         for group, mat, rhs, _, _ in patch_stacks(a, cells[lo : lo + _BLOCK]):
-            if mat is not None:
-                _, rank, z, residual, limit = solve_stack(mat, rhs)
-                ok = (rank == mat.shape[2]) & ~(residual > limit)
-                group = group[ok]
-                xy[group], resid[group], solved[group] = z[ok, :2], residual[ok], True
+            _, rank, z, residual, limit = solve_stack(mat, rhs)
+            ok = (rank == mat.shape[2]) & ~(residual > limit)
+            group = group[ok]
+            xy[group], resid[group], solved[group] = z[ok, :2], residual[ok], True
     for c in cells[~solved[cells]].tolist():
         sol = solve_patch(assemble_patch(t, c))  # raises the loop's error
         xy[c] = sol.generators[0]

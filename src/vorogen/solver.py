@@ -13,9 +13,10 @@ reflection ``propagate.sweep`` applies; all three read the terms that
 ``build_mirror_terms`` computes once per diagram and ``RidgeArrays.mirrors``
 keeps. Stacking them over the anchor's ridges and the ring ridges gives an
 overdetermined linear system in the anchor generator and its neighbor
-generators, solved once by Householder QR. ``patch_stacks``
-and ``solve_stack`` build and solve many patches at once, one stack per
-matrix shape; ``assemble_patch`` and ``solve_patch`` are their one-cell case.
+generators, solved once by Householder QR: around an eligible anchor of
+degree k, 4k scalar equations in 2(k + 1) unknowns. ``patch_stacks`` and
+``solve_stack`` build and solve many patches at once, one stack per degree;
+``assemble_patch`` and ``solve_patch`` are their one-cell case.
 """
 
 from __future__ import annotations
@@ -111,59 +112,34 @@ def build_mirror_terms(a: RidgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def patch_stacks(a: RidgeArrays, cells: np.ndarray):
     """Yield (cells, matrices, right-hand sides, members, row_pairs), one
-    stack per matrix shape, of the patches around the eligible ``cells``.
+    stack per degree k, of the patches around the eligible ``cells``.
 
-    A patch's rows are the global mirror rows (``mirror_terms``) of its
-    anchor's ridges, in CCW order, then of its ring ridges
+    A patch's 4k rows are the global mirror rows (``mirror_terms``) of its
+    anchor's k ridges, in CCW order, then of its k ring ridges
     (``RidgeArrays.ring``), each relating a (source, target) pair of cells;
-    its unknowns are the generators of its members, the distinct cells of
-    (anchor, *neighbours) in order of first appearance. Cells whose patch
-    has a degenerate ring ridge come as (cells, None, None, None, None).
+    its 2(k + 1) columns are the generators of its members, the anchor and
+    then its k neighbours, which eligibility makes distinct.
     """
     degree = a.cell_start[cells + 1] - a.cell_start[cells]
     for k in np.unique(degree).tolist():
         cs = cells[degree == k]
         entry = a.cell_start[cs, None] + np.arange(k)
-        nb = a.cell_nbrs[entry]
-        ring = a.ring[entry]
-        has = ring >= 0
-        # unknown j belongs to the j-th distinct cell of (anchor, *neighbours)
-        cell_list = np.concatenate((cs[:, None], nb), axis=1)
-        first = (cell_list[:, :, None] == cell_list[:, None, :]).argmax(axis=2)
-        is_first = first == np.arange(k + 1)
-        block = np.take_along_axis(np.cumsum(is_first, axis=1) - 1, first, axis=1)
-        # ring rows run from each neighbour to the next, where a ridge joins them
-        pick = np.argsort(~has, axis=1, kind="stable")
-        ring_src = np.take_along_axis(block[:, 1:], pick, axis=1)
-        ring_dst = np.take_along_axis(np.roll(block[:, 1:], -1, axis=1), pick, axis=1)
-        ring = np.take_along_axis(ring, pick, axis=1)
-        n_ring = has.sum(axis=1)
-        # the rows' ridges: the anchor's, then its ring ridges (the first n_ring)
-        rids = np.concatenate((a.cell_ridges[entry], ring), axis=1)
-        _, e, b = mirror_terms(a, rids)
-        bad = (a.degenerate[ring] & (np.arange(k) < n_ring[:, None])).any(axis=1)
-        if bad.any():
-            yield cs[bad], None, None, None, None
-        shape = np.where(bad, -1, n_ring * (k + 2) + is_first.sum(axis=1))
-        for key in np.unique(shape[~bad]).tolist():
-            sel = np.flatnonzero(shape == key)
-            r, c = divmod(key, k + 2)
-            src = np.concatenate((np.zeros((len(sel), k), np.intp), ring_src[sel, :r]), axis=1)
-            dst = np.concatenate((block[sel, 1:], ring_dst[sel, :r]), axis=1)
-            er, ei = e.real[sel, : k + r], e.imag[sel, : k + r]
-            g = np.arange(len(sel))[:, None]
-            members = cell_list[sel][is_first[sel]].reshape(len(sel), c)
-            pairs = np.stack((members[g, src], members[g, dst]), axis=2)
-            # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
-            row, src, dst = 2 * np.arange(k + r), 2 * src, 2 * dst
-            mat = np.zeros((len(sel), 2 * (k + r), 2 * c))
-            mat[g, row, dst] = 1.0
-            mat[g, row + 1, dst + 1] = 1.0
-            mat[g, row, src] -= er
-            mat[g, row, src + 1] -= ei
-            mat[g, row + 1, src] -= ei
-            mat[g, row + 1, src + 1] += er
-            yield cs[sel], mat, b[sel, : k + r].view(float), members, pairs
+        members = np.concatenate((cs[:, None], a.cell_nbrs[entry]), axis=1)
+        # anchor rows run from the anchor to each neighbour, ring rows to the next neighbour
+        nb = np.arange(1, k + 1)
+        src, dst = np.concatenate((0 * nb, nb)), np.concatenate((nb, np.roll(nb, -1)))
+        _, e, b = mirror_terms(a, np.concatenate((a.cell_ridges[entry], a.ring[entry]), axis=1))
+        pairs = np.stack((members[:, src], members[:, dst]), axis=2)
+        # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
+        row, src, dst = 2 * np.arange(2 * k), 2 * src, 2 * dst
+        mat = np.zeros((len(cs), 4 * k, 2 * (k + 1)))
+        mat[:, row, dst] = 1.0
+        mat[:, row + 1, dst + 1] = 1.0
+        mat[:, row, src] -= e.real
+        mat[:, row, src + 1] -= e.imag
+        mat[:, row + 1, src] -= e.imag
+        mat[:, row + 1, src + 1] += e.real
+        yield cs, mat, b.view(float), members, pairs
 
 
 def solve_stack(mat: np.ndarray, rhs: np.ndarray):
@@ -196,22 +172,17 @@ def solve_stack(mat: np.ndarray, rhs: np.ndarray):
 def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
     """The patch system ``patch_stacks`` builds around the eligible ``anchor``.
 
-    Raises AnchorIneligibleError for an ineligible anchor, DegenerateRidgeError
-    for a degenerate ring ridge (the first in CCW order) and OutOfRangeIdError
-    for an anchor id that does not exist.
+    Raises AnchorIneligibleError for an ineligible anchor and
+    OutOfRangeIdError for an anchor id that does not exist.
     """
     score = score_cell(t, anchor)
     if not score.eligible:
         raise AnchorIneligibleError(
-            f"cell {anchor} is not anchor-eligible"
+            f"cell {anchor} is not anchor-eligible: its patch needs a bounded cell, distinct"
+            " neighbours, a full non-degenerate ring and non-parallel ridges"
             f" (bounded={bool(t.arrays.bounded[anchor])}, degree={score.degree})"
         )
-    a = t.arrays
-    ((_, mat, rhs, members, pairs),) = patch_stacks(a, np.array([anchor]))
-    if mat is None:
-        ring = a.ring[a.cell_start[anchor] : a.cell_start[anchor + 1]]
-        ring = ring[ring >= 0]
-        t.ridge_line(int(ring[np.argmax(a.degenerate[ring])]))  # raises DegenerateRidgeError
+    ((_, mat, rhs, members, pairs),) = patch_stacks(t.arrays, np.array([anchor]))
     return PatchSystem(
         anchor=anchor, members=tuple(members[0].tolist()), matrix=mat[0], rhs=rhs[0],
         row_pairs=tuple(map(tuple, pairs[0].tolist())),

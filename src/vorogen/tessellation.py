@@ -12,7 +12,7 @@ and bounded flag. The forward build and ``loads`` fill them directly;
 views (``vertices``, ``ridges``, ``cells``) only when asked for. The ridge
 geometry the algorithms read is checked and derived from the storage on
 first use, ``Tessellation.arrays``, and so is the anchor score table,
-``Tessellation.anchor_scores``.
+``Tessellation.anchor_scores``, which needs each anchor's ring ridges.
 
 The file format is JSON with numbers written to 17 significant digits, so
 save/load round-trips are bit exact.

@@ -341,8 +341,22 @@ def _sum(xs) -> float:
     return total
 
 
+def _degenerate(t: Tessellation, rid: int) -> bool:
+    try:
+        t.ridge_line(rid)
+    except DegenerateRidgeError:
+        return True
+    return False
+
+
 def score_cell_reference(t: Tessellation, c: int) -> tuple:
-    """(eligible, degree, min_edge_ratio) of one cell, one ridge at a time."""
+    """(eligible, degree, min_edge_ratio) of one cell, one ridge at a time.
+
+    Eligible means the paper's patch exists: the cell is bounded, none of its
+    ridges is degenerate, some ridge is not parallel to its first, its
+    neighbours are distinct and not the cell itself, and each pair of
+    consecutive neighbours is joined by a ridge whose lowest-id one is not
+    degenerate."""
     cell = t.cells[c]
     dirs, lengths, degenerate = [], [], False
     for rid in cell.ridges:
@@ -355,17 +369,18 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
         if r.is_finite:
             p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
             lengths.append(math.hypot(p1.x - p0.x, p1.y - p0.y))
-    max_sin = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            max_sin = max(max_sin, abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]))
+    turns = any(
+        abs(dirs[0][0] * d[1] - dirs[0][1] * d[0]) > PARALLEL_TOL for d in dirs[1:]
+    )
     min_edge_ratio = (min(lengths) / max(lengths)) if lengths else 0.0
     nb = [t.ridges[rid].other_cell(c) for rid in cell.ridges]
-    pairs = {frozenset(r.cells) for r in t.ridges}
-    has_ring = cell.bounded and any(
-        frozenset((nb[i], nb[(i + 1) % len(nb)])) in pairs for i in range(len(nb))
-    )
-    eligible = cell.bounded and not degenerate and max_sin > PARALLEL_TOL and has_ring
+    distinct = len(set(nb)) == len(nb) and c not in nb
+    full_ring = True
+    for i in range(len(nb)):
+        pair = frozenset((nb[i], nb[(i + 1) % len(nb)]))
+        rid = next((k for k, r in enumerate(t.ridges) if frozenset(r.cells) == pair), None)
+        full_ring = full_ring and rid is not None and not _degenerate(t, rid)
+    eligible = cell.bounded and not degenerate and turns and distinct and full_ring
     return eligible, len(cell.ridges), min_edge_ratio
 
 

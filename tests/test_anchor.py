@@ -8,6 +8,7 @@ from vorogen.anchor import eligible_cells, score_cell, select_anchor
 from vorogen.errors import NoEligibleAnchorError
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.geom import Point2
+from vorogen.pipeline import reconstruct
 from vorogen.tessellation import Cell, Ridge, Tessellation
 
 from conftest import DIAMOND_CENTER, make_diamond
@@ -141,9 +142,28 @@ def test_scores_match_loop_reference(diamond, two_diamonds, diamond_missing_ring
     vertices, ridges, cells, _ = make_diamond()
     no_ridges = Tessellation(vertices, ridges, [*cells, Cell(ridges=(), bounded=True)])
     cases = [diamond[0], two_diamonds[0], diamond_missing_ring[0], collapsed, parallel,
-             perpendicular, two_sites, no_ridges, built(300, 5)[1]]
+             perpendicular, two_sites, no_ridges, _self_ridge_diamond(), built(300, 5)[1]]
     for t in cases:
         for c in range(len(t.cells)):
             s = score_cell(t, c)
             got = (s.eligible, s.degree, s.min_edge_ratio)
             assert got == score_cell_reference(t, c), c
+
+
+def _self_ridge_diamond() -> Tessellation:
+    """The diamond whose center lists a ridge joining it to itself, in place
+    of its ridge to corner cell 0, which no longer lists that ridge."""
+    vertices, ridges, cells, _ = make_diamond()
+    ridges[0] = Ridge(cells=(4, 4), v0=0, v1=3)
+    cells[0] = Cell(ridges=(4, 7), bounded=False)
+    return Tessellation(vertices, ridges, cells)
+
+
+def test_a_cell_that_neighbours_itself_anchors_nothing():
+    """Every ring ridge of the self-ridge diamond's center exists, but its
+    neighbours are not distinct cells, so it has no patch to solve."""
+    t = _self_ridge_diamond()
+    assert (t.arrays.ring[t.arrays.entry_cell == DIAMOND_CENTER] >= 0).all()
+    assert not score_cell(t, DIAMOND_CENTER).eligible
+    with pytest.raises(NoEligibleAnchorError):
+        reconstruct(t, "anchor")

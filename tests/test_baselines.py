@@ -23,7 +23,7 @@ from helpers import (
     max_cell_error,
     pair_delta_reference,
 )
-from vorogen.anchor import eligible_cells, select_anchor
+from vorogen.anchor import eligible_cells, score_cell, select_anchor
 from vorogen.baselines import (
     _delta_weights,
     _pair_delta,
@@ -32,7 +32,6 @@ from vorogen.baselines import (
     c_prime_cell,
 )
 from vorogen.errors import (
-    DegenerateRidgeError,
     InconsistentSystemError,
     NoEligibleAnchorError,
     UnderdeterminedError,
@@ -257,9 +256,10 @@ def _moved_vertex(t, v: int, to) -> Tessellation:
 def test_brute_force_raises_the_loop_error_of_the_lowest_cell(built, how):
     """Shifting a vertex makes the patches around it inconsistent (six
     cells here); moving the far end of the lowest eligible cell's first
-    ring ridge onto that cell's corner makes the ridge degenerate. Either
-    way the error is the loop's for the lowest failing cell, type and
-    message."""
+    ring ridge onto that cell's corner makes the ridge degenerate, so that
+    cell is no longer eligible and a patch that reads a moved ridge fails
+    instead. Either way the error is the loop's for the lowest failing
+    cell, type and message."""
     _, t, _ = built(200, 1)
     a = t.arrays
     if how == "shifted":
@@ -273,8 +273,10 @@ def test_brute_force_raises_the_loop_error_of_the_lowest_cell(built, how):
         ends = a.ends[ring[ring >= 0][0]].tolist()
         corners = set(a.ends[a.cell_ridges[lo:hi]].ravel().tolist())
         (v,), (w,) = [u for u in ends if u not in corners], [u for u in ends if u in corners]
-        to, error = t.vertices[w], DegenerateRidgeError
+        to, error = t.vertices[w], InconsistentSystemError
     broken = _moved_vertex(t, v, to)
+    if how == "collapsed":
+        assert not score_cell(broken, cell).eligible
     expected = _outcome(brute_force_reference, broken)
     assert expected[0] is error, expected
     assert _outcome(brute_force_all, broken) == expected

@@ -22,6 +22,7 @@ from helpers import (
 from vorogen.errors import (
     AnchorIneligibleError,
     InconsistentSystemError,
+    NoEligibleAnchorError,
     SingularSystemError,
 )
 from vorogen import forward, solver
@@ -70,22 +71,39 @@ def test_row_structure_sparsity(diamond):
         assert len({j // 2 for j in nz}) <= 2
 
 
-def test_missing_ring_pair_drops_two_rows(diamond_missing_ring):
+def test_missing_ring_pair_makes_the_cell_ineligible(diamond_missing_ring):
+    """Without the (1, 3) ring ridge the center's patch is not the paper's
+    4k x 2(k+1) system, so the center anchors nothing, and nothing else can."""
     t, _ = diamond_missing_ring
-    sys_ = assemble_patch(t, 4)
-    assert sys_.matrix.shape == (14, 10)
-    assert (1, 3) not in sys_.row_pairs and (3, 1) not in sys_.row_pairs
+    with pytest.raises(AnchorIneligibleError, match="full non-degenerate ring"):
+        assemble_patch(t, 4)
+    with pytest.raises(NoEligibleAnchorError):
+        reconstruct(t, "anchor")
 
 
 def test_generic_patch_has_full_ring(built):
-    # non-degenerate builds: every consecutive neighbor pair shares a ridge,
-    # so the system is exactly 4k x 2(k+1)
-    for n, seed in ((50, 3), (100, 7)):
+    """Every eligible cell of a build has the paper's patch: every
+    consecutive neighbour pair shares a ridge, so the system is exactly
+    4k x 2(k+1), and ``patch_stacks`` yields each degree once."""
+    for n, seed in ((200, 0), (2000, 1)):
         _, t, _ = built(n, seed)
+        a = t.arrays
+        cells = np.array(eligible_cells(t))
+        stacked, degrees = [], []
+        for cs, mat, rhs, members, pairs in solver.patch_stacks(a, cells):
+            k = a.cell_start[cs + 1] - a.cell_start[cs]
+            assert (k == k[0]).all()
+            k = int(k[0])
+            assert mat.shape == (len(cs), 4 * k, 2 * (k + 1))
+            assert rhs.shape == (len(cs), 4 * k)
+            assert members.shape == (len(cs), k + 1) and pairs.shape == (len(cs), 2 * k, 2)
+            stacked += cs.tolist()
+            degrees.append(k)
+        assert sorted(stacked) == cells.tolist()
+        assert len(degrees) == len(set(degrees))
         anchor = select_anchor(t)
-        sys_ = assemble_patch(t, anchor)
         k = len(t.cells[anchor].ridges)
-        assert sys_.matrix.shape == (4 * k, 2 * (k + 1))
+        assert assemble_patch(t, anchor).matrix.shape == (4 * k, 2 * (k + 1))
 
 
 def _row_ridges(t, sys_):
@@ -98,7 +116,7 @@ def _row_ridges(t, sys_):
     return [*t.cells[sys_.anchor].ridges, *ring]
 
 
-def test_patch_rows_are_the_global_mirror_rows(diamond, diamond_missing_ring, built):
+def test_patch_rows_are_the_global_mirror_rows(diamond, built):
     """Each equation is the mirror_terms row pair that refine_all solves:
     -R = -[[Re e, Im e], [Im e, -Re e]] on the source block, the identity on
     the target block and (Re b, Im b) on the right, bit for bit, for every
@@ -106,7 +124,7 @@ def test_patch_rows_are_the_global_mirror_rows(diamond, diamond_missing_ring, bu
     not through ``patch_stacks``, which ``assemble_patch`` shares with
     ``brute``."""
     big = built(200, 0)[1]
-    cases = [(diamond[0], 4), (diamond_missing_ring[0], 4)]
+    cases = [(diamond[0], 4)]
     cases += [(big, c) for c in eligible_cells(big)]
     for t, anchor in cases:
         sys_ = assemble_patch(t, anchor)
