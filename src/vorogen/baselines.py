@@ -3,10 +3,10 @@
 Two methods live here. The per-cell brute force repeats the full patch
 solve with every eligible cell as its own anchor, keeping only that cell's
 generator from each solve. The angle-rotation method recovers a generator
-from cell geometry alone: at each vertex the extension of the outer ridge
-into the cell, reflected across the bisector of the cell's wedge at that
-vertex, is a ray through the generator; pairwise ray intersections are
-averaged with sensitivity weights.
+from cell geometry alone: at each corner the extension of the outer ridge
+(the corner's ring ridge, ``RidgeArrays.ring``) into the cell, reflected
+across the bisector of the cell's wedge there, is a ray through the
+generator; pairwise ray intersections are averaged with sensitivity weights.
 
 Both run as array passes over the whole diagram, cells grouped by the shape
 of their work (patch degree, ray count), and give the bits a per-cell
@@ -28,7 +28,7 @@ from .errors import NoEligibleAnchorError, UnderdeterminedError
 from .geom import Point2
 from .propagate import sweep
 from .solver import assemble_patch, patch_stacks, solve_patch, solve_stack
-from .tessellation import CellId, RidgeArrays, Tessellation, check_id, ranges
+from .tessellation import CellId, RidgeArrays, Tessellation, check_id, ranges, shared_corners, successors
 
 # a zero-displacement (insensitive) pair gets at most this multiple of the
 # mean inverse-displacement weight
@@ -108,9 +108,9 @@ def _closed(a: RidgeArrays) -> np.ndarray:
 
 
 def _generator_rays(a: RidgeArrays, cells: np.ndarray):
-    """One generator-passing ray per usable vertex of each of ``cells``.
+    """One generator-passing ray per usable corner of each of ``cells``.
 
-    At a vertex A the two cell sides span a wedge (< pi, the cell is convex)
+    At a corner A the two cell sides span a wedge (< pi, the cell is convex)
     containing the extension of the outer ridge into the cell. As seen from
     A the sides bisect the angles (generator, neighbor generator) and the
     outer ridge bisects the two neighbors', so the generator direction is
@@ -118,37 +118,29 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     complex numbers and side directions s_a and s_b, the bisector's direction
     squared is s_a s_b, so that reflection is z -> s_a s_b conj(z).
 
-    A vertex is usable when exactly two of its ridges are the cell's sides,
-    their directions exist and are not parallel, and some other ridge ends
-    there; each such outer ridge with a direction pointing into the wedge
-    gives a ray. Returns each ray's cell (an index into ``cells``), anchor
-    and unit direction, ordered by cell, vertex id and outer ridge id.
+    A corner is the vertex two consecutive sides share (``shared_corners``),
+    and its outer ridge is the first side's ring ridge (``RidgeArrays.ring``).
+    The corner is usable when that ridge exists and has a direction pointing
+    into the wedge, and the side directions exist and are not parallel.
+    Returns each ray's cell (an index into ``cells``), anchor and unit
+    direction, ordered by cell and corner vertex id.
     """
-    nv, nr = len(a.vertices), len(a.cells)
     lo, hi = a.cell_start[cells], a.cell_start[cells + 1]
-    row = np.repeat(np.arange(len(cells), dtype=np.int64), hi - lo)  # each entry's row in cells
-    rids = a.cell_ridges[ranges(lo, hi)]
-    # each cell's distinct vertices, ascending, and the ridges ending there
-    ends = a.ends[rids].ravel()
-    keep = ends >= 0
-    corner = np.unique(np.repeat(row, 2)[keep] * nv + ends[keep])
-    cell, v = np.divmod(corner, nv)
-    deg = a.vertex_start[v + 1] - a.vertex_start[v]
-    at = np.repeat(np.arange(len(corner)), deg)
-    inc = a.vertex_ridges[ranges(a.vertex_start[v], a.vertex_start[v + 1])]
-    own = np.unique(row * nr + rids)
-    query = cell[at] * nr + inc
-    side = own[np.minimum(np.searchsorted(own, query), len(own) - 1)] == query
-    n_side = np.bincount(at[side], minlength=len(corner))
-    use = np.flatnonzero((n_side == 2) & (deg > 2))
-    # the two sides as unit vectors from the vertex
-    first = (np.cumsum(n_side) - 2)[use]
-    sides = inc[np.flatnonzero(side)]
-    a0 = a.vertices[v[use]]
+    start = np.concatenate(([0], np.cumsum(hi - lo)))
+    entries = ranges(lo, hi)
+    rids = a.cell_ridges[entries]
+    corner, closes = shared_corners(a.ends, a.finite, start, rids)
+    ring = a.ring[entries]
+    row = np.repeat(np.arange(len(cells)), hi - lo)  # each entry's row in cells
+    use = np.flatnonzero(closes & (ring >= 0))
+    use = use[np.lexsort((corner[use], row[use]))]
+    v = corner[use]
+    # the two sides as unit vectors from the corner
+    a0 = a.vertices[v]
     s = []
-    for rid in (sides[first], sides[first + 1]):
+    for rid in (rids[use], rids[successors(start)[use]]):
         v0, v1 = a.ends[rid].T
-        w = a.vertices[np.where(v0 == v[use], v1, v0)]
+        w = a.vertices[np.where(v0 == v, v1, v0)]
         s.append(geom.unit_vecs(w[:, 0] - a0[:, 0], w[:, 1] - a0[:, 1]))
     (sax, say, ok_a), (sbx, sby, ok_b) = s
     with np.errstate(invalid="ignore"):
@@ -160,19 +152,13 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     # e = s_a s_b, each real product rounded on its own
     ex = sax * sbx - say * sby
     ey = sax * sby + say * sbx
-    # the outer ridges with a direction, at the usable vertices
-    slot = np.full(len(corner), -1)
-    slot[use[ok]] = np.flatnonzero(ok)
-    outer = np.flatnonzero(~side & (slot[at] >= 0) & ~a.degenerate[inc])
-    j, (dx, dy) = slot[at[outer]], a.dirs[inc[outer]].T
-    sax, say, sbx, sby, ex, ey = sax[j], say[j], sbx[j], sby[j], ex[j], ey[j]
+    dx, dy = a.dirs[ring[use]].T  # NaN, pointing nowhere, for a degenerate ridge
     fwd = (sax * dy - say * dx > 0.0) & (dx * sby - dy * sbx > 0.0)
     back = (sax * -dy - say * -dx > 0.0) & (-dx * sby - -dy * sbx > 0.0)
     ix, iy = np.where(fwd, dx, -dx), np.where(fwd, dy, -dy)
     gx, gy, _ = geom.unit_vecs(ex * ix + ey * iy, ey * ix - ex * iy)  # e and the ridge are unit
-    into = fwd | back
-    corner_of = use[j[into]]
-    return cell[corner_of], a.vertices[v[corner_of]], np.stack((gx[into], gy[into]), axis=1)
+    into = ok & (fwd | back)
+    return row[use[into]], a0[into], np.stack((gx[into], gy[into]), axis=1)
 
 
 def _pair_delta(a1: np.ndarray, d1: np.ndarray, a2: np.ndarray, d2: np.ndarray, p: np.ndarray):
@@ -250,7 +236,7 @@ def _estimates(a: RidgeArrays, cells: np.ndarray):
 def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     """Angle-rotation estimate of one bounded cell's generator.
 
-    Generator rays from every usable vertex are intersected pairwise; each
+    Generator rays from every usable corner are intersected pairwise; each
     pair is weighted by the inverse of its sensitivity to the ray directions,
     |sin theta| / (l1 + l2) (``_pair_delta``). Insensitive pairs (zero
     displacement) are capped at 10x the mean weight; when every pair is

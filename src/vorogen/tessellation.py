@@ -255,8 +255,8 @@ class RidgeArrays:
     order, each entry with its ridge id, its cell, the cell across its
     ridge and its ring ridge: the lowest-id ridge joining that neighbour to
     the neighbour of the cell's next entry (its first after its last), -1
-    where none does. A second index lists the ridges ending at each vertex,
-    ascending.
+    where none does. At a corner of a valid diagram that ridge is the
+    third one, the outer ridge at the vertex the two entries' ridges share.
 
     Every id is checked to be in range. Ids are int32, which halves the
     index arrays every tessellation keeps; arithmetic on ids that can pass
@@ -276,8 +276,6 @@ class RidgeArrays:
     entry_cell: np.ndarray  # (E,) cell owning each entry
     cell_nbrs: np.ndarray  # (E,) cell across each entry's ridge
     ring: np.ndarray  # (E,) ring ridge of each entry, -1 for none
-    vertex_start: np.ndarray  # (V + 1,) offsets into vertex_ridges
-    vertex_ridges: np.ndarray  # ridges ending at each vertex, ascending
 
     @property
     def finite(self) -> np.ndarray:
@@ -297,7 +295,7 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
-def _successors(cell_start) -> np.ndarray:
+def successors(cell_start) -> np.ndarray:
     """The next boundary entry of each entry's cell, a cell's first after its last."""
     nxt = np.arange(1, cell_start[-1] + 1)
     last = np.flatnonzero(np.diff(cell_start)) + 1
@@ -312,7 +310,7 @@ def shared_corners(ends, finite, cell_start, cell_ridges) -> tuple[np.ndarray, n
     Returns, per entry, the vertex id and whether the two ridges share
     exactly one vertex; the id means nothing where they do not.
     """
-    nxt = _successors(cell_start)
+    nxt = successors(cell_start)
     a0, a1 = ends[cell_ridges].T
     fa = finite[cell_ridges]
     b0, b1, fb = a0[nxt], a1[nxt], fa[nxt]
@@ -344,8 +342,6 @@ class _Incidence:
     in_range: np.ndarray  # (E,) the entry's ridge id is in range
     borders: np.ndarray  # (E,) the entry's ridge is one of its cell's
     nbrs: np.ndarray  # (E,) the other cell of the entry's ridge
-    vertex_start: np.ndarray  # (V + 1,) as ``RidgeArrays``; every end in range
-    vertex_ridges: np.ndarray  # counts, so a finite ridge from v to v is listed twice
 
 
 def _incidence(t: Tessellation) -> _Incidence:
@@ -383,14 +379,9 @@ def _incidence(t: Tessellation) -> _Incidence:
     x0, y0, x1, y1 = t._bbox
     span = math.hypot(x1 - x0, y1 - y0)
     span_fault = f"vertices span {span:.3e}, below 2**-400" if 0.0 < span < geom.EXTENT_MIN else ""
-    at = ~bad_end
-    at[:, 1] &= finite
-    vids = ends[at]
-    vertex_start = np.concatenate(([0], np.cumsum(np.bincount(vids, minlength=nv))))
-    vertex_ridges = np.repeat(np.arange(nr, dtype=np.int32), 2)[at.ravel()][np.argsort(vids, kind="stable")]
     return _Incidence(
         bad_cell, bad_end, ok, seg, lengths, degenerate, bad_ray, listings, nonfinite, huge, span_fault,
-        owner, in_range, s0 | s1, np.where(s0, c1, c0), vertex_start, vertex_ridges,
+        owner, in_range, s0 | s1, np.where(s0, c1, c0),
     )
 
 
@@ -433,9 +424,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         cell_ridges=listed,
         entry_cell=inc.owner,
         cell_nbrs=inc.nbrs,
-        ring=_ring_ridges(cells, inc.nbrs, inc.nbrs[_successors(t._cell_start)], nc),
-        vertex_start=inc.vertex_start,
-        vertex_ridges=inc.vertex_ridges,
+        ring=_ring_ridges(cells, inc.nbrs, inc.nbrs[successors(t._cell_start)], nc),
     )
 
 
@@ -449,7 +438,7 @@ def _ring_ridges(cells, c1, c2, nc: int) -> np.ndarray:
     """The lowest-id ridge joining cells ``c1[i]`` and ``c2[i]``, -1 where
     none does: a search of the ridges sorted by the key ``min * nc + max``
     of their cells, equal keys in id order."""
-    keys = cells.min(axis=1).astype(np.int64) * nc + cells.max(axis=1)
+    keys = np.minimum(*cells.T).astype(np.int64) * nc + np.maximum(*cells.T)
     by_key = np.argsort(keys, kind="stable").astype(np.int32)
     keys = keys[by_key]
     query = np.minimum(c1, c2).astype(np.int64) * nc + np.maximum(c1, c2)
@@ -469,6 +458,7 @@ def validate(t: Tessellation) -> list[str]:
     vertices, ridges and cells that messages are written for, in that order.
     """
     inc = _incidence(t)
+    index = _vertex_index(t, inc)
     out = [_vertex_fault(inc, v) for v in np.flatnonzero(inc.nonfinite | inc.huge).tolist()]
     out += [inc.span_fault] if inc.span_fault else []
     cells, ok, thresh = t._cells, inc.ok, t.degeneracy_threshold()
@@ -485,26 +475,40 @@ def validate(t: Tessellation) -> list[str]:
         if inc.bad_ray[k]:
             out.append(f"ridge {k} ray direction is not unit length")
         out += [f"asymmetric adjacency at ridge {k} (cell {c})" for c, bad in zip((a, b), asym[k]) if bad]
-    valence = np.diff(inc.vertex_start)
+    valence = np.diff(index[0])
     referenced = np.zeros(t.n_vertices, bool)
     referenced[t._ends[ok, 0]] = True
     referenced[t._ends[ok & t._finite, 1]] = True
     for v in np.flatnonzero(~referenced | (valence != 3)).tolist():
         if not referenced[v]:
             out.append(f"orphan vertex {v}")
-        elif not _is_split_bisector(t, inc, v):
+        elif not _is_split_bisector(t, index, v):
             out.append(f"vertex {v} is shared by {valence[v]} ridges (expected 3)")
-    return out + _validate_cells(t, inc)
+    return out + _validate_cells(t, inc, index)
 
 
-def _is_split_bisector(t: Tessellation, inc: _Incidence, v: VertexId) -> bool:
+def _vertex_index(t: Tessellation, inc: _Incidence) -> tuple[np.ndarray, np.ndarray]:
+    """The ridges ending at each vertex, ascending, as CSR offsets (V + 1,)
+    and ridge ids. Every end in range counts, so a finite ridge from v to v
+    is listed twice."""
+    at = ~inc.bad_end
+    at[:, 1] &= t._finite
+    vids = t._ends[at]
+    start = np.concatenate(([0], np.cumsum(np.bincount(vids, minlength=t.n_vertices))))
+    ridges = np.repeat(np.arange(t.n_ridges, dtype=np.int32), 2)[at.ravel()]
+    return start, ridges[np.argsort(vids, kind="stable")]
+
+
+def _is_split_bisector(t: Tessellation, index, v: VertexId) -> bool:
     """Two opposite rays from one vertex between the same two cells.
 
     This is how a bisector with no Voronoi vertex on it (the 2-site diagram)
-    is represented, so it is tolerated at valence 2.
+    is represented, so it is tolerated at valence 2. ``index`` is
+    ``_vertex_index``.
     """
     if 0 <= v < t.n_vertices:
-        rids = inc.vertex_ridges[inc.vertex_start[v] : inc.vertex_start[v + 1]]
+        start, ridges = index
+        rids = ridges[start[v] : start[v + 1]]
     else:  # an id out of range is in no index: look for its ridges
         hit = t._ends == v
         hit[:, 1] &= t._finite
@@ -516,7 +520,7 @@ def _is_split_bisector(t: Tessellation, inc: _Incidence, v: VertexId) -> bool:
     return sorted((a1, b1)) == sorted((a2, b2)) and math.hypot(x1 + x2, y1 + y2) <= 1e-9
 
 
-def _validate_cells(t: Tessellation, inc: _Incidence) -> list[str]:
+def _validate_cells(t: Tessellation, inc: _Incidence, index) -> list[str]:
     """Violations of each cell, in cell order. The polygon of a cell with a
     ridge that is not ``inc.ok``, or that ends at a vertex flagged non-finite
     or huge, is not checked.
@@ -580,7 +584,7 @@ def _validate_cells(t: Tessellation, inc: _Incidence) -> list[str]:
             out.append(f"cell {c} polygon is not convex at vertex {concave_at[c]}")
         elif bounded[c]:
             out.append(f"cell {c} polygon is not counter-clockwise")
-        elif not _is_parallel_strip(t, cell, inc):
+        elif not _is_parallel_strip(t, cell, index):
             if rays[c] != 2:
                 out.append(f"unbounded cell {c} has {rays[c]} ray ridges (expected 2)")
             elif not open_ends[c]:
@@ -628,7 +632,7 @@ def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corne
     return revisit, concave_at, area2
 
 
-def _is_parallel_strip(t: Tessellation, cell: list[int], inc: _Incidence) -> bool:
+def _is_parallel_strip(t: Tessellation, cell: list[int], index) -> bool:
     """Cell bounded only by whole bisector lines (collinear-site diagrams).
 
     Such a cell is a half plane or a strip: every ridge is a ray, and the
@@ -639,7 +643,7 @@ def _is_parallel_strip(t: Tessellation, cell: list[int], inc: _Incidence) -> boo
     verts = set(t._ends[cell, 0].tolist())
     if len(verts) * 2 != len(cell) or len(verts) > 2:
         return False
-    return all(_is_split_bisector(t, inc, v) for v in verts)
+    return all(_is_split_bisector(t, index, v) for v in verts)
 
 
 # -- serialization ------------------------------------------------------------

@@ -98,11 +98,14 @@ def same_line(l1: RidgeLine, l2: RidgeLine, tol: float = 1e-9) -> bool:
 
 
 def vertex_ridges(t: Tessellation, v: int) -> tuple[int, ...]:
-    """Ridges ending at vertex ``v``, ascending, from the ridge arrays' index."""
+    """Ridges ending at vertex ``v``, ascending, by a scan of the ridge ends;
+    a finite ridge from ``v`` to ``v`` is listed twice."""
     a = t.arrays
     if not 0 <= v < t.n_vertices:
         return ()
-    return tuple(a.vertex_ridges[a.vertex_start[v] : a.vertex_start[v + 1]].tolist())
+    hit = a.ends == v
+    hit[:, 1] &= a.finite
+    return tuple((np.flatnonzero(hit) // 2).tolist())
 
 
 def halfplane_cell(sites, i: int, pad: float) -> list[tuple[float, float]]:

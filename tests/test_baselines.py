@@ -238,12 +238,35 @@ def test_c_prime_matches_the_cell_loop(built, n, seed):
     assert _equal(c_prime_all(t), c_prime_all_reference(t))
 
 
-def test_both_methods_match_the_cell_loops_on_the_diamond(diamond):
-    t, _ = diamond
-    assert _equal(brute_force_all(t), brute_force_reference(t))
-    assert _equal(c_prime_all(t), c_prime_all_reference(t))
-    for c in range(t.n_cells):
-        assert _outcome(c_prime_cell, t, c) == _outcome(c_prime_cell_reference, t, c)
+def test_both_methods_match_the_cell_loops_on_the_diamond(diamond, diamond_missing_ring):
+    """Also on the diamond whose centre has a corner with no ring ridge:
+    that corner gives no ray, and the brute force refuses the diagram."""
+    for t, _ in (diamond, diamond_missing_ring):
+        assert _equal(_outcome(brute_force_all, t), _outcome(brute_force_reference, t))
+        assert _equal(_outcome(c_prime_all, t), _outcome(c_prime_all_reference, t))
+        for c in range(t.n_cells):
+            assert _outcome(c_prime_cell, t, c) == _outcome(c_prime_cell_reference, t, c)
+
+
+def _scaled(t: Tessellation, k: int) -> Tessellation:
+    """``t`` with every vertex times 2**k; ray directions keep their bits."""
+    return Tessellation.from_arrays(
+        t._xy * 2.0**k, t._cells, t._ends, t._finite, t._rays, t._cell_start, t._cell_ridges, t._bounded
+    )
+
+
+@pytest.mark.parametrize("n,seed", [(300, 0), (300, 1), (300, 2), (2000, 1)])
+def test_power_of_two_scaling_scales_every_method_exactly(built, n, seed):
+    """Scaling the vertices by 2**k rounds nothing, and every tolerance is
+    relative, so each method's generators scale by 2**k bit for bit, with
+    the same anchor and refinement count."""
+    _, t, _ = built(n, seed)
+    for method in ("anchor", "brute", "cprime"):
+        base = reconstruct(t, method)
+        for k in (-20, 7):
+            got = reconstruct(_scaled(t, k), method)
+            assert got.generators.tobytes() == (base.generators * 2.0**k).tobytes(), (method, k)
+            assert (got.anchor, got.refine_iterations) == (base.anchor, base.refine_iterations)
 
 
 def _moved_vertex(t, v: int, to) -> Tessellation:
