@@ -149,14 +149,12 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     swap = cross < 0.0
     sax, sbx = np.where(swap, sbx, sax), np.where(swap, sax, sbx)
     say, sby = np.where(swap, sby, say), np.where(swap, say, sby)
-    # e = s_a s_b, each real product rounded on its own
-    ex = sax * sbx - say * sby
-    ey = sax * sby + say * sbx
+    ex, ey = geom.cmul(sax, say, sbx, sby)  # e = s_a s_b
     dx, dy = a.dirs[ring[use]].T  # NaN, pointing nowhere, for a degenerate ridge
     fwd = (sax * dy - say * dx > 0.0) & (dx * sby - dy * sbx > 0.0)
     back = (sax * -dy - say * -dx > 0.0) & (-dx * sby - -dy * sbx > 0.0)
     ix, iy = np.where(fwd, dx, -dx), np.where(fwd, dy, -dy)
-    gx, gy, _ = geom.unit_vecs(ex * ix + ey * iy, ey * ix - ex * iy)  # e and the ridge are unit
+    gx, gy, _ = geom.unit_vecs(*geom.mirror(ex, ey, ix, iy))  # e and the ridge are unit
     into = ok & (fwd | back)
     return row[use[into]], a0[into], np.stack((gx[into], gy[into]), axis=1)
 
@@ -167,18 +165,8 @@ def _pair_delta(a1: np.ndarray, d1: np.ndarray, a2: np.ndarray, d2: np.ndarray, 
     from a_i: turning ray i by a small angle eps moves p by
     eps * l_i / |sin theta|."""
     sine = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    l1 = np.fromiter(map(math.hypot, p[:, 0] - a1[:, 0], p[:, 1] - a1[:, 1]), float, len(p))
-    l2 = np.fromiter(map(math.hypot, p[:, 0] - a2[:, 0], p[:, 1] - a2[:, 1]), float, len(p))
+    l1, l2 = (geom.hypot(*(p - a).T) for a in (a1, a2))
     return (l1 + l2) / np.abs(sine)
-
-
-def _row_sum(x: np.ndarray, use: np.ndarray) -> np.ndarray:
-    """Each row's sum of its entries where ``use``, added left to right from
-    0.0 as a Python loop adds them (``numpy.add.reduce`` sums pairwise)."""
-    total = np.zeros(len(x))
-    for col in range(x.shape[1]):
-        np.add(total, x[:, col], out=total, where=use[:, col])
-    return total
 
 
 def _delta_weights(deltas: np.ndarray, use: np.ndarray) -> np.ndarray:
@@ -192,9 +180,9 @@ def _delta_weights(deltas: np.ndarray, use: np.ndarray) -> np.ndarray:
     if zero.any():
         others = rest.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cap = np.where(others > 0, ZERO_DELTA_WEIGHT_CAP * (_row_sum(raw, rest) / others), 0.0)
+            cap = np.where(others > 0, ZERO_DELTA_WEIGHT_CAP * (geom.row_sum(raw, rest) / others), 0.0)
         raw = np.where(zero, cap[:, None], raw)
-    total = _row_sum(raw, use)
+    total = geom.row_sum(raw, use)
     with np.errstate(invalid="ignore", divide="ignore"):
         uniform = 1.0 / use.sum(axis=1)
         return np.where((total <= 0.0)[:, None], uniform[:, None], raw / total[:, None])
@@ -228,7 +216,7 @@ def _estimates(a: RidgeArrays, cells: np.ndarray):
         deltas = np.zeros(used.shape)
         deltas[used] = _pair_delta(a1, d1, a2, d2, p[used])
         weights = _delta_weights(deltas, used)
-        est = np.stack([_row_sum(weights * p[..., k], used) for k in (0, 1)], axis=1)
+        est = np.stack([geom.row_sum(weights * p[..., k], used) for k in (0, 1)], axis=1)
         groups.append((idx, p, weights, used, est))
     return n_rays, groups
 

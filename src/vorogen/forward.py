@@ -66,7 +66,7 @@ def _too_close(pts, sep: float) -> set[int]:
     """Indices of points within ``sep`` of an earlier point.
 
     The candidates are the pairs in one cell, or in neighbouring cells, of a
-    grid of side 2 sep, found by sorting the cells' keys; ``math.hypot``
+    grid of side 2 sep, found by sorting the cells' keys; ``geom.hypot``
     decides each candidate.
     """
     if sep <= 0.0:
@@ -96,8 +96,7 @@ def _too_close(pts, sep: float) -> set[int]:
     i = np.concatenate([np.repeat(rows, hi - lo) for rows, lo, hi in spans])
     j = order[np.concatenate([ranges(lo, hi) for _, lo, hi in spans])]
     d = p[i] - p[j]
-    close = [math.hypot(dx, dy) <= sep for dx, dy in zip(d[:, 0].tolist(), d[:, 1].tolist())]
-    return set(np.maximum(i, j)[np.array(close, bool)].tolist())
+    return set(np.maximum(i, j)[geom.hypot(d[:, 0], d[:, 1]) <= sep].tolist())
 
 
 def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
@@ -273,10 +272,11 @@ def jitter_degenerate(sites: SiteSample, epsilon: float) -> SiteSample:
     Degenerate means duplicated within tolerance or part of a 4+-cocircular
     group whose dual ridge would have zero length. Returns the input object
     unchanged when it builds or ``epsilon`` is 0, and otherwise the moved
-    sites, even when eight rounds of moving did not make them build.
+    sites, even when eight rounds of moving did not make them build. Raises
+    ValueError unless 0 <= ``epsilon`` < inf.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     if epsilon == 0.0:
         return sites
     try:

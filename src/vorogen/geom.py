@@ -1,9 +1,15 @@
-"""Flat 2D primitives: points, directions and lines.
+"""Flat 2D primitives: points, directions and lines, and the float kernels.
 
 Everything here is an immutable value type plus pure functions, all in
 double precision. The program reflects with the map z -> e conj(z) + b of
 ``solver.build_mirror_terms``, kept per diagram in ``RidgeArrays.mirrors``,
 and works on lines as arrays (``tessellation.RidgeArrays``).
+
+The array kernels ``hypot``, ``cmul``, ``mirror`` and ``row_sum`` fix the
+rounding of anything that reaches a result, so it has the same bits on every
+CPU: numpy's ``hypot``, complex modulus and complex product round by SIMD
+path, and ``np.sum`` adds pairwise. numpy's own stay only in tolerance
+bounds with slack (``delaunay.circumcenter_error``, ``forward._unresolved``).
 """
 
 from __future__ import annotations
@@ -54,27 +60,51 @@ class RidgeLine(NamedTuple):
     dir: UnitVec2
 
 
+def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each (x, y), in the shape of ``x``."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    n = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(n, float, x.size).reshape(x.shape)
+
+
+def cmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray):
+    """The real and imaginary parts of (ar + i ai)(br + i bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def mirror(er: np.ndarray, ei: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The real and imaginary parts of e conj(z), e = er + i ei, z = x + i y."""
+    return er * x + ei * y, ei * x - er * y
+
+
+def row_sum(x: np.ndarray, use: np.ndarray | None = None) -> np.ndarray:
+    """Each row's sum of its entries (where ``use``), left to right from 0.0."""
+    total = np.zeros(len(x))
+    for col in range(x.shape[1]):
+        np.add(total, x[:, col], out=total, where=True if use is None else use[:, col])
+    return total
+
+
 def unit_vec(x: float, y: float) -> UnitVec2:
     """Normalize ``(x, y)``; raises DegenerateRidgeError on a zero vector."""
-    # rescale by an exact power of two first: hypot of two subnormals rounds
-    # to a subnormal with too few bits left for x / n to be unit length
-    _, e = math.frexp(max(abs(x), abs(y)))
-    sx, sy = math.ldexp(x, -e), math.ldexp(y, -e)
-    n = math.hypot(sx, sy)
-    if n <= 0.0 or not math.isfinite(n):
+    ux, uy, ok = unit_vecs(np.array([x], float), np.array([y], float))
+    if not ok[0]:
         raise DegenerateRidgeError(f"cannot normalize direction ({x}, {y})")
-    return UnitVec2(sx / n, sy / n)
+    return UnitVec2(float(ux[0]), float(uy[0]))
 
 
 def unit_vecs(x: np.ndarray, y: np.ndarray):
-    """``unit_vec`` of each (x, y): the direction, and whether it exists."""
+    """Each (x, y) normalized: the direction, and whether it exists."""
+    # rescale by an exact power of two first: hypot of two subnormals rounds
+    # to a subnormal with too few bits left for x / n to be unit length
     _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
     sx, sy = np.ldexp(x, -e), np.ldexp(y, -e)
-    n = np.fromiter(map(math.hypot, sx, sy), float, len(sx))
+    n = hypot(sx, sy)
     ok = (n > 0.0) & np.isfinite(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return sx / n, sy / n, ok
 
 
-def is_unit(v, tol: float = UNIT_TOL) -> bool:
+def is_unit(v, tol: float = UNIT_TOL):
+    """|x^2 + y^2 - 1| <= tol for v = (x, y) of floats or arrays (NaN is not unit)."""
     return abs(v[0] * v[0] + v[1] * v[1] - 1.0) <= tol

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import geom
 from .anchor import select_anchor
 from .baselines import brute_force_all, c_prime_all
 from .propagate import reconstruct_all, refine_all
@@ -54,12 +55,12 @@ class ReconstructionReport:
 def _errors(generators: np.ndarray, gt: GroundTruth) -> tuple[float, float]:
     """Root-mean-square and largest distance from the true generators.
 
-    Each distance is ``math.hypot``'s (``np.hypot`` may round differently)
-    and the squares are added left to right, as a loop adds them
-    (``np.sum`` adds pairwise); a NaN distance does not count as the largest.
+    Each distance is ``geom.hypot``'s and the squares are added left to
+    right, as a loop adds them (``np.sum`` adds pairwise); a NaN distance
+    does not count as the largest.
     """
     d = generators - gt.generators
-    e = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
+    e = geom.hypot(d[:, 0], d[:, 1])
     sq = np.add.accumulate(e * e)[-1]
     return math.sqrt(sq / len(e)), float(np.fmax.reduce(e, initial=0.0))
 

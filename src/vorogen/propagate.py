@@ -16,11 +16,11 @@ every ridge at once, warm-started from the sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .errors import UnreachableCellsError
 from .solver import PatchSolution
 from .tessellation import Tessellation, ranges
@@ -106,11 +106,9 @@ def sweep(
         bad = a.degenerate[rid]
         if bad.any():
             t.ridge_line(int(rid[np.argmax(bad)]))  # raises DegenerateRidgeError
-        # g -> e conj(g) + b in real arithmetic: a complex product could be
-        # rounded differently on another CPU
-        x, y = xy[src, 0], xy[src, 1]
-        xy[found, 0] = er[rid] * x + ei[rid] * y + br[rid]
-        xy[found, 1] = ei[rid] * x - er[rid] * y + bi[rid]
+        x, y = geom.mirror(er[rid], ei[rid], xy[src, 0], xy[src, 1])
+        xy[found, 0] = x + br[rid]
+        xy[found, 1] = y + bi[rid]
         depth[found] = d + 1
         fan_in[found] = incoming
         order.append(np.stack((found, src, rid)))
@@ -174,20 +172,15 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
         raise ValueError(f"{len(g)} generators for {n} cells")
     w = np.where(finite, 0.0, 1.0)
     length = a.lengths[usable]
-    # math.hypot, not np.abs: numpy's complex modulus rounds differently on
-    # different SIMD paths
     gap = (g[ia] - c)[usable]
-    w[usable] = length / (length + np.fromiter(map(math.hypot, gap.real, gap.imag), float, len(gap)))
+    w[usable] = length / (length + geom.hypot(gap.real, gap.imag))
     b = w * b
     scatter = np.concatenate((ib, ia))
     er, ei = e.real, e.imag
 
     def mirror(z):
-        # e conj(z) in real arithmetic, as the sweep forms it: a complex
-        # product could be rounded differently on another CPU
         out = np.empty_like(z)
-        out.real = er * z.real + ei * z.imag
-        out.imag = ei * z.real - er * z.imag
+        out.real, out.imag = geom.mirror(er, ei, z.real, z.imag)
         return out
 
     def forward(z):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .anchor import score_cell
 from .errors import AnchorIneligibleError, InconsistentSystemError, SingularSystemError
 from .tessellation import CellId, RidgeArrays, Tessellation, point_array
@@ -72,12 +73,6 @@ class PatchSolution:
         return self.smax / self.smin if self.smin > 0.0 else float("inf")
 
 
-def mirror_terms(a: RidgeArrays, rids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mirror terms (c, e, b) of ridges ``rids``, gathered from
-    ``a.mirrors``: each array indexed by ``rids``."""
-    return tuple(x[rids] for x in a.mirrors)
-
-
 def build_mirror_terms(a: RidgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mirror equation ``g_b - R g_a = (I - R) c`` of every ridge,
     as read-only arrays; ``RidgeArrays.mirrors`` keeps them.
@@ -89,10 +84,8 @@ def build_mirror_terms(a: RidgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarr
     that form, the rounding of the right-hand side shifts the line but
     cannot tilt it. A degenerate ridge has no direction; u = 1 stands in.
 
-    e is formed from separately rounded real products: numpy's complex
-    product rounds differently on some SIMD paths, which would make the
-    reflections depend on the CPU. The products that form c and b have a
-    factor with a zero part, so they round the same on every path.
+    e is ``geom.cmul``'s. The products that form c and b have a factor with
+    a zero part, so they round the same on every path.
     """
     ends, finite = a.ends, a.finite
     verts = a.vertices.view(complex).ravel()
@@ -101,8 +94,7 @@ def build_mirror_terms(a: RidgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarr
     c = np.where(finite, 0.5 * (p0 + p1), p0)
     u = np.where(a.degenerate, 1.0, a.dirs.view(complex).ravel())
     e = np.empty_like(u)
-    e.real = u.real * u.real - u.imag * u.imag
-    e.imag = u.real * u.imag + u.imag * u.real
+    e.real, e.imag = geom.cmul(u.real, u.imag, u.real, u.imag)
     m = 1j * u
     terms = c, e, 2.0 * m * (m.real * c.real + m.imag * c.imag)
     for x in terms:
@@ -114,8 +106,8 @@ def patch_stacks(a: RidgeArrays, cells: np.ndarray):
     """Yield (cells, matrices, right-hand sides, members, row_pairs), one
     stack per degree k, of the patches around the eligible ``cells``.
 
-    A patch's 4k rows are the global mirror rows (``mirror_terms``) of its
-    anchor's k ridges, in CCW order, then of its k ring ridges
+    A patch's 4k rows are the global mirror rows (``RidgeArrays.mirrors``)
+    of its anchor's k ridges, in CCW order, then of its k ring ridges
     (``RidgeArrays.ring``), each relating a (source, target) pair of cells;
     its 2(k + 1) columns are the generators of its members, the anchor and
     then its k neighbours, which eligibility makes distinct.
@@ -128,7 +120,8 @@ def patch_stacks(a: RidgeArrays, cells: np.ndarray):
         # anchor rows run from the anchor to each neighbour, ring rows to the next neighbour
         nb = np.arange(1, k + 1)
         src, dst = np.concatenate((0 * nb, nb)), np.concatenate((nb, np.roll(nb, -1)))
-        _, e, b = mirror_terms(a, np.concatenate((a.cell_ridges[entry], a.ring[entry]), axis=1))
+        rids = np.concatenate((a.cell_ridges[entry], a.ring[entry]), axis=1)
+        e, b = a.mirrors[1][rids], a.mirrors[2][rids]
         pairs = np.stack((members[:, src], members[:, dst]), axis=2)
         # g_dst - R g_src = b, R = [[Re e, Im e], [Im e, -Re e]]: two rows per ridge
         row, src, dst = 2 * np.arange(2 * k), 2 * src, 2 * dst

@@ -359,13 +359,10 @@ def _incidence(t: Tessellation) -> _Incidence:
     v0 = np.where(ok, ends[:, 0], nv)
     with np.errstate(invalid="ignore"):  # inf - inf, where a vertex is not finite
         seg = xy.take(np.where(use, ends[:, 1], v0), 0) - xy.take(v0, 0)
-    # math.hypot, not np.hypot: the two round differently on about a third
-    # of the ridges, and every direction's bits would move
-    lengths = np.fromiter(map(math.hypot, *seg.T), float, nr)
+    lengths = geom.hypot(seg[:, 0], seg[:, 1])
     lengths[~finite] = math.inf
     degenerate = use & ((ends[:, 0] == ends[:, 1]) | (lengths <= t.degeneracy_threshold()))
-    rx, ry = t._rays.T
-    bad_ray = ok & ~finite & ~(np.abs(rx * rx + ry * ry - 1.0) <= geom.UNIT_TOL)  # NaN is not unit
+    bad_ray = ok & ~finite & ~geom.is_unit(t._rays.T)
     owner = np.repeat(np.arange(nc, dtype=np.int32), np.diff(t._cell_start))
     in_range = (listed >= 0) & (listed < nr)
     # an entry whose ridge id is out of range reads the cells -1 from a row past the ridges
@@ -616,8 +613,7 @@ def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corne
             p = t._xy[vid]
             p_next = np.roll(p, -1, axis=1)
             edge = p_next - p  # from each corner to the next
-            length = np.fromiter(map(math.hypot, *edge.reshape(-1, 2).T), float, vid.size)
-            length = length.reshape(vid.shape)
+            length = geom.hypot(edge[..., 0], edge[..., 1])
             edge_next = np.roll(edge, -1, axis=1)
             cross = edge[..., 0] * edge_next[..., 1] - edge[..., 1] * edge_next[..., 0]
             norm = length * np.roll(length, -1, axis=1)
@@ -627,8 +623,7 @@ def _polygon_checks(t: Tessellation, cells: np.ndarray, first: np.ndarray, corne
             ordered = np.sort(vid, axis=1)
             revisit[cs] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
             term = p[..., 0] * p_next[..., 1] - p_next[..., 0] * p[..., 1]
-            for col in range(k):
-                area2[cs] += term[:, col]
+            area2[cs] = geom.row_sum(term)
     return revisit, concave_at, area2
 
 

@@ -45,7 +45,7 @@ def reflect_point(p, line: RidgeLine) -> Point2:
     ``2 (a + ((p - a) . d) d) - p`` is evaluated in exact rational arithmetic
     and rounded once per coordinate, so reflecting twice returns ``p`` up to
     those roundings and the direction's own. The reference for the mirror
-    map z -> e conj(z) + b of ``solver.mirror_terms``.
+    map z -> e conj(z) + b of ``RidgeArrays.mirrors``.
     """
     (ax, ay), (dx, dy), (px, py) = (map(Fraction, v) for v in (line.anchor, line.dir, p))
     t = (px - ax) * dx + (py - ay) * dy

@@ -255,11 +255,35 @@ def _scaled(t: Tessellation, k: int) -> Tessellation:
     )
 
 
+# (x, y) -> (sign x', sign y') with (x', y') = (x, y)[perm]: each rounds nothing
+_TURNS = {
+    "quarter turn": ([1, 0], [-1.0, 1.0]),
+    "half turn": ([0, 1], [-1.0, -1.0]),
+    "axis swap": ([1, 0], [1.0, 1.0]),
+}
+
+
+def _turned(t: Tessellation, name: str) -> Tessellation:
+    """``t`` with every vertex and ray direction mapped by ``_TURNS[name]``,
+    bits kept; the swap flips orientation, so it reverses each cell's ridges."""
+    perm, sign = _TURNS[name]
+    start, ridges = t._cell_start, t._cell_ridges
+    if name == "axis swap":
+        owner = np.repeat(np.arange(len(start) - 1), np.diff(start))
+        ridges = ridges[start[owner] + start[owner + 1] - 1 - np.arange(len(ridges))]
+    return Tessellation.from_arrays(
+        t._xy[:, perm] * sign, t._cells, t._ends, t._finite, t._rays[:, perm] * sign, start, ridges, t._bounded
+    )
+
+
 @pytest.mark.parametrize("n,seed", [(300, 0), (300, 1), (300, 2), (2000, 1)])
 def test_power_of_two_scaling_scales_every_method_exactly(built, n, seed):
     """Scaling the vertices by 2**k rounds nothing, and every tolerance is
     relative, so each method's generators scale by 2**k bit for bit, with
-    the same anchor and refinement count."""
+    the same anchor and refinement count. Under a half turn every method,
+    and under a quarter turn or an axis swap ``cprime``, keeps its bits
+    too; ``anchor`` and ``brute`` then keep their anchor and refinement
+    count and move by at most 1e-12 (7.7e-14 measured)."""
     _, t, _ = built(n, seed)
     for method in ("anchor", "brute", "cprime"):
         base = reconstruct(t, method)
@@ -267,6 +291,14 @@ def test_power_of_two_scaling_scales_every_method_exactly(built, n, seed):
             got = reconstruct(_scaled(t, k), method)
             assert got.generators.tobytes() == (base.generators * 2.0**k).tobytes(), (method, k)
             assert (got.anchor, got.refine_iterations) == (base.anchor, base.refine_iterations)
+        for name, (perm, sign) in _TURNS.items():
+            got = reconstruct(_turned(t, name), method)
+            want = base.generators[:, perm] * sign
+            assert (got.anchor, got.refine_iterations) == (base.anchor, base.refine_iterations), name
+            if method == "cprime" or name == "half turn":
+                assert got.generators.tobytes() == want.tobytes(), (method, name)
+            else:
+                assert max(map(math.hypot, *(got.generators - want).T.tolist())) <= 1e-12, (method, name)
 
 
 def _moved_vertex(t, v: int, to) -> Tessellation:

@@ -1,9 +1,10 @@
 """Command line behavior: outputs, determinism and the exit-code contract.
 
-Commands run in-process through main(argv). Two subprocess tests run the
+Commands run in-process through main(argv). Three subprocess tests run the
 command line end to end: one as ``python -m vorogen.cli`` with the package on
-``PYTHONPATH``, one through the installed console script, skipped when it is
-not installed.
+``PYTHONPATH``, one that runs every command in one interpreter and checks
+that none imports scipy, and one through the installed console script,
+skipped when it is not installed.
 """
 
 from __future__ import annotations
@@ -296,6 +297,27 @@ def test_module_entry_point_smoke(tmp_path):
     for made in (path, out):
         t, gt = load(made)
         assert t.n_cells == 300 and gt is not None
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    """Every command, in one fresh interpreter, imports no scipy module:
+    scipy is a test dependency (the Qhull oracle), not a runtime one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vorogen.__file__).resolve().parents[1]))
+    script = """
+import sys
+from vorogen.cli import main
+commands = [["generate", "--n", "300", "--seed", "1", "--out", "t.json"], ["validate", "--in", "t.json"]]
+commands += [["reconstruct", "--in", "t.json", "--method", m] for m in ("anchor", "brute", "cprime")]
+commands += [["bench", "--ns", "50", "--nsim", "2"]]
+for args in commands:
+    assert main(args) == 0, args
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(

@@ -260,8 +260,11 @@ def test_jitter_eps_zero_keeps_degenerate_input():
 
 
 def test_jitter_rejects_negative_eps():
-    with pytest.raises(ValueError):
-        jitter_degenerate(sample_sites(10, seed=0), -1.0)
+    """A negative, NaN or infinite epsilon is refused, not turned into
+    non-finite sites."""
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            jitter_degenerate(sample_sites(10, seed=0), eps)
 
 
 def test_jitter_moves_points_at_most_eps():

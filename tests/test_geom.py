@@ -1,12 +1,16 @@
 """Reflection and line primitives: pinned examples plus property tests.
 
 ``unit_vec`` and ``is_unit`` are the package's; the reflection and line
-functions are the tests' scalar references, kept in ``helpers``."""
+functions are the tests' scalar references, kept in ``helpers``. The float
+kernels (``hypot``, ``cmul``, ``mirror``, ``row_sum``) are checked bit for
+bit against their Python-float formulas."""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +24,19 @@ from helpers import (
     same_line,
 )
 from vorogen.errors import DegenerateRidgeError
-from vorogen.geom import Point2, RidgeLine, UnitVec2, is_unit, unit_vec
+from vorogen import geom
+from vorogen.geom import (
+    Point2,
+    RidgeLine,
+    UnitVec2,
+    cmul,
+    hypot,
+    is_unit,
+    mirror,
+    row_sum,
+    unit_vec,
+    unit_vecs,
+)
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -170,3 +186,79 @@ def test_same_line_tolerates_anchor_slide_and_flip():
 def test_perp_rotates_ccw():
     assert UnitVec2(1.0, 0.0).perp() == UnitVec2(0.0, 1.0)
     assert UnitVec2(0.0, 1.0).perp() == UnitVec2(-1.0, 0.0)
+
+
+# ------------------------------------------------------------ float kernels
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-500, 2.0**500, -(2.0**500),
+           1.0, -3.0, math.inf, -math.inf, math.nan]
+
+
+def _draws(seed: int, shape=500) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, float).tobytes()
+
+
+def test_hypot_is_math_hypot_bit_for_bit():
+    """On about 0.6% of normal draws ``np.hypot`` rounds differently."""
+    s = np.array(SPECIAL)
+    nx, ny = np.random.default_rng(2).standard_normal((2, 20_000))
+    x = np.concatenate((np.repeat(s, len(s)), _draws(0), nx))
+    y = np.concatenate((np.tile(s, len(s)), _draws(1), ny))
+    want = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert _bits(hypot(x, y)) == _bits(want)
+    grid = hypot(x[:600].reshape(20, 30), y[:600].reshape(20, 30))
+    assert grid.shape == (20, 30) and _bits(grid) == _bits(want[:600])
+
+
+def test_cmul_and_mirror_round_each_real_product():
+    ar, ai, br, bi = (_draws(seed) for seed in range(4))
+    rows = list(zip(ar.tolist(), ai.tolist(), br.tolist(), bi.tolist()))
+    assert _bits(cmul(ar, ai, br, bi)) == _bits(
+        [[a * c - b * d for a, b, c, d in rows], [a * d + b * c for a, b, c, d in rows]]
+    )
+    assert _bits(mirror(ar, ai, br, bi)) == _bits(
+        [[a * c + b * d for a, b, c, d in rows], [b * c - a * d for a, b, c, d in rows]]
+    )
+
+
+def test_row_sum_adds_left_to_right_from_zero():
+    x = _draws(4, (60, 40))
+    use = np.random.default_rng(5).random((60, 40)) < 0.6
+    for mask in (None, use):
+        keep = np.ones(x.shape, bool) if mask is None else mask
+        want = []
+        for row, kept in zip(x.tolist(), keep.tolist()):
+            total = 0.0
+            for v, k in zip(row, kept):
+                if k:
+                    total += v
+            want.append(total)
+        assert _bits(row_sum(x, mask)) == _bits(want)
+
+
+def test_unit_vec_is_the_unit_vecs_row():
+    x, y = _draws(6), _draws(7)
+    x[:4], y[:4] = [5e-324, 0.0, 3.0, math.nan], [5e-324, 0.0, -4.0, 1.0]
+    ux, uy, ok = unit_vecs(x, y)
+    assert ok[[0, 2]].all() and not ok[[1, 3]].any()
+    for k, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+        if ok[k]:
+            assert _bits(unit_vec(a, b)) == _bits((ux[k], uy[k]))
+        else:
+            with pytest.raises(DegenerateRidgeError):
+                unit_vec(a, b)
+    assert is_unit((ux[ok], uy[ok])).all()
+    assert is_unit(np.array([[1.0, math.nan, 2.0], [0.0, 0.0, 0.0]])).tolist() == [True, False, False]
+
+
+def test_only_geom_maps_math_hypot():
+    """The rounding decision has one home: no other module computes
+    ``math.hypot`` per element itself."""
+    package = Path(geom.__file__).parent
+    copies = [p.name for p in sorted(package.glob("*.py")) if p.name != "geom.py" and "map(math.hypot" in p.read_text()]
+    assert copies == []

@@ -30,7 +30,7 @@ from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.baselines import brute_force_all
 from vorogen.geom import Point2
 from vorogen.pipeline import reconstruct
-from vorogen.solver import PatchSystem, assemble_patch, mirror_terms, solve_patch
+from vorogen.solver import PatchSystem, assemble_patch, solve_patch
 from vorogen.tessellation import Ridge, Tessellation
 
 from conftest import make_diamond
@@ -117,7 +117,7 @@ def _row_ridges(t, sys_):
 
 
 def test_patch_rows_are_the_global_mirror_rows(diamond, built):
-    """Each equation is the mirror_terms row pair that refine_all solves:
+    """Each equation is the mirror row pair that refine_all solves:
     -R = -[[Re e, Im e], [Im e, -Re e]] on the source block, the identity on
     the target block and (Re b, Im b) on the right, bit for bit, for every
     eligible cell. ``_row_ridges`` finds the ring ridges from ``t.ridges``,
@@ -128,7 +128,7 @@ def test_patch_rows_are_the_global_mirror_rows(diamond, built):
     cases += [(big, c) for c in eligible_cells(big)]
     for t, anchor in cases:
         sys_ = assemble_patch(t, anchor)
-        _, e, b = mirror_terms(t.arrays, np.array(_row_ridges(t, sys_)))
+        _, e, b = (x[np.array(_row_ridges(t, sys_))] for x in t.arrays.mirrors)
         for j, (src, dst) in enumerate(sys_.row_pairs):
             expect = np.zeros((2, sys_.matrix.shape[1]))
             s, d = 2 * sys_.members.index(src), 2 * sys_.members.index(dst)
@@ -142,7 +142,7 @@ def test_mirror_terms_rounds_each_real_product(built):
     """e = u^2 is (ux ux - uy uy, ux uy + uy ux), each product rounded on its
     own, bit for bit, whatever path numpy's complex product takes."""
     a = built(2000, 0)[1].arrays
-    _, e, _ = mirror_terms(a, slice(None))
+    _, e, _ = a.mirrors
     expect = []
     for (ux, uy), bad in zip(a.dirs.tolist(), a.degenerate.tolist()):
         if bad:

@@ -22,7 +22,7 @@ from vorogen.errors import (
 )
 from vorogen.geom import UnitVec2
 from vorogen.pipeline import METHODS, reconstruct
-from vorogen.solver import assemble_patch, mirror_terms
+from vorogen.solver import assemble_patch
 from vorogen.tessellation import (
     Cell,
     GroundTruth,
@@ -271,7 +271,7 @@ def test_ridge_line_and_point(diamond):
     line = t.ridge_line(3)
     assert abs(line.dir.x + line.dir.y) < 1e-15
     # the mirror equation's point on the line: segment midpoint, ray origin
-    c, _, _ = mirror_terms(t.arrays, np.array([3, 5]))
+    c = t.arrays.mirrors[0][[3, 5]]
     assert c.tolist() == [1.5 + 1.5j, 2.0 + 1.0j]
     assert t.arrays.lengths[5] == math.inf
     assert t.arrays.lengths[3] == pytest.approx(math.sqrt(2.0))
