@@ -73,7 +73,7 @@ def build_score_table(t: Tessellation) -> ScoreTable:
     eligible = a.bounded & (faults == 0) & (np.bincount(cell, turns, n) > 0)
     # shortest over longest finite non-degenerate ridge, 0 with none
     lens = a.lengths[rids]
-    usable = ~bad & np.isfinite(lens)
+    usable = ~bad & a.finite[rids]
     shortest, longest = np.full(n, math.inf), np.zeros(n)
     np.minimum.at(shortest, cell[usable], lens[usable])
     np.maximum.at(longest, cell[usable], lens[usable])

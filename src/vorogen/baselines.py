@@ -103,7 +103,7 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
 
 def _closed(a: RidgeArrays) -> np.ndarray:
     """Cells flagged bounded that have no ray side."""
-    rays = np.bincount(a.entry_cell, a.ends[a.cell_ridges, 1] < 0, len(a.bounded))
+    rays = np.bincount(a.entry_cell, ~a.finite[a.cell_ridges], len(a.bounded))
     return a.bounded & (rays == 0)
 
 
@@ -121,7 +121,8 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     A corner is the vertex two consecutive sides share (``shared_corners``),
     and its outer ridge is the first side's ring ridge (``RidgeArrays.ring``).
     The corner is usable when that ridge exists and has a direction pointing
-    into the wedge, and the side directions exist and are not parallel.
+    into the wedge, and the sides' directions (``RidgeArrays.dirs``, none for
+    a degenerate side) exist and are not parallel.
     Returns each ray's cell (an index into ``cells``), anchor and unit
     direction, ordered by cell and corner vertex id.
     """
@@ -135,17 +136,15 @@ def _generator_rays(a: RidgeArrays, cells: np.ndarray):
     use = np.flatnonzero(closes & (ring >= 0))
     use = use[np.lexsort((corner[use], row[use]))]
     v = corner[use]
-    # the two sides as unit vectors from the corner
     a0 = a.vertices[v]
-    s = []
-    for rid in (rids[use], rids[successors(start)[use]]):
-        v0, v1 = a.ends[rid].T
-        w = a.vertices[np.where(v0 == v, v1, v0)]
-        s.append(geom.unit_vecs(w[:, 0] - a0[:, 0], w[:, 1] - a0[:, 1]))
-    (sax, say, ok_a), (sbx, sby, ok_b) = s
-    with np.errstate(invalid="ignore"):
-        cross = sax * sby - say * sbx
-        ok = ok_a & ok_b & (np.abs(cross) > geom.PARALLEL_TOL)
+    # the sides from the corner: a ridge's direction, turned round where v is
+    # its second end (0.0 - d keeps a zero +0.0, as the vertex difference has it)
+    (sax, say), (sbx, sby) = (
+        np.where((a.ends[rid, 0] == v)[:, None], a.dirs[rid], 0.0 - a.dirs[rid]).T
+        for rid in (rids[use], rids[successors(start)[use]])
+    )
+    cross = sax * sby - say * sbx
+    ok = np.abs(cross) > geom.PARALLEL_TOL  # False for a degenerate side's NaN
     swap = cross < 0.0
     sax, sbx = np.where(swap, sbx, sax), np.where(swap, sax, sbx)
     say, sby = np.where(swap, sby, say), np.where(swap, say, sby)
@@ -235,7 +234,7 @@ def c_prime_cell(t: Tessellation, c: CellId) -> CPrimeEstimate:
     check_id(c, t.n_cells, "cell")
     a = t.arrays
     rids = a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]
-    if not a.bounded[c] or (a.ends[rids, 1] < 0).any():
+    if not a.bounded[c] or not a.finite[rids].all():
         raise UnderdeterminedError(
             f"cell {c} is unbounded; the angle construction needs a closed polygon"
         )

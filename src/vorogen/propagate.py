@@ -23,7 +23,7 @@ import numpy as np
 from . import geom
 from .errors import UnreachableCellsError
 from .solver import PatchSolution
-from .tessellation import Tessellation, ranges
+from .tessellation import Tessellation, _ids, check_id, point_array, ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +75,9 @@ def sweep(
     from ``RidgeArrays.mirrors``, reflected as one array operation per layer, so
     every generator is the one a per-cell loop in that order would give.
     Returns the (n, 2) generators, read-only, and the trace. Raises
-    UnreachableCellsError, naming ``origin``, when the ridge graph does not
-    connect every cell to a known one.
+    OutOfRangeIdError for a cell id outside [0, n), ValueError unless there
+    is one (x, y) point per id, and UnreachableCellsError, naming ``origin``,
+    when the ridge graph does not connect every cell to a known one.
     """
     a = t.arrays
     n = t.n_cells
@@ -86,8 +87,14 @@ def sweep(
     xy = np.zeros((n, 2))
     depth = np.full(n, -1)
     fan_in = np.zeros(n, np.intp)
-    seeds = np.asarray(cells, np.intp)
-    xy[seeds] = np.asarray(points, float).reshape(-1, 2)
+    seeds = _ids(cells).reshape(-1)
+    bad = seeds[(seeds < 0) | (seeds >= n)]
+    if len(bad):
+        check_id(int(bad[0]), n, "cell")  # raises
+    points = point_array(points)
+    if len(points) != len(seeds):
+        raise ValueError(f"{len(points)} points for {len(seeds)} cells")
+    xy[seeds] = points
     depth[seeds] = 0
     order = [np.empty((3, 0), np.intp)]  # (cells, sources, ridges) per layer
     current = np.unique(seeds)

@@ -149,13 +149,14 @@ class Tessellation:
     ) -> "Tessellation":
         """A tessellation stored as the given arrays.
 
-        Per vertex its (x, y); per ridge its two cells and two end vertices
-        (-1 for a ray's missing end), whether it is finite, and a ray's unit
-        direction (NaN where it has none); per cell its ridge ids at
-        ``cell_ridges[cell_start[c]:cell_start[c + 1]]`` and whether it is
-        bounded. Ids are stored as int32 (``loads`` turns a larger one into
-        the int32 bound) and are not checked here: ``validate`` reports bad
-        ones and ``arrays`` refuses them.
+        Per vertex its (x, y); per ridge its two cells, two end vertices
+        (a ray's second end means nothing), whether it is finite, and a
+        ray's unit direction (NaN where it has none); per cell its ridge ids
+        at ``cell_ridges[cell_start[c]:cell_start[c + 1]]`` and whether it
+        is bounded. Ids are stored as int32 (``loads`` turns a larger one
+        into the int32 bound) and are not checked here: ``validate`` reports
+        bad ones and ``arrays`` refuses them. ValueError names the first
+        array whose shape disagrees with the others' (``_check_shapes``).
         """
         t = cls.__new__(cls)
         t._store(vertices, ridge_cells, ridge_ends, finite, ray_dirs, cell_start, cell_ridges, bounded)
@@ -168,6 +169,7 @@ class Tessellation:
             value = np.ascontiguousarray(value, dtype)
             value.flags.writeable = False
             setattr(self, name, value)
+        _check_shapes(*(getattr(self, name) for name in names))
         self.n_vertices, self.n_ridges, self.n_cells = len(self._xy), len(self._cells), len(self._bounded)
         xs, ys = self._xy.T.tolist()
         self._bbox = (min(xs), min(ys), max(xs), max(ys)) if xs else (0.0, 0.0, 0.0, 0.0)
@@ -241,6 +243,28 @@ class Tessellation:
         return RidgeLine(anchor, UnitVec2._make(a.dirs[rid].tolist()))
 
 
+def _check_shapes(vertices, ridge_cells, ridge_ends, finite, ray_dirs, cell_start, cell_ridges, bounded):
+    """Raise ValueError naming the first of ``from_arrays``' arrays, each with
+    at least one axis, whose shape disagrees with the others'."""
+    r = ridge_cells.shape[:1]
+    for name, value, shape in (
+        ("vertices", vertices, vertices.shape[:1] + (2,)),
+        ("ridge_cells", ridge_cells, r + (2,)),
+        ("ridge_ends", ridge_ends, r + (2,)),
+        ("finite", finite, r),
+        ("ray_dirs", ray_dirs, r + (2,)),
+        ("cell_ridges", cell_ridges, cell_ridges.shape[:1]),
+        ("cell_start", cell_start, cell_start.shape[:1]),
+    ):
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    start, n = cell_start, len(cell_ridges)
+    if not (len(start) and start[0] == 0 and start[-1] == n and (np.diff(start) >= 0).all()):
+        raise ValueError(f"cell_start must run from 0 to len(cell_ridges) = {n} without decreasing")
+    if len(bounded) != len(cell_start) - 1:
+        raise ValueError(f"bounded has {len(bounded)} entries for {len(cell_start) - 1} cells")
+
+
 @dataclass(frozen=True, eq=False)
 class RidgeArrays:
     """Struct-of-arrays view of a tessellation's ridges and cell boundaries.
@@ -260,13 +284,14 @@ class RidgeArrays:
 
     Every id is checked to be in range. Ids are int32, which halves the
     index arrays every tessellation keeps; arithmetic on ids that can pass
-    2**31 must widen them first. The cells, ends and cell ridges are the
-    tessellation's own storage, shared rather than copied.
+    2**31 must widen them first. The cells, ends, finite flags and cell
+    ridges are the tessellation's own storage, shared rather than copied.
     """
 
     vertices: np.ndarray  # (V, 2)
     cells: np.ndarray  # (R, 2) the two cells of each ridge
-    ends: np.ndarray  # (R, 2) end vertex ids; -1 in column 1 for rays
+    ends: np.ndarray  # (R, 2) end vertex ids; a ray's second end means nothing
+    finite: np.ndarray  # (R,) bool, says which ridges are rays (False)
     dirs: np.ndarray  # (R, 2) unit directions
     lengths: np.ndarray  # (R,) segment length, inf for rays
     degenerate: np.ndarray  # (R,) bool
@@ -276,10 +301,6 @@ class RidgeArrays:
     entry_cell: np.ndarray  # (E,) cell owning each entry
     cell_nbrs: np.ndarray  # (E,) cell across each entry's ridge
     ring: np.ndarray  # (E,) ring ridge of each entry, -1 for none
-
-    @property
-    def finite(self) -> np.ndarray:
-        return self.ends[:, 1] >= 0
 
     @cached_property
     def mirrors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,8 +394,7 @@ def _incidence(t: Tessellation) -> _Incidence:
     x, y = np.abs(t._xy.T)
     nonfinite = ~np.isfinite(x) | ~np.isfinite(y)
     huge = ~nonfinite & ((x > geom.COORD_MAX) | (y > geom.COORD_MAX))
-    x0, y0, x1, y1 = t._bbox
-    span = math.hypot(x1 - x0, y1 - y0)
+    span = t.diameter()  # 1.0 in place of 0, which is no fault either
     span_fault = f"vertices span {span:.3e}, below 2**-400" if 0.0 < span < geom.EXTENT_MIN else ""
     return _Incidence(
         bad_cell, bad_end, ok, seg, lengths, degenerate, bad_ray, listings, nonfinite, huge, span_fault,
@@ -413,6 +433,7 @@ def _ridge_arrays(t: Tessellation) -> RidgeArrays:
         vertices=t._xy,
         cells=cells,
         ends=ends,
+        finite=finite,
         dirs=dirs,
         lengths=inc.lengths,
         degenerate=inc.degenerate,

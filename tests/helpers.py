@@ -473,7 +473,8 @@ def generator_rays_reference(t: Tessellation, c: int) -> list[RidgeLine]:
     """One generator-passing ray per usable vertex of cell ``c``, one vertex
     at a time in ascending id order, as ``baselines._generator_rays`` must
     reproduce them: the outer ridge's direction into the wedge of the two
-    sides s_a, s_b (s_a x s_b > 0), reflected by z -> s_a s_b conj(z)."""
+    sides s_a, s_b (s_a x s_b > 0), reflected by z -> s_a s_b conj(z). A
+    vertex where a side or the outer ridge is degenerate gives none."""
     arr = t.arrays
     rids = arr.cell_ridges[arr.cell_start[c] : arr.cell_start[c + 1]]
     ends = dict(zip(rids.tolist(), arr.ends[rids].tolist()))
@@ -484,21 +485,14 @@ def generator_rays_reference(t: Tessellation, c: int) -> list[RidgeLine]:
         incident = vertex_ridges(t, v)
         sides = [rid for rid in incident if rid in ends]
         outers = [rid for rid in incident if rid not in ends]
-        if len(sides) != 2 or not outers:
+        if len(sides) != 2 or not outers or any(_degenerate(t, rid) for rid in sides):
             continue
         a = xy[v]
         side_dirs = []
-        ok = True
         for rid in sides:
             v0, v1 = ends[rid]
             w = xy[v1 if v0 == v else v0]
-            try:
-                side_dirs.append(unit_vec(w.x - a.x, w.y - a.y))
-            except DegenerateRidgeError:
-                ok = False
-                break
-        if not ok:
-            continue
+            side_dirs.append(unit_vec(w.x - a.x, w.y - a.y))
         sa, sb = side_dirs
         cross = sa.x * sb.y - sa.y * sb.x
         if abs(cross) <= PARALLEL_TOL:
@@ -548,7 +542,7 @@ def c_prime_cell_reference(t: Tessellation, c: int) -> CPrimeEstimate:
     """``baselines.c_prime_cell`` as a loop over ray pairs (i < j)."""
     a = t.arrays
     rids = a.cell_ridges[a.cell_start[c] : a.cell_start[c + 1]]
-    if not a.bounded[c] or (a.ends[rids, 1] < 0).any():
+    if not a.bounded[c] or not a.finite[rids].all():
         raise UnderdeterminedError(
             f"cell {c} is unbounded; the angle construction needs a closed polygon"
         )

@@ -42,7 +42,7 @@ from vorogen.geom import Point2, unit_vec
 from vorogen.pipeline import reconstruct
 from vorogen.propagate import reconstruct_all
 from vorogen.solver import assemble_patch, solve_patch
-from vorogen.tessellation import Cell, Ridge, Tessellation
+from vorogen.tessellation import Cell, Ridge, Tessellation, validate
 
 
 # ------------------------------------------------------------- brute force
@@ -246,6 +246,47 @@ def test_both_methods_match_the_cell_loops_on_the_diamond(diamond, diamond_missi
         assert _equal(_outcome(c_prime_all, t), _outcome(c_prime_all_reference, t))
         for c in range(t.n_cells):
             assert _outcome(c_prime_cell, t, c) == _outcome(c_prime_cell_reference, t, c)
+
+
+def _with(t: Tessellation, xy=None, ends=None) -> Tessellation:
+    """``t``'s arrays through ``from_arrays``, with the vertices or ridge ends replaced."""
+    return Tessellation.from_arrays(
+        t._xy if xy is None else xy, t._cells, t._ends if ends is None else ends,
+        t._finite, t._rays, t._cell_start, t._cell_ridges, t._bounded,
+    )
+
+
+def test_a_ray_second_end_means_nothing(built):
+    """Rays that also list a second end, here their own first, are the same
+    rays: every reader takes ray-ness from ``finite``, so ``validate`` finds
+    nothing and each method returns the clean diagram's bits (reading the
+    second end once made ``refine_all`` weigh those rays inf / inf)."""
+    _, t, _ = built(300, 0)
+    ends = t._ends.copy()
+    ends[~t._finite, 1] = ends[~t._finite, 0]
+    stray = _with(t, ends=ends)
+    assert validate(stray) == []
+    for method in ("anchor", "brute", "cprime"):
+        got, want = reconstruct(stray, method), reconstruct(t, method)
+        assert got.generators.tobytes() == want.generators.tobytes(), method
+        assert (got.anchor, got.refine_iterations) == (want.anchor, want.refine_iterations)
+
+
+def test_a_degenerate_side_gives_no_ray(built):
+    """A closed cell's side shortened below the degeneracy threshold has no
+    direction, so its corners give no ray, as a degenerate outer ridge
+    gives none; every cell and ``c_prime_all`` still match the loops."""
+    _, t, _ = built(200, 1)
+    k = int(np.flatnonzero((np.sort(t._cells, axis=1) == (41, 45)).all(axis=1))[0])
+    assert t._bounded[[41, 45]].all() and t._finite[k]
+    xy = t._xy.copy()
+    v0, v1 = t._ends[k]
+    xy[v1] = xy[v0] + (1e-13, 0.0)
+    short = _with(t, xy=xy)
+    assert short.arrays.degenerate[k]
+    for c in range(short.n_cells):
+        assert _outcome(c_prime_cell, short, c) == _outcome(c_prime_cell_reference, short, c)
+    assert _equal(c_prime_all(short), c_prime_all_reference(short))
 
 
 def _scaled(t: Tessellation, k: int) -> Tessellation:

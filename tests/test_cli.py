@@ -301,7 +301,8 @@ def test_module_entry_point_smoke(tmp_path):
 
 def test_runtime_needs_only_numpy(tmp_path):
     """Every command, in one fresh interpreter, imports no scipy module:
-    scipy is a test dependency (the Qhull oracle), not a runtime one."""
+    scipy is a test dependency (the Qhull oracle), not a runtime one. Every
+    warning is an error there, as pyproject makes a RuntimeWarning here."""
     env = dict(os.environ, PYTHONPATH=str(Path(vorogen.__file__).resolve().parents[1]))
     script = """
 import sys
@@ -314,7 +315,7 @@ for args in commands:
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     run = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
 from vorogen.anchor import select_anchor
-from vorogen.errors import DegenerateRidgeError, UnreachableCellsError
+from vorogen.errors import DegenerateRidgeError, OutOfRangeIdError, UnreachableCellsError
 from vorogen.geom import Point2
 from vorogen.propagate import REFINE_MAX_ITER, reconstruct_all, refine_all, sweep
 from vorogen.solver import assemble_patch, solve_patch
@@ -50,6 +50,24 @@ def test_sweep_across_degenerate_ridge_raises():
     )
     with pytest.raises(DegenerateRidgeError):
         sweep(t, [0], [(1.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "ids,bad", [([-1], -1), ([-2], -2), ([200], 200), ([2**40], 2**31 - 1), ([0, -(2**40)], -(2**31))]
+)
+def test_sweep_refuses_ids_out_of_range(built, ids, bad):
+    """A negative id does not count from the end, and a huge one is named
+    by its int32 bound, as ``check_id`` words it."""
+    t = built(200, 0)[1]
+    with pytest.raises(OutOfRangeIdError, match=f"cell {bad} does not exist; there are 200 cells"):
+        sweep(t, ids, np.zeros((len(ids), 2)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_sweep_needs_one_point_per_id(built, k):
+    _, t, gt = built(200, 0)
+    with pytest.raises(ValueError, match=f"{k} points for 2 cells"):
+        sweep(t, [0, 1], gt.generators[:k])
 
 
 # -------------------------------------------------------------- full sweep

@@ -390,6 +390,44 @@ def test_huge_code_built_vertices_are_refused_without_warnings(diamond):
         huge.arrays
 
 
+def _swap12(x):
+    x = x.copy()
+    x[[1, 2]] = x[[2, 1]]
+    return x
+
+
+# the from_arrays argument, its edit and the words of the ValueError
+SHAPE_FAULTS = {
+    "vertices with three columns": ("vertices", lambda x: x[:, [0, 1, 1]], "vertices has shape"),
+    "ridge cells with three columns": ("ridge_cells", lambda x: x[:, [0, 1, 1]], "ridge_cells has shape"),
+    "ridge ends one row short": ("ridge_ends", lambda x: x[:-1], "ridge_ends has shape"),
+    "finite one row short": ("finite", lambda x: x[:-1], "finite has shape"),
+    "ray directions one row short": ("ray_dirs", lambda x: x[:-1], "ray_dirs has shape"),
+    "cell ridges as a column": ("cell_ridges", lambda x: x[:, None], "cell_ridges has shape"),
+    "cell start as a column": ("cell_start", lambda x: x[:, None], "cell_start has shape"),
+    "cell start empty": ("cell_start", lambda x: x[:0], "cell_start must run"),
+    "cell start not from 0": ("cell_start", lambda x: x + 1, "cell_start must run"),
+    "cell start past the ridges": ("cell_start", lambda x: np.append(x[:-1], x[-1] + 3), "cell_start must run"),
+    "cell start decreasing": ("cell_start", _swap12, "cell_start must run"),
+    "bounded one short": ("bounded", lambda x: x[:-1], "bounded has 49 entries for 50 cells"),
+}
+
+
+@pytest.mark.parametrize("fault", SHAPE_FAULTS)
+def test_from_arrays_refuses_shapes_that_disagree(built, fault):
+    """Arrays whose lengths disagree are refused at once, with the array
+    named, rather than by a numpy error in ``validate`` or ``reconstruct``."""
+    t = built(50, 0)[1]
+    arrays = dict(
+        vertices=t._xy, ridge_cells=t._cells, ridge_ends=t._ends, finite=t._finite, ray_dirs=t._rays,
+        cell_start=t._cell_start, cell_ridges=t._cell_ridges, bounded=t._bounded,
+    )
+    name, edit, words = SHAPE_FAULTS[fault]
+    arrays[name] = edit(arrays[name])
+    with pytest.raises(ValueError, match=words):
+        Tessellation.from_arrays(**arrays)
+
+
 @pytest.mark.parametrize("fault", ["foreign", "repeated", "dropped"])
 def test_broken_incidence_is_inconsistent(built, fault):
     """A cell listing a ridge that does not border it, a ridge twice or not
