@@ -13,7 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,18 +28,14 @@ CSV_HEADER = "n,nsim,method,log10_mean_rmse,log10_max_rse,mean_depth,mean_propag
 class SimResult:
     """One simulation's scores. Only the times vary between runs.
 
-    ``timings`` holds the reconstruction's per-stage seconds
-    (``ReconstructionReport.timings``); ``build_time`` the forward build's.
+    ``report`` is the reconstruction's ``ReconstructionReport.summary()``;
+    ``timings`` holds its per-stage seconds (``ReconstructionReport.timings``)
+    and ``build_time`` the forward build's.
     """
 
     n: int
     seed: int
-    method: str
-    rmse: float
-    max_rse: float
-    depth: int
-    residual_norm: float
-    refine_iterations: int
+    report: dict
     build_time: float
     timings: dict[str, float]
 
@@ -49,9 +45,8 @@ class SimResult:
         return self.timings["sweep"]
 
     def key(self) -> tuple:
-        """The deterministic fields, for reproducibility comparisons."""
-        return (self.n, self.seed, self.method, self.rmse, self.max_rse,
-                self.depth, self.residual_norm, self.refine_iterations)
+        """Every deterministic fact and no time, for reproducibility comparisons."""
+        return (self.n, self.seed, *sorted(self.report.items()))
 
 
 @dataclass(frozen=True)
@@ -91,18 +86,7 @@ def run_simulation(n: int, seed: int, method: str = "anchor") -> SimResult:
     _, tess, gt = sample_and_build(n, seed)
     build_time = time.perf_counter() - t0
     rep = reconstruct(tess, method, gt)
-    return SimResult(
-        n=n,
-        seed=seed,
-        method=method,
-        rmse=rep.rmse,
-        max_rse=rep.max_rse,
-        depth=rep.depth,
-        residual_norm=rep.residual if rep.residual is not None else math.nan,
-        refine_iterations=rep.refine_iterations,
-        build_time=build_time,
-        timings=rep.timings,
-    )
+    return SimResult(n, seed, rep.summary(), build_time, rep.timings)
 
 
 _Outcome = Union[SimResult, tuple]
@@ -155,9 +139,9 @@ def run_campaign(
         good = [r for r in batch if isinstance(r, SimResult)]
         failures = nsim - len(good)
         if good:
-            mean_rmse = sum(r.rmse for r in good) / len(good)
-            max_rse = max(r.max_rse for r in good)
-            mean_depth = sum(r.depth for r in good) / len(good)
+            mean_rmse = sum(r.report["rmse"] for r in good) / len(good)
+            max_rse = max(r.report["max_rse"] for r in good)
+            mean_depth = sum(r.report["depth"] for r in good) / len(good)
             mean_prop_ms = 1e3 * sum(r.propagate_time for r in good) / len(good)
             mean_build_ms = 1e3 * sum(r.build_time for r in good) / len(good)
         else:

@@ -53,16 +53,7 @@ def _cmd_reconstruct(args) -> int:
     rep = reconstruct(t, args.method, gt, args.anchor_seed)
     if args.out:
         save(t, args.out, GroundTruth(rep.generators))
-    summary: dict = {"method": rep.method, "cells": t.n_cells, "depth": rep.depth}
-    if rep.anchor is not None:
-        summary["anchor"] = rep.anchor
-        summary["refine_iterations"] = rep.refine_iterations
-        summary["condition"] = rep.condition
-    if rep.residual is not None:
-        summary["residual"] = rep.residual
-    if rep.rmse is not None:
-        summary["rmse"] = rep.rmse
-        summary["max_rse"] = rep.max_rse
+    summary = rep.summary()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")

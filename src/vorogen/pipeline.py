@@ -51,6 +51,26 @@ class ReconstructionReport:
     def __post_init__(self):
         object.__setattr__(self, "generators", point_array(self.generators))
 
+    def summary(self) -> dict:
+        """The run's deterministic facts as plain Python values: the one
+        list that ``--report``, the printed lines and the benchmark read.
+
+        ``method``, ``cells`` and ``depth`` always; ``anchor``,
+        ``refine_iterations`` and ``condition`` for the anchor method;
+        ``residual`` when known (``brute``'s is its largest patch residual);
+        ``rmse`` and ``max_rse`` with ground truth. ``depth`` is 0 for
+        ``brute`` and ``cprime``: their fill sweep is not reported.
+        """
+        facts = {"method": self.method, "cells": len(self.generators), "depth": self.depth}
+        if self.anchor is not None:
+            facts.update(anchor=self.anchor, refine_iterations=self.refine_iterations,
+                         condition=self.condition)
+        if self.residual is not None:
+            facts["residual"] = self.residual
+        if self.rmse is not None:
+            facts.update(rmse=self.rmse, max_rse=self.max_rse)
+        return facts
+
 
 def _errors(generators: np.ndarray, gt: GroundTruth) -> tuple[float, float]:
     """Root-mean-square and largest distance from the true generators.

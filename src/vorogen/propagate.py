@@ -53,10 +53,6 @@ class PropagationTrace:
     def max_depth(self) -> int:
         return int(self.depth.max(initial=0))
 
-    @property
-    def mean_depth(self) -> float:
-        return int(self.depth.sum()) / len(self.depth) if len(self.depth) else 0.0
-
 
 def sweep(
     t: Tessellation,
@@ -75,9 +71,10 @@ def sweep(
     from ``RidgeArrays.mirrors``, reflected as one array operation per layer, so
     every generator is the one a per-cell loop in that order would give.
     Returns the (n, 2) generators, read-only, and the trace. Raises
-    OutOfRangeIdError for a cell id outside [0, n), ValueError unless there
-    is one (x, y) point per id, and UnreachableCellsError, naming ``origin``,
-    when the ridge graph does not connect every cell to a known one.
+    OutOfRangeIdError for a cell id outside [0, n), ValueError for a
+    repeated id or unless there is one (x, y) point per id, and
+    UnreachableCellsError, naming ``origin``, when the ridge graph does not
+    connect every cell to a known one.
     """
     a = t.arrays
     n = t.n_cells
@@ -94,10 +91,13 @@ def sweep(
     points = point_array(points)
     if len(points) != len(seeds):
         raise ValueError(f"{len(points)} points for {len(seeds)} cells")
+    current, count = np.unique(seeds, return_counts=True)
+    repeated = current[count > 1]
+    if len(repeated):
+        raise ValueError(f"cell {repeated[0]} is given more than once")
     xy[seeds] = points
     depth[seeds] = 0
     order = [np.empty((3, 0), np.intp)]  # (cells, sources, ridges) per layer
-    current = np.unique(seeds)
     d = 0
     while len(current):
         # the boundary entries of the current layer, in discovery order

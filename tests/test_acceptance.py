@@ -109,8 +109,8 @@ def test_criterion_07_depth_scales_like_sqrt_n():
     """Quadrupling n roughly doubles the reflection depth (median of 20)."""
     ratios = []
     for seed in range(20):
-        d2000 = run_simulation(2000, seed).depth
-        d500 = run_simulation(500, seed).depth
+        d2000 = run_simulation(2000, seed).report["depth"]
+        d500 = run_simulation(500, seed).report["depth"]
         ratios.append(d2000 / d500)
     med = statistics.median(ratios)
     assert 1.4 <= med <= 3.2, f"median depth ratio {med:.2f}"

@@ -6,6 +6,7 @@ bit-identical across repeats and worker counts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,16 +52,28 @@ def test_derive_seed_separates_coordinates():
 
 def test_run_simulation_scores_one_draw():
     r = run_simulation(10, seed=1)
-    assert (r.n, r.seed, r.method) == (10, 1, "anchor")
-    assert 0.0 <= r.rmse <= r.max_rse < 1e-9
-    assert r.rmse < 1e-11
-    assert r.depth >= 1
-    assert r.residual_norm < 1e-9
+    assert (r.n, r.seed, r.report["method"]) == (10, 1, "anchor")
+    assert 0.0 <= r.report["rmse"] <= r.report["max_rse"] < 1e-9
+    assert r.report["rmse"] < 1e-11
+    assert r.report["depth"] >= 1
+    assert r.report["residual"] < 1e-9
     assert r.build_time >= 0.0
 
 
 def test_run_simulation_is_reproducible():
     assert run_simulation(40, seed=9).key() == run_simulation(40, seed=9).key()
+
+
+@pytest.mark.parametrize("method", ["anchor", "brute", "cprime"])
+def test_run_simulation_reports_the_summary(method):
+    r = run_simulation(40, 9, method)
+    _, t, gt = sample_and_build(40, 9)
+    assert r.report == reconstruct(t, method, gt).summary()
+
+
+def test_simulation_key_holds_no_time():
+    r = run_simulation(40, seed=9)
+    assert dataclasses.replace(r, timings={}, build_time=0.0).key() == r.key()
 
 
 def test_run_simulation_rejects_tiny_n():
@@ -69,8 +82,8 @@ def test_run_simulation_rejects_tiny_n():
 
 
 def test_run_simulation_baseline_methods():
-    assert run_simulation(20, seed=2, method="brute").rmse < 1e-9
-    assert run_simulation(20, seed=2, method="cprime").rmse < 1e-6
+    assert run_simulation(20, seed=2, method="brute").report["rmse"] < 1e-9
+    assert run_simulation(20, seed=2, method="cprime").report["rmse"] < 1e-6
 
 
 # ----------------------------------------------------------------- campaign
@@ -97,8 +110,8 @@ def test_campaign_of_one_matches_single_simulation():
     (row,) = rows
     single = run_simulation(20, derive_seed(3, 20, 0))
     assert row.results[0].key() == single.key()
-    assert row.log10_mean_rmse == math.log10(single.rmse)
-    assert row.mean_depth == float(single.depth)
+    assert row.log10_mean_rmse == math.log10(single.report["rmse"])
+    assert row.mean_depth == float(single.report["depth"])
 
 
 def test_campaign_rejects_empty_nsim():
@@ -232,6 +245,24 @@ def test_reconstruct_report_fields():
     assert rep.condition is not None and rep.condition >= 1.0
     assert rep.rmse is not None and rep.rmse < 1e-10
     assert rep.max_rse is not None and rep.rmse <= rep.max_rse
+
+
+@pytest.mark.parametrize("method, keys", [
+    ("anchor", {"anchor", "refine_iterations", "condition", "residual"}),
+    ("brute", {"residual"}),
+    ("cprime", set()),
+])
+def test_summary_keys_per_method(method, keys):
+    """Every method states its method, cell count and depth (0 for the two
+    baselines); ground truth adds the two errors. Values are plain Python."""
+    _, t, gt = sample_and_build(50, 4)
+    base = {"method", "cells", "depth"} | keys
+    assert reconstruct(t, method).summary().keys() == base
+    facts = reconstruct(t, method, gt).summary()
+    assert facts.keys() == base | {"rmse", "max_rse"}
+    assert (facts["method"], facts["cells"]) == (method, 50)
+    assert method == "anchor" or facts["depth"] == 0
+    assert {type(v) for v in facts.values()} <= {str, int, float}
 
 
 def test_reconstruct_without_ground_truth():

@@ -24,6 +24,7 @@ from helpers import max_cell_error
 import vorogen
 from vorogen.anchor import select_anchor
 from vorogen.cli import main
+from vorogen.pipeline import reconstruct
 from vorogen.tessellation import Tessellation, load, save
 
 
@@ -100,6 +101,19 @@ def test_reconstruct_baseline_methods(tess_file, tmp_path):
         ])
         assert code == 0
         assert json.loads(report.read_text())["rmse"] < bound
+
+
+@pytest.mark.parametrize("method", ["anchor", "brute", "cprime"])
+def test_reconstruct_report_is_the_summary(tess_file, tmp_path, capsys, method):
+    """--report writes ``ReconstructionReport.summary()`` of the loaded file,
+    and stdout prints its sorted items as ``key: value`` lines."""
+    report = tmp_path / "report.json"
+    code = main(["reconstruct", "--in", str(tess_file), "--method", method, "--report", str(report)])
+    assert code == 0
+    t, gt = load(tess_file)
+    want = reconstruct(t, method, gt).summary()
+    assert json.loads(report.read_text()) == want
+    assert capsys.readouterr().out == "".join(f"{k}: {v}\n" for k, v in sorted(want.items()))
 
 
 def test_reconstruct_alternative_policies(tess_file, tmp_path):
@@ -307,6 +321,7 @@ def test_runtime_needs_only_numpy(tmp_path):
     script = """
 import sys
 from vorogen.cli import main
+from vorogen.pipeline import reconstruct
 commands = [["generate", "--n", "300", "--seed", "1", "--out", "t.json"], ["validate", "--in", "t.json"]]
 commands += [["reconstruct", "--in", "t.json", "--method", m] for m in ("anchor", "brute", "cprime")]
 commands += [["bench", "--ns", "50", "--nsim", "2"]]

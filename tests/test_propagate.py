@@ -70,6 +70,17 @@ def test_sweep_needs_one_point_per_id(built, k):
         sweep(t, [0, 1], gt.generators[:k])
 
 
+@pytest.mark.parametrize("ids, bad", [([0, 0], 0), ([7, 5, 7, 5], 5), ([9, 2, 9, 9], 9)])
+def test_sweep_refuses_a_repeated_id(built, ids, bad):
+    """A repeated id is refused even when its points agree, before any reflection;
+    the lowest repeated id is named."""
+    _, t, gt = built(50, 0)
+    for shift in (0.0, 1.0):
+        points = gt.generators[ids] + shift * (np.arange(len(ids)) > 0)[:, None]
+        with pytest.raises(ValueError, match=f"cell {bad} is given more than once"):
+            sweep(t, ids, points)
+
+
 # -------------------------------------------------------------- full sweep
 
 
@@ -110,7 +121,7 @@ def test_trace_layer_invariants(built):
         assert trace.candidates[cell] >= 1
     # no empty layers
     assert sorted(set(trace.depth.tolist())) == list(range(trace.max_depth + 1))
-    assert 0.0 < trace.mean_depth <= trace.max_depth
+    assert 0.0 < trace.depth.mean() <= trace.max_depth
 
 
 def test_reflect_call_counts(built):
@@ -180,7 +191,7 @@ def test_depth_grows_like_sqrt_n(built):
         for n in (250, 1000):
             _, t, _ = built(n, 100 + seed)
             _, trace = reconstruct_all(t, _solve(t))
-            depths[n] = trace.mean_depth
+            depths[n] = trace.depth.mean()
         ratios.append(depths[1000] / depths[250])
     assert 1.4 <= statistics.median(ratios) <= 3.0
 
