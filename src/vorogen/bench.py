@@ -144,6 +144,8 @@ def run_campaign(
             mean_depth = sum(r.report["depth"] for r in good) / len(good)
             mean_prop_ms = 1e3 * sum(r.propagate_time for r in good) / len(good)
             mean_build_ms = 1e3 * sum(r.build_time for r in good) / len(good)
+            if method != "anchor":  # brute and cprime run no reported sweep: NaN, not 0
+                mean_depth = mean_prop_ms = math.nan
         else:
             mean_rmse = max_rse = mean_depth = mean_prop_ms = mean_build_ms = math.nan
         rows.append(

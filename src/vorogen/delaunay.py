@@ -177,7 +177,7 @@ class Triangulation:
         if all_collinear(p):
             raise ValueError("all points coincide" if (p == p[0]).all() else "all points are collinear")
         V, O = _Rounds(p).run()
-        self.V, self.N, self.finite = _canonical(V, O)
+        self.V, self.N, self.finite = _canonical(V, O, len(p))
 
 
 def _unique_points(p: np.ndarray) -> np.ndarray:
@@ -448,16 +448,18 @@ class _Rounds:
         self.on[k] = np.where(o == 0, 3 * t1[r] + 1, np.where(on >= 0, self.own[on], -1))
 
 
-def _canonical(V: np.ndarray, O: np.ndarray):
+def _canonical(V: np.ndarray, O: np.ndarray, n: int):
     """The triangles in canonical order (see the module docstring): corners,
     the neighbour across each edge, and the number of finite triangles."""
     T = len(V)
-    r = np.where(V == INF, np.iinfo(np.int64).max, V)
+    r = np.where(V == INF, n, V)  # n sites: INF ranks above every one
     last = np.argmax(r, axis=1)
     turn = (last[:, None] + 1 + np.arange(3)) % 3
     V = np.take_along_axis(V, turn, axis=1)
     r = np.take_along_axis(r, turn, axis=1)
-    perm = np.lexsort((r[:, 1], r[:, 0], r[:, 2]))
+    # (last, first) is a directed edge, in one triangle only: a unique key,
+    # within int64 for n below 3 * 10**9
+    perm = np.argsort(r[:, 2] * n + r[:, 0])
     new_id = np.empty(T, np.int64)
     new_id[perm] = np.arange(T)
     # old half-edge 3t + k is slot (k - last - 1) % 3 of triangle new_id[t]

@@ -5,6 +5,12 @@ circumcenters of finite triangles become tessellation vertices, numbered
 in the triangulation's canonical order (so a vertex id depends on the
 triangle set alone, not on how it was built), interior Delaunay edges
 become finite ridges, and hull edges become outward rays.
+A cell's boundary is read off the fan of triangles round its site, with no
+sort (the quad-edge view of Guibas and Stolfi, ACM TOG 4(2), 1985): after
+half-edge c -> u of triangle (c, u, w) comes c -> w. A bounded cell starts
+at the neighbour of least ``math.atan2``, the first in (-pi, 0] after one
+that is not; an unbounded cell just after its half-edge to INF, so its rays
+are first and last, or, with two ridges only, by ``math.atan2``.
 Collinear inputs (including the 2-site case) shortcut to an explicit
 construction where each bisector line is a pair of opposite rays through a
 synthetic vertex.
@@ -20,7 +26,7 @@ import numpy as np
 
 from . import delaunay, geom
 from .errors import ConstructionError
-from .tessellation import GroundTruth, Tessellation, point_array, ranges, shared_corners
+from .tessellation import GroundTruth, Tessellation, point_array, ranges
 
 # Smallest jitter of sample_and_build's retry, relative to the window side;
 # the retry uses the threshold that rejected the build when that is larger.
@@ -140,17 +146,19 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
 def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
     tv = tri.V
     corners = tv[: tri.finite]
-    abc = [p[corners[:, k]].T for k in range(3)]
-    vertices = np.column_stack(delaunay.circumcenter(*abc))
-    # every directed edge (i, j) with 0 <= i < j is one ridge; its triangle
-    # and the one across it, ascending, give the ridge's vertex ids (finite
-    # triangles come first, and are the vertices in their order)
-    head = tv.ravel()
-    tail = tv[:, [1, 2, 0]].ravel()
+    abc = [(p[c, 0], p[c, 1]) for c in corners.T]
+    cx, cy = delaunay.circumcenter(*abc)
+    vertices = np.column_stack((cx, cy))
+    # half-edge 3t + k of triangle t runs head -> tail; its twin, in the one across, back
+    head, tail, across = tv.ravel(), tv[:, [1, 2, 0]].ravel(), tri.N.ravel()
+    twin = 3 * across + (tv[across, 1] == tail) + 2 * (tv[across, 2] == tail)
+    # every half-edge (i, j) with 0 <= i < j is one ridge, by (i, j), a unique
+    # key; its triangle and the one across, ascending, give its vertex ids
+    # (finite triangles come first, and are the vertices in their order)
     e = np.flatnonzero((head >= 0) & (head < tail))
-    e = e[np.lexsort((tail[e], head[e]))]
+    e = e[np.argsort(head[e] * len(p) + tail[e])]
     ridge_cells = np.column_stack((head[e], tail[e]))
-    ends = np.sort(np.column_stack((e // 3, tri.N.ravel()[e])), axis=1)
+    ends = np.column_stack((np.minimum(e // 3, across[e]), np.maximum(e // 3, across[e])))
     finite = ends[:, 1] < tri.finite
     ends[~finite, 1] = -1  # (real triangle, -1)
     ray_dirs = np.full((len(ends), 2), math.nan)
@@ -167,24 +175,13 @@ def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
         away = dx * (w[:, 0] - m[:, 0]) + dy * (w[:, 1] - m[:, 1]) > 0.0
     ux, uy, _ = geom.unit_vecs(np.where(away, -dx, dx), np.where(away, -dy, dy))
     ray_dirs[ray] = np.column_stack((ux, uy))
-    # a cell's ridges go by the angle of the neighbour across them, as
-    # math.atan2 gives it (np.arctan2 rounds differently)
-    d = p[ridge_cells[:, ::-1].ravel()] - p[ridge_cells.ravel()]
-    angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
-    cell_start, cell_ridges = _boundaries(ridge_cells, len(p), angle)
     bounded = np.bincount(ridge_cells[~finite].ravel(), minlength=len(p)) == 0
-    # an unbounded cell's chain starts just after its gap, the first entry
-    # that shares no vertex with the next
-    _, closes = shared_corners(ends, finite, cell_start, cell_ridges)
-    for c in np.flatnonzero(~bounded & (np.diff(cell_start) > 2)).tolist():
-        lo, hi = cell_start[c], cell_start[c + 1]
-        gaps = np.flatnonzero(~closes[lo:hi])
-        if len(gaps):
-            cell_ridges[lo:hi] = np.roll(cell_ridges[lo:hi], -(gaps[0] + 1))
+    cell_start, cell_ridges = _fan_chains(p, head, tail, twin, e, bounded)
     t = Tessellation.from_arrays(
         vertices, ridge_cells, ends, finite, ray_dirs, cell_start, cell_ridges, bounded
     )
-    bad = np.flatnonzero(t.arrays.degenerate).tolist() if np.isfinite(vertices).all() else []
+    placed = (np.abs(vertices) <= geom.COORD_MAX).all()  # else _unresolved refuses them
+    bad = np.flatnonzero(t.arrays.degenerate).tolist() if placed else []
     if bad:
         groups = [tuple(sorted(set(corners[ends[r]].ravel().tolist()))) for r in bad]
         raise ConstructionError(
@@ -192,7 +189,7 @@ def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
             site_groups=tuple(groups),
             threshold=t.degeneracy_threshold(),
         )
-    bad = _unresolved(p, corners, vertices, tri.N[: tri.finite], abc)
+    bad = _unresolved(corners, cx, cy, tri.N[: tri.finite], abc)
     if len(bad):
         groups = sorted({tuple(sorted(c)) for c in corners[bad].tolist()})
         raise ConstructionError(
@@ -202,7 +199,38 @@ def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
     return t
 
 
-def _unresolved(p, corners, vertices, nbrs, abc) -> np.ndarray:
+def _fan_chains(p, head, tail, twin, e, bounded) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's chain of the module docstring, as CSR offsets and ridge
+    ids; ridge r is half-edge ``e[r]`` and its twin."""
+    h = np.arange(len(head))
+    nxt = twin[h - 1 + 3 * (h % 3 == 0)]  # c -> w after c -> u in (c, u, w)
+    rid = np.empty_like(h)
+    rid[e] = rid[twin[e]] = np.arange(len(e))
+    dy = p[tail, 1] - p[head, 1]  # garbage where an end is INF, and unread
+    lower = (dy < 0.0) | ((dy == 0.0) & (p[tail, 0] > p[head, 0]))
+    # each half-edge's distance to the last of its chain, by pointer doubling
+    last = (tail == delaunay.INF) | (bounded[head] & ~lower & lower[nxt])
+    succ, dist = np.where(last, h, nxt), (~last).astype(np.int64)
+    fan = np.bincount(head[head >= 0], minlength=len(p))
+    for _ in range(int(fan.max()).bit_length()):
+        dist += dist[succ]
+        succ = succ[succ]
+    out = np.flatnonzero((head >= 0) & (tail >= 0))
+    owner = head[out]
+    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(p)))))
+    ridges = np.empty(len(out), np.int64)
+    ridges[start[owner] + fan[owner] - 1 - dist[out]] = rid[out]
+    # an unbounded cell's two ridges: by math.atan2 of the site across, ties by id
+    two = np.flatnonzero(~bounded & (np.diff(start) == 2))
+    pair = ridges[start[two] + np.arange(2)[:, None]]
+    d = p[head[e[pair]] + tail[e[pair]] - two] - p[two]
+    a0, a1 = np.reshape([math.atan2(y, x) for x, y in d.reshape(-1, 2).tolist()], (2, -1))
+    flip = (a1 < a0) | ((a1 == a0) & (pair[1] < pair[0]))
+    ridges[start[two] + flip], ridges[start[two] + ~flip] = pair
+    return start, ridges
+
+
+def _unresolved(corners, cx, cy, nbrs, abc) -> np.ndarray:
     """The finite triangles whose circumcenter rounding could make a cell
     polygon turn the wrong way at it, by more than ``validate`` allows.
 
@@ -211,31 +239,23 @@ def _unresolved(p, corners, vertices, nbrs, abc) -> np.ndarray:
     circumcenter across that edge; rounding both by ``circumcenter_error``
     can turn the ridge by their sum over its length (a ray's direction is
     exact). Nearly collinear or nearly coincident sites, whose circumcenters
-    float cannot place, end up here; so does a circumcenter that is not finite.
+    float cannot place, end up here; so does a circumcenter (cx, cy) that is
+    not finite or lies beyond ``geom.COORD_MAX``, which loading would refuse.
     """
     err = delaunay.circumcenter_error(*abc)
     real = nbrs < len(corners)
     other = np.where(real, nbrs, 0)
     # the turn of each ridge, across edge k (from corner k to k + 1)
     with np.errstate(all="ignore"):
-        gap = np.hypot(*(vertices[other] - vertices[:, None, :]).transpose(2, 0, 1))
+        gap = np.hypot(cx[other] - cx[:, None], cy[other] - cy[:, None])
         turn = np.where(real, (err[:, None] + err[other]) / gap, err[:, None] * 0.0)
-        a = p[corners]
-        u, w = a[:, [1, 2, 0]] - a, a[:, [2, 0, 1]] - a
-        cross = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-        sine = cross / (np.hypot(*u.transpose(2, 0, 1)) * np.hypot(*w.transpose(2, 0, 1)))
-    # corner k sits between edge k - 1 and edge k
+        x, y = (np.column_stack(col) for col in zip(*abc))
+        ex, ey = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y
+        side = np.hypot(ex, ey)
+        # corner k sits between edge k - 1 and edge k
+        sine = (ex[:, [2, 0, 1]] * ey - ey[:, [2, 0, 1]] * ex) / (side * side[:, [2, 0, 1]])
     ok = sine >= turn + turn[:, [2, 0, 1]] - 0.5e-9
-    return np.flatnonzero(~ok.all(axis=1))
-
-
-def _boundaries(ridge_cells: np.ndarray, n: int, angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's ridges, as CSR offsets and ridge ids, ordered by ``angle``
-    (one per ridge end, as ``ridge_cells.ravel()``), ties in ridge order."""
-    owner = ridge_cells.ravel()
-    rids = np.repeat(np.arange(len(ridge_cells)), 2)
-    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
-    return start, rids[np.lexsort((rids, angle, owner))]
+    return np.flatnonzero(~ok.all(axis=1) | ~(np.maximum(np.abs(cx), np.abs(cy)) <= geom.COORD_MAX))
 
 
 def _collinear_voronoi(pts) -> Tessellation:
@@ -250,15 +270,15 @@ def _collinear_voronoi(pts) -> Tessellation:
     vertices = [(0.5 * (pts[a][0] + pts[b][0]), 0.5 * (pts[a][1] + pts[b][1])) for a, b in steps]
     ridge_cells = np.repeat(np.sort(steps, axis=1), 2, axis=0)
     nr = len(ridge_cells)
-    cell_start, cell_ridges = _boundaries(ridge_cells, len(pts), np.zeros(2 * nr))
+    owner = ridge_cells.ravel()  # each cell's ridges in id order
     return Tessellation.from_arrays(
         vertices,
         ridge_cells,
         np.column_stack((np.arange(nr) // 2, np.full(nr, -1))),
         np.zeros(nr, bool),
         np.tile([[w.x, w.y], [-w.x, -w.y]], (len(steps), 1)),
-        cell_start,
-        cell_ridges,
+        np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(pts))))),
+        np.argsort(owner, kind="stable") // 2,
         np.zeros(len(pts), bool),
     )
 

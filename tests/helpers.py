@@ -16,6 +16,7 @@ import numpy as np
 
 from vorogen.anchor import eligible_cells
 from vorogen.baselines import ZERO_DELTA_WEIGHT_CAP, CPrimeEstimate
+from vorogen.delaunay import all_collinear
 from vorogen.errors import (
     DegenerateRidgeError,
     NoEligibleAnchorError,
@@ -296,6 +297,36 @@ def too_close_reference(pts, sep: float) -> set[int]:
                         bad.add(i)
         grid.setdefault((gx, gy), []).append(i)
     return bad
+
+
+def cell_ridges_reference(t: Tessellation, sites) -> list[tuple[int, ...]]:
+    """Each cell's ridges in the order the forward build once sorted them
+    into: by ``math.atan2`` of the site across each ridge, ties in ridge
+    order (one ``lexsort`` over every boundary entry); then each unbounded
+    cell of more than two ridges rotated to start just after its gap, the
+    first entry that shares no vertex with the next. Collinear sites kept
+    ridge order."""
+    p = np.asarray(sites, float)
+    cells = np.array([r.cells for r in t.ridges]).reshape(-1, 2)
+    owner = cells.ravel()
+    rids = np.repeat(np.arange(len(cells)), 2)
+    d = p[cells[:, ::-1].ravel()] - p[owner]
+    angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
+    collinear = all_collinear(p)
+    if collinear:
+        angle[:] = 0.0
+    order = rids[np.lexsort((rids, angle, owner))].tolist()
+    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(p))))).tolist()
+    chains = []
+    for c, cell in enumerate(t.cells):
+        chain = order[start[c] : start[c + 1]]
+        if not (cell.bounded or collinear) and len(chain) > 2:
+            ends = [set(t.ridges[r].vertex_ids()) for r in chain]
+            gaps = [k for k in range(len(chain)) if len(ends[k] & ends[k - len(chain) + 1]) != 1]
+            if gaps:
+                chain = chain[gaps[0] + 1 :] + chain[: gaps[0] + 1]
+        chains.append(tuple(chain))
+    return chains
 
 
 # -- loop references for the vectorized anchor scoring and sweep -------------

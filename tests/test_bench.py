@@ -114,6 +114,17 @@ def test_campaign_of_one_matches_single_simulation():
     assert row.mean_depth == float(single.report["depth"])
 
 
+@pytest.mark.parametrize("method", ["brute", "cprime"])
+def test_campaign_leaves_the_sweep_columns_empty_for_methods_without_one(method, tmp_path):
+    """brute and cprime run no reported sweep: NaN in its two columns, not 0."""
+    (row,) = run_campaign(ns=(30,), nsim=2, method=method, master_seed=0)
+    assert row.failures == 0 and row.log10_mean_rmse < -10.0 and row.mean_build_ms > 0.0
+    assert math.isnan(row.mean_depth) and math.isnan(row.mean_propagate_ms)
+    export_csv([row], tmp_path / "c.csv")
+    fields = (tmp_path / "c.csv").read_text().splitlines()[1].split(",")
+    assert fields[5:7] == ["nan", "nan"]
+
+
 def test_campaign_rejects_empty_nsim():
     with pytest.raises(ValueError, match="nsim"):
         run_campaign(ns=(20,), nsim=0)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vorogen import delaunay
-from vorogen.errors import ConstructionError
+from vorogen.errors import ConstructionError, VorogenError
 from vorogen.forward import (
     SiteSample,
     _too_close,
@@ -32,6 +32,7 @@ from vorogen.tessellation import dumps, validate
 
 from conftest import DIAMOND_SITES, DIAMOND_VERTICES
 from helpers import (
+    cell_ridges_reference,
     cyclic_match,
     distance_to_line,
     halfplane_cell,
@@ -211,6 +212,15 @@ def test_overflowing_circumcenters_raise_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConstructionError, match="rounding degeneracy") as exc:
             build_voronoi(sample)
+    assert exc.value.site_groups == ((0, 1, 2),)
+
+
+def test_far_circumcenters_raise_construction_error():
+    """Nearly collinear sites whose circumcenter lands beyond COORD_MAX, a
+    coordinate loading refuses, end in the rounding-degeneracy error."""
+    sample = SiteSample(((0.0, 0.0), (0.0, 1.0), (3.039906720989635e-234, 2.0)), 2.0, None)
+    with pytest.raises(ConstructionError, match="rounding degeneracy") as exc:
+        build_voronoi(sample)
     assert exc.value.site_groups == ((0, 1, 2),)
 
 
@@ -424,6 +434,73 @@ def test_retry_clears_the_rejecting_threshold(seed):
     assert rep.max_rse < 1e-8
 
 
+# SHA-256 of dumps(t, gt), recorded while each cell's ridges were still
+# sorted by the angle of the neighbour across them: building the cell
+# boundaries another way must keep these bits
+BUILD_DIGESTS = {
+    (200, 0): "946d385df250673fea54a8d364914b7476dc02907db0b0c095b1f8b7cf3ffa74",
+    (200, 1): "80b8865af7f52b1e1ef25e234b0b3c9cb2b8efece0e494f8587ae401ca93bd2d",
+    (200, 2): "40b384ed2b079bcc8f84e1942de69821223359ef6e9942f2c480148dfc9cc97d",
+    (200, 3): "960ea607ac32b49ce3a81d59caacd0513f0f0239914d41111e61d3ae0d9c79a3",
+    (200, 4): "900c294e7e1ec173bba31289a52cd274afa55f85661d3524ef43cd6fd0fdf450",
+    (2000, 0): "d7e19b586bf68110ea30a1059987c0c184a4f100962bd35f1731e8bd6ef08147",
+    (2000, 1): "9bf114c991bbcc89054eb91944fc30799447f99e8b7284edb52de0e704f78caf",
+    (2000, 2): "ff2f0ffc1c9a8b0e6873a781cadf8d0552849176bc019a8d0f5f783857dca71e",
+    (2000, 3): "5cd89d4f5c5ab130e4d13771b9bf6ae6586008cb0921120236dc775515d702f8",
+    (2000, 4): "9b6de3de08eb44b7587aea4dbf72bf3d7e778b968bd8dbd2554dc3917301aaa1",
+    (10_000, 0): "c516fa368470f3f89c05aabce39e62929692b861e86c11b2c74ca0ce180e4d0a",
+    (100_000, 1): "1e294eaf5e9eeee1f7b982cb83ce89e3dbccf979b9f38fa570fe124cab37f2b5",
+}
+# the same for build_voronoi of small_sites(k), or the type of the error that
+# refused it; sets 0, 9 and 18 have three sites, so two-ridge hull cells only
+SMALL_DIGESTS = [
+    "a21e286853044cd886be2d48299b37c1548a77a9cf15daa733261622178461f7",
+    "f5988a72597b64e9f17e9a311a9d78f762fddbac2571bef58d82ce2623cdca39",
+    "58b2fb2d0e3b9ac5a59673b275a43d7e7cf9fa746eef4d92447cfbe076fe59f7",
+    "a9cbaca5ebcb610106524754094af5f8dc28188e0a63733ad285983dde1aaa17",
+    "bfac4033511731a203566f67107f00e7b1db088c488de54516baf61da5cfe472",
+    "ConstructionError",
+    "4f688c397bc8ff09967f5d8b1d179346b83145cb5d6248986e92714fef10c10a",
+    "0c7f749d4ed2390c464a1e955cbd1647e40f2bdb01a0dcacbcc27a9043050a6b",
+    "b0a2166c2f27730c64ce1ac8d76dff845f60478a6037d26bf3103442783ccc58",
+    "05d0a0c87afe6395328f975828aad5d84ad2f8ddd679881bd599c2d06e4e77fa",
+    "01d2b138f55c2b586f4de3710c950f7e273693341474a4b8278a8592d6adc538",
+    "49ce773d75873819756db67e7a7a10e647e186c5ddaba14d12f4f250dc1e3e90",
+    "808e087f6b8bba6de460c42e8468c7c99f7e9a63e913eaa4e65449d0431c0201",
+    "fec91f1284433ef04fa0fa94a44f0fe4d10013fbbedf907137df0b2db3d9796c",
+    "835f08aea7dc2d0b6f001df4faff6fa9c69301d641738da2774cb2db5ba9f342",
+    "ConstructionError",
+    "80d80d93c9223c52d5adf9ac7d9409c340f497cf897563d941bd01be1112b970",
+    "ConstructionError",
+    "f888134cc3379b403bcb451401caf3cf499793ab50b53f5f44cc8936ca986624",
+    "ConstructionError",
+]
+
+
+def small_sites(k: int) -> np.ndarray:
+    """3 + k % 9 sites uniform on [0, 4)^2, rounded to integers for odd k."""
+    pts = np.random.default_rng(2500 + k).uniform(0.0, 4.0, (3 + k % 9, 2))
+    return np.round(pts) if k % 2 else pts
+
+
+@pytest.mark.parametrize("n,seed", [
+    pytest.param(*key, marks=pytest.mark.slow) if key[0] > 10_000 else key for key in sorted(BUILD_DIGESTS)
+])
+def test_sample_and_build_keeps_its_bits(n, seed):
+    _, t, gt = sample_and_build(n, seed)
+    assert hashlib.sha256(dumps(t, gt).encode()).hexdigest() == BUILD_DIGESTS[(n, seed)]
+
+
+@pytest.mark.parametrize("k", range(len(SMALL_DIGESTS)))
+def test_small_builds_keep_their_bits(k):
+    try:
+        t, gt = build_voronoi(SiteSample(small_sites(k), 4.0, None))
+    except VorogenError as exc:
+        assert type(exc).__name__ == SMALL_DIGESTS[k]
+        return
+    assert hashlib.sha256(dumps(t, gt).encode()).hexdigest() == SMALL_DIGESTS[k]
+
+
 # small inputs where exact ties are the rule: integer grids, points rounded
 # onto a line, and points rounded onto a circle, a few moved by an ulp or so
 grid_sites = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=12)
@@ -454,6 +531,31 @@ def test_degenerate_sites_build_or_raise_construction_error(pts):
         return
     assert validate(t) == []
     assert len(t.cells) == len(pts)
+
+
+# sites on [0, 6]^2, each rounded to the integer grid or not
+mixed_sites = st.lists(
+    st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0), st.booleans()).map(
+        lambda q: (float(round(q[0])), float(round(q[1]))) if q[2] else q[:2]
+    ),
+    min_size=3,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sites)
+@example([(0.0, 0.0), (4.0, 1.0), (1.0, 3.0)])
+@example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+@example([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)])
+def test_cell_ridges_follow_the_reference_order(pts):
+    """Each built cell lists its ridges as the sort by neighbour angle and
+    the rotation to the gap of ``cell_ridges_reference`` do."""
+    try:
+        t, gt = build_voronoi(SiteSample(pts, 6.0, None))
+    except ConstructionError:
+        return
+    assert [c.ridges for c in t.cells] == cell_ridges_reference(t, gt.generators)
 
 
 @pytest.mark.slow
