@@ -67,7 +67,6 @@ def _sweep_digests(t, gt, members) -> tuple[str, str]:
         [*(v for c in range(n) for v in known[c]),
          *np.stack((trace.cells, trace.sources, trace.ridges), axis=1).ravel(),
          *(trace.depth[c] for c in range(n)),
-         *(trace.candidates[c] for c in range(n)),
          trace.reflect_calls]
     ), digest([*(v for c in range(n) for v in refined[c]), iterations])
 
@@ -92,16 +91,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "0ab0a70ab6d2848c", "sweep_first": "e37d25d06ef57153", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
-    (200, 1): {"anchor": 157, "scores": "3fe8b4046668983b", "sweep_first": "9c9b2dbf4ebcc99d", "refined": "617042b816613f79", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
-    (200, 2): {"anchor": 35, "scores": "b94580321d42b1f4", "sweep_first": "09602d48afd4290f", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
-    (200, 3): {"anchor": 49, "scores": "ad863f6c2b04a226", "sweep_first": "be89613313814e6c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
-    (200, 4): {"anchor": 27, "scores": "ad192db0bdd8a126", "sweep_first": "848b85c92e8aa2e7", "refined": "ac4d50d0442769df", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
-    (2000, 0): {"anchor": 1666, "scores": "f2c629e2bb8d00c3", "sweep_first": "b7e9bff84fc0163b", "refined": "59537c509bbdd389", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
-    (2000, 1): {"anchor": 537, "scores": "d14f4e8f4442a9a2", "sweep_first": "0d9c4f1fd651f85c", "refined": "c5d9bc02775bfc79", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
-    (2000, 2): {"anchor": 643, "scores": "95360e7fbcb2ec4a", "sweep_first": "3888e5b2b12aab39", "refined": "2e4bb3ef030060e1", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
-    (2000, 3): {"anchor": 1671, "scores": "b1016e9195e05a28", "sweep_first": "4b8d7f14ff8660e1", "refined": "2f7273c23ed38069", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
-    (2000, 4): {"anchor": 597, "scores": "d11a488e24503768", "sweep_first": "0ba1712d441756ca", "refined": "50fe612579394fbe", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
+    (200, 0): {"anchor": 69, "scores": "0ab0a70ab6d2848c", "sweep_first": "a209ed8dc7068d53", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
+    (200, 1): {"anchor": 157, "scores": "3fe8b4046668983b", "sweep_first": "6c66a8bea2b03fe7", "refined": "617042b816613f79", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
+    (200, 2): {"anchor": 35, "scores": "b94580321d42b1f4", "sweep_first": "ac28c822d1c11359", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
+    (200, 3): {"anchor": 49, "scores": "ad863f6c2b04a226", "sweep_first": "5272f492d9344c7c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
+    (200, 4): {"anchor": 27, "scores": "ad192db0bdd8a126", "sweep_first": "23de8714d20688fa", "refined": "ac4d50d0442769df", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
+    (2000, 0): {"anchor": 1666, "scores": "f2c629e2bb8d00c3", "sweep_first": "0144a145458ca887", "refined": "59537c509bbdd389", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
+    (2000, 1): {"anchor": 537, "scores": "d14f4e8f4442a9a2", "sweep_first": "3c9f1edfca217e97", "refined": "c5d9bc02775bfc79", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
+    (2000, 2): {"anchor": 643, "scores": "95360e7fbcb2ec4a", "sweep_first": "7cb9964b15cfca11", "refined": "2e4bb3ef030060e1", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
+    (2000, 3): {"anchor": 1671, "scores": "b1016e9195e05a28", "sweep_first": "c90fc344201dc3a1", "refined": "2f7273c23ed38069", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
+    (2000, 4): {"anchor": 597, "scores": "d11a488e24503768", "sweep_first": "45aaa506d92639cc", "refined": "50fe612579394fbe", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
 }
 
 
