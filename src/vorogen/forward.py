@@ -9,8 +9,8 @@ A cell's boundary is read off the fan of triangles round its site, with no
 sort (the quad-edge view of Guibas and Stolfi, ACM TOG 4(2), 1985): after
 half-edge c -> u of triangle (c, u, w) comes c -> w. A bounded cell starts
 at the neighbour of least ``math.atan2``, the first in (-pi, 0] after one
-that is not; an unbounded cell just after its half-edge to INF, so its rays
-are first and last, or, with two ridges only, by ``math.atan2``.
+that is not; an unbounded cell just after its half-edge to INF, so its
+chain runs from the ray coming in to the ray going out.
 Collinear inputs (including the 2-site case) shortcut to an explicit
 construction where each bisector line is a pair of opposite rays through a
 synthetic vertex.
@@ -163,17 +163,13 @@ def _dualize(p: np.ndarray, tri: "delaunay.Triangulation") -> Tessellation:
     ends[~finite, 1] = -1  # (real triangle, -1)
     ray_dirs = np.full((len(ends), 2), math.nan)
     # hull edge (i, j): ray from the circumcenter of its only real triangle,
-    # perpendicular to the site pair and away from the triangle's third
-    # site w, whose id is the corners' sum less i and j
+    # perpendicular to the site pair and away from that triangle, which lies
+    # left of half-edge e = i -> j when e is its own (CCW), else right of it
     ray = np.flatnonzero(~finite)
-    i, j = ridge_cells[ray].T
-    gi, gj = p[i], p[j]
-    w = p[corners[ends[ray, 0]].sum(axis=1) - i - j]
-    dx, dy = -(gj[:, 1] - gi[:, 1]), gj[:, 0] - gi[:, 0]
-    with np.errstate(all="ignore"):  # far-out sites: the test reads inf or NaN, as in float
-        m = 0.5 * (gi + gj)
-        away = dx * (w[:, 0] - m[:, 0]) + dy * (w[:, 1] - m[:, 1]) > 0.0
-    ux, uy, _ = geom.unit_vecs(np.where(away, -dx, dx), np.where(away, -dy, dy))
+    gi, gj = p[ridge_cells[ray].T]
+    dx, dy = -(gj[:, 1] - gi[:, 1]), gj[:, 0] - gi[:, 0]  # the left normal
+    real = e[ray] // 3 < tri.finite
+    ux, uy, _ = geom.unit_vecs(np.where(real, -dx, dx), np.where(real, -dy, dy))
     ray_dirs[ray] = np.column_stack((ux, uy))
     bounded = np.bincount(ridge_cells[~finite].ravel(), minlength=len(p)) == 0
     cell_start, cell_ridges = _fan_chains(p, head, tail, twin, e, bounded)
@@ -220,13 +216,6 @@ def _fan_chains(p, head, tail, twin, e, bounded) -> tuple[np.ndarray, np.ndarray
     start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(p)))))
     ridges = np.empty(len(out), np.int64)
     ridges[start[owner] + fan[owner] - 1 - dist[out]] = rid[out]
-    # an unbounded cell's two ridges: by math.atan2 of the site across, ties by id
-    two = np.flatnonzero(~bounded & (np.diff(start) == 2))
-    pair = ridges[start[two] + np.arange(2)[:, None]]
-    d = p[head[e[pair]] + tail[e[pair]] - two] - p[two]
-    a0, a1 = np.reshape([math.atan2(y, x) for x, y in d.reshape(-1, 2).tolist()], (2, -1))
-    flip = (a1 < a0) | ((a1 == a0) & (pair[1] < pair[0]))
-    ridges[start[two] + flip], ridges[start[two] + ~flip] = pair
     return start, ridges
 
 

@@ -141,6 +141,6 @@ def unit_vecs(x: np.ndarray, y: np.ndarray):
         return sx / n, sy / n, ok
 
 
-def is_unit(v, tol: float = UNIT_TOL):
-    """|x^2 + y^2 - 1| <= tol for v = (x, y) of floats or arrays (NaN is not unit)."""
-    return abs(v[0] * v[0] + v[1] * v[1] - 1.0) <= tol
+def is_unit(v):
+    """|x^2 + y^2 - 1| <= UNIT_TOL for v = (x, y) of floats or arrays (NaN is not unit)."""
+    return abs(v[0] * v[0] + v[1] * v[1] - 1.0) <= UNIT_TOL

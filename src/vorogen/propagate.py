@@ -28,21 +28,18 @@ from .tessellation import Tessellation, _ids, check_id, point_array, ranges
 
 @dataclass(frozen=True, eq=False)
 class PropagationTrace:
-    """What the sweep did, as arrays: finalization order, depth and fan-in.
+    """What the sweep did, as arrays: finalization order and depth.
 
     ``cells``, ``sources`` and ``ridges`` hold one entry per non-patch cell,
     in finalization order: the cell, the finalized cell it was reflected
     from and the ridge between them; a source is always finalized before its
-    target. ``depth[c]`` is cell c's ridge distance from the known cells and
-    ``candidates[c]`` the number of ridges it could have been reflected
-    through (0 for a known cell).
+    target. ``depth[c]`` is cell c's ridge distance from the known cells.
     """
 
     cells: np.ndarray
     sources: np.ndarray
     ridges: np.ndarray
     depth: np.ndarray
-    candidates: np.ndarray
 
     @property
     def reflect_calls(self) -> int:
@@ -83,7 +80,6 @@ def sweep(
     er, ei, br, bi = e.real, e.imag, b.real, b.imag
     xy = np.zeros((n, 2))
     depth = np.full(n, -1)
-    fan_in = np.zeros(n, np.intp)
     seeds = _ids(cells).reshape(-1)
     bad = seeds[(seeds < 0) | (seeds >= n)]
     if len(bad):
@@ -108,7 +104,7 @@ def sweep(
         src, dst, rid = src[new], dst[new], a.cell_ridges[entry[new]]
         if not len(dst):
             break
-        found, first, incoming = np.unique(dst, return_index=True, return_counts=True)
+        found, first = np.unique(dst, return_index=True)
         src, rid = src[first], rid[first]
         bad = a.degenerate[rid]
         if bad.any():
@@ -117,7 +113,6 @@ def sweep(
         xy[found, 0] = x + br[rid]
         xy[found, 1] = y + bi[rid]
         depth[found] = d + 1
-        fan_in[found] = incoming
         order.append(np.stack((found, src, rid)))
         current = found
         d += 1
@@ -129,7 +124,7 @@ def sweep(
             cells=tuple(missing.tolist()),
         )
     xy.flags.writeable = False
-    return xy, PropagationTrace(*np.concatenate(order, axis=1), depth, fan_in)
+    return xy, PropagationTrace(*np.concatenate(order, axis=1), depth)
 
 
 def reconstruct_all(t: Tessellation, patch: PatchSolution) -> tuple[np.ndarray, PropagationTrace]:

@@ -299,13 +299,31 @@ def too_close_reference(pts, sep: float) -> set[int]:
     return bad
 
 
+def site_left_of_rays(t: Tessellation, sites, c: int, chain) -> bool:
+    """Whether site ``c`` lies strictly left of the first ray of ``chain``,
+    reversed, and of its last ray, so the chain runs counter-clockwise from
+    the ray coming in to the ray going out. Each ray's line is taken through
+    the midpoint of its two sites, where the exact ray lies: the stored
+    vertex is rounded, and can carry the line past a site 1e-9 from it. The
+    signs are taken exactly, in ``Fraction``s."""
+    turns = []
+    for rid in (chain[0], chain[-1]):
+        r = t.ridges[rid]
+        (gx, gy), (ox, oy), (dx, dy) = (
+            map(Fraction, v) for v in (sites[c], sites[r.other_cell(c)], r.ray_dir)
+        )
+        turns.append(dx * (gy - oy) - dy * (gx - ox))  # twice the turn about the midpoint
+    return turns[0] < 0 < turns[1]
+
+
 def cell_ridges_reference(t: Tessellation, sites) -> list[tuple[int, ...]]:
     """Each cell's ridges in the order the forward build once sorted them
     into: by ``math.atan2`` of the site across each ridge, ties in ridge
     order (one ``lexsort`` over every boundary entry); then each unbounded
     cell of more than two ridges rotated to start just after its gap, the
-    first entry that shares no vertex with the next. Collinear sites kept
-    ridge order."""
+    first entry that shares no vertex with the next, and each of two ridges
+    put in the order that ``site_left_of_rays`` holds for. Collinear sites
+    kept ridge order."""
     p = np.asarray(sites, float)
     cells = np.array([r.cells for r in t.ridges]).reshape(-1, 2)
     owner = cells.ravel()
@@ -325,6 +343,8 @@ def cell_ridges_reference(t: Tessellation, sites) -> list[tuple[int, ...]]:
             gaps = [k for k in range(len(chain)) if len(ends[k] & ends[k - len(chain) + 1]) != 1]
             if gaps:
                 chain = chain[gaps[0] + 1 :] + chain[: gaps[0] + 1]
+        elif not (cell.bounded or collinear) and not site_left_of_rays(t, p, c, chain):
+            chain = chain[::-1]
         chains.append(tuple(chain))
     return chains
 
@@ -443,12 +463,11 @@ def reflect_step(t: Tessellation, rid: int, g) -> Point2:
 def sweep_reference(t: Tessellation, cells, points, step=mirror_step):
     """Layered reflection sweep, one cell at a time, each new cell reflected
     through its first incoming ridge by ``step``: the (n, 2) generators, the
-    (cell, source, ridge) rows in finalization order, and per cell the depth
-    and the number of candidate ridges (0 for a known cell); then the number
-    of reflections."""
+    (cell, source, ridge) rows in finalization order, each cell's depth and
+    the number of reflections."""
     known = dict(zip(cells, np.asarray(points, float).tolist()))
     depth = {c: 0 for c in known}
-    order, candidates, calls = [], {}, 0
+    order, calls = [], 0
     current = sorted(known)
     while current:
         incoming: dict = {}
@@ -456,12 +475,10 @@ def sweep_reference(t: Tessellation, cells, points, step=mirror_step):
             for rid in t.cells[c].ridges:
                 nc = t.ridges[rid].other_cell(c)
                 if nc not in depth:
-                    incoming.setdefault(nc, []).append((c, rid))
+                    incoming.setdefault(nc, (c, rid))
         nxt = sorted(incoming)
         for nc in nxt:
-            cands = incoming[nc]
-            candidates[nc] = len(cands)
-            src, rid = cands[0]
+            src, rid = incoming[nc]
             known[nc] = step(t, rid, known[src])
             calls += 1
             depth[nc] = depth[src] + 1
@@ -472,7 +489,6 @@ def sweep_reference(t: Tessellation, cells, points, step=mirror_step):
         np.array([known[c] for c in range(n)], float).reshape(-1, 2),
         np.array(order, np.intp).reshape(-1, 3),
         np.array([depth[c] for c in range(n)]),
-        np.array([candidates.get(c, 0) for c in range(n)]),
         calls,
     )
 

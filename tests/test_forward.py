@@ -38,6 +38,7 @@ from helpers import (
     halfplane_cell,
     point_in_polygon,
     polygon_vertices,
+    site_left_of_rays,
     too_close_reference,
     vertex_ridges,
 )
@@ -453,9 +454,11 @@ BUILD_DIGESTS = {
 }
 # the same for build_voronoi of small_sites(k), or the type of the error that
 # refused it; sets 0, 9 and 18 have three sites, so two-ridge hull cells only
+# (0 and 1 re-recorded when two-ray cells came to run from the ray coming in
+# to the ray going out: cell 0 of each lists its two rays the other way round)
 SMALL_DIGESTS = [
-    "a21e286853044cd886be2d48299b37c1548a77a9cf15daa733261622178461f7",
-    "f5988a72597b64e9f17e9a311a9d78f762fddbac2571bef58d82ce2623cdca39",
+    "ffa6e4adb06b45d26711bdb5a59ff6c2e77bb866881cdde39a25d0e84138f4ad",
+    "0f2eb15fe1245ba49c462751db118d35c42e4f4b14959876495b670c8e1558c0",
     "58b2fb2d0e3b9ac5a59673b275a43d7e7cf9fa746eef4d92447cfbe076fe59f7",
     "a9cbaca5ebcb610106524754094af5f8dc28188e0a63733ad285983dde1aaa17",
     "bfac4033511731a203566f67107f00e7b1db088c488de54516baf61da5cfe472",
@@ -512,10 +515,12 @@ circle_sites = st.tuples(
     st.lists(st.tuples(st.integers(0, 11), nudges), min_size=3, max_size=12), st.booleans()
 ).map(lambda arg: [(math.cos(k * math.pi / 6) + e, math.sin(k * math.pi / 6)) for k, e in arg[0]]
       + [(0.0, 0.0)] * arg[1])
+tie_sites = st.one_of(grid_sites.map(lambda ps: [(float(x), float(y)) for x, y in ps]), line_sites,
+                      circle_sites)
 
 
 @settings(max_examples=150, deadline=5000)
-@given(st.one_of(grid_sites.map(lambda ps: [(float(x), float(y)) for x, y in ps]), line_sites, circle_sites))
+@given(tie_sites)
 # rounded onto a line: a circumcenter that is not finite, and cells that
 # turn the wrong way; a pair 1e-9 apart on a circle: a cell not convex
 @example([(t / 3.0, 0.7 * t / 3.0 + 0.1) for t in (0, -1, 2)])
@@ -531,6 +536,29 @@ def test_degenerate_sites_build_or_raise_construction_error(pts):
         return
     assert validate(t) == []
     assert len(t.cells) == len(pts)
+
+
+small_sets = st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)), min_size=3, max_size=11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_sites, small_sets))
+@example([(0.0, 0.0), (4.0, 1.0), (1.0, 3.0)])
+@example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+# two sites 1e-9 apart: the rounded vertex puts the site across its ray line
+@example([(1.0, 0.0), (0.8660254047844387, 0.49999999999999994), (0.8660254037844387, 0.49999999999999994)])
+def test_unbounded_chains_run_from_ray_in_to_ray_out(pts):
+    """Every unbounded cell of a diagram of sites not all on one line has its
+    site strictly left of its first ray, reversed, and of its last ray."""
+    try:
+        t, gt = build_voronoi(SiteSample(tuple(Point2(*p) for p in pts), 4.0, None))
+    except ConstructionError:
+        return
+    if delaunay.all_collinear(gt.generators):
+        return
+    for c, cell in enumerate(t.cells):
+        if not cell.bounded:
+            assert site_left_of_rays(t, gt.generators, c, cell.ridges), f"cell {c}"
 
 
 # sites on [0, 6]^2, each rounded to the integer grid or not
@@ -549,8 +577,9 @@ mixed_sites = st.lists(
 @example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
 @example([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)])
 def test_cell_ridges_follow_the_reference_order(pts):
-    """Each built cell lists its ridges as the sort by neighbour angle and
-    the rotation to the gap of ``cell_ridges_reference`` do."""
+    """Each built cell lists its ridges as the sort by neighbour angle, the
+    rotation to the gap and the order of two rays of
+    ``cell_ridges_reference`` do."""
     try:
         t, gt = build_voronoi(SiteSample(pts, 6.0, None))
     except ConstructionError:
