@@ -12,7 +12,9 @@ Both run as array passes over the whole diagram, cells grouped by the shape
 of their work (patch degree, ray count), and give the bits a per-cell
 loop gives: the stacked LAPACK and BLAS calls run the same routine on each
 matrix, and sums are added column by column, left to right. The patches
-are those of the anchor method's solve (``solver.patch_stacks``).
+are those of the anchor method's solve (``solver.patch_stacks``), and
+``solver.solve_stack`` factors each once, by QR, whose R also gives its
+rank; an SVD runs only on a patch that R cannot prove to be of full rank.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     indexed by cell.
 
     The patches are built ``_BLOCK`` cells at a time by ``solver.patch_stacks``
-    and solved by ``solve_stack``, one stacked call per cell degree. A patch
+    and solved by ``solve_stack``, one stacked QR per cell degree. A patch
     that is singular or inconsistent is solved on its own by
     ``assemble_patch`` and ``solve_patch``, which raise the error of the
     lowest such cell.
@@ -84,7 +86,7 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     solved = np.zeros(t.n_cells, bool)
     for lo in range(0, len(cells), _BLOCK):
         for group, mat, rhs, _, _ in patch_stacks(a, cells[lo : lo + _BLOCK]):
-            _, rank, z, residual, limit = solve_stack(mat, rhs)
+            rank, z, residual, limit = solve_stack(mat, rhs)
             ok = (rank == mat.shape[2]) & ~(residual > limit)
             group = group[ok]
             xy[group], resid[group], solved[group] = z[ok, :2], residual[ok], True

@@ -17,6 +17,15 @@ generators, solved once by Householder QR: around an eligible anchor of
 degree k, 4k scalar equations in 2(k + 1) unknowns. ``patch_stacks`` and
 ``solve_stack`` build and solve many patches at once, one stack per degree;
 ``assemble_patch`` and ``solve_patch`` are their one-cell case.
+
+A patch's rank comes from the same QR. Its R proves full rank when
+1/||R^-1||_F, a lower bound on the smallest singular value, exceeds
+``RANK_CERT_MARGIN * RANK_REL_TOL`` times ||R||_F, an upper bound on the
+largest (Golub and Van Loan, Matrix Computations, 4th ed., sections 2.4
+and 5.2). Only a patch R cannot clear goes to the SVD, whose count of
+singular values above ``RANK_REL_TOL`` times the largest is its rank; the
+margin makes that count the rank of a cleared patch too. ``solve_patch``
+also takes its one patch's singular values, for its ``condition``.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ from .tessellation import CellId, RidgeArrays, Tessellation, point_array
 
 # smallest singular value below this fraction of the largest means rank deficient
 RANK_REL_TOL = 1e-8
+# R proves full rank when the bounds on its singular values clear
+# RANK_REL_TOL by this factor, far beyond what the QR's backward error
+# (about eps ||A||) and the SVD's rounding can move
+RANK_CERT_MARGIN = 1e3
 # least-squares residual above this fraction of ||b|| means the ridges are not
 # mirror-consistent, i.e. the input is not an exact Voronoi tessellation
 CONSISTENCY_REL_TOL = 1e-6
@@ -136,30 +149,53 @@ def patch_stacks(a: RidgeArrays, cells: np.ndarray):
 
 
 def solve_stack(mat: np.ndarray, rhs: np.ndarray):
-    """Least-squares solve of each matrix of a stack via QR, raising nothing:
-    per matrix its singular values (descending), rank, solution and residual
-    (NaN where the rank falls short) and the residual limit
-    ``CONSISTENCY_REL_TOL * ||b||``. A stacked LAPACK or BLAS call runs the
-    same routine on every matrix, so a matrix's bits do not depend on its
-    stack."""
+    """Least-squares solve of each m x n matrix (m >= n) of a stack via QR,
+    raising nothing: per matrix its rank, solution and residual (NaN where
+    the rank falls short) and the residual limit
+    ``CONSISTENCY_REL_TOL * ||b||``. One stacked QR factors every matrix,
+    and the SVD only those whose R ``_certified`` does not clear. A stacked
+    LAPACK or BLAS call runs the same routine on every matrix, so a
+    matrix's bits do not depend on its stack."""
     n = mat.shape[2]
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = np.where(svals[:, 0] > 0.0, np.count_nonzero(svals > RANK_REL_TOL * svals[:, :1], axis=1), 0)
+    # QR, not the SVD's solution: median error 1e-14 against 2.6e-14 on brute's n = 1000 patches
+    q, r = np.linalg.qr(mat)
+    full = _certified(r)
+    rank = np.full(len(mat), n)
+    if not full.all():
+        svals = np.linalg.svd(mat[~full], compute_uv=False)
+        count = np.count_nonzero(svals > RANK_REL_TOL * svals[:, :1], axis=1)
+        rank[~full] = np.where(svals[:, 0] > 0.0, count, 0)
+        full = rank == n
     rhs = rhs[..., None]
     # np.linalg.norm of a vector is the square root of its BLAS dot product
     bnorm = np.sqrt((np.swapaxes(rhs, 1, 2) @ rhs)[:, 0, 0])
     z, residual = np.full((len(mat), n), np.nan), np.full(len(mat), np.nan)
-    full = rank == n
     if not full.all():
-        mat, rhs = mat[full], rhs[full]
+        mat, rhs, q, r = mat[full], rhs[full], q[full], r[full]
     if len(mat):
-        # QR, not the SVD's solution: median error 1e-14 against 2.6e-14 on brute's n = 1000 patches
-        q, r = np.linalg.qr(mat)
         x = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ rhs)
         res = mat @ x - rhs
         z[full] = x[:, :, 0]
         residual[full] = np.sqrt((np.swapaxes(res, 1, 2) @ res)[:, 0, 0])
-    return svals, rank, z, residual, CONSISTENCY_REL_TOL * bnorm
+    return rank, z, residual, CONSISTENCY_REL_TOL * bnorm
+
+
+def _certified(r: np.ndarray) -> np.ndarray:
+    """Which of a stack of square upper-triangular R have 1/||R^-1||_F >
+    RANK_CERT_MARGIN * RANK_REL_TOL * ||R||_F, which proves sigma_min /
+    sigma_max above that bound. A zero or non-finite diagonal, or an
+    overflow, makes ||R^-1||_F inf or NaN, which clears nothing."""
+    n = r.shape[2]
+    d = np.diagonal(r, axis1=1, axis2=2)
+    inv = np.zeros_like(r)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # back substitution, one row of R^-1 at a time from the last
+        for j in range(n - 1, -1, -1):
+            row = -(r[:, j : j + 1, j + 1 :] @ inv[:, j + 1 :])[:, 0]
+            row[:, j] += 1.0
+            inv[:, j] = row / d[:, j : j + 1]
+        size, inv_size = (np.sqrt(np.einsum("sij,sij->s", x, x)) for x in (r, inv))
+        return 1.0 / inv_size > RANK_CERT_MARGIN * RANK_REL_TOL * size
 
 
 def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
@@ -183,7 +219,8 @@ def assemble_patch(t: Tessellation, anchor: CellId) -> PatchSystem:
 
 
 def solve_patch(system: PatchSystem) -> PatchSolution:
-    """Least-squares solve of the patch system, ``solve_stack`` on a stack of one.
+    """Least-squares solve of the patch system, ``solve_stack`` on a stack of
+    one; the patch's own SVD gives ``smin`` and ``smax``.
 
     Raises SingularSystemError when the system is rank deficient (for example
     when every ridge in the patch is parallel, which leaves a translation
@@ -197,7 +234,7 @@ def solve_patch(system: PatchSystem) -> PatchSolution:
         raise SingularSystemError(
             f"patch around cell {system.anchor} has {mat.shape[0]} equations for {n} unknowns"
         )
-    svals, rank, z, residual, limit = solve_stack(mat[None], system.rhs[None])
+    rank, z, residual, limit = solve_stack(mat[None], system.rhs[None])
     rank, residual, limit = int(rank[0]), float(residual[0]), float(limit[0])
     if rank < n:
         null = np.linalg.svd(mat)[2][-1]
@@ -211,9 +248,10 @@ def solve_patch(system: PatchSystem) -> PatchSolution:
             residual=residual,
             threshold=limit,
         )
+    svals = np.linalg.svd(mat[None], compute_uv=False)[0]
     return PatchSolution(
         members=system.members, generators=z[0].reshape(-1, 2), residual=residual, rank=rank,
-        smin=float(svals[0, -1]), smax=float(svals[0, 0]),
+        smin=float(svals[-1]), smax=float(svals[0]),
     )
 
 

@@ -304,6 +304,91 @@ def test_perturbed_rhs_is_inconsistent(diamond):
     assert exc.value.residual > exc.value.threshold > 0.0
 
 
+# ------------------------------------------------------- stacks and rank
+
+
+def _svd_rank(mat: np.ndarray) -> np.ndarray:
+    """Each matrix's count of singular values above RANK_REL_TOL times the
+    largest, 0 for a zero matrix: the rank rule ``solve_stack`` keeps."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return np.where(s[:, 0] > 0.0, np.count_nonzero(s > solver.RANK_REL_TOL * s[:, :1], axis=1), 0)
+
+
+def _svd_inputs(monkeypatch) -> list:
+    """Record every matrix the SVD is given from now on."""
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.extend(a) or svd(a, *args, **kw))
+    return seen
+
+
+def test_solve_stack_gives_each_matrix_its_stack_of_one_bits(diamond):
+    """A full-rank patch, an all-parallel-mirror patch (every mirror
+    vertical, as in ``_vertical_triple``, over the diamond's row pairs) and
+    a patch with a perturbed right-hand side, solved in one stack: each gets
+    the rank, solution, residual and limit bits of its own stack of one,
+    and the rank-deficient one a NaN solution and residual."""
+    sys_ = assemble_patch(diamond[0], 4)
+    vertical = mirror_system(
+        sys_.members, [(src, dst, (0.0, 1.0), (float(j), 0.0)) for j, (src, dst) in enumerate(sys_.row_pairs)]
+    )
+    perturbed = sys_.rhs.copy()
+    perturbed[3] += 1e-3
+    mat = np.stack((sys_.matrix, vertical.matrix, sys_.matrix))
+    rhs = np.stack((sys_.rhs, vertical.rhs, perturbed))
+    rank, z, residual, limit = solver.solve_stack(mat, rhs)
+    assert rank.tolist() == [10, 9, 10]
+    for i in range(3):
+        one = solver.solve_stack(mat[i : i + 1], rhs[i : i + 1])
+        assert [x.tobytes() for x in one] == [x[i : i + 1].tobytes() for x in (rank, z, residual, limit)], i
+    assert np.isnan(z[1]).all() and np.isnan(residual[1])
+    assert np.isfinite(z[[0, 2]]).all()
+    assert residual[0] <= limit[0] and residual[2] > limit[2]
+
+
+def test_rank_is_the_svd_count_and_near_threshold_goes_to_the_svd(monkeypatch):
+    """Matrices U diag(s) V^T with set singular values, 1 to 0.1 and then
+    sigma_min: the rank is the SVD's count on each, also at 1e-8 (1 +- 1e-6)
+    either side of the tolerance, and on an exactly singular matrix (a
+    repeated column) and the zero matrix. Only the matrix far from the
+    tolerance (1e-4) is cleared by R; the SVD factors every other one."""
+    rng = np.random.default_rng(0)
+    m, n = 16, 10
+    mats = []
+    for smin in (1e-4, 1e-7, 1e-8 * (1 + 1e-6), 1e-8 * (1 - 1e-6), 1e-9):
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        mats.append((u * np.append(np.geomspace(1.0, 0.1, n - 1), smin)) @ v.T)
+    repeated = rng.standard_normal((m, n))
+    repeated[:, -1] = repeated[:, 0]
+    mat = np.stack(mats + [repeated, np.zeros((m, n))])
+    seen = _svd_inputs(monkeypatch)
+    rank, z, residual, _ = solver.solve_stack(mat, rng.standard_normal((len(mat), m)))
+    assert len(seen) == len(mat) - 1
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in mat[1:]]
+    assert rank.tolist() == _svd_rank(mat).tolist() == [10, 10, 10, 9, 9, 9, 0]
+    assert np.isnan(z[3:]).all() and np.isnan(residual[3:]).all()
+    assert np.isfinite(z[:3]).all()
+
+
+def _check_brute_ranks(monkeypatch, t):
+    """Every brute patch of ``t`` gets the SVD's rank, and R clears each one."""
+    stacks = list(solver.patch_stacks(t.arrays, np.array(eligible_cells(t))))
+    want = [_svd_rank(mat).tolist() for _, mat, _, _, _ in stacks]
+    seen = _svd_inputs(monkeypatch)
+    assert [solver.solve_stack(mat, rhs)[0].tolist() for _, mat, rhs, _, _ in stacks] == want
+    assert not seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_r_clears_only_what_the_svd_calls_full_rank(monkeypatch, built, seed):
+    _check_brute_ranks(monkeypatch, built(1000, seed)[1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_r_clears_only_what_the_svd_calls_full_rank_at_1e4(monkeypatch, seed):
+    _check_brute_ranks(monkeypatch, forward.sample_and_build(10_000, seed)[1])
+
 
 # ------------------------------------------------------------- equivariance
 
