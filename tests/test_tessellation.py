@@ -31,8 +31,10 @@ from vorogen.tessellation import (
     Tessellation,
     dumps,
     load,
+    _ring_ridges,
     loads,
     save,
+    successors,
     validate,
 )
 
@@ -243,6 +245,33 @@ def test_ring_pairs_generic_count_equals_degree(built):
             ring = _ring(t, c)
             assert len(ring) == len(cell.ridges)
             assert all(rid >= 0 for _, _, rid in ring)
+
+
+def _ring_reference(cells, c1, c2) -> list[int]:
+    """Per entry, the lowest id of a ridge joining ``c1[i]`` and ``c2[i]``,
+    or -1, from a dict of the cell pairs."""
+    lowest = {}
+    for rid, pair in enumerate(cells.tolist()):
+        lowest.setdefault(frozenset(pair), rid)
+    return [lowest.get(frozenset((a, b)), -1) for a, b in zip(c1.tolist(), c2.tolist())]
+
+
+def test_ring_matches_a_dict_of_cell_pairs(built):
+    """On a 10^3-cell diagram whose ridge ids are shuffled, so that neither
+    the ridges nor the queries come in key order: every ring entry is the
+    dict's, hull cells' missing pairs included. With each ridge listed twice
+    more, in either cell order, the lowest id still wins."""
+    _, t0, _ = built(1000, 0)
+    perm = np.random.default_rng(0).permutation(t0.n_ridges)
+    new_id = np.argsort(perm)
+    ridges = [t0.ridges[k] for k in perm.tolist()]
+    cells = [Cell(ridges=tuple(new_id[list(c.ridges)].tolist()), bounded=c.bounded) for c in t0.cells]
+    a = Tessellation(t0.vertices, ridges, cells).arrays
+    c2 = a.cell_nbrs[successors(a.cell_start)]
+    want = _ring_reference(a.cells, a.cell_nbrs, c2)
+    assert -1 in want and a.ring.tolist() == want
+    dup = np.concatenate((a.cells, a.cells[:, ::-1], a.cells))[np.random.default_rng(1).permutation(3 * len(a.cells))]
+    assert _ring_ridges(dup, a.cell_nbrs, c2, t0.n_cells).tolist() == _ring_reference(dup, a.cell_nbrs, c2)
 
 
 def test_ring_pairs_rejects_unbounded_anchor(diamond):
