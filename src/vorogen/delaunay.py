@@ -4,6 +4,10 @@ The scheme is the data-parallel one of Qi, Cao and Tan ("Computing 2D
 Constrained Delaunay Triangulation Using the GPU", IEEE TVCG 19(5), 2013):
 each insertion round splits every triangle that holds uninserted points by
 one of them, and the points left over are relocated by orientation tests.
+A relocated point is tested against each spoke of the new fan around the
+inserted point; the signs, with the fan's ghost corners, form a key into a
+table built at import from the rule of ``_Rounds._relocate_in_fans``, which
+gives the child triangle and the edge of it that holds the point.
 A flip round follows, over a conflict-free set of locally non-Delaunay
 edges (no two share a triangle); the edges it leaves unchecked are carried
 into the next round, and once every point is in, flip rounds run until
@@ -68,11 +72,11 @@ def _incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
 def _signs(det, bound, exact, args) -> np.ndarray:
     """Signs of ``det`` (-1.0, 0.0 or 1.0), with every entry not clear of
     ``bound`` (NaN included) decided again by ``exact`` in Fractions."""
-    sign = np.sign(det)
-    unsure = ~(np.abs(det) > bound)
-    if unsure.any():
-        cols = [c[unsure].tolist() for c in np.broadcast_arrays(*args)]
-        sign[unsure] = [
+    sign = np.sign(det, out=np.empty_like(det))  # an array, also for 0-d input
+    unsure = np.flatnonzero(~(np.abs(det) > bound))
+    if len(unsure):
+        cols = [np.broadcast_to(c, det.shape).flat[unsure].tolist() for c in args]
+        sign.flat[unsure] = [
             (d > 0) - (d < 0) for d in (exact(*map(Fraction, row)) for row in zip(*cols))
         ]
     return sign
@@ -182,10 +186,12 @@ class Triangulation:
 
 def _unique_points(p: np.ndarray) -> np.ndarray:
     """Ids of the points, each coordinate pair once (its first occurrence)."""
-    by_xy = np.lexsort((p[:, 1], p[:, 0]))
-    s = p[by_xy]
+    xy = np.empty(len(p), complex)  # numpy orders complex numbers by (real, imag)
+    xy.real, xy.imag = p[:, 0], p[:, 1]
+    by_xy = np.argsort(xy, kind="stable")
+    s = xy[by_xy]
     repeat = np.zeros(len(p), bool)
-    repeat[1:] = (s[1:] == s[:-1]).all(axis=1)
+    repeat[1:] = s[1:] == s[:-1]
     return np.sort(by_xy[~repeat])
 
 
@@ -203,9 +209,8 @@ def _strict_hull(x: np.ndarray, y: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ext = [np.argmin(py), np.argmax(px - py), np.argmax(px), np.argmax(px + py),
            np.argmax(py), np.argmax(py - px), np.argmin(px), np.argmin(px + py)]
     ext = [e for k, e in enumerate(ext) if e != ext[k - 1]]
-    inside = np.ones(len(ids), bool)
-    for a, b in zip(ext, ext[1:] + ext[:1]):
-        inside &= orient(px[a], py[a], px[b], py[b], px, py) > 0
+    a, b = np.array(ext)[:, None], np.array(ext[1:] + ext[:1])[:, None]
+    inside = (orient(px[a], py[a], px[b], py[b], px, py) > 0).all(axis=0)
     cand = ids[~inside]
     cand = cand[np.lexsort((y[cand], x[cand]))]
     chains = []
@@ -220,6 +225,38 @@ def _strict_hull(x: np.ndarray, y: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.concatenate(chains)
 
 
+def _fan_table(c: int) -> np.ndarray:
+    """The pick of ``_relocate_in_fans`` in a fan of ``c`` children, by key
+    ``sum((w[j] + 1) 3**j) + 3**c sum(2**j for each ghost corner j)`` of a
+    point's orient signs ``w`` against the spokes: per key, the child and the
+    slot of its edge that holds the point (2 for the spoke to the child's
+    first corner, 1 for the spoke to its next, 0 for neither)."""
+    key = np.arange(6**c)
+    w = key[:, None] // 3 ** np.arange(c) % 3 - 1
+    real = key[:, None] // (3**c * 2 ** np.arange(c)) % 2 == 0
+    w[~real] = 0  # ghost corners count as on every line
+    wn, real_next = np.roll(w, -1, axis=1), np.roll(real, -1, axis=1)
+    # the first finite child whose wedge holds the point, else the first ghost one
+    j = np.argmax(((w >= 0) & (wn <= 0)) * (1 + (real & real_next)), axis=1)
+    at = np.arange(len(key))
+    slot = np.where((w[at, j] == 0) & real[at, j], 2, np.where((wn[at, j] == 0) & real_next[at, j], 1, 0))
+    return np.stack((j, slot))
+
+
+# the child pick per key for the 1-to-3 and the 2-to-4 fans, and the weights
+# of the key's sign part
+_FAN_TABLES = {c: _fan_table(c) for c in (3, 4)}
+_POW3 = 3.0 ** np.arange(4)
+# the next child of each child of a fan, around it
+_TURN = {3: [1, 2, 0], 4: [1, 2, 3, 0]}
+# the first location among the first triangle (0) and the ghosts across its
+# edges (1 to 3), and the edge that holds the point or -1, by the key
+# sum((o[i] + 1) 3**i) of its orient signs against the three edges
+_FIRST_KEY = np.arange(27)[:, None] // 3 ** np.arange(3) % 3 - 1
+_FIRST_LOC = np.select([_FIRST_KEY[:, i] < 0 for i in range(3)], [1, 2, 3], 0)
+_FIRST_ON = np.where(_FIRST_LOC > 0, -1, np.select([_FIRST_KEY[:, i] == 0 for i in range(3)], [0, 1, 2], -1))
+
+
 class _Rounds:
     """Working state of one triangulation.
 
@@ -231,14 +268,20 @@ class _Rounds:
     ``on``, the half-edge of ``loc`` whose open segment holds it, or -1.
     ``own`` maps the half-edges of a round's old triangles to their new ids
     and is the identity between rounds; ``claim`` and ``mark`` are -1
-    between rounds.
+    between rounds. The last triangle of the capacity is never used, so
+    ``O[-1]`` and ``own[-1]`` read -1: indexed by an ``on`` of -1, they
+    give -1.
+
+    The rounds select with index arrays (``np.flatnonzero``), not boolean
+    masks: numpy gathers by index several times faster than it compresses
+    an array by a mask that mixes True and False.
     """
 
     def __init__(self, p: np.ndarray):
-        self.x = np.ascontiguousarray(p[:, 0])
-        self.y = np.ascontiguousarray(p[:, 1])
+        self.x = x = np.ascontiguousarray(p[:, 0])
+        self.y = y = np.ascontiguousarray(p[:, 1])
         ids = _unique_points(p)
-        hull = _strict_hull(self.x, self.y, ids)
+        hull = _strict_hull(x, y, ids)
         self.prio = np.random.default_rng(_PRIORITY_SEED).permutation(len(p))
         self.on_hull = np.zeros(len(p), bool)
         self.on_hull[hull] = True
@@ -253,20 +296,19 @@ class _Rounds:
         self.ghost = np.zeros(cap, bool)
         self.ghost[1:4] = True
         self.T = 4
-        self.own = np.arange(3 * cap)
+        half = np.arange(3 * cap)
+        # the next and the previous half-edge of the same triangle
+        self.nxt = half + 1 - 3 * (half % 3 == 2)
+        self.prv = half - 1 + 3 * (half % 3 == 0)
+        self.own = half
+        self.own[-1] = -1
         self.claim = np.full(cap, -1, np.int64)
         self.mark = np.full(cap, -1, np.int64)
         self.stamp = np.empty(3 * cap, np.int64)
-        # the next and the previous half-edge of the same triangle
-        self.nxt = self.own + 1 - 3 * (self.own % 3 == 2)
-        self.prv = self.own - 1 + 3 * (self.own % 3 == 0)
         q = ids[(ids != a) & (ids != b) & (ids != c)]
-        x, y = self.x, self.y
-        o = [orient(x[u], y[u], x[v], y[v], x[q], y[q]) for u, v in ((a, b), (b, c), (c, a))]
-        self.q = q
-        self.loc = np.select([o[0] < 0, o[1] < 0, o[2] < 0], [1, 2, 3], 0)
-        self.on = np.select([o[0] == 0, o[1] == 0, o[2] == 0], [0, 1, 2], -1)
-        self.on[self.loc > 0] = -1
+        u, v = np.array([[a], [b], [c]]), np.array([[b], [c], [a]])
+        key = (_POW3[:3] @ (orient(x[u], y[u], x[v], y[v], x[q], y[q]) + 1.0)).astype(np.intp)
+        self.q, self.loc, self.on = q, _FIRST_LOC[key], _FIRST_ON[key]
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
         # one flip round after each insertion round; the edges still to
@@ -285,103 +327,102 @@ class _Rounds:
         """One insertion round. Returns the half-edges the flips must check:
         ``pending`` under their new ids, the edges around each new fan, and
         the pieces of each split edge."""
-        V, O, q, loc, on = self.V, self.O, self.q, self.loc, self.on
+        V, O, q, loc, on, own, nxt, prv = self.V, self.O, self.q, self.loc, self.on, self.own, self.nxt, self.prv
         hull_pt = self.on_hull[q]
         # a ghost triangle takes only hull vertices, and a point on a hull
         # chord waits until the chord's ghost holds no hull vertex
         waiting = np.zeros(self.T, bool)
         waiting[loc[hull_pt]] = True
         ok = hull_pt | ~self.ghost[loc]
-        edge = on >= 0
-        ok[edge] &= ~waiting[O[on[edge]] // 3]
+        on_edge = np.flatnonzero(on >= 0)
+        ok[on_edge] &= ~waiting[O[on[on_edge]] // 3]
         pr = np.where(ok, self.prio[q], -1)
         best = np.full(self.T, -1)
         np.maximum.at(best, loc, pr)
         cand = np.flatnonzero(ok & (pr == best[loc]))
         # a point on an edge also needs the triangle across it: the highest
-        # priority among all claims on a triangle wins it
+        # priority among all claims on a triangle wins it (a triangle has
+        # one candidate of its own)
         c_pr, c_loc, c_on = pr[cand], loc[cand], on[cand]
-        c_edge = c_on >= 0
-        c_twin = np.where(c_edge, O[c_on], -1)
+        c_twin = O[c_on]
+        edge = np.flatnonzero(c_on >= 0)
         claim = self.claim
-        np.maximum.at(claim, c_loc, c_pr)
-        np.maximum.at(claim, c_twin[c_edge] // 3, c_pr[c_edge])
-        win = (claim[c_loc] == c_pr) & (~c_edge | (claim[c_twin // 3] == c_pr))
-        claim[c_loc] = -1
-        claim[c_twin[c_edge] // 3] = -1
+        claim[c_loc] = c_pr
+        across = c_twin[edge] // 3
+        np.maximum.at(claim, across, c_pr[edge])
+        win = claim[c_loc] == c_pr
+        win[edge] &= claim[across] == c_pr[edge]
+        claim[c_loc] = claim[across] = -1
 
         # 1-to-3: the fan of a triangle's three edges; 2-to-4: the fan of the
-        # four edges around the split edge, which disappears
-        one, two = win & ~c_edge, win & c_edge
+        # four edges around the split edge, which disappears. Row j of a fan's
+        # arrays is its child j, which spans corners j and j + 1 around p
+        one, two = np.flatnonzero(win & (c_on < 0)), edge[win[edge]]
         t, h, g = c_loc[one], c_on[two], c_twin[two]
         new = self.T + np.arange(2 * len(t) + 2 * len(h))
         a, b = new[: 2 * len(t)].reshape(2, -1), new[2 * len(t):].reshape(2, -1)
         fans = [
-            (3 * t[:, None] + np.arange(3), np.column_stack((t, a[0], a[1])), q[cand[one]]),
-            (np.column_stack((self.nxt[h], self.prv[h], self.nxt[g], self.prv[g])),
-             np.column_stack((h // 3, b[0], g // 3, b[1])), q[cand[two]]),
+            (3 * t + np.arange(3)[:, None], np.stack((t, a[0], a[1])), q[cand[one]]),
+            (np.stack((nxt[h], prv[h], nxt[g], prv[g])), np.stack((h // 3, b[0], g // 3, b[1])), q[cand[two]]),
         ]
         self.T += len(new)
-        rows = [(E, S, p, V[E], V[self.nxt[E]], O[E]) for E, S, p in fans]
-        for E, S, _, _, _, _ in rows:
-            self.own[E] = 3 * S
-        self.own[h] = self.own[g] = -1
-        for E, S, p, start, end, outer in rows:
-            H = 3 * S
-            V[H], V[H + 1], V[H + 2] = start, end, p[:, None]
-            self.ghost[S] = (start == INF) | (end == INF)
-            turn = np.roll(np.arange(H.shape[1]), -1)
-            O[H + 1] = H[:, turn] + 2
-            O[H[:, turn] + 2] = H + 1
-            tw = self.own[outer]
+        fans = [(E, S, p, V[E], O[E], _TURN[len(E)]) for E, S, p in fans]
+        for E, S, *_ in fans:
+            own[E] = 3 * S
+        own[h] = own[g] = -1
+        for E, S, p, F, outer, turn in fans:
+            H, end = 3 * S, F[turn]
+            V[H], V[H + 1], V[H + 2] = F, end, p
+            self.ghost[S] = np.minimum(F, end) < 0
+            Hn = H[turn]
+            O[H + 1], O[Hn + 2] = Hn + 2, H + 1
+            tw = own[outer]
             O[H], O[tw] = tw, H
-        inserted = np.zeros(len(q), bool)
-        inserted[cand[win]] = True
-        for (_, S, p, start, _, _), old in zip(rows, (t[:, None], np.column_stack((h, g)) // 3)):
-            self._relocate_in_fans(old, S, p, start, inserted)
-        pending = self.own[pending]
-        for E, _, _, _, _, _ in rows:
-            self.own[E] = E
-        self.own[h], self.own[g] = h, g
-        keep = ~inserted
-        self.q, self.loc, self.on = q[keep], self.loc[keep], self.on[keep]
-        split = 3 * rows[1][1].ravel() + 1
-        return np.concatenate([pending[pending >= 0], split] + [3 * S.ravel() for _, S, *_ in rows])
+        keep = np.ones(len(q), bool)
+        keep[cand[one]] = keep[cand[two]] = False
+        keep = np.flatnonzero(keep)
+        self.q, self.loc, self.on = q[keep], loc[keep], on[keep]
+        self._relocate_in_fans(t, h // 3, g // 3, fans)
+        pending = own[pending]
+        for E, *_ in fans:
+            own[E] = E
+        own[h], own[g] = h, g
+        split = 3 * fans[1][1].ravel() + 1
+        return np.concatenate([pending[pending >= 0], split] + [3 * S.ravel() for _, S, *_ in fans])
 
-    def _relocate_in_fans(self, old, S, p, F, inserted) -> None:
-        """Move the points of the split triangles ``old`` into the children
-        ``S`` of their fans around ``p``, whose corners in turn are ``F``.
+    def _relocate_in_fans(self, t, h3, g3, fans) -> None:
+        """Move the points of the split triangles, ``t`` (1-to-3) and ``h3``
+        and ``g3`` (2-to-4), into the children ``S`` of their fans around
+        ``p``, whose corners in turn are ``F``.
 
         Child j spans the wedge from ``F[j]`` to ``F[j + 1]`` around p; a
         point goes to the first finite child whose wedge holds it, or else
         to the first ghost child (ghost corners count as on every line).
+        The signs of the point's orient tests against the fan's spokes and
+        the fan's ghost corners make a key, and ``_FAN_TABLES``, built from
+        that rule, gives the child and the edge of it that holds the point.
         """
-        mark = self.mark
-        rows = np.broadcast_to(np.arange(len(S))[:, None], old.shape)
-        mark[old] = rows
-        k = np.flatnonzero((mark[self.loc] >= 0) & ~inserted)
-        r = mark[self.loc[k]]
-        mark[old] = -1
-        if not len(k):
-            return
-        x, y, pts = self.x, self.y, self.q[k]
-        Fr, pr = F[r], p[r]
-        w = orient(x[pr][:, None], y[pr][:, None], x[Fr], y[Fr], x[pts][:, None], y[pts][:, None])
-        real = Fr != INF
-        w[~real] = 0
-        turn = np.roll(np.arange(w.shape[1]), -1)
-        wn, real_next = w[:, turn], real[:, turn]
-        inside = (w >= 0) & (wn <= 0)
-        j = np.argmax(inside * (1 + (real & real_next)), axis=1)
-        at = np.arange(len(k))
-        tri = S[r, j]
-        on = self.on[k]
-        moved = np.where(on >= 0, self.own[on], -1)
-        self.loc[k] = tri
-        self.on[k] = np.where(
-            (w[at, j] == 0) & real[at, j], 3 * tri + 2,
-            np.where((wn[at, j] == 0) & real_next[at, j], 3 * tri + 1, moved),
-        )
+        mark, m = self.mark, len(t)
+        mark[t] = np.arange(m)
+        mark[h3] = mark[g3] = m + np.arange(len(h3))
+        fan = mark[self.loc]
+        mark[t] = mark[h3] = mark[g3] = -1
+        moved = np.flatnonzero(fan >= 0)
+        fan = fan[moved]
+        two = fan >= m
+        for (_, S, p, F, _, _), kind, first in zip(fans, (~two, two), (0, m)):
+            kind = np.flatnonzero(kind)
+            if not len(kind):
+                continue
+            k, r = moved[kind], fan[kind] - first
+            c = len(F)
+            x, y, pts, pr, Fr = self.x, self.y, self.q[k], p[r], np.take(F, r, axis=1)
+            w = orient(x[pr], y[pr], x[Fr], y[Fr], x[pts], y[pts])
+            ghost_key = (3**c * 2 ** np.arange(c)) @ (F == INF) + (3**c - 1) // 2
+            j, slot = np.take(_FAN_TABLES[c], (_POW3[:c] @ w).astype(np.intp) + ghost_key[r], axis=1)
+            tri = S.ravel()[j * S.shape[1] + r]
+            self.loc[k] = tri
+            self.on[k] = np.where(slot > 0, 3 * tri + slot, self.own[self.on[k]])
 
     # -- flips ----------------------------------------------------------------
 
@@ -389,41 +430,45 @@ class _Rounds:
         """One flip round: flips the locally non-Delaunay edges among ``h``
         that share no triangle with one of higher id, and returns the edges
         to check next (those left out and those the flips exposed)."""
-        V, O, ghost, x, y = self.V, self.O, self.ghost, self.x, self.y
+        V, O, x, y = self.V, self.O, self.x, self.y
         nxt, prv, own, claim, stamp = self.nxt, self.prv, self.own, self.claim, self.stamp
         # each edge once, from the side of its lower half-edge id
-        h = np.minimum(h, O[h])
+        twin = O[h]
+        h, g = np.minimum(h, twin), np.maximum(h, twin)
         at = np.arange(len(h))
         stamp[h] = at
-        h = h[stamp[h] == at]
-        g = O[h]
-        e = np.stack((h, g, h // 3, g // 3))
-        e = e[:, ~(ghost[e[2]] | ghost[e[3]])]
-        # (a, b, c) on the side of h and (b, a, d) on the side of g
-        abcd = V[np.stack((e[0], nxt[e[0]], prv[e[0]], prv[e[1]]))]
-        X, Y = x[abcd], y[abcd]
-        bad = incircle(X[0], Y[0], X[1], Y[1], X[2], Y[2], X[3], Y[3]) > 0
-        if not bad.any():
+        once = np.flatnonzero(stamp[h] == at)
+        h, g = h[once], g[once]
+        # (a, b, c) on the side of h and (b, a, d) on the side of g; INF (-1)
+        # is the one negative id, so an edge of a ghost triangle, never
+        # flipped, has a negative bitwise or
+        a, b, c, d = V[h], V[nxt[h]], V[prv[h]], V[prv[g]]
+        bad = incircle(x[a], y[a], x[b], y[b], x[c], y[c], x[d], y[d]) > 0
+        bad = np.flatnonzero(bad & ((a | b | c | d) >= 0))
+        if not len(bad):
             return h[:0]
-        e = np.concatenate((e, abcd))[:, bad]
-        h, t1, t2 = e[0], e[2], e[3]
-        np.maximum.at(claim, t1, h)
-        np.maximum.at(claim, t2, h)
-        win = (claim[t1] == h) & (claim[t2] == h)
-        claim[t1] = claim[t2] = -1
-        lose = h[~win]
-        h, g, t1, t2, a, b, c, d = e[:, win]
+        h, g = h[bad], g[bad]
+        tt = np.concatenate((h // 3, g // 3))
+        np.maximum.at(claim, tt, np.concatenate((h, h)))
+        won = claim[tt]
+        claim[tt] = -1
+        won = (won[: len(h)] == h) & (won[len(h):] == h)
+        lose, win = h[np.flatnonzero(~won)], np.flatnonzero(won)
+        h, g, win = h[win], g[win], bad[win]
+        a, b, c, d = a[win], b[win], c[win], d[win]
         # they become (a, d, c) in t1 and (d, b, c) in t2
         outer = np.concatenate((nxt[g], prv[h], prv[g], nxt[h]))
-        fresh = np.concatenate((3 * t1, 3 * t1 + 2, 3 * t2, 3 * t2 + 1))
+        t1, t2 = h // 3, g // 3
+        H1, H2 = 3 * t1, 3 * t2
+        fresh = np.concatenate((H1, H1 + 2, H2, H2 + 1))
         twin = O[outer]
         own[outer] = fresh
         own[h] = own[g] = -1
-        V[3 * t1], V[3 * t1 + 1], V[3 * t1 + 2] = a, d, c
-        V[3 * t2], V[3 * t2 + 1], V[3 * t2 + 2] = d, b, c
+        V[H1], V[H1 + 1], V[H1 + 2] = a, d, c
+        V[H2], V[H2 + 1], V[H2 + 2] = d, b, c
         tw = own[twin]
         O[fresh], O[tw] = tw, fresh
-        O[3 * t1 + 1], O[3 * t2 + 2] = 3 * t2 + 2, 3 * t1 + 1
+        O[H1 + 1], O[H2 + 2] = H2 + 2, H1 + 1
         self._relocate_in_quads(t1, t2, c, d)
         suspects = np.concatenate((fresh, own[lose]))
         own[outer], own[h], own[g] = outer, h, g
@@ -434,18 +479,17 @@ class _Rounds:
         diagonal from d to c that holds them; a point on it goes to t1."""
         mark = self.mark
         mark[t1] = mark[t2] = np.arange(len(t1))
-        k = np.flatnonzero(mark[self.loc] >= 0)
-        if not len(k):
-            mark[t1] = mark[t2] = -1
-            return
-        r = mark[self.loc[k]]
+        quad = mark[self.loc]
         mark[t1] = mark[t2] = -1
-        pts, c, d = self.q[k], c[r], d[r]
+        k = np.flatnonzero(quad >= 0)
+        if not len(k):
+            return
+        r = quad[k]
+        pts, c, d, t1 = self.q[k], c[r], d[r], t1[r]
         x, y = self.x, self.y
         o = orient(x[d], y[d], x[c], y[c], x[pts], y[pts])
-        on = self.on[k]
-        self.loc[k] = np.where(o >= 0, t1[r], t2[r])
-        self.on[k] = np.where(o == 0, 3 * t1[r] + 1, np.where(on >= 0, self.own[on], -1))
+        self.loc[k] = np.where(o >= 0, t1, t2[r])
+        self.on[k] = np.where(o == 0, 3 * t1 + 1, self.own[self.on[k]])
 
 
 def _canonical(V: np.ndarray, O: np.ndarray, n: int):
@@ -454,16 +498,15 @@ def _canonical(V: np.ndarray, O: np.ndarray, n: int):
     T = len(V)
     r = np.where(V == INF, n, V)  # n sites: INF ranks above every one
     last = np.argmax(r, axis=1)
-    turn = (last[:, None] + 1 + np.arange(3)) % 3
-    V = np.take_along_axis(V, turn, axis=1)
-    r = np.take_along_axis(r, turn, axis=1)
     # (last, first) is a directed edge, in one triangle only: a unique key,
     # within int64 for n below 3 * 10**9
-    perm = np.argsort(r[:, 2] * n + r[:, 0])
+    base = 3 * np.arange(T)
+    r = r.ravel()
+    perm = np.argsort(r[base + last] * n + r[base + (last + 1) % 3])
     new_id = np.empty(T, np.int64)
     new_id[perm] = np.arange(T)
-    # old half-edge 3t + k is slot (k - last - 1) % 3 of triangle new_id[t]
-    tw = np.take_along_axis(O.reshape(T, 3), turn, axis=1)[perm]
-    N = new_id[tw // 3]
-    finite = int((V[:, 2] != INF).sum())
-    return V[perm], N, finite
+    # slot k of new triangle i is old half-edge 3 perm[i] + (last + 1 + k) % 3
+    half = 3 * perm + (last[perm] + np.arange(1, 4)[:, None]) % 3
+    V = np.ascontiguousarray(V.ravel()[half].T)
+    N = np.ascontiguousarray(new_id[O[half] // 3].T)
+    return V, N, int((V[:, 2] != INF).sum())

@@ -4,6 +4,7 @@ oracle, exact predicates, canonical ids and mutual neighbours."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -149,6 +150,37 @@ def test_predicates_are_exact_near_degenerate_input():
     assert delaunay.incircle(*args).tolist() == want
     # (a, b, c, d) is counter-clockwise: the diagonal a-c seen from (c, d, a)
     assert (delaunay.incircle(*c, *d, *a, *b) == delaunay.incircle(*args)).all()
+
+
+def test_predicates_take_numbers_where_the_float_sign_is_unsure():
+    """A zero or tiny determinant of plain numbers goes to the exact path too."""
+    assert delaunay.orient(0.0, 0.0, 1.0, 0.0, 2.0, 0.0) == 0
+    assert delaunay.orient(0.0, 0.0, 1.0, 0.0, 2.0, 1e-300) == 1
+    assert delaunay.incircle(1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0) == 0
+
+
+def _fan_pick(w, real):
+    """The child rule of ``_relocate_in_fans`` for one point, in a loop: the
+    first finite child whose wedge holds the point, else the first ghost
+    child, with the slot of its edge that holds the point."""
+    c = len(w)
+    w = [s if r else 0 for s, r in zip(w, real)]
+    holds = [j for j in range(c) if w[j] >= 0 and w[(j + 1) % c] <= 0]
+    finite = [j for j in holds if real[j] and real[(j + 1) % c]]
+    j = (finite + holds + [0])[0]
+    k = (j + 1) % c
+    return j, 2 if real[j] and w[j] == 0 else 1 if real[k] and w[k] == 0 else 0
+
+
+@pytest.mark.parametrize("c", [3, 4])
+def test_fan_table_is_the_child_rule(c):
+    """Every key of the table, over all orient signs and ghost corners,
+    gives the child and edge slot of the loop rule."""
+    table = delaunay._FAN_TABLES[c]
+    for ghosts in itertools.product((False, True), repeat=c):
+        for w in itertools.product((-1, 0, 1), repeat=c):
+            key = sum((s + 1) * 3**j for j, s in enumerate(w)) + 3**c * sum(2**j for j, g in enumerate(ghosts) if g)
+            assert tuple(table[:, key]) == _fan_pick(w, [not g for g in ghosts]), (w, ghosts)
 
 
 # SHA-256 (first 16 hex digits) of the finite triangles in canonical order,
