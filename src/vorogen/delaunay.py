@@ -243,18 +243,24 @@ def _fan_table(c: int) -> np.ndarray:
     return np.stack((j, slot))
 
 
+def _first_table() -> tuple[np.ndarray, np.ndarray]:
+    """A point's first location, by key ``sum((o[i] + 1) 3**i)`` of its
+    orient signs ``o`` against the first triangle's three edges: the
+    triangle (0 the first one, 1 to 3 the ghosts across its edges) and the
+    edge of it whose open segment holds the point, or -1."""
+    o = np.arange(27)[:, None] // 3 ** np.arange(3) % 3 - 1
+    loc = np.select([o[:, 0] < 0, o[:, 1] < 0, o[:, 2] < 0], [1, 2, 3], 0)
+    on = np.select([o[:, 0] == 0, o[:, 1] == 0, o[:, 2] == 0], [0, 1, 2], -1)
+    return loc, np.where(loc > 0, -1, on)
+
+
 # the child pick per key for the 1-to-3 and the 2-to-4 fans, and the weights
 # of the key's sign part
 _FAN_TABLES = {c: _fan_table(c) for c in (3, 4)}
 _POW3 = 3.0 ** np.arange(4)
 # the next child of each child of a fan, around it
 _TURN = {3: [1, 2, 0], 4: [1, 2, 3, 0]}
-# the first location among the first triangle (0) and the ghosts across its
-# edges (1 to 3), and the edge that holds the point or -1, by the key
-# sum((o[i] + 1) 3**i) of its orient signs against the three edges
-_FIRST_KEY = np.arange(27)[:, None] // 3 ** np.arange(3) % 3 - 1
-_FIRST_LOC = np.select([_FIRST_KEY[:, i] < 0 for i in range(3)], [1, 2, 3], 0)
-_FIRST_ON = np.where(_FIRST_LOC > 0, -1, np.select([_FIRST_KEY[:, i] == 0 for i in range(3)], [0, 1, 2], -1))
+_FIRST_LOC, _FIRST_ON = _first_table()
 
 
 class _Rounds:
@@ -327,7 +333,8 @@ class _Rounds:
         """One insertion round. Returns the half-edges the flips must check:
         ``pending`` under their new ids, the edges around each new fan, and
         the pieces of each split edge."""
-        V, O, q, loc, on, own, nxt, prv = self.V, self.O, self.q, self.loc, self.on, self.own, self.nxt, self.prv
+        V, O, q, loc, on, own = self.V, self.O, self.q, self.loc, self.on, self.own
+        nxt, prv = self.nxt, self.prv
         hull_pt = self.on_hull[q]
         # a ghost triangle takes only hull vertices, and a point on a hull
         # chord waits until the chord's ghost holds no hull vertex
@@ -363,7 +370,8 @@ class _Rounds:
         a, b = new[: 2 * len(t)].reshape(2, -1), new[2 * len(t):].reshape(2, -1)
         fans = [
             (3 * t + np.arange(3)[:, None], np.stack((t, a[0], a[1])), q[cand[one]]),
-            (np.stack((nxt[h], prv[h], nxt[g], prv[g])), np.stack((h // 3, b[0], g // 3, b[1])), q[cand[two]]),
+            (np.stack((nxt[h], prv[h], nxt[g], prv[g])),
+             np.stack((h // 3, b[0], g // 3, b[1])), q[cand[two]]),
         ]
         self.T += len(new)
         fans = [(E, S, p, V[E], O[E], _TURN[len(E)]) for E, S, p in fans]
@@ -418,6 +426,8 @@ class _Rounds:
             c = len(F)
             x, y, pts, pr, Fr = self.x, self.y, self.q[k], p[r], np.take(F, r, axis=1)
             w = orient(x[pr], y[pr], x[Fr], y[Fr], x[pts], y[pts])
+            # the ghost corners' part of each fan's key, plus the sum of 3**j
+            # that shifts the signs from -1, 0, 1 to 0, 1, 2
             ghost_key = (3**c * 2 ** np.arange(c)) @ (F == INF) + (3**c - 1) // 2
             j, slot = np.take(_FAN_TABLES[c], (_POW3[:c] @ w).astype(np.intp) + ghost_key[r], axis=1)
             tri = S.ravel()[j * S.shape[1] + r]

@@ -1,9 +1,9 @@
 """Wall time of each stage of the forward build and the reconstruction.
 
-    python tools/stages.py LABEL [--ns 1000 10000 100000] [--seed 5]
+    python tools/stages.py LABEL [--ns 1000 10000 100000]
 
-For each n it builds one sample (``--seed``) and times every stage on it a
-few times, then writes ``BENCH_<LABEL>.json`` in the current directory: per
+For each n it builds the sample of seed 5 and times every stage on it a few
+times, then writes ``BENCH_<LABEL>.json`` in the current directory: per
 stage and n, the minimum and median wall ms, with the Python and numpy
 versions, ``nproc``, the git commit, the OpenBLAS core type and the peak RSS.
 """
@@ -30,18 +30,22 @@ import numpy as np  # noqa: E402
 
 from vorogen import delaunay, forward, pipeline, tessellation  # noqa: E402
 
-STAGES = ("Triangulation", "_dualize", "sample_and_build", "dumps", "loads", "arrays", "validate", "reconstruct")
 REPEATS = {1000: 21, 10_000: 7}  # and 3 above 10^4
+SEED = 5
+# the core-type query of numpy's bundled OpenBLAS, by numpy release
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
 
 
-def stage_calls(n: int, seed: int) -> dict:
-    sites, t, gt = forward.sample_and_build(n, seed)
+def stage_calls(n: int) -> dict:
+    """Each stage as a call on the sample of ``n`` sites: the ``arrays``
+    stage is what ``Tessellation.arrays`` runs on first use."""
+    sites, t, gt = forward.sample_and_build(n, SEED)
     tri = delaunay.Triangulation(sites.points)
     text = tessellation.dumps(t, gt)
     return {
         "Triangulation": lambda: delaunay.Triangulation(sites.points),
         "_dualize": lambda: forward._dualize(sites.points, tri),
-        "sample_and_build": lambda: forward.sample_and_build(n, seed),
+        "sample_and_build": lambda: forward.sample_and_build(n, SEED),
         "dumps": lambda: tessellation.dumps(t, gt),
         "loads": lambda: tessellation.loads(text),
         "arrays": lambda: tessellation._ridge_arrays(t),
@@ -51,8 +55,9 @@ def stage_calls(n: int, seed: int) -> dict:
 
 
 def openblas_core() -> str:
+    """The core type OpenBLAS picked for numpy's BLAS, or "unknown"."""
     for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+        for name in CORENAME_SYMBOLS:
             fn = getattr(ctypes.CDLL(lib), name, None)
             if fn is not None:
                 fn.restype = ctypes.c_char_p
@@ -64,25 +69,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
     parser.add_argument("--ns", type=int, nargs="+", default=[1000, 10_000, 100_000])
-    parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
-    stages = {s: {} for s in STAGES}
+    stages = {}
     for n in args.ns:
-        for stage, call in stage_calls(n, args.seed).items():
+        for stage, call in stage_calls(n).items():
             ms = []
             for _ in range(REPEATS.get(n, 3)):
                 start = time.perf_counter()
                 call()
                 ms.append(1e3 * (time.perf_counter() - start))
-            stages[stage][str(n)] = {"min_ms": round(min(ms), 2), "median_ms": round(statistics.median(ms), 2)}
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+            row = {"min_ms": round(min(ms), 2), "median_ms": round(statistics.median(ms), 2)}
+            stages.setdefault(stage, {})[str(n)] = row
+    git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     out = {
         "label": args.label,
-        "seed": args.seed,
+        "seed": SEED,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "commit": commit or "unknown",
+        "commit": git.stdout.strip() or "unknown",
         "openblas_core": openblas_core(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "stages": stages,
