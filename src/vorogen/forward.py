@@ -317,7 +317,10 @@ def _repair(
         try:
             return moved, build_voronoi(moved)
         except ConstructionError as err:
-            exc = err
+            # without its traceback: that holds this frame, which holds the
+            # error, a cycle that would keep the failed build's arrays alive
+            # until the cyclic garbage collector runs
+            exc = err.with_traceback(None)
     return moved, exc
 
 

@@ -7,6 +7,7 @@ clipping and, where scipy is installed, ``scipy.spatial.Voronoi`` (Qhull).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import warnings
@@ -116,6 +117,22 @@ def test_cocircular_square_raises_and_jitter_repairs():
     assert validate(t) == []
     # every vertex is 3-valent after the repair
     assert all(len(vertex_ridges(t, v)) == 3 for v in range(len(t.vertices)))
+
+
+def test_failed_repair_rounds_leave_no_reference_cycle():
+    """The error of a failed jitter round is kept without its traceback,
+    whose frames, the failed build's arrays among them, would otherwise sit
+    in a reference cycle until the cyclic garbage collector ran."""
+    pts = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0),
+           Point2(0.5, 2.0))
+    gc.disable()
+    try:
+        gc.collect()
+        # far below the degeneracy tolerance: every round fails
+        jitter_degenerate(SiteSample(pts, 2.0, seed=5), 1e-300)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
