@@ -3,7 +3,7 @@
     python tools/stages.py LABEL [--ns 1000 10000 100000]
 
 For each n it builds the sample of seed 5 and times every stage on it a few
-times, then writes ``BENCH_<LABEL>.json`` in the current directory: per
+times, in turn, then writes ``BENCH_<LABEL>.json`` in the current directory: per
 stage and n, the minimum and median wall ms, with the Python and numpy
 versions, ``nproc``, the git commit, the OpenBLAS core type and the peak RSS.
 """
@@ -72,13 +72,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stages = {}
     for n in args.ns:
-        for stage, call in stage_calls(n).items():
-            ms = []
-            for _ in range(REPEATS.get(n, 3)):
+        calls = stage_calls(n)
+        ms = {stage: [] for stage in calls}
+        # round-robin over the stages, so that each stage's calls spread
+        # over the whole run and not over one stretch of a shared host's load
+        for _ in range(REPEATS.get(n, 3)):
+            for stage, call in calls.items():
                 start = time.perf_counter()
                 call()
-                ms.append(1e3 * (time.perf_counter() - start))
-            row = {"min_ms": round(min(ms), 2), "median_ms": round(statistics.median(ms), 2)}
+                ms[stage].append(1e3 * (time.perf_counter() - start))
+        for stage, t in ms.items():
+            row = {"min_ms": round(min(t), 2), "median_ms": round(statistics.median(t), 2)}
             stages.setdefault(stage, {})[str(n)] = row
     git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     out = {
