@@ -18,9 +18,10 @@ about log n rounds, not one each.
 ``orient`` and ``incircle`` are exact for float input: the float
 determinant decides an entry unless it lies within Shewchuk's static error
 bound ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
-Geometric Predicates", DCG 18, 1997), and ``fractions.Fraction`` decides the
-rest. Every flip decision is exact, so the flip rounds end, and a quad gets
-the same answer from either diagonal.
+Geometric Predicates", DCG 18, 1997), and exact integer arithmetic decides
+the rest (every float is an integer over a power of two). Every flip
+decision is exact, so the flip rounds end, and a quad gets the same answer
+from either diagonal.
 
 One symbolic vertex at infinity (``INF``) closes the triangulation: every
 hull edge is shared with a ghost triangle that has INF as a corner. The
@@ -39,7 +40,6 @@ middle corners. Ghost triangles follow, each with INF last.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -69,16 +69,24 @@ def _incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
     )
 
 
+def _scaled(row) -> list[int]:
+    """The floats of ``row`` times the largest of their denominators, which
+    are all powers of two: integers, exactly, in the same ratios."""
+    ratios = [v.as_integer_ratio() for v in row]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios]
+
+
 def _signs(det, bound, exact, args) -> np.ndarray:
     """Signs of ``det`` (-1.0, 0.0 or 1.0), with every entry not clear of
-    ``bound`` (NaN included) decided again by ``exact`` in Fractions."""
+    ``bound`` (NaN included) decided again by ``exact`` in integers: the
+    determinants are homogeneous in the coordinates, so scaling them all by
+    one positive factor (``_scaled``) keeps the sign."""
     sign = np.sign(det, out=np.empty_like(det))  # an array, also for 0-d input
     unsure = np.flatnonzero(~(np.abs(det) > bound))
     if len(unsure):
         cols = [np.broadcast_to(c, det.shape).flat[unsure].tolist() for c in args]
-        sign.flat[unsure] = [
-            (d > 0) - (d < 0) for d in (exact(*map(Fraction, row)) for row in zip(*cols))
-        ]
+        sign.flat[unsure] = [(d > 0) - (d < 0) for d in (exact(*_scaled(row)) for row in zip(*cols))]
     return sign
 
 
