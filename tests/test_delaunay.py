@@ -179,7 +179,8 @@ def test_fan_table_is_the_child_rule(c):
     table = delaunay._FAN_TABLES[c]
     for ghosts in itertools.product((False, True), repeat=c):
         for w in itertools.product((-1, 0, 1), repeat=c):
-            key = sum((s + 1) * 3**j for j, s in enumerate(w)) + 3**c * sum(2**j for j, g in enumerate(ghosts) if g)
+            key = sum((s + 1) * 3**j for j, s in enumerate(w))
+            key += 3**c * sum(2**j for j, g in enumerate(ghosts) if g)
             assert tuple(table[:, key]) == _fan_pick(w, [not g for g in ghosts]), (w, ghosts)
 
 
