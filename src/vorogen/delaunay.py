@@ -18,10 +18,9 @@ about log n rounds, not one each.
 ``orient`` and ``incircle`` are exact for float input: the float
 determinant decides an entry unless it lies within Shewchuk's static error
 bound ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
-Geometric Predicates", DCG 18, 1997), and exact integer arithmetic decides
-the rest (every float is an integer over a power of two). Every flip
-decision is exact, so the flip rounds end, and a quad gets the same answer
-from either diagonal.
+Geometric Predicates", DCG 18, 1997), and ``fractions.Fraction`` decides the
+rest. Every flip decision is exact, so the flip rounds end, and a quad gets
+the same answer from either diagonal.
 
 One symbolic vertex at infinity (``INF``) closes the triangulation: every
 hull edge is shared with a ghost triangle that has INF as a corner. The
@@ -40,6 +39,7 @@ middle corners. Ghost triangles follow, each with INF last.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -69,24 +69,16 @@ def _incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
     )
 
 
-def _scaled(row) -> list[int]:
-    """The floats of ``row`` times the largest of their denominators, which
-    are all powers of two: integers, exactly, in the same ratios."""
-    ratios = [v.as_integer_ratio() for v in row]
-    scale = max(d for _, d in ratios)
-    return [n * (scale // d) for n, d in ratios]
-
-
 def _signs(det, bound, exact, args) -> np.ndarray:
     """Signs of ``det`` (-1.0, 0.0 or 1.0), with every entry not clear of
-    ``bound`` (NaN included) decided again by ``exact`` in integers: the
-    determinants are homogeneous in the coordinates, so scaling them all by
-    one positive factor (``_scaled``) keeps the sign."""
+    ``bound`` (NaN included) decided again by ``exact`` in Fractions."""
     sign = np.sign(det, out=np.empty_like(det))  # an array, also for 0-d input
     unsure = np.flatnonzero(~(np.abs(det) > bound))
     if len(unsure):
         cols = [np.broadcast_to(c, det.shape).flat[unsure].tolist() for c in args]
-        sign.flat[unsure] = [(d > 0) - (d < 0) for d in (exact(*_scaled(row)) for row in zip(*cols))]
+        sign.flat[unsure] = [
+            (d > 0) - (d < 0) for d in (exact(*map(Fraction, row)) for row in zip(*cols))
+        ]
     return sign
 
 
@@ -217,8 +209,9 @@ def _strict_hull(x: np.ndarray, y: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ext = [np.argmin(py), np.argmax(px - py), np.argmax(px), np.argmax(px + py),
            np.argmax(py), np.argmax(py - px), np.argmin(px), np.argmin(px + py)]
     ext = [e for k, e in enumerate(ext) if e != ext[k - 1]]
-    a, b = np.array(ext)[:, None], np.array(ext[1:] + ext[:1])[:, None]
-    inside = (orient(px[a], py[a], px[b], py[b], px, py) > 0).all(axis=0)
+    inside = np.ones(len(ids), bool)
+    for a, b in zip(ext, ext[1:] + ext[:1]):
+        inside &= orient(px[a], py[a], px[b], py[b], px, py) > 0
     cand = ids[~inside]
     cand = cand[np.lexsort((y[cand], x[cand]))]
     chains = []
@@ -251,24 +244,12 @@ def _fan_table(c: int) -> np.ndarray:
     return np.stack((j, slot))
 
 
-def _first_table() -> tuple[np.ndarray, np.ndarray]:
-    """A point's first location, by key ``sum((o[i] + 1) 3**i)`` of its
-    orient signs ``o`` against the first triangle's three edges: the
-    triangle (0 the first one, 1 to 3 the ghosts across its edges) and the
-    edge of it whose open segment holds the point, or -1."""
-    o = np.arange(27)[:, None] // 3 ** np.arange(3) % 3 - 1
-    loc = np.select([o[:, 0] < 0, o[:, 1] < 0, o[:, 2] < 0], [1, 2, 3], 0)
-    on = np.select([o[:, 0] == 0, o[:, 1] == 0, o[:, 2] == 0], [0, 1, 2], -1)
-    return loc, np.where(loc > 0, -1, on)
-
-
 # the child pick per key for the 1-to-3 and the 2-to-4 fans, and the weights
 # of the key's sign part
 _FAN_TABLES = {c: _fan_table(c) for c in (3, 4)}
 _POW3 = 3.0 ** np.arange(4)
 # the next child of each child of a fan, around it
 _TURN = {3: [1, 2, 0], 4: [1, 2, 3, 0]}
-_FIRST_LOC, _FIRST_ON = _first_table()
 
 
 class _Rounds:
@@ -321,8 +302,11 @@ class _Rounds:
         self.stamp = np.empty(3 * cap, np.int64)
         q = ids[(ids != a) & (ids != b) & (ids != c)]
         u, v = np.array([[a], [b], [c]]), np.array([[b], [c], [a]])
-        key = (_POW3[:3] @ (orient(x[u], y[u], x[v], y[v], x[q], y[q]) + 1.0)).astype(np.intp)
-        self.q, self.loc, self.on = q, _FIRST_LOC[key], _FIRST_ON[key]
+        o = orient(x[u], y[u], x[v], y[v], x[q], y[q])
+        self.q = q
+        self.loc = np.select([o[0] < 0, o[1] < 0, o[2] < 0], [1, 2, 3], 0)
+        self.on = np.select([o[0] == 0, o[1] == 0, o[2] == 0], [0, 1, 2], -1)
+        self.on[self.loc > 0] = -1
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
         # one flip round after each insertion round; the edges still to
@@ -448,21 +432,19 @@ class _Rounds:
         """One flip round: flips the locally non-Delaunay edges among ``h``
         that share no triangle with one of higher id, and returns the edges
         to check next (those left out and those the flips exposed)."""
-        V, O, x, y = self.V, self.O, self.x, self.y
+        V, O, ghost, x, y = self.V, self.O, self.ghost, self.x, self.y
         nxt, prv, own, claim, stamp = self.nxt, self.prv, self.own, self.claim, self.stamp
-        # each edge once, from the side of its lower half-edge id
+        # each edge once, from the side of its lower half-edge id, and none
+        # of a ghost triangle: those are never flipped
         twin = O[h]
         h, g = np.minimum(h, twin), np.maximum(h, twin)
         at = np.arange(len(h))
         stamp[h] = at
-        once = np.flatnonzero(stamp[h] == at)
-        h, g = h[once], g[once]
-        # (a, b, c) on the side of h and (b, a, d) on the side of g; INF (-1)
-        # is the one negative id, so an edge of a ghost triangle, never
-        # flipped, has a negative bitwise or
+        keep = np.flatnonzero((stamp[h] == at) & ~ghost[h // 3] & ~ghost[g // 3])
+        h, g = h[keep], g[keep]
+        # (a, b, c) on the side of h and (b, a, d) on the side of g
         a, b, c, d = V[h], V[nxt[h]], V[prv[h]], V[prv[g]]
-        bad = incircle(x[a], y[a], x[b], y[b], x[c], y[c], x[d], y[d]) > 0
-        bad = np.flatnonzero(bad & ((a | b | c | d) >= 0))
+        bad = np.flatnonzero(incircle(x[a], y[a], x[b], y[b], x[c], y[c], x[d], y[d]) > 0)
         if not len(bad):
             return h[:0]
         h, g = h[bad], g[bad]
