@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -100,9 +99,8 @@ def eligible_cells(t: Tessellation) -> list[CellId]:
     return np.flatnonzero(t.anchor_scores.eligible).tolist()
 
 
-def select_anchor(t: Tessellation, seed: Optional[int] = None) -> CellId:
-    """Pick the anchor cell: the eligible cell of largest edge ratio, or
-    with ``seed`` an eligible cell drawn by that seed. Raises
+def select_anchor(t: Tessellation) -> CellId:
+    """Pick the anchor cell: the eligible cell of largest edge ratio. Raises
     NoEligibleAnchorError when nothing qualifies."""
     s = t.anchor_scores
     elig = np.flatnonzero(s.eligible)
@@ -110,8 +108,5 @@ def select_anchor(t: Tessellation, seed: Optional[int] = None) -> CellId:
         raise NoEligibleAnchorError(
             f"none of the {t.n_cells} cells is a usable anchor"
         )
-    if seed is None:
-        # argmax keeps the first maximum: ties break toward the lowest cell id
-        return int(elig[np.argmax(s.min_edge_ratio[elig])])
-    rng = np.random.default_rng(seed)
-    return int(elig[int(rng.integers(len(elig)))])
+    # argmax keeps the first maximum: ties break toward the lowest cell id
+    return int(elig[np.argmax(s.min_edge_ratio[elig])])

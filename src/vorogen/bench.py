@@ -54,7 +54,8 @@ class CampaignRow:
     """Aggregate over one n: the quantities of the accuracy table plus timing.
 
     ``log10_max_rse`` takes the max over every cell of every simulation;
-    failed simulations are excluded from all aggregates and counted.
+    failed simulations are excluded from all aggregates and kept in
+    ``failed`` as ``(n, seed, "Type: message")``, in job order.
     """
 
     n: int
@@ -65,8 +66,13 @@ class CampaignRow:
     mean_depth: float
     mean_propagate_ms: float
     mean_build_ms: float
-    failures: int
+    failed: tuple[tuple[int, int, str], ...]
     results: tuple[SimResult, ...]
+
+    @property
+    def failures(self) -> int:
+        """How many simulations failed."""
+        return len(self.failed)
 
 
 def derive_seed(master: int, n: int, index: int) -> int:
@@ -137,7 +143,6 @@ def run_campaign(
     for i, n in enumerate(ns):
         batch = outcomes[i * nsim : (i + 1) * nsim]
         good = [r for r in batch if isinstance(r, SimResult)]
-        failures = nsim - len(good)
         if good:
             mean_rmse = sum(r.report["rmse"] for r in good) / len(good)
             max_rse = max(r.report["max_rse"] for r in good)
@@ -158,7 +163,7 @@ def run_campaign(
                 mean_depth=mean_depth,
                 mean_propagate_ms=mean_prop_ms,
                 mean_build_ms=mean_build_ms,
-                failures=failures,
+                failed=tuple(r for r in batch if not isinstance(r, SimResult)),
                 results=tuple(good),
             )
         )

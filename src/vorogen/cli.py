@@ -50,7 +50,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     t, gt = load(args.infile)
-    rep = reconstruct(t, args.method, gt, args.anchor_seed)
+    rep = reconstruct(t, args.method, gt)
     if args.out:
         save(t, args.out, GroundTruth(rep.generators))
     summary = rep.summary()
@@ -83,9 +83,11 @@ def _cmd_bench(args) -> int:
     print(CSV_HEADER)
     for row in rows:
         print(format_row(row))
-    failures = sum(row.failures for row in rows)
-    if failures:
-        print(f"{failures} simulations failed and were excluded", file=sys.stderr)
+    failed = [f for row in rows for f in row.failed]
+    if failed:
+        print(f"{len(failed)} simulations failed and were excluded", file=sys.stderr)
+        for n, seed, msg in failed:
+            print(f"  n={n} seed={seed}: {msg}", file=sys.stderr)
     if args.csv:
         export_csv(rows, args.csv)
     return EXIT_OK
@@ -119,9 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reconstruct", help="recover generators from a tessellation")
     r.add_argument("--in", dest="infile", required=True, help="input tessellation file")
     r.add_argument("--method", choices=METHODS, default="anchor")
-    r.add_argument("--anchor-seed", type=int, help="draw the anchor among the eligible cells"
-                   " with this seed (default: the cell of largest edge ratio; --method anchor"
-                   " only)")
     r.add_argument("--out", help="write tessellation plus recovered generators here")
     r.add_argument("--report", help="write a JSON report here")
     r.set_defaults(func=_cmd_reconstruct)

@@ -112,7 +112,7 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     overflows the float range, sites are duplicated,
     a 4+-cocircular degeneracy would produce a zero-length ridge, or sites
     are so nearly collinear or coincident that float cannot place their
-    circumcenters well enough for ``validate``; see ``jitter_degenerate``.
+    circumcenters well enough for ``validate``; see ``sample_and_build``.
     The error's ``threshold`` is the tolerance that rejected the build: the
     site separation for duplicates, ``Tessellation.degeneracy_threshold()``
     of the built diagram for a degenerate ridge, 0 for the rounding case.
@@ -275,39 +275,20 @@ def _collinear_voronoi(pts) -> Tessellation:
 # -- degeneracy handling --------------------------------------------------------
 
 
-def jitter_degenerate(sites: SiteSample, epsilon: float) -> SiteSample:
-    """Displace only degenerate-configuration points, each by at most ``epsilon``.
-
-    Degenerate means duplicated within tolerance or part of a 4+-cocircular
-    group whose dual ridge would have zero length. Returns the input object
-    unchanged when it builds or ``epsilon`` is 0, and otherwise the moved
-    sites, even when eight rounds of moving did not make them build. Raises
-    ValueError unless 0 <= ``epsilon`` < inf.
-    """
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
-    if epsilon == 0.0:
-        return sites
-    try:
-        build_voronoi(sites)
-    except ConstructionError as exc:
-        if exc.site_groups:
-            return _repair(sites, exc, epsilon)[0]
-    return sites
-
-
 def _repair(
     sites: SiteSample, exc: ConstructionError, epsilon: float
-) -> tuple[SiteSample, tuple[Tessellation, GroundTruth] | ConstructionError]:
-    """Move the points named in ``exc.site_groups`` by at most ``epsilon`` and
-    build again, at most eight rounds.
+) -> tuple[SiteSample, Tessellation, GroundTruth]:
+    """Move the degenerate points that ``exc.site_groups`` names, duplicated
+    within tolerance or in a 4+-cocircular group whose dual ridge would have
+    zero length, by at most ``epsilon`` each and build again, at most eight
+    rounds.
 
-    Returns the last moved sample with its diagram, or with the error of its
-    build when the eighth round still fails.
+    Returns the first moved sample that builds, with its diagram; raises the
+    eighth round's ConstructionError when none does.
     """
     rng = np.random.default_rng(0 if sites.seed is None else sites.seed)
     pts = sites.points.copy()
-    for _ in range(8):
+    for attempt in range(8):
         for i in sorted(set().union(*exc.site_groups)):
             ang = rng.uniform(0.0, 2.0 * math.pi)
             rad = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
@@ -315,13 +296,14 @@ def _repair(
             pts[i] = (x + rad * math.cos(ang), y + rad * math.sin(ang))
         moved = SiteSample(pts, sites.window, sites.seed)
         try:
-            return moved, build_voronoi(moved)
+            return (moved, *build_voronoi(moved))
         except ConstructionError as err:
+            if attempt == 7:
+                raise  # ``err`` is unbound as the error leaves: no cycle
             # without its traceback: that holds this frame, which holds the
             # error, a cycle that would keep the failed build's arrays alive
             # until the cyclic garbage collector runs
             exc = err.with_traceback(None)
-    return moved, exc
 
 
 def sample_and_build(n: int, seed: Optional[int]) -> tuple[SiteSample, Tessellation, GroundTruth]:
@@ -335,12 +317,8 @@ def sample_and_build(n: int, seed: Optional[int]) -> tuple[SiteSample, Tessellat
     """
     sites = sample_sites(n, seed)
     try:
-        t, gt = build_voronoi(sites)
+        return (sites, *build_voronoi(sites))
     except ConstructionError as exc:
         if not exc.site_groups:
             raise
-        sites, built = _repair(sites, exc, max(DEFAULT_JITTER_REL * sites.window, exc.threshold))
-        if isinstance(built, ConstructionError):
-            raise built
-        t, gt = built
-    return sites, t, gt
+        return _repair(sites, exc, max(DEFAULT_JITTER_REL * sites.window, exc.threshold))

@@ -89,20 +89,17 @@ def reconstruct(
     t: Tessellation,
     method: str = "anchor",
     gt: Optional[GroundTruth] = None,
-    anchor_seed: Optional[int] = None,
 ) -> ReconstructionReport:
     """Recover every generator of ``t`` with the chosen method.
 
     ``anchor`` solves one patch, propagates by reflection and then refines
     all generators together over every ridge (``refine_all``); its anchor
-    is the eligible cell of largest edge ratio, or with ``anchor_seed`` an
-    eligible cell drawn by that seed (``select_anchor``). ``brute``
-    solves every eligible cell independently; ``cprime`` is the
+    is the eligible cell of largest edge ratio (``select_anchor``).
+    ``brute`` solves every eligible cell independently; ``cprime`` is the
     angle-rotation construction. Error statistics are filled in when ``gt``
     is given. Raises, before any work, ValueError when ``gt`` does not hold
-    one generator per cell or ``anchor_seed`` comes with another method than
-    ``anchor``, OutOfRangeIdError when a ridge or cell refers to
-    an id that does not exist, and InconsistentSystemError for a non-finite
+    one generator per cell, OutOfRangeIdError when a ridge or cell refers
+    to an id that does not exist, and InconsistentSystemError for a non-finite
     vertex, a ray without a unit direction or broken incidence
     (``Tessellation.arrays``).
     """
@@ -110,8 +107,6 @@ def reconstruct(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if gt is not None and len(gt.generators) != t.n_cells:
         raise ValueError("ground truth length does not match cell count")
-    if anchor_seed is not None and method != "anchor":
-        raise ValueError(f"anchor_seed applies to the anchor method only, not {method!r}")
     timings = dict.fromkeys(STAGES, 0.0)
     anchor_cell: Optional[CellId] = None
     depth = 0
@@ -121,7 +116,7 @@ def reconstruct(
     t0 = time.perf_counter()
     t.arrays  # checks every id, vertex and ray direction
     if method == "anchor":
-        anchor_cell = select_anchor(t, anchor_seed)
+        anchor_cell = select_anchor(t)
         t1 = time.perf_counter()
         patch = solve_patch(assemble_patch(t, anchor_cell))
         t2 = time.perf_counter()

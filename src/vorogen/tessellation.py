@@ -683,12 +683,14 @@ def _cell_template(degree: int, bounded: bool) -> str:
 @contextmanager
 def _gc_paused():
     """Keep the cyclic garbage collector off inside the block or the
-    decorated function (``dumps``, ``loads``).
+    decorated function (``loads``).
 
-    A 10^4-cell file is about 160,000 lists and dicts, none of them in a
-    reference cycle, yet building them would set off collections, full ones
-    among them, that walk the tree and find nothing to free. The collector
-    is enabled again afterwards only if it was on before. The pause is
+    A 10^4-cell file parses into about 160,000 lists and dicts, none of them
+    in a reference cycle, yet building them would set off collections, full
+    ones among them, that walk the tree and find nothing to free. ``dumps``
+    runs unpaused: it builds mostly strings, which the collector does not
+    track, and sets off a few young collections only. The collector is
+    enabled again afterwards only if it was on before. The pause is
     process-wide: cycles made by another thread meanwhile wait until it ends.
     """
     enabled = gc.isenabled()
@@ -712,7 +714,6 @@ def _points_text(xy: np.ndarray) -> str:
     return _text(len(xy), block)
 
 
-@_gc_paused()
 def dumps(t: Tessellation, gt: Optional[GroundTruth] = None) -> str:
     """Deterministic textual form of a tessellation (17 significant digits).
 

@@ -200,7 +200,7 @@ def _stub_row(**overrides) -> CampaignRow:
         n=100, nsim=5, method="anchor",
         log10_mean_rmse=-12.3456789, log10_max_rse=-6.5,
         mean_depth=3.2, mean_propagate_ms=0.123456789, mean_build_ms=1234.56789,
-        failures=0, results=(),
+        failed=(), results=(),
     )
     base.update(overrides)
     return CampaignRow(**base)
@@ -290,12 +290,6 @@ def test_reconstruct_rejects_unknown_method():
         reconstruct(t, "magic")
 
 
-def test_reconstruct_rejects_anchor_seed_with_other_methods():
-    # checked before the work: this diagram has no eligible anchor
-    two_sites, _ = build_voronoi(SiteSample((Point2(0.0, 0.0), Point2(2.0, 0.0)), 2.0, None))
-    for method in ("brute", "cprime"):
-        with pytest.raises(ValueError, match="anchor method only"):
-            reconstruct(two_sites, method, anchor_seed=3)
 
 
 def test_reconstruct_rejects_mismatched_truth():

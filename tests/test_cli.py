@@ -22,8 +22,10 @@ import pytest
 
 from helpers import max_cell_error
 import vorogen
-from vorogen.anchor import select_anchor
+from vorogen import bench
+from vorogen.bench import derive_seed
 from vorogen.cli import main
+from vorogen.errors import NoEligibleAnchorError
 from vorogen.pipeline import reconstruct
 from vorogen.tessellation import Tessellation, load, save
 
@@ -116,25 +118,11 @@ def test_reconstruct_report_is_the_summary(tess_file, tmp_path, capsys, method):
     assert capsys.readouterr().out == "".join(f"{k}: {v}\n" for k, v in sorted(want.items()))
 
 
-def test_reconstruct_alternative_policies(tess_file, tmp_path):
-    """--anchor-seed draws the anchor as the library's anchor_seed does; the
-    retired --anchor-policy is a usage error."""
-    report = tmp_path / "seeded.json"
-    code = main([
-        "reconstruct", "--in", str(tess_file),
-        "--anchor-seed", "3", "--report", str(report),
-    ])
-    assert code == 0
-    t, _ = load(tess_file)
-    assert json.loads(report.read_text())["anchor"] == select_anchor(t, seed=3)
-    assert main(["reconstruct", "--in", str(tess_file), "--anchor-policy", "random"]) == 2
-
-
-def test_anchor_seed_with_another_method_exits_2(tess_file, capsys):
-    code = main(["reconstruct", "--in", str(tess_file), "--method", "cprime",
-                 "--anchor-seed", "3"])
-    assert code == 2
-    assert "anchor method only" in capsys.readouterr().err
+def test_reconstruct_alternative_policies(tess_file):
+    """The anchor is always the cell of largest edge ratio: the retired
+    --anchor-policy and --anchor-seed are usage errors."""
+    for flag, value in (("--anchor-policy", "random"), ("--anchor-seed", "3")):
+        assert main(["reconstruct", "--in", str(tess_file), flag, value]) == 2
 
 
 def test_reconstruct_inconsistent_input_exits_4(tess_file, tmp_path, capsys):
@@ -274,6 +262,25 @@ def test_bench_prints_table_and_csv(tmp_path, capsys):
     assert out_lines[:3] == csv_lines[:3]
     assert csv_lines[1].startswith("10,2,anchor,")
     assert csv_lines[2].startswith("20,2,anchor,")
+
+
+def test_bench_names_failed_simulations(monkeypatch, capsys):
+    """Each failed simulation is printed on stderr, with its size, seed and
+    error, under the count of failures."""
+    bad_seed = derive_seed(0, 20, 1)
+    real = bench.run_simulation
+
+    def flaky(n, seed, *args, **kwargs):
+        if seed == bad_seed:
+            raise NoEligibleAnchorError("synthetic failure")
+        return real(n, seed, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_simulation", flaky)
+    assert main(["bench", "--ns", "20", "--nsim", "3", "--seed", "0"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "1 simulations failed and were excluded",
+        f"  n=20 seed={bad_seed}: NoEligibleAnchorError: synthetic failure",
+    ]
 
 
 def test_bench_usage_errors(capsys):

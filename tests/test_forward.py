@@ -21,9 +21,9 @@ from vorogen import delaunay
 from vorogen.errors import ConstructionError, VorogenError
 from vorogen.forward import (
     SiteSample,
+    _repair,
     _too_close,
     build_voronoi,
-    jitter_degenerate,
     sample_and_build,
     sample_sites,
 )
@@ -111,9 +111,8 @@ def test_cocircular_square_raises_and_jitter_repairs():
     assert exc.value.site_groups == ((0, 1, 2, 3),)
     # the Voronoi vertices are (0.5, 0.5) twice and (0.5, 1.375): diameter 0.875
     assert exc.value.threshold == pytest.approx(DEGENERACY_REL * 0.875, rel=1e-12)
-    jittered = jitter_degenerate(sample, 1e-9)
+    jittered, t, _ = _repair(sample, exc.value, 1e-9)
     assert not np.array_equal(jittered.points, sample.points)
-    t, _ = build_voronoi(jittered)
     assert validate(t) == []
     # every vertex is 3-valent after the repair
     assert all(len(vertex_ridges(t, v)) == 3 for v in range(len(t.vertices)))
@@ -125,11 +124,17 @@ def test_failed_repair_rounds_leave_no_reference_cycle():
     in a reference cycle until the cyclic garbage collector ran."""
     pts = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0),
            Point2(0.5, 2.0))
+    sample = SiteSample(pts, 2.0, seed=5)
+    with pytest.raises(ConstructionError) as info:
+        build_voronoi(sample)
+    exc = info.value.with_traceback(None)
+    del info
     gc.disable()
     try:
         gc.collect()
         # far below the degeneracy tolerance: every round fails
-        jitter_degenerate(SiteSample(pts, 2.0, seed=5), 1e-300)
+        with pytest.raises(ConstructionError):
+            _repair(sample, exc, 1e-300)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -217,7 +222,6 @@ def test_overflowing_extent_is_refused_not_called_duplicate():
         warnings.simplefilter("error")
         with pytest.raises(ConstructionError, match="float range") as exc:
             build_voronoi(sample)
-        assert jitter_degenerate(sample, 1.0) is sample
     assert exc.value.site_groups == ()
     assert exc.value.threshold == 0.0
 
@@ -262,11 +266,6 @@ def test_sample_sites_keeps_its_bits(n, seed):
     assert digest == SAMPLE_DIGESTS[(n, seed)]
 
 
-def test_jitter_is_identity_on_generic_input():
-    sample = sample_sites(40, seed=11)
-    assert jitter_degenerate(sample, 1e-9) is sample
-
-
 def test_jitter_repairs_duplicate_sites():
     """``sample_sites`` leaves a near-duplicate pair to the build's retry."""
     pts = sample_sites(40, seed=11).points.copy()
@@ -275,31 +274,18 @@ def test_jitter_repairs_duplicate_sites():
     with pytest.raises(ConstructionError) as exc:
         build_voronoi(sample)
     assert exc.value.site_groups == ((5,),)
-    jittered = jitter_degenerate(sample, 1e-9)
+    jittered, t, _ = _repair(sample, exc.value, 1e-9)
     assert np.flatnonzero((pts != jittered.points).any(axis=1)).tolist() == [5]
-    t, _ = build_voronoi(jittered)
     assert validate(t) == []
-
-
-def test_jitter_eps_zero_keeps_degenerate_input():
-    pts = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0))
-    sample = SiteSample(pts, 1.0, None)
-    assert jitter_degenerate(sample, 0.0) is sample
-
-
-def test_jitter_rejects_negative_eps():
-    """A negative, NaN or infinite epsilon is refused, not turned into
-    non-finite sites."""
-    for eps in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            jitter_degenerate(sample_sites(10, seed=0), eps)
 
 
 def test_jitter_moves_points_at_most_eps():
     pts = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0))
     sample = SiteSample(pts, 1.0, seed=3)
     eps = 1e-6
-    out = jitter_degenerate(sample, eps)
+    with pytest.raises(ConstructionError) as exc:
+        build_voronoi(sample)
+    out, _, _ = _repair(sample, exc.value, eps)
     # the repair loop may retry a few rounds, so allow a small multiple
     for (px, py), (qx, qy) in zip(sample.points.tolist(), out.points.tolist()):
         assert math.hypot(px - qx, py - qy) <= 8 * eps

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
-from vorogen.anchor import select_anchor
+from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.errors import DegenerateRidgeError, OutOfRangeIdError, UnreachableCellsError
 from vorogen.geom import Point2
 from vorogen.propagate import REFINE_MAX_ITER, reconstruct_all, refine_all, sweep
@@ -131,11 +131,14 @@ def test_reflect_call_counts(built):
 
 
 def test_policies_agree_on_exact_input(built):
-    """Sweeps from the default and from a seeded anchor's patch agree."""
+    """Sweeps from the default anchor's patch and from the patch of an
+    eligible cell drawn by a seed agree."""
     _, t, gt = built(200, 7)
+    elig = eligible_cells(t)
+    drawn = elig[int(np.random.default_rng(7).integers(len(elig)))]
     runs = [
         reconstruct_all(t, _solve(t))[0],
-        reconstruct_all(t, _solve(t, select_anchor(t, seed=7)))[0],
+        reconstruct_all(t, _solve(t, drawn))[0],
     ]
     for known in runs:
         assert max_cell_error(known, gt) < 1e-9
