@@ -13,8 +13,9 @@ of their work (patch degree, ray count), and give the bits a per-cell
 loop gives: the stacked LAPACK and BLAS calls run the same routine on each
 matrix, and sums are added column by column, left to right. The patches
 are those of the anchor method's solve (``solver.patch_stacks``), and
-``solver.solve_stack`` factors each once, by QR, whose R also gives its
-rank; an SVD runs only on a patch that R cannot prove to be of full rank.
+``solver.solve_stack`` factors each once, by an R-only QR of [A | b] whose
+R gives its rank, solution and residual; an SVD runs only on a patch that
+R cannot prove to be of full rank.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
     indexed by cell.
 
     The patches are built ``_BLOCK`` cells at a time by ``solver.patch_stacks``
-    and solved by ``solve_stack``, one stacked QR per cell degree. A patch
-    that is singular or inconsistent is solved on its own by
-    ``assemble_patch`` and ``solve_patch``, which raise the error of the
-    lowest such cell.
+    and solved by ``solve_stack``, one stacked QR per cell degree. When a
+    patch is singular or inconsistent, the lowest such cell's is solved again
+    on its own by ``assemble_patch`` and ``solve_patch``, which raise its
+    error.
     """
     cells = np.array(eligible_cells(t), np.intp)
     if not len(cells):
@@ -90,10 +91,9 @@ def brute_force_all(t: Tessellation) -> tuple[np.ndarray, np.ndarray]:
             ok = (rank == mat.shape[2]) & ~(residual > limit)
             group = group[ok]
             xy[group], resid[group], solved[group] = z[ok, :2], residual[ok], True
-    for c in cells[~solved[cells]].tolist():
-        sol = solve_patch(assemble_patch(t, c))  # raises the loop's error
-        xy[c] = sol.generators[0]
-        resid[c] = sol.residual
+    if not solved[cells].all():
+        # a patch gets the bits of its stack of one: the lowest refused cell's raises its error
+        solve_patch(assemble_patch(t, int(cells[~solved[cells]][0])))
     generators, trace = sweep(t, cells, xy[cells], origin="any solved cell")
     for nc, src in zip(trace.cells.tolist(), trace.sources.tolist()):
         resid[nc] = resid[src]

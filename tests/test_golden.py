@@ -91,16 +91,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "0ab0a70ab6d2848c", "sweep_first": "a209ed8dc7068d53", "refined": "8c669633abbab81f", "brute": "410fc29a698fc3cc", "cprime": "2cc18df718b937cd"},
-    (200, 1): {"anchor": 157, "scores": "3fe8b4046668983b", "sweep_first": "6c66a8bea2b03fe7", "refined": "617042b816613f79", "brute": "df4c8b994a2d93a2", "cprime": "3818c868e81f9e94"},
-    (200, 2): {"anchor": 35, "scores": "b94580321d42b1f4", "sweep_first": "ac28c822d1c11359", "refined": "b39673f548ed228c", "brute": "532c3f88c44b9407", "cprime": "2899bc8293dc25be"},
-    (200, 3): {"anchor": 49, "scores": "ad863f6c2b04a226", "sweep_first": "5272f492d9344c7c", "refined": "768ca76fe37eb0bd", "brute": "eb8905c41193d1dd", "cprime": "f2fae93cba6aaa9f"},
-    (200, 4): {"anchor": 27, "scores": "ad192db0bdd8a126", "sweep_first": "23de8714d20688fa", "refined": "ac4d50d0442769df", "brute": "ac28edf334a24b66", "cprime": "25d964a10ba6d992"},
-    (2000, 0): {"anchor": 1666, "scores": "f2c629e2bb8d00c3", "sweep_first": "0144a145458ca887", "refined": "59537c509bbdd389", "brute": "b4d28426129174de", "cprime": "0545f55c194204fc"},
-    (2000, 1): {"anchor": 537, "scores": "d14f4e8f4442a9a2", "sweep_first": "3c9f1edfca217e97", "refined": "c5d9bc02775bfc79", "brute": "7e08790cd3f17c91", "cprime": "088b301e84dc8657"},
-    (2000, 2): {"anchor": 643, "scores": "95360e7fbcb2ec4a", "sweep_first": "7cb9964b15cfca11", "refined": "2e4bb3ef030060e1", "brute": "b0d7b4e047bbff18", "cprime": "b04451801bdce768"},
-    (2000, 3): {"anchor": 1671, "scores": "b1016e9195e05a28", "sweep_first": "c90fc344201dc3a1", "refined": "2f7273c23ed38069", "brute": "3d060c97a88fdb9b", "cprime": "1105a00612fd5653"},
-    (2000, 4): {"anchor": 597, "scores": "d11a488e24503768", "sweep_first": "45aaa506d92639cc", "refined": "50fe612579394fbe", "brute": "4ffa278f33d7762f", "cprime": "2a5db18149d51892"},
+    (200, 0): {"anchor": 69, "scores": "0ab0a70ab6d2848c", "sweep_first": "a209ed8dc7068d53", "refined": "8c669633abbab81f", "brute": "5e706d7a8062fc87", "cprime": "2cc18df718b937cd"},
+    (200, 1): {"anchor": 157, "scores": "3fe8b4046668983b", "sweep_first": "6c66a8bea2b03fe7", "refined": "617042b816613f79", "brute": "128efb2d3944c912", "cprime": "3818c868e81f9e94"},
+    (200, 2): {"anchor": 35, "scores": "b94580321d42b1f4", "sweep_first": "ac28c822d1c11359", "refined": "b39673f548ed228c", "brute": "3b9624d1e0df36d6", "cprime": "2899bc8293dc25be"},
+    (200, 3): {"anchor": 49, "scores": "ad863f6c2b04a226", "sweep_first": "5272f492d9344c7c", "refined": "768ca76fe37eb0bd", "brute": "3cbc750ba1c2932c", "cprime": "f2fae93cba6aaa9f"},
+    (200, 4): {"anchor": 27, "scores": "ad192db0bdd8a126", "sweep_first": "23de8714d20688fa", "refined": "ac4d50d0442769df", "brute": "c5a8d03b08894a64", "cprime": "25d964a10ba6d992"},
+    (2000, 0): {"anchor": 1666, "scores": "f2c629e2bb8d00c3", "sweep_first": "0144a145458ca887", "refined": "59537c509bbdd389", "brute": "415aa786a1068e46", "cprime": "0545f55c194204fc"},
+    (2000, 1): {"anchor": 537, "scores": "d14f4e8f4442a9a2", "sweep_first": "3c9f1edfca217e97", "refined": "c5d9bc02775bfc79", "brute": "f773ae09c526ca08", "cprime": "088b301e84dc8657"},
+    (2000, 2): {"anchor": 643, "scores": "95360e7fbcb2ec4a", "sweep_first": "7cb9964b15cfca11", "refined": "2e4bb3ef030060e1", "brute": "17fb0248e44e0584", "cprime": "b04451801bdce768"},
+    (2000, 3): {"anchor": 1671, "scores": "b1016e9195e05a28", "sweep_first": "c90fc344201dc3a1", "refined": "2f7273c23ed38069", "brute": "6a454adb6538acd0", "cprime": "1105a00612fd5653"},
+    (2000, 4): {"anchor": 597, "scores": "d11a488e24503768", "sweep_first": "45aaa506d92639cc", "refined": "50fe612579394fbe", "brute": "6d0057880c62a2af", "cprime": "2a5db18149d51892"},
 }
 
 
@@ -122,16 +122,16 @@ def report_row(sites, t, gt) -> dict:
 
 
 REPORTS = {
-    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "205ce5d658ebef7d", "brute": "db27f07f36881e41", "cprime": "c47b5735cf4d7aad"},
-    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "9ae96ce81afe54ab", "brute": "20ba9a32a5212d7b", "cprime": "86a5397302bd1f78"},
-    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "d1fd03c6925c596c", "brute": "16e9e826334caff7", "cprime": "9ac7aa8a8cbde722"},
-    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "f64102ab1e62a4c1", "brute": "58de3ff233b7a689", "cprime": "96f1efb1b8667980"},
-    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "dbf81e496c4e0ad1", "brute": "1fc3ec34906d18d6", "cprime": "9f8216c096e8fc44"},
-    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "7b553dc7926236eb", "brute": "68fa73043604c1fa", "cprime": "9a762d4ac11385b7"},
-    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "ee7ab321ee8afda8", "brute": "f83416af96b6474d", "cprime": "7e45b15d446e36fc"},
-    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "411a1e4d92b5f454", "brute": "0a35395d00ebf3a4", "cprime": "435b50dfca159ea1"},
-    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "e316e747a5bcae88", "brute": "515d7597a9658e13", "cprime": "c4e452fc9ec6b26d"},
-    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "ca1a5903c436ee2d", "brute": "0f3a4769a1208f16", "cprime": "ba29c423e9dc0d55"},
+    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "84c2aea60494ad1f", "brute": "d2bc7dc0c5574161", "cprime": "c47b5735cf4d7aad"},
+    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "c7a3ec7b09886d92", "brute": "ea37c8615db8eda0", "cprime": "86a5397302bd1f78"},
+    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "654377c7face57bf", "brute": "abd44e1912a4a2dc", "cprime": "9ac7aa8a8cbde722"},
+    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "bc36569b110fa76e", "brute": "db96ac3c54c1735c", "cprime": "96f1efb1b8667980"},
+    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "cc581b5fc8c5ec3b", "brute": "7e69511bb6155926", "cprime": "9f8216c096e8fc44"},
+    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "9ed0bed5b130e1b6", "brute": "4c1f7e299d6160b9", "cprime": "9a762d4ac11385b7"},
+    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "a8d59339dec8a628", "brute": "3991dfcb563143d6", "cprime": "7e45b15d446e36fc"},
+    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "2661dbccafed6f90", "brute": "96a1c738dab89118", "cprime": "435b50dfca159ea1"},
+    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "acdd3ab578a945f9", "brute": "ec49e7051545af2e", "cprime": "c4e452fc9ec6b26d"},
+    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "5b085c848fc8def9", "brute": "7ce6bb3b255a2b6d", "cprime": "ba29c423e9dc0d55"},
 }
 
 

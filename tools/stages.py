@@ -51,6 +51,8 @@ def stage_calls(n: int) -> dict:
         "arrays": lambda: tessellation._ridge_arrays(t),
         "validate": lambda: tessellation.validate(t),
         "reconstruct": lambda: pipeline.reconstruct(t, "anchor", gt),
+        "brute": lambda: pipeline.reconstruct(t, "brute", gt),
+        "cprime": lambda: pipeline.reconstruct(t, "cprime", gt),
     }
 
 
