@@ -173,7 +173,7 @@ def solve_stack(mat: np.ndarray, rhs: np.ndarray):
         full = rank == n
     # np.linalg.norm of a vector is the square root of its BLAS dot product
     bnorm = np.sqrt((np.swapaxes(rhs, 1, 2) @ rhs)[:, 0, 0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an R not cleared may have an inf R^-1
         z = np.where(full[:, None], (inv @ r[:, :n, n:])[:, :, 0], np.nan)
     residual = np.abs(r[:, n, n]) if r.shape[1] > n else np.zeros(len(mat))
     return rank, z, np.where(full, residual, np.nan), CONSISTENCY_REL_TOL * bnorm
