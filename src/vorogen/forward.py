@@ -124,7 +124,7 @@ def build_voronoi(sites: SiteSample) -> tuple[Tessellation, GroundTruth]:
     if not np.isfinite(p).all():
         raise ConstructionError("site coordinates must be finite")
     with np.errstate(over="ignore"):
-        extent = math.hypot(*(p.max(axis=0) - p.min(axis=0)).tolist())
+        extent = float(geom.hypot(*(p.max(axis=0) - p.min(axis=0))))
     if not math.isfinite(extent):
         # no site is a duplicate, and no jitter could repair this
         raise ConstructionError("sites spread beyond the float range: their extent overflows")

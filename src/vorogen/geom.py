@@ -7,9 +7,14 @@ and works on lines as arrays (``tessellation.RidgeArrays``).
 
 The array kernels ``hypot``, ``cmul``, ``mirror`` and ``row_sum`` fix the
 rounding of anything that reaches a result, so it has the same bits on every
-CPU: numpy's ``hypot``, complex modulus and complex product round by SIMD
-path, and ``np.sum`` adds pairwise. numpy's own stay only in tolerance
-bounds with slack (``delaunay.circumcenter_error``, ``forward._unresolved``).
+CPU and under every Python version: each is a fixed sequence of IEEE 754
+operations that are exact or correctly rounded (products, sums, square
+roots, scaling by powers of two), whose results the standard defines to the
+bit. numpy's ``hypot``, complex modulus and complex product round by SIMD
+path, ``np.sum`` adds pairwise, and ``math.hypot`` changed its algorithm in
+CPython 3.12. numpy's own stay only where no result reads them: in
+tolerance bounds with slack (``delaunay.circumcenter_error``,
+``forward._unresolved``) and in the message of ``solver._describe_null``.
 """
 
 from __future__ import annotations
@@ -60,47 +65,28 @@ class RidgeLine(NamedTuple):
 
 
 def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each (x, y), bit for bit, in their broadcast shape:
-    the float operations of CPython 3.11's ``vector_norm`` on arrays, its
-    branch for a larger magnitude m below 2**-1024 and its inf, NaN and 0."""
+    """The length of each (x, y), in their broadcast shape, within 1 ulp of
+    ``math.hypot``; inf where either coordinate is inf, even against NaN.
 
-    def split(x):  # Veltkamp: hi + lo == x, each of 26 bits
-        t = x * 134217729.0  # 2**27 + 1
-        hi = t - (t - x)
-        return hi, x - hi
+    Both coordinates are scaled by the power of two that puts the larger
+    magnitude in [0.5, 1), so the squares neither overflow nor underflow
+    below the bits that count, and scaled back after the square root. Every
+    step (``frexp``, ``ldexp``, product, sum, square root) is exact or
+    correctly rounded in IEEE 754, so the length has the same bits on every
+    CPU and under every Python version, unlike ``math.hypot``, whose
+    algorithm changed in CPython 3.12.
+    """
+    (sx, sy), e = _scaled(x, y)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.sqrt(sx * sx + sy * sy), e)
+    return np.where(np.isinf(x) | np.isinf(y), np.inf, out)
 
-    def add(total, comp, x):  # Neumaier: total + x, and comp plus its error
-        s = total + x
-        return s, comp + ((total - s) + x)
 
-    v = np.abs(np.array(np.broadcast_arrays(x, y), float))
-    m = np.maximum(v[0], v[1])
-    with np.errstate(all="ignore"):
-        _, e = np.frexp(m)
-        scale = np.ldexp(1.0, -e)
-        hi, lo = split(v * scale)
-        sq, cross = hi * hi, 2.0 * hi * lo
-        csum, f1 = add(1.0, 0.0, sq[0])
-        csum, f2 = add(csum, 0.0, cross[0])
-        csum, f1 = add(csum, f1, sq[1])
-        csum, f2 = add(csum, f2, cross[1])
-        f3 = lo[0] * lo[0] + lo[1] * lo[1]
-        h = np.sqrt(csum - 1.0 + (f1 + f2 + f3))
-        hi, lo = split(h)
-        csum, f1 = add(csum, f1, -hi * hi)
-        csum, f2 = add(csum, f2, -2.0 * hi * lo)
-        csum, f3 = add(csum, f3, -lo * lo)
-        out = np.asarray((h + (csum - 1.0 + (f1 + f2 + f3)) / (2.0 * h)) / scale)
-        k = np.flatnonzero(e < -1023)
-        if len(k):
-            c = v.reshape(2, -1)[:, k] / m.ravel()[k]
-            tiny, f = add(*add(1.0, 0.0, c[0] * c[0]), c[1] * c[1])
-            out.ravel()[k] = m.ravel()[k] * np.sqrt(tiny - 1.0 + f)
-        k = np.flatnonzero(np.isnan(out))  # an inf or NaN coordinate, or two zeros
-        if len(k):
-            a, b = v.reshape(2, -1)[:, k]
-            out.ravel()[k] = np.where(np.isinf(a) | np.isinf(b), np.inf, a + b)
-    return out
+def _scaled(x, y):
+    """(x, y) times 2**-e, where 2**-e puts the larger magnitude in [0.5, 1), and e."""
+    v = np.array(np.broadcast_arrays(x, y), float)
+    _, e = np.frexp(np.maximum(np.abs(v[0]), np.abs(v[1])))
+    return np.ldexp(v, -e), e
 
 
 def cmul(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray):
@@ -131,11 +117,10 @@ def unit_vec(x: float, y: float) -> UnitVec2:
 
 def unit_vecs(x: np.ndarray, y: np.ndarray):
     """Each (x, y) normalized: the direction, and whether it exists."""
-    # rescale by an exact power of two first: hypot of two subnormals rounds
-    # to a subnormal with too few bits left for x / n to be unit length
-    _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
-    sx, sy = np.ldexp(x, -e), np.ldexp(y, -e)
-    n = hypot(sx, sy)
+    # divide the scaled coordinates: the length of two subnormals rounds to a
+    # subnormal with too few bits left for x / n to be unit length
+    (sx, sy), _ = _scaled(x, y)
+    n = np.sqrt(sx * sx + sy * sy)
     ok = (n > 0.0) & np.isfinite(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return sx / n, sy / n, ok

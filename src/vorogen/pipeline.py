@@ -75,9 +75,10 @@ class ReconstructionReport:
 def _errors(generators: np.ndarray, gt: GroundTruth) -> tuple[float, float]:
     """Root-mean-square and largest distance from the true generators.
 
-    Each distance is ``geom.hypot``'s and the squares are added left to
-    right, as a loop adds them (``np.sum`` adds pairwise); a NaN distance
-    does not count as the largest.
+    Each distance is ``geom.hypot``'s, which has the same bits on every CPU
+    and Python version, and the squares are added left to right, as a loop
+    adds them (``np.sum`` adds pairwise); a NaN distance does not count as
+    the largest.
     """
     d = generators - gt.generators
     e = geom.hypot(d[:, 0], d[:, 1])

@@ -201,7 +201,7 @@ class Tessellation:
 
     def diameter(self) -> float:
         x0, y0, x1, y1 = self._bbox
-        return math.hypot(x1 - x0, y1 - y0) or 1.0
+        return float(geom.hypot(x1 - x0, y1 - y0)) or 1.0
 
     def degeneracy_threshold(self) -> float:
         """Ridges shorter than this fraction of the diagram diameter are degenerate."""
@@ -272,7 +272,7 @@ class RidgeArrays:
     Row ``k`` of a per-ridge array describes ridge ``k``, whose line is
     anchored at its first vertex, ``vertices[ends[k, 0]]``. A finite ridge's
     direction is its vector from the first vertex to the second divided by
-    its ``math.hypot`` length, as ``Tessellation.ridge_line`` hands it out;
+    its ``geom.hypot`` length, as ``Tessellation.ridge_line`` hands it out;
     rays keep their stored direction, and degenerate ridges (no longer than
     the degeneracy threshold) have NaN directions. The CSR index lists cell
     ``c``'s boundary at entries ``cell_start[c]:cell_start[c + 1]`` in CCW

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -30,6 +31,17 @@ from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
 
 
 # -- line primitives ------------------------------------------------------------
+
+
+def hypot(x: float, y: float) -> float:
+    """``geom.hypot`` of one (x, y) in Python floats: both scaled by the power
+    of two that puts the larger magnitude in [0.5, 1), the square root of the
+    sum of their squares, scaled back; inf where either is inf."""
+    if math.isinf(x) or math.isinf(y):
+        return math.inf
+    _, e = math.frexp(max(abs(x), abs(y)))
+    sx, sy = math.ldexp(x, -e), math.ldexp(y, -e)
+    return math.ldexp(math.sqrt(sx * sx + sy * sy), e)
 
 
 class NoIntersectionError(VorogenError):
@@ -61,7 +73,7 @@ def line_from_two_points(a, b, min_length: float = 0.0) -> RidgeLine:
     """
     dx = b[0] - a[0]
     dy = b[1] - a[1]
-    n = math.hypot(dx, dy)
+    n = hypot(dx, dy)
     if n <= min_length or n == 0.0:
         raise DegenerateRidgeError(
             f"points ({a[0]}, {a[1]}) and ({b[0]}, {b[1]}) are {n:.3e} apart"
@@ -293,7 +305,7 @@ def too_close_reference(pts, sep: float) -> set[int]:
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for j in grid.get((gx + dx, gy + dy), ()):
-                    if math.hypot(x - pts[j][0], y - pts[j][1]) <= sep:
+                    if hypot(x - pts[j][0], y - pts[j][1]) <= sep:
                         bad.add(i)
         grid.setdefault((gx, gy), []).append(i)
     return bad
@@ -318,26 +330,35 @@ def site_left_of_rays(t: Tessellation, sites, c: int, chain) -> bool:
 
 def cell_ridges_reference(t: Tessellation, sites) -> list[tuple[int, ...]]:
     """Each cell's ridges in the order the forward build once sorted them
-    into: by ``math.atan2`` of the site across each ridge, ties in ridge
-    order (one ``lexsort`` over every boundary entry); then each unbounded
-    cell of more than two ridges rotated to start just after its gap, the
-    first entry that shares no vertex with the next, and each of two ridges
-    put in the order that ``site_left_of_rays`` holds for. Collinear sites
-    kept ridge order."""
+    into: by ``math.atan2`` of the site across each ridge, two sites whose
+    angles round to one float by the exact orientation of the three sites,
+    ties left in ridge order; then each unbounded cell of more than two
+    ridges rotated to start just after its gap, the first entry that shares
+    no vertex with the next, and each of two ridges put in the order that
+    ``site_left_of_rays`` holds for. Collinear sites kept ridge order."""
     p = np.asarray(sites, float)
     cells = np.array([r.cells for r in t.ridges]).reshape(-1, 2)
-    owner = cells.ravel()
+    owner, nbr = cells.ravel(), cells[:, ::-1].ravel()
     rids = np.repeat(np.arange(len(cells)), 2)
-    d = p[cells[:, ::-1].ravel()] - p[owner]
+    d = p[nbr] - p[owner]
     angle = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
     collinear = all_collinear(p)
     if collinear:
         angle[:] = 0.0
-    order = rids[np.lexsort((rids, angle, owner))].tolist()
+    order = np.lexsort((rids, angle, owner)).tolist()
     start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(p))))).tolist()
+    angle = angle.tolist()
+
+    def ccw(j, k):  # -1 when entry j comes first: a smaller angle, or on a tie k left of j
+        if angle[j] != angle[k] or collinear:
+            return (angle[j] > angle[k]) - (angle[j] < angle[k])
+        (ox, oy), (jx, jy), (kx, ky) = (map(Fraction, p[i].tolist()) for i in (owner[j], nbr[j], nbr[k]))
+        turn = (jx - ox) * (ky - oy) - (jy - oy) * (kx - ox)
+        return (turn < 0) - (turn > 0)
+
     chains = []
     for c, cell in enumerate(t.cells):
-        chain = order[start[c] : start[c + 1]]
+        chain = rids[sorted(order[start[c] : start[c + 1]], key=cmp_to_key(ccw))].tolist()
         if not (cell.bounded or collinear) and len(chain) > 2:
             ends = [set(t.ridges[r].vertex_ids()) for r in chain]
             gaps = [k for k in range(len(chain)) if len(ends[k] & ends[k - len(chain) + 1]) != 1]
@@ -422,7 +443,7 @@ def score_cell_reference(t: Tessellation, c: int) -> tuple:
         r = t.ridges[rid]
         if r.is_finite:
             p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
-            lengths.append(math.hypot(p1.x - p0.x, p1.y - p0.y))
+            lengths.append(hypot(p1.x - p0.x, p1.y - p0.y))
     turns = any(
         abs(dirs[0][0] * d[1] - dirs[0][1] * d[0]) > PARALLEL_TOL for d in dirs[1:]
     )
@@ -609,8 +630,8 @@ def c_prime_cell_reference(t: Tessellation, c: int) -> CPrimeEstimate:
             points.append(p)
             (a1, d1), (a2, d2) = rays[i], rays[j]
             sine = d1.x * d2.y - d1.y * d2.x
-            l1 = math.hypot(p.x - a1.x, p.y - a1.y)
-            l2 = math.hypot(p.x - a2.x, p.y - a2.y)
+            l1 = hypot(p.x - a1.x, p.y - a1.y)
+            l2 = hypot(p.x - a2.x, p.y - a2.y)
             deltas.append((l1 + l2) / abs(sine))
     if not points:
         raise UnderdeterminedError(

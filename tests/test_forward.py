@@ -410,12 +410,13 @@ def test_vertex_coordinates_keep_their_bits(n, seed):
 
 # SHA-256 of dumps(t, gt) for the retried samples: a change to the retry
 # must keep these bits, jittered sites included (re-recorded when the
-# vertices were renumbered from the triangle set, and again when the
-# canonical order came to rank corners by site id; the sites, first 16 hex
-# digits of their float64 SHA-256, were recorded before and kept)
+# vertices were renumbered from the triangle set, when the canonical order
+# came to rank corners by site id, and when ``geom.hypot`` became the
+# IEEE-only kernel, which moves the last bits of ray directions; the sites,
+# first 16 hex digits of their float64 SHA-256, were recorded before and kept)
 RETRY_DIGESTS = {
-    1619958167: "6c17faf24c56d084bbb2e873f8c50a4268e3719098192b66a7e693d4ba6681cb",
-    2032142921: "63318845966747404d035b7d6c84c6d702eecae8136827b2f58e83a7ec11bbc9",
+    1619958167: "de17433e03e7a75608d19d7460bc61eaa8c15c86b47de5e13f53304b73c583d5",
+    2032142921: "7439c7b2d2643a617b8714f4a4bb43a1da833ae1e4ca7203f8741f5137719a01",
 }
 RETRY_SITES = {1619958167: "e18e62b6203bbd2a", 2032142921: "00e7f5997c242dbc"}
 
@@ -440,25 +441,28 @@ def test_retry_clears_the_rejecting_threshold(seed):
 
 # SHA-256 of dumps(t, gt), recorded while each cell's ridges were still
 # sorted by the angle of the neighbour across them: building the cell
-# boundaries another way must keep these bits
+# boundaries another way must keep these bits (re-recorded when ``geom.hypot``
+# became the IEEE-only kernel: only ray directions moved, in their last bits)
 BUILD_DIGESTS = {
-    (200, 0): "946d385df250673fea54a8d364914b7476dc02907db0b0c095b1f8b7cf3ffa74",
-    (200, 1): "80b8865af7f52b1e1ef25e234b0b3c9cb2b8efece0e494f8587ae401ca93bd2d",
-    (200, 2): "40b384ed2b079bcc8f84e1942de69821223359ef6e9942f2c480148dfc9cc97d",
-    (200, 3): "960ea607ac32b49ce3a81d59caacd0513f0f0239914d41111e61d3ae0d9c79a3",
-    (200, 4): "900c294e7e1ec173bba31289a52cd274afa55f85661d3524ef43cd6fd0fdf450",
-    (2000, 0): "d7e19b586bf68110ea30a1059987c0c184a4f100962bd35f1731e8bd6ef08147",
-    (2000, 1): "9bf114c991bbcc89054eb91944fc30799447f99e8b7284edb52de0e704f78caf",
+    (200, 0): "cd6edf1d97451fba8e9e21d4f743f9961cfa7401945d56e8b20fea08931c13b9",
+    (200, 1): "db385a01334cbe9eecc319a1c54ba896ea6da577c3dafa365443f4859af19537",
+    (200, 2): "2b51baf629d028603e98abc2d2d2472006b79cb10b8046f5da4106af56246c01",
+    (200, 3): "e3a4eced5b536c7f6097253fb2d07bf4c389f67b006f8f3d3028a29b8534bcda",
+    (200, 4): "b6135464ce39ff4939198c08083b162f9bf1f4abfbca7a7537e234bd63795d6c",
+    (2000, 0): "124823b4f8a09462927873bc5027f9936543a1ad2bbfb441369a99abeea83640",
+    (2000, 1): "42718b8a7d18df25f672956a837a3ae35e4f36b96797404c748b830b38a2646b",
     (2000, 2): "ff2f0ffc1c9a8b0e6873a781cadf8d0552849176bc019a8d0f5f783857dca71e",
-    (2000, 3): "5cd89d4f5c5ab130e4d13771b9bf6ae6586008cb0921120236dc775515d702f8",
-    (2000, 4): "9b6de3de08eb44b7587aea4dbf72bf3d7e778b968bd8dbd2554dc3917301aaa1",
-    (10_000, 0): "c516fa368470f3f89c05aabce39e62929692b861e86c11b2c74ca0ce180e4d0a",
-    (100_000, 1): "1e294eaf5e9eeee1f7b982cb83ce89e3dbccf979b9f38fa570fe124cab37f2b5",
+    (2000, 3): "5977c85b3f16c79dfd5fbab02d1325fcbeffb4aae6228ad92111df6587f5f30c",
+    (2000, 4): "175c2894c2cd7b4c8130b569370ee68e263f8b966af28f12c73cb9cb851dd659",
+    (10_000, 0): "be49538a4f2f7a1540e6133fa1a0b724db2ebb4513b55723f77a20d54684ed5c",
+    (100_000, 1): "4d48cdb655ff20c4b7360e6cce2f7213abcdce647a1fcdeeca39b1dff7d29b1c",
 }
 # the same for build_voronoi of small_sites(k), or the type of the error that
 # refused it; sets 0, 9 and 18 have three sites, so two-ridge hull cells only
 # (0 and 1 re-recorded when two-ray cells came to run from the ray coming in
-# to the ray going out: cell 0 of each lists its two rays the other way round)
+# to the ray going out: cell 0 of each lists its two rays the other way round;
+# 10, 12 and 16 when ``geom.hypot`` became the IEEE-only kernel: a ray
+# direction moved in its last bits)
 SMALL_DIGESTS = [
     "ffa6e4adb06b45d26711bdb5a59ff6c2e77bb866881cdde39a25d0e84138f4ad",
     "0f2eb15fe1245ba49c462751db118d35c42e4f4b14959876495b670c8e1558c0",
@@ -470,13 +474,13 @@ SMALL_DIGESTS = [
     "0c7f749d4ed2390c464a1e955cbd1647e40f2bdb01a0dcacbcc27a9043050a6b",
     "b0a2166c2f27730c64ce1ac8d76dff845f60478a6037d26bf3103442783ccc58",
     "05d0a0c87afe6395328f975828aad5d84ad2f8ddd679881bd599c2d06e4e77fa",
-    "01d2b138f55c2b586f4de3710c950f7e273693341474a4b8278a8592d6adc538",
+    "50938379405aec1c3949d36b19e35cfdec37463157e6699f9c482dc56267ffbd",
     "49ce773d75873819756db67e7a7a10e647e186c5ddaba14d12f4f250dc1e3e90",
-    "808e087f6b8bba6de460c42e8468c7c99f7e9a63e913eaa4e65449d0431c0201",
+    "57d3f566c4a7b2ffde4ee74e73356d4d4031e7754f496860c0f6e8e8b74312f4",
     "fec91f1284433ef04fa0fa94a44f0fe4d10013fbbedf907137df0b2db3d9796c",
     "835f08aea7dc2d0b6f001df4faff6fa9c69301d641738da2774cb2db5ba9f342",
     "ConstructionError",
-    "80d80d93c9223c52d5adf9ac7d9409c340f497cf897563d941bd01be1112b970",
+    "7537f03304c26e3ee91d522365c818de75b9f93c38d81ebe012adb3932c6da5c",
     "ConstructionError",
     "f888134cc3379b403bcb451401caf3cf499793ab50b53f5f44cc8936ca986624",
     "ConstructionError",
@@ -579,6 +583,7 @@ mixed_sites = st.lists(
 @example([(0.0, 0.0), (4.0, 1.0), (1.0, 3.0)])
 @example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
 @example([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)])
+@example([(0.0, 0.0), (0.0, 2.0), (0.0, 3.0), (1.7369791297067808e-76, 1.0)])  # atan2 ties
 def test_cell_ridges_follow_the_reference_order(pts):
     """Each built cell lists its ridges as the sort by neighbour angle, the
     rotation to the gap and the order of two rays of

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,8 @@ def mutate(doc: dict, ops) -> dict:
         else:
             _, v, f = op
             for i in range(len(vertices)) if v < 0 else (v,):
-                vertices[i] = [f * vertices[i][0], f * vertices[i][1]]
+                # a number no float holds stays one
+                vertices[i] = [x if abs(x) > sys.float_info.max else f * x for x in vertices[i]]
     return doc
 
 
@@ -164,6 +166,7 @@ def with_examples(test):
 
 @given(ops=st.lists(mutations, min_size=1, max_size=3), cli_method=st.sampled_from(METHODS))
 @with_examples
+@example(ops=[("set", ("vertices", 0, 0), 10**400), ("scale_vertex", 0, 0.0)], cli_method="anchor")
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_file_ends_in_typed_error(tmp_path, ops, cli_method):
     text = json.dumps(mutate(BASE, ops))

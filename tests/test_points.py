@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import hypot
 from vorogen.anchor import select_anchor
 from vorogen.forward import SiteSample, build_voronoi
 from vorogen.pipeline import METHODS, _errors, reconstruct
@@ -72,7 +73,7 @@ def test_reports_compare_by_identity(built):
 
 
 def test_errors_add_the_squares_left_to_right():
-    """rmse and max_rse equal a loop's: ``math.hypot`` per cell, squares
+    """rmse and max_rse equal a loop's: ``helpers.hypot`` per cell, squares
     added in cell order. One error of 1 then a thousand of 1e-8 tells the
     orders apart: added left to right the small squares vanish, added
     pairwise (``np.sum``) they do not."""
@@ -81,7 +82,7 @@ def test_errors_add_the_squares_left_to_right():
     found[0] = (0.6, 0.8)
     sq = worst = 0.0
     for (x, y), (tx, ty) in zip(found.tolist(), truth.tolist()):
-        e = math.hypot(x - tx, y - ty)
+        e = hypot(x - tx, y - ty)
         sq += e * e
         worst = max(worst, e)
     assert sq != float(np.sum(np.hypot(*found.T) ** 2))

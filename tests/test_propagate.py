@@ -13,7 +13,7 @@ import statistics
 import numpy as np
 import pytest
 
-from helpers import max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
+from helpers import hypot, max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
 from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.errors import DegenerateRidgeError, OutOfRangeIdError, UnreachableCellsError
 from vorogen.geom import Point2
@@ -210,10 +210,10 @@ def _weighted_mirror_residual(t, known, warm):
         w = 1.0
         if r.is_finite:
             p0, p1 = t.vertices[r.v0], t.vertices[r.v1]
-            length = math.hypot(p1.x - p0.x, p1.y - p0.y)
+            length = hypot(p1.x - p0.x, p1.y - p0.y)
             mid = (0.5 * (p0.x + p1.x), 0.5 * (p0.y + p1.y))
-            w = length / (length + math.hypot(warm[a].x - mid[0], warm[a].y - mid[1]))
-        total += (w * math.hypot(known[b].x - img.x, known[b].y - img.y)) ** 2
+            w = length / (length + hypot(warm[a].x - mid[0], warm[a].y - mid[1]))
+        total += (w * hypot(known[b].x - img.x, known[b].y - img.y)) ** 2
     return math.sqrt(total)
 
 
