@@ -36,12 +36,16 @@ from vorogen.tessellation import Cell, GroundTruth, Ridge, Tessellation
 def hypot(x: float, y: float) -> float:
     """``geom.hypot`` of one (x, y) in Python floats: both scaled by the power
     of two that puts the larger magnitude in [0.5, 1), the square root of the
-    sum of their squares, scaled back; inf where either is inf."""
+    sum of their squares, scaled back; inf where either is inf or the length
+    passes the largest float."""
     if math.isinf(x) or math.isinf(y):
         return math.inf
     _, e = math.frexp(max(abs(x), abs(y)))
     sx, sy = math.ldexp(x, -e), math.ldexp(y, -e)
-    return math.ldexp(math.sqrt(sx * sx + sy * sy), e)
+    try:
+        return math.ldexp(math.sqrt(sx * sx + sy * sy), e)
+    except OverflowError:
+        return math.inf
 
 
 class NoIntersectionError(VorogenError):

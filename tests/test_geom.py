@@ -229,7 +229,7 @@ def test_hypot_is_the_twin_bit_for_bit_and_within_an_ulp_of_math_hypot():
     assert _bits(got) == _bits(want)
     grid = hypot(x[:600].reshape(20, 30), y[:600].reshape(20, 30))
     assert grid.shape == (20, 30) and _bits(grid) == _bits(want[:600])
-    for a, b in ((3e-309, -4e-309), (3.0, 4.0), (-0.0, 0.0), (math.nan, -math.inf)):
+    for a, b in ((3e-309, -4e-309), (3.0, 4.0), (-0.0, 0.0), (math.nan, -math.inf), (1.7e308, -1.7e308)):
         assert _bits(hypot(a, b)) == _bits(twin(a, b))
     normal = slice(len(s) ** 2, len(s) ** 2 + 500 + 20_000 + 10**6)
     std = np.fromiter(map(math.hypot, x[normal].tolist(), y[normal].tolist()), float)
