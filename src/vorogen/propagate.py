@@ -11,7 +11,9 @@ Each reflection is the ridge's mirror map g -> R g + b, with the terms
 that the patch and ``refine_all`` read too (``RidgeArrays.mirrors``). Its
 direction comes from two stored vertices, so the sweep's rounding error
 grows with depth. ``refine_all`` then re-solves the mirror equations of
-every ridge at once, warm-started from the sweep.
+every ridge at once, warm-started from the sweep: a Jacobi-scaled CGLS that
+runs until the weighted residual stops falling, at the input's own error
+floor.
 """
 
 from __future__ import annotations
@@ -137,9 +139,11 @@ def reconstruct_all(t: Tessellation, patch: PatchSolution) -> tuple[np.ndarray, 
     return sweep(t, patch.members, patch.generators, f"the patch around cell {patch.members[0]}")
 
 
-# CGLS stops once the normal-equation residual ||A^T W (b - A g)|| has fallen
-# by REFINE_TOL relative to the warm start, or after REFINE_MAX_ITER steps.
-REFINE_TOL = 1e-3
+# CGLS stops at the error floor: once a step lowers the weighted mirror
+# residual ||W (b - A g)|| by less than REFINE_MIN_DROP of its value, where
+# that residual has reached the input's own inconsistency, or after
+# REFINE_MAX_ITER steps.
+REFINE_MIN_DROP = 0.01
 REFINE_MAX_ITER = 100
 
 
@@ -156,64 +160,103 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
     ridges shorter than the degeneracy threshold define no direction and
     weigh 0.
 
-    Solved by CGLS (conjugate gradients on the normal equations) starting
-    from the (n, 2) ``generators``; each step is one gather over the ridges
-    and one ``bincount`` scatter back, so O(n). Returns the refined (n, 2)
-    generators, read-only, and the number of iterations taken.
+    Solved by CGLS (conjugate gradients on the normal equations) for a
+    correction D z to the (n, 2) warm start ``generators``, z starting at 0.
+    D scales each cell's two unknowns by 1 / sqrt(sum of its rows' squared
+    weights) (Jacobi column scaling); a cell with no weighted row keeps its
+    warm start. Each step is one gather over the ridges and one ``bincount``
+    scatter back per coordinate, so O(n). It stops once a step lowers the
+    weighted residual ||W (b - A g)|| by less than ``REFINE_MIN_DROP``.
+    Returns the refined (n, 2) generators, read-only, and the number of
+    iterations taken.
     """
-    # points are complex numbers, reflections z -> e conj(z) (``solver.build_mirror_terms``)
     n = t.n_cells
     a = t.arrays
-    ia, ib = a.cells.T
-    finite = a.finite
-    usable = finite & ~a.degenerate
-    c, e, b = a.mirrors
-
-    g = np.ascontiguousarray(generators, float).reshape(-1).view(complex)
+    g = np.asarray(generators, float).reshape(-1, 2)
     if len(g) != n:
         raise ValueError(f"{len(g)} generators for {n} cells")
-    w = np.where(finite, 0.0, 1.0)
+    gx, gy = g.T
+    ia, ib = a.cells.T.astype(np.intp)
+    ends = np.concatenate((ib, ia))  # each ridge's cell b, then each ridge's cell a
+    m = len(ia)
+    usable = a.finite & ~a.degenerate
+    c, e, b = a.mirrors
+
+    w = np.where(a.finite, 0.0, 1.0)
     length = a.lengths[usable]
-    gap = (g[ia] - c)[usable]
-    w[usable] = length / (length + geom.hypot(gap.real, gap.imag))
-    b = w * b
-    scatter = np.concatenate((ib, ia))
-    er, ei = e.real, e.imag
+    gap = geom.hypot((gx[ia] - c.real)[usable], (gy[ia] - c.imag)[usable])
+    w[usable] = length / (length + gap)
+    weight = np.bincount(ends, np.concatenate((w * w, w * w)), n)
+    scale = np.zeros(n)
+    np.divide(1.0, np.sqrt(weight), out=scale, where=weight > 0.0)
+    # with d = scale, ridge k's row pair reads wb z_b + M z_a, where wb = w d_b and
+    # M = -w d_a R = [[mr, mi], [mi, nr]], R = [[er, ei], [ei, -er]] the reflection
+    wb = w * scale[ib]
+    wa = w * scale[ia]
+    mr, mi = -wa * e.real, -wa * e.imag
+    nr = -mr
+    # the weighted residual of the warm start, W (b - A g)
+    mx, my = geom.mirror(e.real, e.imag, gx[ia], gy[ia])
+    rx = w * (b.real - (gx[ib] - mx))
+    ry = w * (b.imag - (gy[ib] - my))
 
-    def mirror(z):
-        out = np.empty_like(z)
-        out.real, out.imag = geom.mirror(er, ei, z.real, z.imag)
-        return out
+    zx, zy = np.zeros(n), np.zeros(n)
+    step = np.empty(n)
+    qx, qy, tmp = np.empty(m), np.empty(m), np.empty(m)
+    both, both_y = np.empty(2 * m), np.empty(2 * m)  # ordered as ``ends``
+    pb, pa = both[:m], both[m:]
+    pb_y, pa_y = both_y[:m], both_y[m:]
 
-    def forward(z):
-        return w * (z[ib] - mirror(z[ia]))
+    def sumsq(x, buf):
+        return float(np.sum(np.multiply(x, x, out=buf)))
 
-    def adjoint(y):
-        # R is symmetric: g_b collects W y and g_a collects -R W y
-        y = w * y
-        y = np.concatenate((y, -mirror(y)))
-        return np.bincount(scatter, y.real, n) + 1j * np.bincount(scatter, y.imag, n)
+    def forward(px, py):
+        """(qx, qy) = W A D p."""
+        np.take(px, ends, out=both, mode="clip")
+        np.take(py, ends, out=both_y, mode="clip")
+        np.multiply(wb, pb, out=qx)
+        np.add(qx, np.multiply(mr, pa, out=tmp), out=qx)
+        np.add(qx, np.multiply(mi, pa_y, out=tmp), out=qx)
+        np.multiply(wb, pb_y, out=qy)
+        np.add(qy, np.multiply(mi, pa, out=tmp), out=qy)
+        np.add(qy, np.multiply(nr, pa_y, out=tmp), out=qy)
 
-    def sumsq(z):
-        x = z.view(float)
-        return float(np.sum(x * x))
+    def adjoint():
+        """(sx, sy) = D A^T W r; M is symmetric, so cell a collects M r."""
+        np.multiply(wb, rx, out=pb)
+        np.multiply(mr, rx, out=pa)
+        np.add(pa, np.multiply(mi, ry, out=tmp), out=pa)
+        sx = np.bincount(ends, both, n)
+        np.multiply(wb, ry, out=pb)
+        np.multiply(mi, rx, out=pa)
+        np.add(pa, np.multiply(nr, ry, out=tmp), out=pa)
+        return sx, np.bincount(ends, both, n)
 
-    r = b - forward(g)
-    s = adjoint(r)
-    p = s
-    gamma = sumsq(s)
-    stop = REFINE_TOL * REFINE_TOL * gamma
+    rho = sumsq(rx, tmp) + sumsq(ry, tmp)
+    px, py = adjoint()
+    gamma = sumsq(px, step) + sumsq(py, step)
+    least = (1.0 - REFINE_MIN_DROP) ** 2
     iterations = 0
-    while gamma > stop and iterations < REFINE_MAX_ITER:
-        q = forward(p)
-        alpha = gamma / sumsq(q)
-        g = g + alpha * p
-        r = r - alpha * q
-        s = adjoint(r)
-        gamma_next = sumsq(s)
-        p = s + (gamma_next / gamma) * p
-        gamma = gamma_next
+    while gamma > 0.0 and iterations < REFINE_MAX_ITER:
+        forward(px, py)
+        alpha = gamma / (sumsq(qx, tmp) + sumsq(qy, tmp))
+        zx += np.multiply(alpha, px, out=step)
+        zy += np.multiply(alpha, py, out=step)
+        rx -= np.multiply(alpha, qx, out=tmp)
+        ry -= np.multiply(alpha, qy, out=tmp)
         iterations += 1
-    refined = g.view(float).reshape(-1, 2)
+        rho_next = sumsq(rx, tmp) + sumsq(ry, tmp)
+        if rho_next > least * rho:
+            break
+        rho = rho_next
+        sx, sy = adjoint()
+        gamma_next = sumsq(sx, step) + sumsq(sy, step)
+        beta = gamma_next / gamma
+        px *= beta
+        px += sx
+        py *= beta
+        py += sy
+        gamma = gamma_next
+    refined = np.stack((gx + scale * zx, gy + scale * zy), axis=1)
     refined.flags.writeable = False
     return refined, iterations

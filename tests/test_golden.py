@@ -91,16 +91,16 @@ def golden_row(n: int, seed: int, t=None, gt=None) -> dict:
 
 
 GOLDEN = {
-    (200, 0): {"anchor": 69, "scores": "90382fdbbc0bbe2b", "sweep_first": "4c1dfe94b38d4014", "refined": "ada788941c5b5cb1", "brute": "5347dce6935dacfd", "cprime": "da4e91cb6328c4a2"},
-    (200, 1): {"anchor": 157, "scores": "d0c8777b77f15fe9", "sweep_first": "bcba8bca603dd91c", "refined": "9d6f9c9b7615230c", "brute": "36e1d1b446ef3aa1", "cprime": "1c3c6c78495f37ef"},
-    (200, 2): {"anchor": 35, "scores": "5889aab50c6a117a", "sweep_first": "ae90a2d10a6d826b", "refined": "ede4d4e8c810b00a", "brute": "ff38ca6866f6a3df", "cprime": "a10b0bfecd7a27a0"},
-    (200, 3): {"anchor": 49, "scores": "248b3f99d860b6fd", "sweep_first": "2cee8aa255eb7701", "refined": "05bf65bcb7b1e18e", "brute": "08544ebe6b2c24b8", "cprime": "a22ab54227b82ee6"},
-    (200, 4): {"anchor": 27, "scores": "f3552b7702cdfde1", "sweep_first": "0438c0370364e395", "refined": "e90e0e376f4639b7", "brute": "fce98686dc07dd1d", "cprime": "4cfe767c046852b6"},
-    (2000, 0): {"anchor": 1666, "scores": "1c9df4684f41cbba", "sweep_first": "6e96f5e13e17c910", "refined": "b9f254cf80477b85", "brute": "50b32f8e968e8c37", "cprime": "8959f8cc2c0c89af"},
-    (2000, 1): {"anchor": 537, "scores": "e7581cfcdcda497e", "sweep_first": "d95a99b07f437adf", "refined": "d5ef4aa025d1b9db", "brute": "528756f28c8826ad", "cprime": "7bee6425a19bf50d"},
-    (2000, 2): {"anchor": 643, "scores": "da2360b870d0106b", "sweep_first": "3c499dca293f5064", "refined": "10a400270f654b7b", "brute": "9af178df0eec5390", "cprime": "1a93d95f31859056"},
-    (2000, 3): {"anchor": 1671, "scores": "f82f78afa47fb285", "sweep_first": "f2fb48adf614efc7", "refined": "5535fde849a9ed40", "brute": "4c743f2a31d76686", "cprime": "5deaae6be2d09905"},
-    (2000, 4): {"anchor": 597, "scores": "cf5e13c490152c63", "sweep_first": "b67ff3c388a70b96", "refined": "3f31775555b3ca9d", "brute": "915ddbcff43e20f5", "cprime": "71b583eee6bcbee4"},
+    (200, 0): {"anchor": 69, "scores": "90382fdbbc0bbe2b", "sweep_first": "4c1dfe94b38d4014", "refined": "435bf70f07c41b31", "brute": "5347dce6935dacfd", "cprime": "da4e91cb6328c4a2"},
+    (200, 1): {"anchor": 157, "scores": "d0c8777b77f15fe9", "sweep_first": "bcba8bca603dd91c", "refined": "f55800b1acf5016d", "brute": "36e1d1b446ef3aa1", "cprime": "1c3c6c78495f37ef"},
+    (200, 2): {"anchor": 35, "scores": "5889aab50c6a117a", "sweep_first": "ae90a2d10a6d826b", "refined": "b18bc1f751896767", "brute": "ff38ca6866f6a3df", "cprime": "a10b0bfecd7a27a0"},
+    (200, 3): {"anchor": 49, "scores": "248b3f99d860b6fd", "sweep_first": "2cee8aa255eb7701", "refined": "598bf22fb2b28822", "brute": "08544ebe6b2c24b8", "cprime": "a22ab54227b82ee6"},
+    (200, 4): {"anchor": 27, "scores": "f3552b7702cdfde1", "sweep_first": "0438c0370364e395", "refined": "c35858ae74cf0aad", "brute": "fce98686dc07dd1d", "cprime": "4cfe767c046852b6"},
+    (2000, 0): {"anchor": 1666, "scores": "1c9df4684f41cbba", "sweep_first": "6e96f5e13e17c910", "refined": "29c1ea4974f730d5", "brute": "50b32f8e968e8c37", "cprime": "8959f8cc2c0c89af"},
+    (2000, 1): {"anchor": 537, "scores": "e7581cfcdcda497e", "sweep_first": "d95a99b07f437adf", "refined": "174b6df308b51d57", "brute": "528756f28c8826ad", "cprime": "7bee6425a19bf50d"},
+    (2000, 2): {"anchor": 643, "scores": "da2360b870d0106b", "sweep_first": "3c499dca293f5064", "refined": "0f3fa17ad75ef376", "brute": "9af178df0eec5390", "cprime": "1a93d95f31859056"},
+    (2000, 3): {"anchor": 1671, "scores": "f82f78afa47fb285", "sweep_first": "f2fb48adf614efc7", "refined": "1bbecd4cd64cc144", "brute": "4c743f2a31d76686", "cprime": "5deaae6be2d09905"},
+    (2000, 4): {"anchor": 597, "scores": "cf5e13c490152c63", "sweep_first": "b67ff3c388a70b96", "refined": "efb4ef0d1909afab", "brute": "915ddbcff43e20f5", "cprime": "71b583eee6bcbee4"},
 }
 
 
@@ -122,16 +122,16 @@ def report_row(sites, t, gt) -> dict:
 
 
 REPORTS = {
-    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "bd4f6e2ee8d0c547", "brute": "14a783132c83e7dd", "cprime": "fb9b4eb018f8c79c"},
-    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "5241e590637827e4", "brute": "b645e09ef8fa08f5", "cprime": "1eeff2de93aa6dc6"},
-    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "1e8fbb0a697b2233", "brute": "8ffc15403a5a8134", "cprime": "af0f8e291f9e3eb3"},
-    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "73d79c34b1bdb1b1", "brute": "fbb8f3907592b478", "cprime": "edd7c7dc69c7dd33"},
-    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "9955c5dc8287370f", "brute": "de4d78d58e07340e", "cprime": "d12822128c50d311"},
-    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "b6e9f6a55f54db43", "brute": "52e2afd005eeed47", "cprime": "b2d85b8b7cf365cb"},
-    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "fbec9666d71758a0", "brute": "8727cc6b7663bbe7", "cprime": "84417e2fbeb6a2d7"},
-    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "31491421a41044b9", "brute": "a0bc20a3d83db489", "cprime": "4e928569a799222b"},
-    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "7d5f6e76835b63fe", "brute": "a016c41276e2a032", "cprime": "187899ca2b585b2e"},
-    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "6564ee333652d1f1", "brute": "5024adc757179dd4", "cprime": "6653c076fceeb3a4"},
+    (200, 0): {"sites": "479902748a1dff36", "truth": "479902748a1dff36", "anchor": "e0c0d4fd9250c500", "brute": "14a783132c83e7dd", "cprime": "fb9b4eb018f8c79c"},
+    (200, 1): {"sites": "96520372c19ba8ce", "truth": "96520372c19ba8ce", "anchor": "947d8bd57e2b1b05", "brute": "b645e09ef8fa08f5", "cprime": "1eeff2de93aa6dc6"},
+    (200, 2): {"sites": "c788f31baf38a762", "truth": "c788f31baf38a762", "anchor": "30d55e977db21c2d", "brute": "8ffc15403a5a8134", "cprime": "af0f8e291f9e3eb3"},
+    (200, 3): {"sites": "49f76b3fa8d0437c", "truth": "49f76b3fa8d0437c", "anchor": "de2959197d736919", "brute": "fbb8f3907592b478", "cprime": "edd7c7dc69c7dd33"},
+    (200, 4): {"sites": "6e30c8ee466bbf64", "truth": "6e30c8ee466bbf64", "anchor": "f82e3799c1fefa12", "brute": "de4d78d58e07340e", "cprime": "d12822128c50d311"},
+    (2000, 0): {"sites": "72f6c49a3c5df2eb", "truth": "72f6c49a3c5df2eb", "anchor": "204fd107e47fd6ba", "brute": "52e2afd005eeed47", "cprime": "b2d85b8b7cf365cb"},
+    (2000, 1): {"sites": "294e629ab1891111", "truth": "294e629ab1891111", "anchor": "832ec0af5372039c", "brute": "8727cc6b7663bbe7", "cprime": "84417e2fbeb6a2d7"},
+    (2000, 2): {"sites": "5c4a3977165e95ac", "truth": "5c4a3977165e95ac", "anchor": "51f0b547c1192410", "brute": "a0bc20a3d83db489", "cprime": "4e928569a799222b"},
+    (2000, 3): {"sites": "7ca0e800ed88763d", "truth": "7ca0e800ed88763d", "anchor": "72fb41eaed342a7c", "brute": "a016c41276e2a032", "cprime": "187899ca2b585b2e"},
+    (2000, 4): {"sites": "8869ac34dd232d0e", "truth": "8869ac34dd232d0e", "anchor": "591bba2959d33ba4", "brute": "5024adc757179dd4", "cprime": "6653c076fceeb3a4"},
 }
 
 

@@ -8,15 +8,23 @@ forward builds where the ground truth is known.
 from __future__ import annotations
 
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vorogen
+
 from helpers import hypot, max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
 from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.errors import DegenerateRidgeError, OutOfRangeIdError, UnreachableCellsError
+from vorogen.forward import sample_and_build
 from vorogen.geom import Point2
+from vorogen.pipeline import reconstruct
 from vorogen.propagate import REFINE_MAX_ITER, reconstruct_all, refine_all, sweep
 from vorogen.solver import assemble_patch, solve_patch
 from vorogen.tessellation import Cell, Ridge, Tessellation
@@ -232,3 +240,83 @@ def test_refinement_keeps_exact_input_and_lowers_mirror_residual(diamond, built)
     )
     assert rmse(refined, gt) <= rmse(swept, gt)
 
+
+
+def test_refinement_rerun_from_its_own_output_stops_at_the_floor(built):
+    """Started from its own output, the refinement stops within 3 steps and
+    moves no coordinate by more than 3e-14 (at most 3 steps and 1.1e-14
+    measured over seeds 0-9). Rounding the output to float64 lifts the
+    weighted residual a few per cent above the floor, and the first steps
+    win that back before a step gains less than ``REFINE_MIN_DROP``."""
+    for seed in range(3):
+        _, t, _ = built(1000, seed)
+        first = reconstruct(t, "anchor").generators
+        again, iterations = refine_all(t, first)
+        assert 0 < iterations <= 3, seed
+        assert np.abs(again - first).max() <= 3e-14, seed
+
+
+def test_a_cell_whose_rows_all_weigh_zero_keeps_its_warm_start(built):
+    """A closed cell shrunk to a point has only degenerate ridges, which
+    weigh 0: its Jacobi scale is 0 (no division by zero) and it keeps its
+    warm start bit for bit while its neighbors move."""
+    _, t, gt = built(200, 1)
+    c = 41
+    assert t._bounded[c]
+    rids = t._cell_ridges[t._cell_start[c]:t._cell_start[c + 1]]
+    corners = np.unique(t._ends[rids])
+    xy = t._xy.copy()
+    xy[corners] = xy[corners].mean(axis=0)
+    shrunk = Tessellation.from_arrays(
+        xy, t._cells, t._ends, t._finite, t._rays, t._cell_start, t._cell_ridges, t._bounded
+    )
+    assert shrunk.arrays.degenerate[rids].all()
+    warm = gt.generators + np.random.default_rng(0).normal(0.0, 1e-9, gt.generators.shape)
+    refined, iterations = refine_all(shrunk, warm)
+    assert iterations > 0
+    assert refined[c].tobytes() == warm[c].tobytes()
+    nbrs = np.unique(t._cells[rids])
+    assert (refined[nbrs[nbrs != c]] != warm[nbrs[nbrs != c]]).all()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [3595293276, 2586168000])
+def test_refinement_reaches_the_floor_after_a_poor_sweep(seed):
+    """The two worst anchor runs of the 1,000-run campaign at 10^4 (the
+    seeds ``vorogen bench --ns 10000 --nsim 1000`` draws): sweeps with worst
+    errors of 1.1e-8 and 2.7e-8 refine to 4.5e-14 and 5.1e-14, where a stop
+    relative to the warm start left 1.7e-10 and 3.6e-11."""
+    _, t, gt = sample_and_build(10_000, seed)
+    assert reconstruct(t, "anchor", gt).max_rse <= 1e-13
+
+
+BLAS_RUN = """
+import hashlib
+import numpy as np
+from vorogen.forward import sample_and_build
+from vorogen.propagate import refine_all
+_, t, gt = sample_and_build(1000, 1)
+warm = gt.generators + np.random.default_rng(0).normal(0.0, 1e-9, gt.generators.shape)
+refined, iterations = refine_all(t, warm)
+print(hashlib.sha256(refined.tobytes()).hexdigest(), iterations)
+"""
+
+
+def _on_openblas() -> bool:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _on_openblas(), reason="numpy is not built on OpenBLAS")
+def test_refinement_bits_do_not_depend_on_the_blas_kernel():
+    """The refinement calls no BLAS: the same warm start gives the same
+    bytes whichever kernel OpenBLAS picks for the CPU."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vorogen.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    outputs = []
+    for core in (None, "Haswell"):
+        run_env = env if core is None else dict(env, OPENBLAS_CORETYPE=core)
+        run = subprocess.run([sys.executable, "-c", BLAS_RUN], capture_output=True, text=True, env=run_env)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

@@ -6,6 +6,9 @@ For each n it builds the sample of seed 5 and times every stage on it a few
 times, in turn, then writes ``BENCH_<LABEL>.json`` in the current directory: per
 stage and n, the minimum and median wall ms, with the Python and numpy
 versions, ``nproc``, the git commit, the OpenBLAS core type and the peak RSS.
+The parts of ``reconstruct`` (``pipeline.STAGES``: select, solve, sweep,
+refine) are stages too, read from each call's ``ReconstructionReport.timings``,
+and ``refine_iterations`` holds its CGLS iteration count per n.
 """
 
 from __future__ import annotations
@@ -73,16 +76,21 @@ def main(argv=None) -> int:
     parser.add_argument("--ns", type=int, nargs="+", default=[1000, 10_000, 100_000])
     args = parser.parse_args(argv)
     stages = {}
+    iterations = {}
     for n in args.ns:
         calls = stage_calls(n)
-        ms = {stage: [] for stage in calls}
+        ms = {stage: [] for stage in (*calls, *pipeline.STAGES)}
         # round-robin over the stages, so that each stage's calls spread
         # over the whole run and not over one stretch of a shared host's load
         for _ in range(REPEATS.get(n, 3)):
             for stage, call in calls.items():
                 start = time.perf_counter()
-                call()
+                result = call()
                 ms[stage].append(1e3 * (time.perf_counter() - start))
+                if stage == "reconstruct":
+                    for part in pipeline.STAGES:
+                        ms[part].append(1e3 * result.timings[part])
+                    iterations[str(n)] = result.refine_iterations
         for stage, t in ms.items():
             row = {"min_ms": round(min(t), 2), "median_ms": round(statistics.median(t), 2)}
             stages.setdefault(stage, {})[str(n)] = row
@@ -97,6 +105,7 @@ def main(argv=None) -> int:
         "openblas_core": openblas_core(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "stages": stages,
+        "refine_iterations": iterations,
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(out, indent=1) + "\n")
     return 0
