@@ -190,11 +190,10 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
     scale = np.zeros(n)
     np.divide(1.0, np.sqrt(weight), out=scale, where=weight > 0.0)
     # with d = scale, ridge k's row pair reads wb z_b + M z_a, where wb = w d_b and
-    # M = -w d_a R = [[mr, mi], [mi, nr]], R = [[er, ei], [ei, -er]] the reflection
+    # M = -w d_a R = [[mr, mi], [mi, -mr]], R = [[er, ei], [ei, -er]] the reflection
     wb = w * scale[ib]
     wa = w * scale[ia]
     mr, mi = -wa * e.real, -wa * e.imag
-    nr = -mr
     # the weighted residual of the warm start, W (b - A g)
     mx, my = geom.mirror(e.real, e.imag, gx[ia], gy[ia])
     rx = w * (b.real - (gx[ib] - mx))
@@ -212,6 +211,7 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
 
     def forward(px, py):
         """(qx, qy) = W A D p."""
+        # every id is in range; mode "raise" would copy ``out`` through a buffer
         np.take(px, ends, out=both, mode="clip")
         np.take(py, ends, out=both_y, mode="clip")
         np.multiply(wb, pb, out=qx)
@@ -219,7 +219,7 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
         np.add(qx, np.multiply(mi, pa_y, out=tmp), out=qx)
         np.multiply(wb, pb_y, out=qy)
         np.add(qy, np.multiply(mi, pa, out=tmp), out=qy)
-        np.add(qy, np.multiply(nr, pa_y, out=tmp), out=qy)
+        np.subtract(qy, np.multiply(mr, pa_y, out=tmp), out=qy)
 
     def adjoint():
         """(sx, sy) = D A^T W r; M is symmetric, so cell a collects M r."""
@@ -229,7 +229,7 @@ def refine_all(t: Tessellation, generators: np.ndarray) -> tuple[np.ndarray, int
         sx = np.bincount(ends, both, n)
         np.multiply(wb, ry, out=pb)
         np.multiply(mi, rx, out=pa)
-        np.add(pa, np.multiply(nr, ry, out=tmp), out=pa)
+        np.subtract(pa, np.multiply(mr, ry, out=tmp), out=pa)
         return sx, np.bincount(ends, both, n)
 
     rho = sumsq(rx, tmp) + sumsq(ry, tmp)
