@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import vorogen
-
 from helpers import hypot, max_cell_error, reflect_point, reflect_step, rmse, sweep_reference
 from vorogen.anchor import eligible_cells, select_anchor
 from vorogen.errors import DegenerateRidgeError, OutOfRangeIdError, UnreachableCellsError
@@ -239,7 +238,6 @@ def test_refinement_keeps_exact_input_and_lowers_mirror_residual(diamond, built)
         t, swept, swept
     )
     assert rmse(refined, gt) <= rmse(swept, gt)
-
 
 
 def test_refinement_rerun_from_its_own_output_stops_at_the_floor(built):
